@@ -13,7 +13,10 @@ possible.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -25,48 +28,66 @@ _TAG_FOR = {np.dtype("float32"): 0}
 
 
 def save_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
+    """Write a checkpoint atomically: a failed or interrupted save leaves
+    any previous file at `path` intact."""
     header = dict(header)
     header["tensor_count"] = len(tensors)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr)
-            if arr.dtype not in _TAG_FOR:
-                raise DataError(f"cannot checkpoint dtype {arr.dtype} for {name!r}")
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<BB", _TAG_FOR[arr.dtype], arr.ndim))
-            for ext in arr.shape:
-                f.write(struct.pack("<Q", ext))
-            f.write(arr.astype("<f4", copy=False).tobytes())
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for name, arr in tensors.items():
+                arr = np.asarray(arr)
+                if arr.dtype not in _TAG_FOR:
+                    raise DataError(f"cannot checkpoint dtype {arr.dtype} for {name!r}")
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<H", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<BB", _TAG_FOR[arr.dtype], arr.ndim))
+                for ext in arr.shape:
+                    f.write(struct.pack("<Q", ext))
+                f.write(arr.astype("<f4", copy=False).tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
-    """Returns (header, {name: float32 array})."""
+    """Returns (header, {name: float32 array}); a truncated or corrupt
+    file raises DataError."""
     with open(path, "rb") as f:
-        raw = f.read(8)
-        if len(raw) != 8:
-            raise DataError(f"{path}: truncated checkpoint header")
-        (hlen,) = struct.unpack("<Q", raw)
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            # checked against the file size, so a corrupt length cannot
+            # ask for a huge buffer
+            if n > size - f.tell():
+                raise DataError(f"{path}: truncated checkpoint")
+            return f.read(n)
+
+        (hlen,) = struct.unpack("<Q", read(8))
         try:
-            header = json.loads(f.read(hlen).decode("utf-8"))
+            header = json.loads(read(hlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise DataError(f"{path}: corrupt header: {e}") from e
         tensors: dict[str, np.ndarray] = {}
         for _ in range(header.get("tensor_count", 0)):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            tag, rank = struct.unpack("<BB", f.read(2))
+            (nlen,) = struct.unpack("<H", read(2))
+            try:
+                name = read(nlen).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataError(f"{path}: corrupt tensor name: {e}") from e
+            tag, rank = struct.unpack("<BB", read(2))
             if tag not in _DTYPE_TAGS:
                 raise DataError(f"{path}: unknown dtype tag {tag}")
-            shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(rank))
-            count = int(np.prod(shape)) if shape else 1
-            payload = f.read(count * 4)
-            if len(payload) != count * 4:
-                raise DataError(f"{path}: truncated tensor {name!r}")
+            shape = tuple(struct.unpack("<Q", read(8))[0] for _ in range(rank))
+            payload = read(math.prod(shape) * 4)
             arr = np.frombuffer(payload, dtype=_DTYPE_TAGS[tag]).reshape(shape)
             tensors[name] = arr.astype(np.float32)
     return header, tensors

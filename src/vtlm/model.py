@@ -95,9 +95,6 @@ class ParamStore:
     def copy_from(self, other: "ParamStore", src_name: str, dst_name: str) -> None:
         self._tensors[dst_name].data[...] = other[src_name].data
 
-    def num_parameters(self) -> int:
-        return sum(t.data.size for t in self._tensors.values())
-
 
 def _normal(rng: Pcg32, shape, std: float):
     return (rng.normal(shape, dtype=np.float64) * std).astype(T.default_dtype())
@@ -216,18 +213,48 @@ def key_padding_mask(pad_mask: np.ndarray, num_regions: int) -> np.ndarray:
     return mask[:, None, None, :]
 
 
+def embed_inputs(params: ParamStore, cfg: EncoderConfig, token_ids: np.ndarray,
+                 pos_ids: np.ndarray, lang_ids: np.ndarray,
+                 feats: np.ndarray | None = None, bboxes: np.ndarray | None = None,
+                 mask_slots: np.ndarray | None = None, prefix: str = "") -> Tensor:
+    """Input embeddings before dropout.
+
+    Text positions are token + position + language embeddings; each
+    region slot, appended after the text, is projected feature +
+    projected box + the visual language embedding. Slots flagged in
+    `mask_slots` carry the [MASK] token embedding in place of their
+    projection. Parameter names are `prefix` + the encoder's names.
+    """
+    tok = T.embedding(params[f"{prefix}token_emb"], token_ids)
+    pos = T.embedding(params[f"{prefix}pos_emb"], pos_ids)
+    lang = T.embedding(params[f"{prefix}lang_emb"], lang_ids)
+    x = tok + pos + lang
+    if feats is None:
+        return x
+    if feats.shape[-1] != cfg.feat_dim:
+        raise ConfigError(
+            f"region feature dim {feats.shape[-1]} != model feat_dim {cfg.feat_dim}"
+        )
+    vis = (
+        T.matmul(Tensor(feats.astype(T.default_dtype())), params[f"{prefix}feat_proj.w"])
+        + params[f"{prefix}feat_proj.b"]
+        + T.matmul(Tensor(bboxes.astype(T.default_dtype())), params[f"{prefix}bbox_proj.w"])
+        + params[f"{prefix}bbox_proj.b"]
+    )
+    if mask_slots is not None:
+        keep = Tensor((~mask_slots).astype(T.default_dtype())[:, :, None])
+        mask_vec = T.embedding(params[f"{prefix}token_emb"], np.full((1, 1), MASK))
+        vis = vis * keep + mask_vec * (1.0 - keep.data)
+    vis = vis + T.embedding(params[f"{prefix}lang_emb"],
+                            np.full(feats.shape[:2], LANG_VIS))
+    return T.concat([x, vis], axis=1)
+
+
 def embed_batch(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
                 rng: Pcg32, training: bool) -> Tensor:
     """Resolve masking directives and sum the input embeddings."""
-    tok = T.embedding(params["token_emb"], batch.token_ids)
-    pos = T.embedding(params["pos_emb"], batch.pos_ids)
-    lang = T.embedding(params["lang_emb"], batch.lang_ids)
-    x = tok + pos + lang
+    feats = bboxes = mask_slots = None
     if batch.num_regions:
-        if batch.feats.shape[-1] != cfg.feat_dim:
-            raise ConfigError(
-                f"region feature dim {batch.feats.shape[-1]} != model feat_dim {cfg.feat_dim}"
-            )
         feats = batch.feats
         bboxes = batch.bboxes
         sub = batch.vis_directives == SUBSTITUTE
@@ -238,29 +265,19 @@ def embed_batch(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
                 ob, oslot = batch.vis_substitutes[b, slot]
                 feats[b, slot] = batch.feats[ob, oslot]
                 bboxes[b, slot] = batch.bboxes[ob, oslot]
-        proj = (
-            T.matmul(Tensor(feats.astype(T.default_dtype())), params["feat_proj.w"])
-            + params["feat_proj.b"]
-            + T.matmul(Tensor(bboxes.astype(T.default_dtype())), params["bbox_proj.w"])
-            + params["bbox_proj.b"]
-        )
-        keep = (batch.vis_directives != MASK_EMBED).astype(T.default_dtype())
-        keep = Tensor(keep[:, :, None])
-        mask_vec = T.embedding(params["token_emb"], np.full((1, 1), MASK))
-        vis = proj * keep + mask_vec * (1.0 - keep.data)
-        vis = vis + T.embedding(
-            params["lang_emb"],
-            np.full((batch.batch_size, batch.num_regions), LANG_VIS),
-        )
-        x = T.concat([x, vis], axis=1)
+        mask_slots = batch.vis_directives == MASK_EMBED
+    x = embed_inputs(params, cfg, batch.token_ids, batch.pos_ids,
+                     batch.lang_ids, feats, bboxes, mask_slots)
     return T.dropout(x, cfg.dropout, rng, training)
 
 
 def encode(params: ParamStore, cfg: EncoderConfig, x: Tensor,
            add_mask: np.ndarray | None, rng: Pcg32, training: bool,
-           collect_attn: list | None = None) -> Tensor:
+           collect_attn: list | None = None, prefix: str = "") -> Tensor:
+    """The encoder stack; `prefix` is "" for the pretraining model and
+    "enc." for the encoder of a translation model."""
     for i in range(cfg.n_layers):
-        x = encoder_layer(params, f"layers.{i}", x, add_mask, cfg, rng,
+        x = encoder_layer(params, f"{prefix}layers.{i}", x, add_mask, cfg, rng,
                           training, collect_attn)
     return x
 

@@ -147,9 +147,6 @@ class Pcg32:
             raise ValueError(f"cannot choose {k} from {n}")
         return self.permutation(n)[:k]
 
-    def shuffle_list(self, items: list) -> list:
-        return [items[i] for i in self.permutation(len(items))]
-
     def derangement(self, n: int) -> np.ndarray:
         """Permutation of range(n) with no fixed point (n >= 2)."""
         if n < 2:

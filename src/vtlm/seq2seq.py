@@ -1,18 +1,20 @@
 """Encoder-decoder translation models built from the pretrained stack.
 
-The MT encoder reuses the pretrained encoder layout; the decoder mirrors
-it with an extra cross-attention sublayer per layer. Weight transfer
-copies the pretrained stack 1:1 into both sides (decoder self-attention,
-feed-forward, norms and embeddings come from the corresponding
-pretrained layers; the output projection stays tied to the decoder
-token embedding with the pretrained head bias). Cross-attention has no
-pretrained counterpart: it is either copied from the same layer's
-self-attention or freshly initialised.
+The MT encoder is the pretraining encoder itself: `encode_source` runs
+`model.embed_inputs` and `model.encode` on parameters named with the
+"enc." prefix, so the two differ only in their weights. The decoder
+mirrors the encoder with an extra cross-attention sublayer per layer.
+Weight transfer copies the pretrained stack 1:1 into both sides (decoder
+self-attention, feed-forward, norms and embeddings come from the
+corresponding pretrained layers; the output projection stays tied to
+the decoder token embedding with the pretrained head bias).
+Cross-attention has no pretrained counterpart: it is either copied from
+the same layer's self-attention or freshly initialised.
 
 Source layout is [BOS] s [EOS] for text-only translation; multimodal
 translation appends the o region embeddings (uncorrupted) to the source
 sequence. All MT parameters live in one store under "enc." and "dec."
-prefixes.
+prefixes. `beam_search` is the only decoder; with beam=1 it is greedy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .bpe import BOS, EOS, LANG_L1, LANG_L2, LANG_VIS, PAD
+from .bpe import BOS, EOS, LANG_L1, LANG_L2, PAD
 from .data import TripletExample
 from .errors import ConfigError, TransferError
 from .model import (
@@ -36,16 +38,15 @@ from .model import (
     _zeros,
     add_layer_params,
     attention,
+    embed_inputs,
+    encode,
+    key_padding_mask,
     linear,
 )
 from .rng import Pcg32
 from .tensor import Tensor
 
 NMT, MMT = "nmt", "mmt"
-
-# the decoder mirrors the encoder dimensions; transfer requires equal
-# layer counts, so one config object serves both stacks
-DecoderConfig = EncoderConfig
 
 
 def _add_decoder_layer(params: ParamStore, prefix: str, d: int, f: int,
@@ -161,15 +162,6 @@ class SourceBatch:
     feats: np.ndarray | None = None
     bboxes: np.ndarray | None = None
 
-    @property
-    def total_len(self) -> int:
-        return self.token_ids.shape[1] + self.num_regions
-
-    def visual_range(self) -> tuple[int, int]:
-        """Index range of region slots in the encoder output."""
-        t = self.token_ids.shape[1]
-        return t, t + self.num_regions
-
 
 def build_source_batch(examples: list[TripletExample], task: str,
                        max_len: int = 256) -> SourceBatch:
@@ -222,54 +214,14 @@ def build_target_batch(examples: list[TripletExample], max_len: int = 256) -> Ta
 # -- forward passes ----------------------------------------------------------
 
 
-def _source_key_mask(batch: SourceBatch, dtype) -> np.ndarray:
-    pad = batch.pad_mask
-    if batch.num_regions:
-        pad = np.concatenate(
-            [pad, np.zeros((pad.shape[0], batch.num_regions), dtype=bool)], axis=1
-        )
-    return np.where(pad, NEG_INF, 0.0).astype(dtype)[:, None, None, :]
-
-
 def encode_source(params: ParamStore, cfg: EncoderConfig, batch: SourceBatch,
                   rng: Pcg32, training: bool) -> tuple[Tensor, np.ndarray]:
     """Run the MT encoder; returns (states, additive key mask)."""
-    tok = T.embedding(params["enc.token_emb"], batch.token_ids)
-    pos = T.embedding(params["enc.pos_emb"], batch.pos_ids)
-    lang = T.embedding(params["enc.lang_emb"], batch.lang_ids)
-    x = tok + pos + lang
-    if batch.num_regions:
-        if batch.feats.shape[-1] != cfg.feat_dim:
-            raise TransferError(
-                f"region feature dim {batch.feats.shape[-1]} != model feat_dim {cfg.feat_dim}"
-            )
-        proj = (
-            T.matmul(Tensor(batch.feats.astype(T.default_dtype())), params["enc.feat_proj.w"])
-            + params["enc.feat_proj.b"]
-            + T.matmul(Tensor(batch.bboxes.astype(T.default_dtype())), params["enc.bbox_proj.w"])
-            + params["enc.bbox_proj.b"]
-        )
-        vis = proj + T.embedding(
-            params["enc.lang_emb"],
-            np.full((batch.token_ids.shape[0], batch.num_regions), LANG_VIS),
-        )
-        x = T.concat([x, vis], axis=1)
+    x = embed_inputs(params, cfg, batch.token_ids, batch.pos_ids,
+                     batch.lang_ids, batch.feats, batch.bboxes, prefix="enc.")
     x = T.dropout(x, cfg.dropout, rng, training)
-    key_mask = _source_key_mask(batch, T.default_dtype())
-    for i in range(cfg.n_layers):
-        x = _encoder_layer(params, f"enc.layers.{i}", x, key_mask, cfg, rng, training)
-    return x, key_mask
-
-
-def _encoder_layer(params, prefix, x, add_mask, cfg, rng, training):
-    attn = attention(params, f"{prefix}.attn", x, x, add_mask, cfg.n_heads,
-                     cfg.dropout, rng, training)
-    x = T.layer_norm(x + T.dropout(attn, cfg.dropout, rng, training),
-                     params[f"{prefix}.norm1.g"], params[f"{prefix}.norm1.b"])
-    h = T.gelu(linear(x, params, f"{prefix}.ffn.w1", f"{prefix}.ffn.b1"))
-    h = linear(h, params, f"{prefix}.ffn.w2", f"{prefix}.ffn.b2")
-    return T.layer_norm(x + T.dropout(h, cfg.dropout, rng, training),
-                        params[f"{prefix}.norm2.g"], params[f"{prefix}.norm2.b"])
+    key_mask = key_padding_mask(batch.pad_mask, batch.num_regions)
+    return encode(params, cfg, x, key_mask, rng, training, prefix="enc."), key_mask
 
 
 def causal_mask(t: int, dtype) -> np.ndarray:
@@ -320,17 +272,6 @@ def output_logits(params: ParamStore, states: Tensor) -> Tensor:
     logits = T.matmul(flat, T.transpose(params["dec.token_emb"], (1, 0)))
     logits = logits + params["dec.out_bias"]
     return T.reshape(logits, (bsz, t, params["dec.token_emb"].data.shape[0]))
-
-
-def mt_forward(params: ParamStore, cfg: EncoderConfig,
-               examples: list[TripletExample], task: str,
-               tgt_prefix: np.ndarray, rng: Pcg32,
-               training: bool = False) -> np.ndarray:
-    """Next-token logits at every prefix position (convenience wrapper)."""
-    src = build_source_batch(examples, task, cfg.max_positions)
-    enc, key_mask = encode_source(params, cfg, src, rng, training)
-    states = decode_states(params, cfg, enc, key_mask, tgt_prefix, rng, training)
-    return output_logits(params, states).data
 
 
 @dataclass
@@ -414,20 +355,6 @@ def beam_search(step_fn, beam: int, max_len: int, eos: int = EOS,
     return finished[0]
 
 
-def greedy_decode(step_fn, max_len: int, eos: int = EOS) -> Hypothesis:
-    """Argmax decoding; equal to beam_search with beam=1."""
-    tokens: tuple[int, ...] = ()
-    logp = 0.0
-    for _ in range(max_len):
-        lp = step_fn([tokens])[0]
-        tok = int(np.argmax(lp))
-        logp += float(lp[tok])
-        tokens = tokens + (tok,)
-        if tok == EOS:
-            return Hypothesis(tokens, logp, True)
-    return Hypothesis(tokens, logp, False)
-
-
 def make_step_fn(params: ParamStore, cfg: EncoderConfig,
                  example: TripletExample, task: str, rng: Pcg32):
     """Close over one source sentence; score target prefixes in a batch."""
@@ -458,13 +385,19 @@ def translate(params: ParamStore, cfg: EncoderConfig,
               examples: list[TripletExample], task: str, beam: int = 8,
               max_len: int = 48, alpha: float = 1.0,
               seed: int = 0) -> list[Hypothesis]:
-    """Decode each source; output order is aligned with the input."""
+    """Decode each source; output order is aligned with the input.
+
+    With beam=1 this is greedy decoding: each step takes the argmax,
+    the lowest token id among ties.
+    """
+    if max_len > cfg.max_positions:
+        raise ConfigError(
+            f"max_len={max_len} needs {max_len} target positions, "
+            f"model has max_positions={cfg.max_positions}"
+        )
     rng = Pcg32(seed).split("translate")
     out = []
     for ex in examples:
         step = make_step_fn(params, cfg, ex, task, rng)
-        if beam == 1:
-            out.append(greedy_decode(step, max_len))
-        else:
-            out.append(beam_search(step, beam, max_len, alpha=alpha))
+        out.append(beam_search(step, beam, max_len, alpha=alpha))
     return out

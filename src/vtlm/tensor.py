@@ -293,11 +293,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 # -- lookup / selection ---------------------------------------------------
 
 
@@ -336,22 +331,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         raise NumericError("softmax input contains non-finite values")
     m = a.data.max(axis=axis, keepdims=True)
     e = np.exp(a.data - m)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        if a.requires_grad:
-            gy = g * data
-            a._accumulate(gy - data * gy.sum(axis=axis, keepdims=True))
-
-    return _make(data, (a,), bw)
-
-
-def _masked_softmax(a: Tensor, neg_mask: np.ndarray, axis: int = -1) -> Tensor:
-    """softmax(a + neg_mask) where neg_mask is a constant of large negative
-    entries at excluded positions; skips the finiteness check on the sum."""
-    scores = a.data + neg_mask
-    m = scores.max(axis=axis, keepdims=True)
-    e = np.exp(scores - m)
     data = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g):

@@ -1,4 +1,12 @@
-"""Adam optimisation, learning-rate schedules, and the training loops.
+"""Adam optimisation, learning-rate schedules, and the training loop.
+
+`train_pretrain` (masked TLM/VTLM pretraining) and `train_mt` (NMT/MMT
+fine-tuning) share one loop, `_fit`: it owns resume, the epoch order,
+the per-step random streams, divergence checks, the Adam update, the
+evaluation schedule, best tracking, the metrics CSV and the two
+checkpoints; each phase supplies only its training step and its
+validation metric. Text is laid out within the model's
+`max_positions`.
 
 Every random stream a training step consumes (shuffling, masking,
 dropout) is derived statelessly from (seed, purpose, step), so resuming
@@ -12,6 +20,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 import os
 from dataclasses import dataclass, field, replace
 
@@ -21,7 +30,7 @@ from . import BUILD_ID
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError
 from .masking import MaskPolicy, TLM, VTLM, build_masked_batch, build_stream
-from .model import EncoderConfig, LossOutput, ParamStore, vtlm_loss
+from .model import EncoderConfig, ParamStore, vtlm_loss
 from .rng import Pcg32
 from .seq2seq import build_source_batch, build_target_batch, mt_loss
 from . import tensor as T
@@ -50,7 +59,6 @@ class TrainConfig:
     eval_interval: int = 500
     seed: int = 1
     clip_norm: float = 5.0
-    max_len: int = 256
 
     @classmethod
     def for_phase(cls, phase: str, **overrides) -> "TrainConfig":
@@ -251,6 +259,95 @@ def evaluate_pretrain(params: ParamStore, cfg: EncoderConfig, streams,
     return {"val_acc": acc, "val_loss": loss_sum / max(1, loss_n)}
 
 
+def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
+         step_fn, eval_fn, metric: str, better, worst: float, kind: str,
+         tag: dict, out_dir, metrics_path, run_config: dict | None,
+         vocab_fingerprint: str, resume_from) -> TrainResult:
+    """The training loop of every phase.
+
+    Step k trains on batch k of the seeded epoch order: `step_fn(idx,
+    split)` receives the example indices and `split(purpose)`, the
+    step's random stream for a purpose, and returns the loss tensor and
+    the phase's metrics-CSV columns, or None to skip the batch.
+    `eval_fn()` returns the validation metrics; the best parameters are
+    those whose `metric` is `better` than every earlier evaluation's
+    (starting from `worst`). `out_dir` receives last.ckpt and best.ckpt
+    when the loop ends; resuming from a last.ckpt continues the run
+    bit for bit.
+    """
+    run_config = run_config or {}
+    model_config = cfg.__dict__.copy()
+    adam = AdamState.init(params)
+    root = Pcg32(tcfg.seed)
+    start_step = 0
+    best_params = params.copy()
+    best_metric = worst
+    best_step = 0
+    if resume_from is not None:
+        header, adam_loaded = load_train_checkpoint(resume_from, params)
+        adam = adam_loaded or adam
+        start_step = int(header["step"])
+        best_metric = header.get("best_metric", worst)
+        best_step = int(header.get("best_step", 0))
+        best_path = header.get("best_path")
+        if best_path and os.path.exists(best_path):
+            load_train_checkpoint(best_path, best_params)
+
+    epoch_len = max(1, math.ceil(n / tcfg.batch_size))
+    history: list[dict] = []
+    diverged = False
+    last_metrics: dict = {}
+
+    step = start_step
+    for step in range(start_step + 1, tcfg.max_steps + 1):
+        epoch, off = divmod(step - 1, epoch_len)
+        order = _epoch_order(tcfg.seed, epoch, n)
+        idx = order[off * tcfg.batch_size: (off + 1) * tcfg.batch_size]
+        params.zero_grads()
+        out = step_fn(idx, lambda purpose, step=step: root.split(f"{purpose}/{step}"))
+        if out is None:
+            continue
+        loss, row = out
+        if not math.isfinite(loss.item()):
+            log.error("loss diverged at step %d; aborting", step)
+            diverged = True
+            break
+        loss.backward()
+        # a skipped update still evaluates: the schedule is by step
+        adam_step(params, adam, lr_at(step, tcfg), clip_norm=tcfg.clip_norm)
+        if step % tcfg.eval_interval == 0 or step == tcfg.max_steps:
+            val = eval_fn()
+            append_metrics(metrics_path, {
+                "step": step, "phase": tcfg.phase, **row,
+                "total": f"{loss.item():.6f}",
+                "lr": f"{lr_at(step, tcfg):.3e}",
+                **{k: f"{v:.6f}" for k, v in val.items()},
+            })
+            history.append({"step": step, "train_loss": loss.item(), **val})
+            last_metrics = val
+            if better(val[metric], best_metric):
+                best_metric = val[metric]
+                best_step = step
+                best_params = params.copy()
+
+    if out_dir is not None:
+        extra = {
+            "best_metric": best_metric,
+            "best_step": best_step,
+            "best_path": str(os.path.join(out_dir, "best.ckpt")),
+            **tag,
+        }
+        save_train_checkpoint(
+            os.path.join(out_dir, "last.ckpt"), kind, step, last_metrics,
+            params, adam, model_config, run_config, vocab_fingerprint, extra)
+        save_train_checkpoint(
+            os.path.join(out_dir, "best.ckpt"), kind, best_step,
+            {metric: best_metric}, best_params, None, model_config,
+            run_config, vocab_fingerprint, tag)
+    return TrainResult(best_params, best_metric, best_step, step, diverged,
+                       history)
+
+
 def train_pretrain(train_data, valid_data, params: ParamStore,
                    cfg: EncoderConfig, tcfg: TrainConfig, objective: str,
                    policy: MaskPolicy, out_dir=None, metrics_path=None,
@@ -260,97 +357,31 @@ def train_pretrain(train_data, valid_data, params: ParamStore,
     all masked predictions."""
     if objective not in (TLM, VTLM):
         raise ConfigError(f"unknown objective {objective!r}")
-    run_config = run_config or {}
-    model_config = cfg.__dict__.copy()
-    streams = [build_stream(ex, objective, tcfg.max_len) for ex in train_data]
-    val_streams = [build_stream(ex, objective, tcfg.max_len) for ex in valid_data]
-    adam = AdamState.init(params)
-    root = Pcg32(tcfg.seed)
-    start_step = 0
-    best_params = params.copy()
-    best_metric = -math.inf
-    best_step = 0
-    if resume_from is not None:
-        header, adam_loaded = load_train_checkpoint(resume_from, params)
-        adam = adam_loaded or adam
-        start_step = int(header["step"])
-        best_metric = header.get("best_metric", -math.inf)
-        best_step = int(header.get("best_step", 0))
-        best_path = header.get("best_path")
-        if best_path and os.path.exists(best_path):
-            load_train_checkpoint(best_path, best_params)
+    train_cfg = replace(cfg, dropout=tcfg.dropout)
+    streams = [build_stream(ex, objective, cfg.max_positions) for ex in train_data]
+    val_streams = [build_stream(ex, objective, cfg.max_positions) for ex in valid_data]
 
-    n = len(train_data)
-    epoch_len = max(1, math.ceil(n / tcfg.batch_size))
-    history: list[dict] = []
-    diverged = False
-    last_metrics: dict = {}
-
-    def checkpoint(step):
-        if out_dir is None:
-            return
-        extra = {
-            "best_metric": best_metric,
-            "best_step": best_step,
-            "best_path": str(os.path.join(out_dir, "best.ckpt")),
-            "objective": objective,
-        }
-        save_train_checkpoint(
-            os.path.join(out_dir, "last.ckpt"), f"pretrain-{objective}", step,
-            last_metrics, params, adam, model_config, run_config,
-            vocab_fingerprint, extra)
-        save_train_checkpoint(
-            os.path.join(out_dir, "best.ckpt"), f"pretrain-{objective}",
-            best_step, {"val_acc": best_metric}, best_params, None,
-            model_config, run_config, vocab_fingerprint,
-            {"objective": objective})
-
-    step = start_step
-    for step in range(start_step + 1, tcfg.max_steps + 1):
-        epoch, off = divmod(step - 1, epoch_len)
-        order = _epoch_order(tcfg.seed, epoch, n)
-        idx = order[off * tcfg.batch_size: (off + 1) * tcfg.batch_size]
+    def step_fn(idx, split):
         batch = build_masked_batch(
             [train_data[i] for i in idx], objective, policy, cfg.vocab_size,
-            root.split(f"mask_text/{step}"), root.split(f"mask_visual/{step}"),
+            split("mask_text"), split("mask_visual"),
             streams=[streams[i] for i in idx])
         if batch is None:
-            continue
-        params.zero_grads()
-        run_cfg = replace(cfg, dropout=tcfg.dropout)
-        out: LossOutput = vtlm_loss(params, run_cfg, batch,
-                                    root.split(f"dropout/{step}"), training=True)
-        if not math.isfinite(out.loss.item()):
-            log.error("loss diverged at step %d; aborting", step)
-            diverged = True
-            break
-        out.loss.backward()
-        applied = adam_step(params, adam, lr_at(step, tcfg),
-                            clip_norm=tcfg.clip_norm)
-        if not applied:
-            continue
-        if step % tcfg.eval_interval == 0 or step == tcfg.max_steps:
-            val = evaluate_pretrain(params, cfg, val_streams, valid_data,
-                                    objective, policy, tcfg.seed,
-                                    tcfg.batch_size)
-            row = {
-                "step": step, "phase": tcfg.phase,
-                "mlm_loss": f"{out.mlm_loss:.6f}",
-                "mrc_loss": "" if out.mrc_loss is None else f"{out.mrc_loss:.6f}",
-                "total": f"{out.loss.item():.6f}",
-                "lr": f"{lr_at(step, tcfg):.3e}",
-                "val_acc": f"{val['val_acc']:.6f}",
-            }
-            append_metrics(metrics_path, row)
-            history.append({"step": step, "train_loss": out.loss.item(), **val})
-            last_metrics = {"val_acc": val["val_acc"], "val_loss": val["val_loss"]}
-            if val["val_acc"] > best_metric:
-                best_metric = val["val_acc"]
-                best_step = step
-                best_params = params.copy()
-    checkpoint(step)
-    return TrainResult(best_params, best_metric, best_step, step, diverged,
-                       history)
+            return None
+        out = vtlm_loss(params, train_cfg, batch, split("dropout"), training=True)
+        return out.loss, {
+            "mlm_loss": f"{out.mlm_loss:.6f}",
+            "mrc_loss": "" if out.mrc_loss is None else f"{out.mrc_loss:.6f}",
+        }
+
+    def eval_fn():
+        return evaluate_pretrain(params, cfg, val_streams, valid_data,
+                                 objective, policy, tcfg.seed, tcfg.batch_size)
+
+    return _fit(params, cfg, tcfg, len(train_data), step_fn, eval_fn,
+                "val_acc", operator.gt, -math.inf, f"pretrain-{objective}",
+                {"objective": objective}, out_dir, metrics_path, run_config,
+                vocab_fingerprint, resume_from)
 
 
 def evaluate_mt(params: ParamStore, cfg: EncoderConfig, examples, task: str,
@@ -375,85 +406,20 @@ def train_mt(train_data, valid_data, params: ParamStore, cfg: EncoderConfig,
              run_config: dict | None = None, vocab_fingerprint: str = "",
              resume_from=None) -> TrainResult:
     """NMT/MMT training; best checkpoint by lowest validation perplexity."""
-    run_config = run_config or {}
-    model_config = cfg.__dict__.copy()
-    adam = AdamState.init(params)
-    root = Pcg32(tcfg.seed)
-    start_step = 0
-    best_params = params.copy()
-    best_metric = math.inf
-    best_step = 0
-    if resume_from is not None:
-        header, adam_loaded = load_train_checkpoint(resume_from, params)
-        adam = adam_loaded or adam
-        start_step = int(header["step"])
-        best_metric = header.get("best_metric", math.inf)
-        best_step = int(header.get("best_step", 0))
-        best_path = header.get("best_path")
-        if best_path and os.path.exists(best_path):
-            load_train_checkpoint(best_path, best_params)
+    train_cfg = replace(cfg, dropout=tcfg.dropout)
 
-    n = len(train_data)
-    epoch_len = max(1, math.ceil(n / tcfg.batch_size))
-    history: list[dict] = []
-    diverged = False
-    last_metrics: dict = {}
-
-    def checkpoint(step):
-        if out_dir is None:
-            return
-        extra = {
-            "best_metric": best_metric,
-            "best_step": best_step,
-            "best_path": str(os.path.join(out_dir, "best.ckpt")),
-            "task": task,
-        }
-        save_train_checkpoint(
-            os.path.join(out_dir, "last.ckpt"), f"mt-{task}", step,
-            last_metrics, params, adam, model_config, run_config,
-            vocab_fingerprint, extra)
-        save_train_checkpoint(
-            os.path.join(out_dir, "best.ckpt"), f"mt-{task}", best_step,
-            {"val_ppl": best_metric}, best_params, None, model_config,
-            run_config, vocab_fingerprint, {"task": task})
-
-    step = start_step
-    for step in range(start_step + 1, tcfg.max_steps + 1):
-        epoch, off = divmod(step - 1, epoch_len)
-        order = _epoch_order(tcfg.seed, epoch, n)
-        idx = order[off * tcfg.batch_size: (off + 1) * tcfg.batch_size]
+    def step_fn(idx, split):
         chunk = [train_data[i] for i in idx]
-        src = build_source_batch(chunk, task, tcfg.max_len)
-        tgt = build_target_batch(chunk, tcfg.max_len)
-        params.zero_grads()
-        run_cfg = replace(cfg, dropout=tcfg.dropout)
-        out = mt_loss(params, run_cfg, src, tgt,
-                      root.split(f"dropout/{step}"), training=True)
-        if not math.isfinite(out.nll):
-            log.error("loss diverged at step %d; aborting", step)
-            diverged = True
-            break
-        out.loss.backward()
-        applied = adam_step(params, adam, lr_at(step, tcfg),
-                            clip_norm=tcfg.clip_norm)
-        if not applied:
-            continue
-        if step % tcfg.eval_interval == 0 or step == tcfg.max_steps:
-            ppl = evaluate_mt(params, cfg, valid_data, task, tcfg.seed,
-                              tcfg.batch_size, tcfg.max_len)
-            row = {
-                "step": step, "phase": tcfg.phase,
-                "total": f"{out.nll:.6f}",
-                "lr": f"{lr_at(step, tcfg):.3e}",
-                "val_ppl": f"{ppl:.6f}",
-            }
-            append_metrics(metrics_path, row)
-            history.append({"step": step, "train_loss": out.nll, "val_ppl": ppl})
-            last_metrics = {"val_ppl": ppl}
-            if ppl < best_metric:
-                best_metric = ppl
-                best_step = step
-                best_params = params.copy()
-    checkpoint(step)
-    return TrainResult(best_params, best_metric, best_step, step, diverged,
-                       history)
+        src = build_source_batch(chunk, task, cfg.max_positions)
+        tgt = build_target_batch(chunk, cfg.max_positions)
+        out = mt_loss(params, train_cfg, src, tgt, split("dropout"), training=True)
+        return out.loss, {}
+
+    def eval_fn():
+        return {"val_ppl": evaluate_mt(params, cfg, valid_data, task, tcfg.seed,
+                                       tcfg.batch_size, cfg.max_positions)}
+
+    return _fit(params, cfg, tcfg, len(train_data), step_fn, eval_fn,
+                "val_ppl", operator.lt, math.inf, f"mt-{task}", {"task": task},
+                out_dir, metrics_path, run_config, vocab_fingerprint,
+                resume_from)

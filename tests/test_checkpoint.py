@@ -1,0 +1,56 @@
+import numpy as np
+import pytest
+
+from vtlm.checkpoint import load_checkpoint, save_checkpoint
+from vtlm.errors import DataError
+
+TENSORS = {
+    "w": np.arange(6, dtype=np.float32).reshape(2, 3) / 7,
+    "b": np.array([-0.0, np.inf, 1e-40], dtype=np.float32),
+    "s": np.float32(3.5).reshape(()),
+}
+
+
+def test_roundtrip_is_bit_exact(tmp_path):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, {"step": 3}, TENSORS)
+    header, tensors = load_checkpoint(path)
+    assert header == {"step": 3, "tensor_count": 3}
+    assert list(tensors) == list(TENSORS)
+    for name, arr in TENSORS.items():
+        assert tensors[name].dtype == np.float32
+        assert tensors[name].shape == arr.shape
+        assert tensors[name].tobytes() == arr.tobytes()
+
+
+def test_failed_save_keeps_previous_file(tmp_path):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, {"step": 1}, TENSORS)
+    good = path.read_bytes()
+    bad = dict(TENSORS, extra=np.zeros(2, dtype=np.float64))
+    with pytest.raises(DataError, match="float64"):
+        save_checkpoint(path, {"step": 2}, bad)
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+
+
+def test_every_truncation_raises_data_error(tmp_path):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, {"step": 1}, TENSORS)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(DataError):
+            load_checkpoint(cut)
+
+
+def test_corrupt_extent_raises_data_error(tmp_path):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, {}, {"w": np.zeros(2, dtype=np.float32)})
+    raw = bytearray(path.read_bytes())
+    # the only extent is the 8 bytes before the 8-byte payload
+    raw[-16:-8] = (2 ** 62).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError):
+        load_checkpoint(path)

@@ -1,0 +1,102 @@
+import dataclasses
+import os
+
+import pytest
+
+from vtlm import trainer
+from vtlm.checkpoint import load_checkpoint
+from vtlm.masking import VTLM, MaskPolicy
+from vtlm.model import EncoderConfig, init_encoder_params
+from vtlm.rng import Pcg32
+from vtlm.seq2seq import MMT, init_mt_params
+from vtlm.synthetic import GenConfig, generate_corpus
+
+GEN = GenConfig(num_examples=24, num_valid=8, num_test=2, feat_dim=8, num_merges=150)
+
+# phase -> (param init, TrainConfig phase, validation metric)
+PHASES = {
+    "pretrain": (init_encoder_params, "pretrain", "val_acc"),
+    "mt": (init_mt_params, "finetune", "val_ppl"),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return generate_corpus(GEN, 2)
+
+
+def tiny_cfg(corpus):
+    return EncoderConfig.desk(len(corpus.codec.vocab), GEN.num_labels, GEN.feat_dim,
+                              d_model=16, ffn_dim=32, n_layers=1, n_heads=2)
+
+
+def train(phase, cfg, train_data, valid_data, max_steps, out_dir, resume_from=None,
+          eval_interval=2):
+    init, tphase, _ = PHASES[phase]
+    params = init(cfg, Pcg32(5).split("init"))
+    tcfg = trainer.TrainConfig.for_phase(tphase, lr=1e-3, max_steps=max_steps,
+                                         batch_size=8, eval_interval=eval_interval,
+                                         seed=4)
+    kw = dict(out_dir=out_dir, resume_from=resume_from)
+    if phase == "pretrain":
+        result = trainer.train_pretrain(train_data, valid_data, params, cfg, tcfg,
+                                        VTLM, MaskPolicy(), **kw)
+    else:
+        result = trainer.train_mt(train_data, valid_data, params, cfg, tcfg, MMT, **kw)
+    return params, result
+
+
+def bits(params):
+    return {name: t.data.tobytes() for name, t in params.items()}
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_resume_4_plus_4_equals_8(phase, corpus, tmp_path):
+    cfg = tiny_cfg(corpus)
+    full_dir, split_dir = tmp_path / "full", tmp_path / "split"
+    full_dir.mkdir()
+    split_dir.mkdir()
+    params8, res8 = train(phase, cfg, corpus.train, corpus.valid, 8, str(full_dir))
+    train(phase, cfg, corpus.train, corpus.valid, 4, str(split_dir))
+    params44, res44 = train(phase, cfg, corpus.train, corpus.valid, 8, str(split_dir),
+                            resume_from=str(split_dir / "last.ckpt"))
+    assert res44.final_step == res8.final_step == 8
+    assert bits(params44) == bits(params8)
+    assert bits(res44.best_params) == bits(res8.best_params)
+    assert (res44.best_metric, res44.best_step) == (res8.best_metric, res8.best_step)
+    assert res44.history == res8.history[-len(res44.history):]
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_skipped_update_still_evaluates(phase, corpus, tmp_path, monkeypatch):
+    real_adam_step = trainer.adam_step
+    calls = []
+
+    def skip_step_4(params, state, lr, **kw):
+        calls.append(lr)
+        if len(calls) == 4:
+            state.skipped += 1
+            return False
+        return real_adam_step(params, state, lr, **kw)
+
+    monkeypatch.setattr(trainer, "adam_step", skip_step_4)
+    cfg = tiny_cfg(corpus)
+    _, result = train(phase, cfg, corpus.train, corpus.valid, 4, str(tmp_path))
+    assert len(calls) == 4
+    assert [h["step"] for h in result.history] == [2, 4]
+    header, _ = load_checkpoint(os.path.join(tmp_path, "last.ckpt"))
+    assert header["adam_skipped"] == 1
+    metric = PHASES[phase][2]
+    assert header["metrics"][metric] == result.history[-1][metric]
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_target_longer_than_max_positions(phase, corpus, tmp_path):
+    cfg = tiny_cfg(corpus)
+    assert cfg.max_positions == 64
+    ex = corpus.train[0]
+    long_ex = dataclasses.replace(ex, tgt_tokens=(ex.tgt_tokens * 80)[:80])
+    data = [long_ex] + corpus.train[1:8]
+    _, result = train(phase, cfg, data, [long_ex], 2, str(tmp_path), eval_interval=1)
+    assert [h["step"] for h in result.history] == [1, 2]
+    assert not result.diverged
