@@ -203,10 +203,6 @@ class MaskedBatch:
     def text_len(self) -> int:
         return self.token_ids.shape[1]
 
-    @property
-    def total_len(self) -> int:
-        return self.text_len + self.num_regions
-
 
 def build_masked_batch(examples: list[TripletExample], mode: str,
                        policy: MaskPolicy, vocab_size: int,

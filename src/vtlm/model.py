@@ -7,6 +7,10 @@ are set-like, geometry travels in the box projection). Both segments
 flow through the same post-norm encoder stack with full bidirectional
 attention. The token head is weight-tied to the input embedding; the
 region head is a fresh linear classifier over detector labels.
+
+The same layer, stack and parameter names serve the translation model:
+given a `memory`, a layer adds a cross-attention sublayer over it, which
+is all that tells the decoder apart from the encoder.
 """
 
 from __future__ import annotations
@@ -92,9 +96,6 @@ class ParamStore:
             out.add(name, t.data.copy())
         return out
 
-    def copy_from(self, other: "ParamStore", src_name: str, dst_name: str) -> None:
-        self._tensors[dst_name].data[...] = other[src_name].data
-
 
 def _normal(rng: Pcg32, shape, std: float):
     return (rng.normal(shape, dtype=np.float64) * std).astype(T.default_dtype())
@@ -119,18 +120,49 @@ def _ones(shape):
     return np.ones(shape, dtype=T.default_dtype())
 
 
-def add_layer_params(params: ParamStore, prefix: str, d: int, f: int, rng: Pcg32) -> None:
+def _add_attention_params(params: ParamStore, prefix: str, d: int, rng: Pcg32) -> None:
     for name in ("wq", "wk", "wv", "wo"):
-        params.add(f"{prefix}.attn.{name}", _weight(rng, d, d))
-        params.add(f"{prefix}.attn.b{name[1]}", _zeros(d))
-    params.add(f"{prefix}.norm1.g", _ones(d))
-    params.add(f"{prefix}.norm1.b", _zeros(d))
+        params.add(f"{prefix}.{name}", _weight(rng, d, d))
+        params.add(f"{prefix}.b{name[1]}", _zeros(d))
+
+
+def _add_norm_params(params: ParamStore, prefix: str, d: int) -> None:
+    params.add(f"{prefix}.g", _ones(d))
+    params.add(f"{prefix}.b", _zeros(d))
+
+
+def add_layer_params(params: ParamStore, prefix: str, d: int, f: int, rng: Pcg32,
+                     cross: bool = False) -> None:
+    """One layer in `encoder_layer` order: attn, norm1, [cross_attn,
+    norm_cross], ffn, norm2."""
+    _add_attention_params(params, f"{prefix}.attn", d, rng)
+    _add_norm_params(params, f"{prefix}.norm1", d)
+    if cross:
+        _add_attention_params(params, f"{prefix}.cross_attn", d, rng)
+        _add_norm_params(params, f"{prefix}.norm_cross", d)
     params.add(f"{prefix}.ffn.w1", _weight(rng, d, f))
     params.add(f"{prefix}.ffn.b1", _zeros(f))
     params.add(f"{prefix}.ffn.w2", _weight(rng, f, d))
     params.add(f"{prefix}.ffn.b2", _zeros(d))
-    params.add(f"{prefix}.norm2.g", _ones(d))
-    params.add(f"{prefix}.norm2.b", _zeros(d))
+    _add_norm_params(params, f"{prefix}.norm2", d)
+
+
+def add_stack_params(params: ParamStore, cfg: EncoderConfig, rng: Pcg32,
+                     prefix: str = "", decoder: bool = False) -> None:
+    """Embeddings and layers of one stack. A decoder stack embeds text
+    only, so it has no region projections, and every layer has a
+    cross-attention sublayer."""
+    d = cfg.d_model
+    params.add(f"{prefix}token_emb", _embedding(rng, cfg.vocab_size, d))
+    params.add(f"{prefix}pos_emb", _embedding(rng, cfg.max_positions, d))
+    params.add(f"{prefix}lang_emb", _embedding(rng, 3, d))
+    if not decoder:
+        params.add(f"{prefix}feat_proj.w", _weight(rng, cfg.feat_dim, d))
+        params.add(f"{prefix}feat_proj.b", _zeros(d))
+        params.add(f"{prefix}bbox_proj.w", _weight(rng, 4, d))
+        params.add(f"{prefix}bbox_proj.b", _zeros(d))
+    for i in range(cfg.n_layers):
+        add_layer_params(params, f"{prefix}layers.{i}", d, cfg.ffn_dim, rng, decoder)
 
 
 def init_encoder_params(cfg: EncoderConfig, rng: Pcg32) -> ParamStore:
@@ -143,25 +175,23 @@ def init_encoder_params(cfg: EncoderConfig, rng: Pcg32) -> ParamStore:
     region head give non-trivial logits from the first step at desk
     widths, where BERT's fixed 0.02 leaves them near zero.
     """
-    d = cfg.d_model
     params = ParamStore()
-    params.add("token_emb", _embedding(rng, cfg.vocab_size, d))
-    params.add("pos_emb", _embedding(rng, cfg.max_positions, d))
-    params.add("lang_emb", _embedding(rng, 3, d))
-    params.add("feat_proj.w", _weight(rng, cfg.feat_dim, d))
-    params.add("feat_proj.b", _zeros(d))
-    params.add("bbox_proj.w", _weight(rng, 4, d))
-    params.add("bbox_proj.b", _zeros(d))
-    for i in range(cfg.n_layers):
-        add_layer_params(params, f"layers.{i}", d, cfg.ffn_dim, rng)
+    add_stack_params(params, cfg, rng)
     params.add("mlm_bias", _zeros(cfg.vocab_size))
-    params.add("mrc.w", _weight(rng, d, cfg.label_vocab_size))
+    params.add("mrc.w", _weight(rng, cfg.d_model, cfg.label_vocab_size))
     params.add("mrc.b", _zeros(cfg.label_vocab_size))
     return params
 
 
 def linear(x: Tensor, params: ParamStore, w: str, b: str) -> Tensor:
     return T.matmul(x, params[w]) + params[b]
+
+
+def tied_logits(params: ParamStore, rows: Tensor, prefix: str = "") -> Tensor:
+    """Token logits of (N, d) rows: the tied token embedding plus the MLM
+    head bias."""
+    emb = params[f"{prefix}token_emb"]
+    return T.matmul(rows, T.transpose(emb, (1, 0))) + params[f"{prefix}mlm_bias"]
 
 
 def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor,
@@ -191,16 +221,23 @@ def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor,
 
 def encoder_layer(params: ParamStore, prefix: str, x: Tensor,
                   add_mask: np.ndarray | None, cfg: EncoderConfig,
-                  rng: Pcg32, training: bool, collect: list | None = None) -> Tensor:
-    attn = attention(params, f"{prefix}.attn", x, x, add_mask, cfg.n_heads,
-                     cfg.dropout, rng, training, collect)
-    x = T.layer_norm(x + T.dropout(attn, cfg.dropout, rng, training),
-                     params[f"{prefix}.norm1.g"], params[f"{prefix}.norm1.b"])
+                  rng: Pcg32, training: bool, collect: list | None = None,
+                  memory: Tensor | None = None,
+                  memory_mask: np.ndarray | None = None) -> Tensor:
+    """Post-norm layer: self-attention, then, given a `memory` (a decoder
+    layer), cross-attention over it, then the feed-forward sublayer."""
+
+    def residual(x, y, norm):
+        return T.layer_norm(x + T.dropout(y, cfg.dropout, rng, training),
+                            params[f"{prefix}.{norm}.g"], params[f"{prefix}.{norm}.b"])
+
+    x = residual(x, attention(params, f"{prefix}.attn", x, x, add_mask, cfg.n_heads,
+                              cfg.dropout, rng, training, collect), "norm1")
+    if memory is not None:
+        x = residual(x, attention(params, f"{prefix}.cross_attn", x, memory, memory_mask,
+                                  cfg.n_heads, cfg.dropout, rng, training), "norm_cross")
     h = T.gelu(linear(x, params, f"{prefix}.ffn.w1", f"{prefix}.ffn.b1"))
-    h = linear(h, params, f"{prefix}.ffn.w2", f"{prefix}.ffn.b2")
-    x = T.layer_norm(x + T.dropout(h, cfg.dropout, rng, training),
-                     params[f"{prefix}.norm2.g"], params[f"{prefix}.norm2.b"])
-    return x
+    return residual(x, linear(h, params, f"{prefix}.ffn.w2", f"{prefix}.ffn.b2"), "norm2")
 
 
 def key_padding_mask(pad_mask: np.ndarray, num_regions: int) -> np.ndarray:
@@ -273,12 +310,14 @@ def embed_batch(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
 
 def encode(params: ParamStore, cfg: EncoderConfig, x: Tensor,
            add_mask: np.ndarray | None, rng: Pcg32, training: bool,
-           collect_attn: list | None = None, prefix: str = "") -> Tensor:
-    """The encoder stack; `prefix` is "" for the pretraining model and
-    "enc." for the encoder of a translation model."""
+           collect_attn: list | None = None, prefix: str = "",
+           memory: Tensor | None = None, memory_mask: np.ndarray | None = None) -> Tensor:
+    """The layer stack; `prefix` is "" for the pretraining model, "enc."
+    for the encoder of a translation model and "dec." for its decoder,
+    which attends to the encoder states `memory` under `memory_mask`."""
     for i in range(cfg.n_layers):
         x = encoder_layer(params, f"{prefix}layers.{i}", x, add_mask, cfg, rng,
-                          training, collect_attn)
+                          training, collect_attn, memory, memory_mask)
     return x
 
 
@@ -320,7 +359,7 @@ def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
     if n_text:
         idx = batch.text_target_pos[:, 0] * total_len + batch.text_target_pos[:, 1]
         rows = T.gather_rows(flat, idx)
-        logits = T.matmul(rows, T.transpose(params["token_emb"], (1, 0))) + params["mlm_bias"]
+        logits = tied_logits(params, rows)
         mlm = T.cross_entropy(logits, batch.text_target_ids)
         terms.append(mlm)
         mlm_loss_val = mlm.item()

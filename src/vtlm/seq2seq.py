@@ -1,15 +1,17 @@
 """Encoder-decoder translation models built from the pretrained stack.
 
-The MT encoder is the pretraining encoder itself: `encode_source` runs
-`model.embed_inputs` and `model.encode` on parameters named with the
-"enc." prefix, so the two differ only in their weights. The decoder
-mirrors the encoder with an extra cross-attention sublayer per layer.
-Weight transfer copies the pretrained stack 1:1 into both sides (decoder
-self-attention, feed-forward, norms and embeddings come from the
-corresponding pretrained layers; the output projection stays tied to
-the decoder token embedding with the pretrained head bias).
-Cross-attention has no pretrained counterpart: it is either copied from
-the same layer's self-attention or freshly initialised.
+Both sides are the pretraining stack itself, run by `model.embed_inputs`
+and `model.encode` on parameters named with the "enc." or "dec." prefix
+plus the pretraining names. The decoder embeds text only, attends
+causally, and passes the encoder states as `memory`, which adds a
+cross-attention sublayer (`cross_attn`, `norm_cross`) to every layer.
+Its output projection is the MLM head: tied to `dec.token_emb`, with
+bias `dec.mlm_bias`.
+
+Weight transfer is therefore by name, as in XLM: each pretrained tensor
+is copied to its "enc." and "dec." namesakes. Cross-attention has no
+pretrained counterpart: it is either copied from the same layer's
+self-attention or keeps its fresh initialisation.
 
 Source layout is [BOS] s [EOS] for text-only translation; multimodal
 translation appends the o region embeddings (uncorrupted) to the source
@@ -32,41 +34,17 @@ from .model import (
     EncoderConfig,
     NEG_INF,
     ParamStore,
-    _embedding,
-    _ones,
-    _weight,
     _zeros,
-    add_layer_params,
-    attention,
+    add_stack_params,
     embed_inputs,
     encode,
     key_padding_mask,
-    linear,
+    tied_logits,
 )
 from .rng import Pcg32
 from .tensor import Tensor
 
 NMT, MMT = "nmt", "mmt"
-
-
-def _add_decoder_layer(params: ParamStore, prefix: str, d: int, f: int,
-                       rng: Pcg32) -> None:
-    for name in ("wq", "wk", "wv", "wo"):
-        params.add(f"{prefix}.self_attn.{name}", _weight(rng, d, d))
-        params.add(f"{prefix}.self_attn.b{name[1]}", _zeros(d))
-    params.add(f"{prefix}.norm_self.g", _ones(d))
-    params.add(f"{prefix}.norm_self.b", _zeros(d))
-    for name in ("wq", "wk", "wv", "wo"):
-        params.add(f"{prefix}.cross_attn.{name}", _weight(rng, d, d))
-        params.add(f"{prefix}.cross_attn.b{name[1]}", _zeros(d))
-    params.add(f"{prefix}.norm_cross.g", _ones(d))
-    params.add(f"{prefix}.norm_cross.b", _zeros(d))
-    params.add(f"{prefix}.ffn.w1", _weight(rng, d, f))
-    params.add(f"{prefix}.ffn.b1", _zeros(f))
-    params.add(f"{prefix}.ffn.w2", _weight(rng, f, d))
-    params.add(f"{prefix}.ffn.b2", _zeros(d))
-    params.add(f"{prefix}.norm_ffn.g", _ones(d))
-    params.add(f"{prefix}.norm_ffn.b", _zeros(d))
 
 
 def init_mt_params(cfg: EncoderConfig, rng: Pcg32) -> ParamStore:
@@ -75,76 +53,51 @@ def init_mt_params(cfg: EncoderConfig, rng: Pcg32) -> ParamStore:
     Same XLM recipe as `init_encoder_params`: embeddings N(0, 1/d_model),
     weight matrices N(0, 1/(3 fan_in)), zero biases, unit LayerNorm gains.
     """
-    d, f = cfg.d_model, cfg.ffn_dim
     params = ParamStore()
-    params.add("enc.token_emb", _embedding(rng, cfg.vocab_size, d))
-    params.add("enc.pos_emb", _embedding(rng, cfg.max_positions, d))
-    params.add("enc.lang_emb", _embedding(rng, 3, d))
-    params.add("enc.feat_proj.w", _weight(rng, cfg.feat_dim, d))
-    params.add("enc.feat_proj.b", _zeros(d))
-    params.add("enc.bbox_proj.w", _weight(rng, 4, d))
-    params.add("enc.bbox_proj.b", _zeros(d))
-    for i in range(cfg.n_layers):
-        add_layer_params(params, f"enc.layers.{i}", d, f, rng)
-    params.add("dec.token_emb", _embedding(rng, cfg.vocab_size, d))
-    params.add("dec.pos_emb", _embedding(rng, cfg.max_positions, d))
-    params.add("dec.lang_emb", _embedding(rng, 3, d))
-    for i in range(cfg.n_layers):
-        _add_decoder_layer(params, f"dec.layers.{i}", d, f, rng)
-    params.add("dec.out_bias", _zeros(cfg.vocab_size))
+    add_stack_params(params, cfg, rng, "enc.")
+    add_stack_params(params, cfg, rng, "dec.", decoder=True)
+    params.add("dec.mlm_bias", _zeros(cfg.vocab_size))
     return params
-
-
-def pretrained_layer_count(pretrained: ParamStore) -> int:
-    n = 0
-    while f"layers.{n}.attn.wq" in pretrained:
-        n += 1
-    return n
 
 
 def transfer_weights(pretrained: ParamStore, cfg: EncoderConfig,
                      copy_cross_attn: bool, rng: Pcg32) -> ParamStore:
-    """Initialise an MT model from a pretrained encoder stack.
+    """Initialise an MT model from a pretrained encoder stack, by name.
 
-    Parameters without a pretrained counterpart keep the fresh values of
-    `init_mt_params`, so with copy_cross_attn=False the cross-attention
-    weights follow its XLM recipe.
+    Each pretrained tensor `n` is copied into `enc.n` and `dec.n` where
+    those exist: the encoder gets the whole stack, the decoder its
+    embeddings, every layer's self-attention, feed-forward and norms,
+    and the MLM head bias. With copy_cross_attn, `layers.i.attn.*` is
+    also copied into `dec.layers.i.cross_attn.*`. Every other parameter
+    keeps its fresh `init_mt_params` value, so `norm_cross` is the
+    identity and, without copy_cross_attn, cross-attention follows the
+    XLM recipe.
+
+    Raises TransferError when the pretrained stack does not fit `cfg`:
+    an "enc." tensor without a pretrained namesake, a pretrained tensor
+    (other than the region head) without a destination, or a shape that
+    differs.
     """
-    n_pre = pretrained_layer_count(pretrained)
-    if n_pre != cfg.n_layers:
-        raise TransferError(
-            f"pretrained stack has {n_pre} layers, decoder needs {cfg.n_layers}"
-        )
-    if pretrained["token_emb"].data.shape[0] != cfg.vocab_size:
-        raise TransferError("vocabulary size mismatch between checkpoint and model")
-    if pretrained["feat_proj.w"].data.shape[0] != cfg.feat_dim:
-        raise TransferError(
-            f"pretrained feature dim {pretrained['feat_proj.w'].data.shape[0]} "
-            f"!= model feat_dim {cfg.feat_dim}"
-        )
     params = init_mt_params(cfg, rng)
-    for name, tensor in pretrained.items():
-        enc_name = f"enc.{name}"
-        if enc_name in params:
-            params[enc_name].data[...] = tensor.data
-    for emb in ("token_emb", "pos_emb", "lang_emb"):
-        params.copy_from(pretrained, emb, f"dec.{emb}")
-    params.copy_from(pretrained, "mlm_bias", "dec.out_bias")
-    for i in range(cfg.n_layers):
-        for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
-            params.copy_from(pretrained, f"layers.{i}.attn.{name}",
-                             f"dec.layers.{i}.self_attn.{name}")
-            if copy_cross_attn:
-                params.copy_from(pretrained, f"layers.{i}.attn.{name}",
-                                 f"dec.layers.{i}.cross_attn.{name}")
-        for g_or_b in ("g", "b"):
-            params.copy_from(pretrained, f"layers.{i}.norm1.{g_or_b}",
-                             f"dec.layers.{i}.norm_self.{g_or_b}")
-            params.copy_from(pretrained, f"layers.{i}.norm2.{g_or_b}",
-                             f"dec.layers.{i}.norm_ffn.{g_or_b}")
-        # cross-attention norms have no pretrained counterpart: identity init
-        params[f"dec.layers.{i}.norm_cross.g"].data[...] = 1.0
-        params[f"dec.layers.{i}.norm_cross.b"].data[...] = 0.0
+    filled = set()
+    for name, src in pretrained.items():
+        dsts = [f"enc.{name}", f"dec.{name}"]
+        if copy_cross_attn and ".attn." in name:
+            dsts.append(f"dec.{name.replace('.attn.', '.cross_attn.')}")
+        dsts = [dst for dst in dsts if dst in params]
+        if not dsts and not name.startswith("mrc."):  # no region head in MT
+            raise TransferError(f"pretrained {name} has no counterpart in the MT model")
+        for dst in dsts:
+            if params[dst].data.shape != src.data.shape:
+                raise TransferError(
+                    f"{dst} has shape {params[dst].data.shape}, "
+                    f"pretrained {name} has {src.data.shape}"
+                )
+            params[dst].data[...] = src.data
+            filled.add(dst)
+    for name in params.names():
+        if name.startswith("enc.") and name not in filled:
+            raise TransferError(f"no pretrained tensor for {name}")
     return params
 
 
@@ -232,45 +185,24 @@ def causal_mask(t: int, dtype) -> np.ndarray:
 def decode_states(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
                   enc_key_mask: np.ndarray, tgt_input_ids: np.ndarray,
                   rng: Pcg32, training: bool,
-                  tgt_pad_mask: np.ndarray | None = None,
-                  collect_cross: list | None = None) -> Tensor:
+                  tgt_pad_mask: np.ndarray | None = None) -> Tensor:
     """Decoder states for a (possibly padded) target prefix matrix."""
     bsz, t = tgt_input_ids.shape
-    pos = np.broadcast_to(np.arange(t), (bsz, t))
-    lang = np.full((bsz, t), LANG_L2)
-    x = (
-        T.embedding(params["dec.token_emb"], tgt_input_ids)
-        + T.embedding(params["dec.pos_emb"], pos)
-        + T.embedding(params["dec.lang_emb"], lang)
-    )
+    x = embed_inputs(params, cfg, tgt_input_ids, np.broadcast_to(np.arange(t), (bsz, t)),
+                     np.full((bsz, t), LANG_L2), prefix="dec.")
     x = T.dropout(x, cfg.dropout, rng, training)
     self_mask = causal_mask(t, T.default_dtype())
     if tgt_pad_mask is not None:
         pad_add = np.where(tgt_pad_mask, NEG_INF, 0.0).astype(T.default_dtype())
         self_mask = self_mask + pad_add[:, None, None, :]
-    for i in range(cfg.n_layers):
-        prefix = f"dec.layers.{i}"
-        sa = attention(params, f"{prefix}.self_attn", x, x, self_mask,
-                       cfg.n_heads, cfg.dropout, rng, training)
-        x = T.layer_norm(x + T.dropout(sa, cfg.dropout, rng, training),
-                         params[f"{prefix}.norm_self.g"], params[f"{prefix}.norm_self.b"])
-        ca = attention(params, f"{prefix}.cross_attn", x, enc_states, enc_key_mask,
-                       cfg.n_heads, cfg.dropout, rng, training, collect_cross)
-        x = T.layer_norm(x + T.dropout(ca, cfg.dropout, rng, training),
-                         params[f"{prefix}.norm_cross.g"], params[f"{prefix}.norm_cross.b"])
-        h = T.gelu(linear(x, params, f"{prefix}.ffn.w1", f"{prefix}.ffn.b1"))
-        h = linear(h, params, f"{prefix}.ffn.w2", f"{prefix}.ffn.b2")
-        x = T.layer_norm(x + T.dropout(h, cfg.dropout, rng, training),
-                         params[f"{prefix}.norm_ffn.g"], params[f"{prefix}.norm_ffn.b"])
-    return x
+    return encode(params, cfg, x, self_mask, rng, training, prefix="dec.",
+                  memory=enc_states, memory_mask=enc_key_mask)
 
 
 def output_logits(params: ParamStore, states: Tensor) -> Tensor:
     """Project decoder states onto the vocabulary (tied embedding)."""
     bsz, t, d = states.shape
-    flat = T.reshape(states, (bsz * t, d))
-    logits = T.matmul(flat, T.transpose(params["dec.token_emb"], (1, 0)))
-    logits = logits + params["dec.out_bias"]
+    logits = tied_logits(params, T.reshape(states, (bsz * t, d)), "dec.")
     return T.reshape(logits, (bsz, t, params["dec.token_emb"].data.shape[0]))
 
 
@@ -294,9 +226,7 @@ def mt_loss(params: ParamStore, cfg: EncoderConfig, src: SourceBatch,
     bsz, t, d = states.shape
     flat = T.reshape(states, (bsz * t, d))
     keep = np.flatnonzero(~tgt.pad_mask.reshape(-1))
-    rows = T.gather_rows(flat, keep)
-    logits = T.matmul(rows, T.transpose(params["dec.token_emb"], (1, 0)))
-    logits = logits + params["dec.out_bias"]
+    logits = tied_logits(params, T.gather_rows(flat, keep), "dec.")
     targets = tgt.output_ids.reshape(-1)[keep]
     loss = T.cross_entropy(logits, targets)
     return MtLossOutput(loss, loss.item(), len(keep))
