@@ -16,7 +16,14 @@ self-attention or keeps its fresh initialisation.
 Source layout is [BOS] s [EOS] for text-only translation; multimodal
 translation appends the o region embeddings (uncorrupted) to the source
 sequence. All MT parameters live in one store under "enc." and "dec."
-prefixes. `beam_search` is the only decoder; with beam=1 it is greedy.
+prefixes.
+
+There is one decoder, `beam_search`, and with beam=1 it is greedy. It
+is incremental and batched, as XLM's `generate_beam`: all sentences of
+a chunk are encoded once, every decoder layer projects its
+cross-attention keys and values from the encoder states once and
+caches its self-attention keys and values, so each step feeds one new
+position per hypothesis. Finished sentences leave the batch.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 from . import tensor as T
 from .bpe import BOS, EOS, LANG_L1, LANG_L2, PAD
 from .data import TripletExample
-from .errors import ConfigError, TransferError
+from .errors import ConfigError, DataError, TransferError
 from .model import (
     EncoderConfig,
     NEG_INF,
@@ -39,6 +46,7 @@ from .model import (
     embed_inputs,
     encode,
     key_padding_mask,
+    select_cache_rows,
     tied_logits,
 )
 from .rng import Pcg32
@@ -121,6 +129,9 @@ def build_source_batch(examples: list[TripletExample], task: str,
     if task not in (NMT, MMT):
         raise ConfigError(f"unknown task {task!r}")
     o = len(examples[0].regions) if task == MMT else 0
+    for ex in examples:
+        if task == MMT and len(ex.regions) != o:
+            raise DataError(f"examples with {o} and {len(ex.regions)} regions in one batch")
     budget = max_len - o - 2
     seqs = [list(ex.src_tokens)[:budget] for ex in examples]
     lengths = np.array([len(s) + 2 for s in seqs], dtype=np.int64)
@@ -177,26 +188,39 @@ def encode_source(params: ParamStore, cfg: EncoderConfig, batch: SourceBatch,
     return encode(params, cfg, x, key_mask, rng, training, prefix="enc."), key_mask
 
 
-def causal_mask(t: int, dtype) -> np.ndarray:
-    mask = np.triu(np.full((t, t), NEG_INF, dtype=dtype), k=1)
+def causal_mask(t: int, dtype, start: int = 0) -> np.ndarray:
+    """(1, 1, t, start + t) additive mask of positions start .. start+t-1
+    over themselves and the `start` positions before them."""
+    mask = np.triu(np.full((t, start + t), NEG_INF, dtype=dtype), k=start + 1)
     return mask[None, None, :, :]
 
 
 def decode_states(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
                   enc_key_mask: np.ndarray, tgt_input_ids: np.ndarray,
                   rng: Pcg32, training: bool,
-                  tgt_pad_mask: np.ndarray | None = None) -> Tensor:
-    """Decoder states for a (possibly padded) target prefix matrix."""
+                  tgt_pad_mask: np.ndarray | None = None,
+                  cache: dict | None = None, start: int = 0) -> Tensor:
+    """Decoder states for target positions start .. start+t-1, given the
+    (possibly padded) (B, t) input ids at those positions.
+
+    Without a cache, `start` is 0 and the ids are the whole prefix
+    (teacher forcing). An incremental decoder passes the same `cache`
+    dict at every step: it holds the keys and values of the positions
+    before `start` and receives those of the new ones. `enc_states` may
+    have fewer rows than the ids: B/rows consecutive id rows share one
+    source sentence (see `model.attention`).
+    """
     bsz, t = tgt_input_ids.shape
-    x = embed_inputs(params, cfg, tgt_input_ids, np.broadcast_to(np.arange(t), (bsz, t)),
+    x = embed_inputs(params, cfg, tgt_input_ids,
+                     np.broadcast_to(np.arange(start, start + t), (bsz, t)),
                      np.full((bsz, t), LANG_L2), prefix="dec.")
     x = T.dropout(x, cfg.dropout, rng, training)
-    self_mask = causal_mask(t, T.default_dtype())
+    self_mask = causal_mask(t, T.default_dtype(), start)
     if tgt_pad_mask is not None:
         pad_add = np.where(tgt_pad_mask, NEG_INF, 0.0).astype(T.default_dtype())
         self_mask = self_mask + pad_add[:, None, None, :]
     return encode(params, cfg, x, self_mask, rng, training, prefix="dec.",
-                  memory=enc_states, memory_mask=enc_key_mask)
+                  memory=enc_states, memory_mask=enc_key_mask, cache=cache)
 
 
 def output_logits(params: ParamStore, states: Tensor) -> Tensor:
@@ -245,80 +269,100 @@ class Hypothesis:
         return self.logp / (max(1, len(self.tokens)) ** alpha)
 
 
-def beam_search(step_fn, beam: int, max_len: int, eos: int = EOS,
-                alpha: float = 1.0) -> Hypothesis:
-    """Beam search over a generic next-token log-probability function.
+def step_logprobs(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
+                  enc_key_mask: np.ndarray, tokens: np.ndarray, start: int,
+                  cache: dict, rng: Pcg32) -> np.ndarray:
+    """One incremental decoder step: feed `tokens` (R,) at position
+    `start` and return the (R, V) float64 next-token log-probabilities."""
+    with T.no_grad():
+        states = decode_states(params, cfg, enc_states, enc_key_mask, tokens[:, None],
+                               rng, False, cache=cache, start=start)
+        logits = output_logits(params, states).data[:, 0, :]
+    m = logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(logits - m).sum(axis=1, keepdims=True)) + m
+    return (logits - lse).astype(np.float64)
 
-    step_fn(prefixes) receives the live prefixes (list of token tuples,
-    all the same length) and returns an array (len(prefixes), V) of
-    next-token log probabilities. Hypotheses finish at `eos` or are
-    force-finished at max_len; final ranking is logp / len^alpha with
-    ties broken by token sequence.
+
+def _top(scores: np.ndarray, beam: int) -> np.ndarray:
+    """Column indices of the `beam` highest scores of each row, by
+    descending score, ties by ascending column."""
+    kth = -np.partition(-scores, beam - 1, axis=1)[:, beam - 1:beam]
+    rows, cols = np.nonzero(scores >= kth)  # >= beam per row, more on ties
+    order = np.lexsort((cols, -scores[rows, cols], rows))
+    first = np.searchsorted(rows[order], np.arange(len(scores)))
+    return cols[order][first[:, None] + np.arange(beam)]
+
+
+def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
+                enc_key_mask: np.ndarray, rng: Pcg32, beam: int, max_len: int,
+                alpha: float = 1.0) -> list[Hypothesis]:
+    """Beam search for every encoded source sentence at once.
+
+    Hypotheses live in (sentences, beam) arrays, with score -inf in an
+    empty slot. Each step feeds one token per slot to the cached decoder
+    (`step_logprobs`) and keeps the `beam` best extensions per sentence,
+    by score, then slot, then token id. One that ends in [EOS] is
+    finished and leaves its slot empty, so the beam of a sentence
+    shrinks until the sentence leaves the batch. At max_len the live
+    hypotheses are force-finished. The result per sentence ranks by
+    logp / len^alpha, ties by token sequence.
     """
     if beam < 1:
         raise ConfigError("beam must be >= 1")
-    live: list[Hypothesis] = [Hypothesis((), 0.0, False)]
-    finished: list[Hypothesis] = []
-    for _ in range(max_len):
-        logprobs = step_fn([h.tokens for h in live])
-        vocab = logprobs.shape[1]
-        scores = np.asarray([h.logp for h in live])[:, None] + logprobs
-        flat = scores.reshape(-1)
-        hyp_idx = np.repeat(np.arange(len(live)), vocab)
-        tok_idx = np.tile(np.arange(vocab), len(live))
-        order = np.lexsort((tok_idx, hyp_idx, -flat))[: beam]
-        next_live = []
-        for j in order:
-            h = live[hyp_idx[j]]
-            tok = int(tok_idx[j])
-            cand = Hypothesis(h.tokens + (tok,), float(flat[j]), tok == eos)
-            if cand.finished:
-                finished.append(cand)
-            else:
-                next_live.append(cand)
-        live = next_live
-        if not live:
+    n = enc_states.shape[0]
+    sents = np.arange(n)                        # chunk index of each batch row
+    logp = np.zeros((n, 1))                     # running log-prob per slot
+    hist = np.zeros((n, 1, 0), dtype=np.int64)  # tokens per slot so far
+    tokens = np.full(n, BOS, dtype=np.int64)    # fed at the next step
+    results: list[list[Hypothesis]] = [[] for _ in range(n)]
+    cache: dict = {}
+
+    def emit(slots, finished):
+        for i, j in zip(*np.nonzero(slots)):
+            results[sents[i]].append(
+                Hypothesis(tuple(hist[i, j].tolist()), float(logp[i, j]), finished))
+
+    for t in range(max_len):
+        lp = step_logprobs(params, cfg, enc_states, enc_key_mask, tokens, t, cache, rng)
+        n_live, slots = logp.shape
+        vocab = lp.shape[1]
+        scores = (logp[:, :, None] + lp.reshape(n_live, slots, vocab)).reshape(n_live, -1)
+        if scores.shape[1] < beam:  # beam > vocab at the first step
+            scores = np.pad(scores, ((0, 0), (0, beam - scores.shape[1])),
+                            constant_values=-np.inf)
+        cand = _top(scores, beam)
+        logp = np.take_along_axis(scores, cand, axis=1)
+        live = np.isfinite(logp)
+        parent, tok = np.divmod(np.where(live, cand, 0), vocab)  # an empty slot stays empty
+        hist = np.concatenate([hist[np.arange(n_live)[:, None], parent], tok[:, :, None]], axis=2)
+        ended = live & (tok == EOS)
+        emit(ended, True)
+        logp[ended] = -np.inf
+        keep = np.flatnonzero(np.isfinite(logp).any(axis=1))
+        rows = (keep[:, None] * slots + parent[keep]).reshape(-1)
+        select_cache_rows(cache, rows, keep)
+        enc_states, enc_key_mask = Tensor(enc_states.data[keep]), enc_key_mask[keep]
+        sents, logp, hist, tokens = sents[keep], logp[keep], hist[keep], tok[keep].reshape(-1)
+        if not len(keep):
             break
-    for h in live:
-        finished.append(Hypothesis(h.tokens, h.logp, False))
-    finished.sort(key=lambda h: (-h.score(alpha), h.tokens))
-    return finished[0]
+    emit(np.isfinite(logp), False)
+    return [min(hyps, key=lambda h: (-h.score(alpha), h.tokens)) for hyps in results]
 
 
-def make_step_fn(params: ParamStore, cfg: EncoderConfig,
-                 example: TripletExample, task: str, rng: Pcg32):
-    """Close over one source sentence; score target prefixes in a batch."""
-    src = build_source_batch([example], task, cfg.max_positions)
-    with T.no_grad():
-        enc, key_mask = encode_source(params, cfg, src, rng, training=False)
-
-    def step(prefixes: list[tuple[int, ...]]) -> np.ndarray:
-        n = len(prefixes)
-        t = len(prefixes[0]) + 1
-        tgt_in = np.full((n, t), BOS, dtype=np.int64)
-        for i, p in enumerate(prefixes):
-            tgt_in[i, 1:] = p
-        with T.no_grad():
-            enc_rep = Tensor(np.repeat(enc.data, n, axis=0))
-            mask_rep = np.repeat(key_mask, n, axis=0)
-            states = decode_states(params, cfg, enc_rep, mask_rep, tgt_in,
-                                   rng, training=False)
-            logits = output_logits(params, states).data[:, -1, :]
-        m = logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(logits - m).sum(axis=1, keepdims=True)) + m
-        return (logits - lse).astype(np.float64)
-
-    return step
+# sentences decoded together: bounds the decoder caches at CHUNK * beam rows
+CHUNK = 64
 
 
 def translate(params: ParamStore, cfg: EncoderConfig,
               examples: list[TripletExample], task: str, beam: int = 8,
               max_len: int = 48, alpha: float = 1.0,
               seed: int = 0) -> list[Hypothesis]:
-    """Decode each source; output order is aligned with the input.
+    """Decode every source; output order is aligned with the input.
 
-    With beam=1 this is greedy decoding: each step takes the argmax,
-    the lowest token id among ties.
+    The sources are encoded and beam-searched together, in equal chunks
+    of at most CHUNK sentences, by one incremental decoder. With beam=1
+    this is greedy decoding: each step takes the argmax, the lowest
+    token id among ties.
     """
     if max_len > cfg.max_positions:
         raise ConfigError(
@@ -326,8 +370,12 @@ def translate(params: ParamStore, cfg: EncoderConfig,
             f"model has max_positions={cfg.max_positions}"
         )
     rng = Pcg32(seed).split("translate")
-    out = []
-    for ex in examples:
-        step = make_step_fn(params, cfg, ex, task, rng)
-        out.append(beam_search(step, beam, max_len, alpha=alpha))
+    out: list[Hypothesis] = []
+    n = len(examples)
+    size = math.ceil(n / math.ceil(n / CHUNK)) if n else 1  # equal chunks
+    for lo in range(0, n, size):
+        src = build_source_batch(examples[lo: lo + size], task, cfg.max_positions)
+        with T.no_grad():
+            enc, key_mask = encode_source(params, cfg, src, rng, training=False)
+        out += beam_search(params, cfg, enc, key_mask, rng, beam, max_len, alpha)
     return out

@@ -273,7 +273,9 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
     those whose `metric` is `better` than every earlier evaluation's
     (starting from `worst`). `out_dir` receives last.ckpt and best.ckpt
     when the loop ends; resuming from a last.ckpt continues the run
-    bit for bit.
+    bit for bit. last.ckpt names best.ckpt relative to its own
+    directory, so the bytes do not depend on `out_dir` and a moved run
+    directory still resumes with its best parameters.
     """
     run_config = run_config or {}
     model_config = cfg.__dict__.copy()
@@ -290,8 +292,10 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
         best_metric = header.get("best_metric", worst)
         best_step = int(header.get("best_step", 0))
         best_path = header.get("best_path")
-        if best_path and os.path.exists(best_path):
-            load_train_checkpoint(best_path, best_params)
+        if best_path:  # relative to the directory of last.ckpt
+            best_path = os.path.join(os.path.dirname(resume_from), best_path)
+            if os.path.exists(best_path):
+                load_train_checkpoint(best_path, best_params)
 
     epoch_len = max(1, math.ceil(n / tcfg.batch_size))
     history: list[dict] = []
@@ -334,7 +338,7 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
         extra = {
             "best_metric": best_metric,
             "best_step": best_step,
-            "best_path": str(os.path.join(out_dir, "best.ckpt")),
+            "best_path": "best.ckpt",
             **tag,
         }
         save_train_checkpoint(

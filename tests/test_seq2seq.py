@@ -1,12 +1,14 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from vtlm import seq2seq
 from vtlm import tensor as T
-from vtlm.bpe import EOS, PAD
-from vtlm.errors import ConfigError, TransferError
-from vtlm.model import EncoderConfig, init_encoder_params
+from vtlm.bpe import BOS, EOS, PAD
+from vtlm.errors import ConfigError, DataError, TransferError
+from vtlm.model import EncoderConfig, init_encoder_params, select_cache_rows
 from vtlm.rng import Pcg32
 from vtlm.seq2seq import (
     MMT,
@@ -16,12 +18,15 @@ from vtlm.seq2seq import (
     decode_states,
     encode_source,
     init_mt_params,
-    make_step_fn,
     mt_loss,
+    output_logits,
+    step_logprobs,
     transfer_weights,
     translate,
 )
 from vtlm.synthetic import GenConfig, generate_corpus
+from vtlm.tensor import Tensor
+from vtlm.trainer import AdamState, adam_step
 
 GEN = GenConfig(num_examples=16, num_valid=2, num_test=6, feat_dim=8, num_merges=150)
 
@@ -36,21 +41,173 @@ def tiny_cfg(corpus, **kw):
                               d_model=16, ffn_dim=32, n_layers=1, n_heads=2, **kw)
 
 
+@pytest.fixture(scope="module")
+def fitted():
+    """Tiny MT models fitted by 60 full-batch Adam steps to a corpus of
+    1-2 objects per caption, keyed by (task, init seed), with that
+    corpus. Their hypotheses end at different steps, so sentences leave
+    a decoded batch at different times; random models end them all at
+    the same step."""
+    corpus = generate_corpus(replace(GEN, min_objects=1, max_objects=2), 3)
+    cfg = tiny_cfg(corpus)
+    models = {}
+
+    def get(task, init_seed):
+        if (task, init_seed) not in models:
+            params = init_mt_params(cfg, Pcg32(init_seed).split("init"))
+            src = build_source_batch(corpus.train, task, cfg.max_positions)
+            tgt = build_target_batch(corpus.train, cfg.max_positions)
+            adam = AdamState.init(params)
+            for _ in range(60):
+                params.zero_grads()
+                mt_loss(params, cfg, src, tgt, Pcg32(0), training=False).loss.backward()
+                adam_step(params, adam, 1e-2)
+            models[task, init_seed] = params
+        return models[task, init_seed], cfg, corpus.test
+
+    return get
+
+
+def teacher_forced_logp(params, cfg, examples, task, hyps):
+    """Sum of the teacher-forced log-probs of each hypothesis' tokens."""
+    t = max(len(h.tokens) for h in hyps)
+    inputs = np.full((len(hyps), t), PAD, dtype=np.int64)
+    pad = np.ones((len(hyps), t), dtype=bool)
+    for b, h in enumerate(hyps):
+        inputs[b, : len(h.tokens)] = (BOS,) + h.tokens[:-1]
+        pad[b, : len(h.tokens)] = False
+    src = build_source_batch(examples, task, cfg.max_positions)
+    with T.no_grad():
+        enc, key_mask = encode_source(params, cfg, src, Pcg32(0), training=False)
+        states = decode_states(params, cfg, enc, key_mask, inputs, Pcg32(0), False,
+                               tgt_pad_mask=pad)
+        logits = output_logits(params, states).data.astype(np.float64)
+    lp = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    return np.array([sum(lp[b, i, tok] for i, tok in enumerate(h.tokens))
+                     for b, h in enumerate(hyps)])
+
+
 @pytest.mark.parametrize("task", [NMT, MMT])
 @pytest.mark.parametrize("init_seed", [0, 1, 2])
-def test_beam_one_is_greedy(task, init_seed, corpus):
-    cfg = tiny_cfg(corpus)
-    params = init_mt_params(cfg, Pcg32(init_seed).split("init"))
-    hyps = translate(params, cfg, corpus.test, task, beam=1, max_len=12)
-    for ex, hyp in zip(corpus.test, hyps):
-        step = make_step_fn(params, cfg, ex, task, Pcg32(0))
-        logp = 0.0
-        for i, tok in enumerate(hyp.tokens):
-            lp = step([hyp.tokens[:i]])[0]
-            assert tok == int(lp.argmax())
-            logp += float(lp[tok])
-        assert hyp.logp == logp
+def test_beam_one_is_greedy(task, init_seed, fitted):
+    """Replaying the emitted tokens through the cached step, on the batch
+    translate decodes (a sentence leaves it after its last token): each
+    token is the argmax of its step distribution, and logp is their
+    float64 sum."""
+    params, cfg, examples = fitted(task, init_seed)
+    hyps = translate(params, cfg, examples, task, beam=1, max_len=16)
+    assert len({len(h.tokens) for h in hyps}) > 1
+    src = build_source_batch(examples, task, cfg.max_positions)
+    with T.no_grad():
+        enc, key_mask = encode_source(params, cfg, src, Pcg32(0), training=False)
+    cache: dict = {}
+    live = np.arange(len(examples))
+    tokens = np.full(len(examples), BOS, dtype=np.int64)
+    logp = [0.0] * len(examples)
+    for t in range(max(len(h.tokens) for h in hyps)):
+        lp = step_logprobs(params, cfg, enc, key_mask, tokens, t, cache, Pcg32(0))
+        for row, i in enumerate(live):
+            tok = hyps[i].tokens[t]
+            assert tok == int(lp[row].argmax())
+            logp[i] += float(lp[row, tok])
+        keep = np.flatnonzero([len(hyps[i].tokens) > t + 1 for i in live])
+        select_cache_rows(cache, keep, keep)
+        live, enc, key_mask = live[keep], Tensor(enc.data[keep]), key_mask[keep]
+        tokens = np.array([hyps[i].tokens[t] for i in live], dtype=np.int64)
+    for hyp, want in zip(hyps, logp):
+        assert hyp.logp == want
         assert hyp.finished == (hyp.tokens[-1] == EOS)
+
+
+@pytest.mark.parametrize("task", [NMT, MMT])
+@pytest.mark.parametrize("init_seed", [0, 1, 2])
+@pytest.mark.parametrize("beam", [1, 3, 8])
+def test_batched_beam_matches_rescore_and_single_sentences(task, init_seed, beam, fitted):
+    """Every hypothesis' logp is its teacher-forced log-prob within the
+    benchmark's 1e-4 nats per token, and decoding each sentence alone
+    gives the same tokens as decoding the list together."""
+    params, cfg, examples = fitted(task, init_seed)
+    hyps = translate(params, cfg, examples, task, beam=beam, max_len=16)
+    assert len({len(h.tokens) for h in hyps}) > 1
+    rescored = teacher_forced_logp(params, cfg, examples, task, hyps)
+    for hyp, want in zip(hyps, rescored):
+        assert abs(hyp.logp - want) <= 1e-4 * len(hyp.tokens)
+    for ex, hyp in zip(examples, hyps):
+        (alone,) = translate(params, cfg, [ex], task, beam=beam, max_len=16)
+        assert (alone.tokens, alone.finished) == (hyp.tokens, hyp.finished)
+        assert alone.logp == pytest.approx(hyp.logp, abs=1e-4 * len(hyp.tokens))
+
+
+def test_beam_wider_than_vocab_is_exhaustive(corpus):
+    """With 6 tokens, max_len 2 and beam 40 >= 6 * 6, beam search keeps
+    every prefix, so it must return the best of all sequences. The first
+    step has 6 candidates for 40 slots: a padded slot (score -inf) that
+    were selected or emitted would show up as a wrong or -inf result."""
+    cfg = replace(tiny_cfg(corpus), vocab_size=6)
+    params = init_mt_params(cfg, Pcg32(3).split("init"))
+    examples = [replace(ex, src_tokens=[4 + t % 2 for t in ex.src_tokens])
+                for ex in corpus.test[:3]]
+    hyps = translate(params, cfg, examples, MMT, beam=40, max_len=2)
+    seqs = [(EOS,)] + [(a, b) for a, b in itertools.product(range(6), repeat=2) if a != EOS]
+    for ex, hyp in zip(examples, hyps):
+        assert np.isfinite(hyp.logp) and all(0 <= tok < 6 for tok in hyp.tokens)
+        cands = [seq2seq.Hypothesis(seq, 0.0, seq[-1] == EOS) for seq in seqs]
+        scores = teacher_forced_logp(params, cfg, [ex] * len(seqs), MMT, cands)
+        cands = [replace(h, logp=float(s)) for h, s in zip(cands, scores)]
+        best = min(cands, key=lambda h: (-h.score(1.0), h.tokens))
+        assert (hyp.tokens, hyp.finished) == (best.tokens, best.finished)
+        assert hyp.logp == pytest.approx(best.logp, abs=1e-4 * len(best.tokens))
+
+
+def test_translate_edge_cases(corpus):
+    cfg = tiny_cfg(corpus)
+    params = init_mt_params(cfg, Pcg32(0).split("init"))
+    assert translate(params, cfg, [], MMT) == []
+    with pytest.raises(ConfigError):
+        translate(params, cfg, corpus.test[:2], MMT, beam=0)
+
+
+def test_translate_keeps_the_traced_call_contract(fitted, monkeypatch):
+    """The benchmark's tracer wraps these module globals and reads the
+    target ids of decode_states as its 5th positional argument; translate
+    draws no random numbers. Sources are decoded in equal chunks of at
+    most CHUNK sentences, with the same result."""
+    params, cfg, examples = fitted(MMT, 0)
+    whole = translate(params, cfg, examples, MMT, beam=3, max_len=16)
+    calls = {"encode_source": 0, "decode_states": 0, "beam_search": 0}
+
+    def spy(name):
+        real = getattr(seq2seq, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "decode_states":
+                assert isinstance(args[4], np.ndarray)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(seq2seq, name, wrapper)
+
+    for name in calls:
+        spy(name)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("translate drew random numbers")
+
+    monkeypatch.setattr(Pcg32, "u32", no_draws)
+    monkeypatch.setattr(seq2seq, "CHUNK", 4)
+    chunked = translate(params, cfg, examples, MMT, beam=3, max_len=16)
+    assert len(examples) == 6
+    assert calls["encode_source"] == calls["beam_search"] == 2  # 3 + 3 sentences
+    assert calls["decode_states"] > 0
+    assert [h.tokens for h in chunked] == [h.tokens for h in whole]
+
+
+def test_mixed_region_counts_raise_data_error(corpus):
+    a, b = corpus.train[:2]
+    b = replace(b, regions=b.regions[:-1])
+    with pytest.raises(DataError, match=f"{len(a.regions)} and {len(b.regions)} regions"):
+        build_source_batch([a, b], MMT)
+    assert build_source_batch([a, b], NMT).num_regions == 0
 
 
 def test_translate_max_len_bounded_by_positions(corpus):

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from vtlm import trainer
-from vtlm.checkpoint import load_checkpoint
+from vtlm.checkpoint import load_checkpoint, save_checkpoint
 from vtlm.masking import VTLM, MaskPolicy
 from vtlm.model import EncoderConfig, init_encoder_params
 from vtlm.rng import Pcg32
@@ -100,3 +100,33 @@ def test_target_longer_than_max_positions(phase, corpus, tmp_path):
     _, result = train(phase, cfg, data, [long_ex], 2, str(tmp_path), eval_interval=1)
     assert [h["step"] for h in result.history] == [1, 2]
     assert not result.diverged
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_checkpoint_bytes_do_not_depend_on_out_dir(phase, corpus, tmp_path):
+    cfg = tiny_cfg(corpus)
+    short, long = tmp_path / "a", tmp_path / "a_much_longer_run_directory_name"
+    for out_dir in (short, long):
+        out_dir.mkdir()
+        train(phase, cfg, corpus.train, corpus.valid, 2, str(out_dir))
+    for name in ("last.ckpt", "best.ckpt"):
+        assert (short / name).read_bytes() == (long / name).read_bytes()
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_moved_run_resumes_with_its_best_params(phase, corpus, tmp_path):
+    """A resume finds best.ckpt next to last.ckpt after the run directory
+    moved. The moved best.ckpt is marked (+1 on every tensor), so its
+    params cannot be mistaken for the last ones."""
+    cfg = tiny_cfg(corpus)
+    old, new = tmp_path / "run", tmp_path / "moved" / "run"
+    old.mkdir()
+    train(phase, cfg, corpus.train, corpus.valid, 4, str(old))
+    new.parent.mkdir()
+    os.rename(old, new)
+    header, tensors = load_checkpoint(new / "best.ckpt")
+    marked = {name: t + 1.0 for name, t in tensors.items()}
+    save_checkpoint(new / "best.ckpt", header, marked)
+    _, result = train(phase, cfg, corpus.train, corpus.valid, 4, str(new),
+                      resume_from=str(new / "last.ckpt"))
+    assert bits(result.best_params) == {name: t.tobytes() for name, t in marked.items()}
