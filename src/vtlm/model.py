@@ -45,6 +45,7 @@ class EncoderConfig:
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by n_heads")
+        T.check_dropout_rate(self.dropout)
 
     @classmethod
     def desk(cls, vocab_size: int, label_vocab_size: int, feat_dim: int, **kw):

@@ -11,10 +11,15 @@ stream derived from the experiment seed and a label, e.g.
 Stream splitting hashes the label with FNV-1a, mixes it into the root
 stream's identity with SplitMix64, and uses the label hash as the PCG
 stream selector, so streams are stable across platforms and do not
-depend on how far the parent has advanced. Bulk generation is
-vectorised by closing the LCG recurrence
-(state_i = a^i * s0 + (sum_{j<i} a^j) * c mod 2^64) with numpy uint64
-arithmetic, which reproduces the scalar generator bit for bit.
+depend on how far the parent has advanced.
+
+Bulk generation closes the LCG recurrence in numpy uint64 arithmetic:
+state_i = a^i * s0 + (sum_{j<i} a^j) * c mod 2^64. The tables of a^i and
+sum_{j<i} a^j are built once, at import, for a fixed block of `BLOCK`
+entries (2 x 64 KB). A request for n values is filled block by block,
+each block starting from the state that follows the last one of the
+block before, so the draws and the state afterwards equal n scalar
+steps bit for bit, and no temporary grows with n.
 """
 
 from __future__ import annotations
@@ -23,6 +28,14 @@ import numpy as np
 
 _MULT = 6364136223846793005
 _MASK64 = (1 << 64) - 1
+
+BLOCK = 8192
+_POWS = np.empty(BLOCK, dtype=np.uint64)   # a^i
+_POWS[0] = 1
+_POWS[1:] = np.uint64(_MULT)
+np.cumprod(_POWS, out=_POWS)
+_SUMS = np.zeros(BLOCK, dtype=np.uint64)   # sum_{j<i} a^j
+np.cumsum(_POWS[:-1], out=_SUMS[1:])
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -69,28 +82,26 @@ class Pcg32:
         return Pcg32(_splitmix64(self._ident ^ h), seq=h)
 
     def u32(self, n: int | None = None):
-        """Next raw 32-bit output; an array of n outputs when n is given."""
+        """Next raw 32-bit output; an array of n outputs when n is given.
+
+        The array is filled `BLOCK` values at a time from the fixed
+        tables, so a call costs O(n) time and O(BLOCK) scratch memory
+        beyond its output, and leaves the generator where n scalar calls
+        would.
+        """
         if n is None:
             old = self._state
             self._step()
             return self._output_scalar(old)
-        if n <= 0:
-            return np.empty(0, dtype=np.uint32)
-        a = np.uint64(_MULT)
-        pows = np.empty(n, dtype=np.uint64)
-        pows[0] = 1
-        if n > 1:
-            pows[1:] = a
-            np.cumprod(pows, out=pows)
-        sums = np.empty(n, dtype=np.uint64)
-        sums[0] = 0
-        if n > 1:
-            np.cumsum(pows[:-1], out=sums[1:])
-        states = pows * np.uint64(self._state) + sums * np.uint64(self._inc)
-        # advance the scalar state past the block
-        last = int(states[-1])
-        self._state = (last * _MULT + self._inc) & _MASK64
-        return self._output_array(states)
+        out = np.empty(max(n, 0), dtype=np.uint32)
+        inc = np.uint64(self._inc)
+        for lo in range(0, n, BLOCK):
+            m = min(BLOCK, n - lo)
+            states = _POWS[:m] * np.uint64(self._state) + _SUMS[:m] * inc
+            # the state after the block's last draw starts the next block
+            self._state = (int(states[-1]) * _MULT + self._inc) & _MASK64
+            out[lo:lo + m] = self._output_array(states)
+        return out
 
     @staticmethod
     def _output_scalar(state: int) -> int:

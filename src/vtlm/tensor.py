@@ -19,7 +19,7 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.special import erf
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
@@ -96,8 +96,13 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # One pass that owns a C-ordered copy in the tensor's dtype.
+            # Same bits as zeros + g: -0.0 + 0.0 is +0.0, and the cast is
+            # the one `+=` applies. C order keeps later reductions over
+            # this gradient in the order they would have for zeros + g.
+            self.grad = np.add(g, 0.0, out=np.empty(self.data.shape, self.data.dtype))
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Populate .grad on every reachable requires_grad tensor."""
@@ -380,17 +385,37 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(data, (a, gain, bias), bw)
 
 
+def check_dropout_rate(rate: float) -> None:
+    """Raise ConfigError unless 0 <= rate < 1 (NaN included)."""
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {rate!r}")
+
+
 def dropout(a: Tensor, rate: float, rng, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0."""
+    """Inverted dropout; identity when not training or rate == 0.
+
+    `rate` must lie in [0, 1); anything else, NaN included, raises
+    ConfigError. An element is kept when its raw draw u = rng.u32(...)
+    satisfies u >= ceil(rate * 2**32 - 0.5). This is the same test as
+    rng.uniform(...) >= rate, bit for bit: uniform is (u + 0.5) * 2**-32,
+    the scaling by 2**32 is exact in float64, and so is the subtraction
+    of 0.5 once rate * 2**32 >= 0.5 (below that both tests keep every
+    element). Kept elements are scaled by 1 / (1 - rate) in the tensor's
+    dtype; the forward and backward passes share one mask holding 0 or
+    that scale.
+    """
+    check_dropout_rate(rate)
     if not training or rate == 0.0:
         return a
-    keep = (rng.uniform(a.data.shape) >= rate).astype(a.data.dtype)
-    scale = 1.0 / (1.0 - rate)
-    data = a.data * keep * scale
+    threshold = math.ceil(rate * 2.0**32 - 0.5)
+    dtype = a.data.dtype
+    mask = np.where(rng.u32(a.data.size).reshape(a.data.shape) >= threshold,
+                    dtype.type(1.0 / (1.0 - rate)), dtype.type(0.0))
+    data = a.data * mask
 
     def bw(g):
         if a.requires_grad:
-            a._accumulate(g * keep * scale)
+            a._accumulate(g * mask)
 
     return _make(data, (a,), bw)
 

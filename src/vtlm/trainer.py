@@ -60,6 +60,9 @@ class TrainConfig:
     seed: int = 1
     clip_norm: float = 5.0
 
+    def __post_init__(self):
+        T.check_dropout_rate(self.dropout)
+
     @classmethod
     def for_phase(cls, phase: str, **overrides) -> "TrainConfig":
         if phase not in PHASES:

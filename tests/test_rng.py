@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vtlm.rng import Pcg32
+from vtlm.rng import BLOCK, Pcg32
 
 
 def reference_pcg32(seed, seq, n):
@@ -39,6 +39,17 @@ def test_block_generation_matches_scalar():
     assert np.array_equal(block, scalars)
     # the block advance leaves both generators in the same state
     assert a.u32() == b.u32()
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_block_boundaries_match_reference(n):
+    expect = reference_pcg32(99, 3, n + 1)
+    rng = Pcg32(99, 3)
+    block = rng.u32(n)
+    assert block.dtype == np.uint32 and block.shape == (n,)
+    assert block.tolist() == expect[:n]
+    # the state carries over: the next scalar draw is draw n of the stream
+    assert rng.u32() == expect[n]
 
 
 def test_split_is_stable_and_labelled():

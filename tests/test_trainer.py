@@ -1,9 +1,12 @@
 import dataclasses
+import math
 import os
 
+import numpy as np
 import pytest
 
-from vtlm import trainer
+from vtlm import tensor as T, trainer
+from vtlm.errors import ConfigError
 from vtlm.checkpoint import load_checkpoint, save_checkpoint
 from vtlm.masking import VTLM, MaskPolicy
 from vtlm.model import EncoderConfig, init_encoder_params
@@ -130,3 +133,15 @@ def test_moved_run_resumes_with_its_best_params(phase, corpus, tmp_path):
     _, result = train(phase, cfg, corpus.train, corpus.valid, 4, str(new),
                       resume_from=str(new / "last.ckpt"))
     assert bits(result.best_params) == {name: t.tobytes() for name, t in marked.items()}
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, math.nan])
+def test_dropout_rate_outside_unit_interval_raises(rate):
+    x = T.Tensor(np.ones(4, dtype=np.float32))
+    for training in (True, False):
+        with pytest.raises(ConfigError):
+            T.dropout(x, rate, Pcg32(1), training)
+    with pytest.raises(ConfigError):
+        EncoderConfig.desk(10, 5, 8, dropout=rate)
+    with pytest.raises(ConfigError):
+        trainer.TrainConfig.for_phase("pretrain", dropout=rate)
