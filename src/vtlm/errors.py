@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these to process exit codes: ConfigError -> 2,
+There is no command-line entry point yet; the CLI planned in ROADMAP
+item 4 is to map these to process exit codes: ConfigError -> 2,
 DataError -> 3, DivergenceError -> 4.
 """
 

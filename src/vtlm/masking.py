@@ -11,6 +11,11 @@ example in the batch, 10% left intact. Setting the visual ratio to 0
 gives the alternative objective: region inputs stay untouched while
 label-prediction positions are still chosen at the text rate.
 
+`mask_visual` states its corruption as per-slot directives (ORIGINAL,
+MASK_EMBED, SUBSTITUTE); `build_masked_batch` resolves them into the
+model's input format, so no other module reads them: a substituted slot
+gets its donor region's feature and box, a masked slot sets `vis_mask`.
+
 Stream layout (positions restart at 0 at every [BOS]; the [SEP]
 closing a segment carries that segment's language id):
 
@@ -20,14 +25,15 @@ closing a segment carries that segment's language id):
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bpe
-from .bpe import BOS, EOS, LANG_L1, LANG_L2, LANG_VIS, NUM_RESERVED, PAD, SEP
+from .bpe import BOS, EOS, LANG_L1, LANG_L2, NUM_RESERVED, SEP
 from .data import TripletExample
 from .errors import ConfigError
+from .model import MaskedBatch, collate
 from .rng import Pcg32
 
 log = logging.getLogger(__name__)
@@ -174,101 +180,48 @@ def mask_visual(region_labels: np.ndarray, policy: MaskPolicy, rng: Pcg32):
     return directives, substitutes, targets
 
 
-@dataclass
-class MaskedBatch:
-    """Corrupted encoder input plus prediction targets."""
-
-    mode: str
-    token_ids: np.ndarray          # (B, Tt) padded
-    pos_ids: np.ndarray
-    lang_ids: np.ndarray
-    lengths: np.ndarray            # text lengths before padding
-    pad_mask: np.ndarray           # (B, Tt) True at padding
-    text_target_pos: np.ndarray    # (N, 2) -> (example, stream position)
-    text_target_ids: np.ndarray    # (N,)
-    num_regions: int = 0
-    feats: np.ndarray | None = None        # (B, o, D)
-    bboxes: np.ndarray | None = None       # (B, o, 4)
-    region_labels: np.ndarray | None = None
-    vis_directives: np.ndarray | None = None
-    vis_substitutes: np.ndarray | None = None
-    vis_target_pos: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
-    vis_target_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    @property
-    def batch_size(self) -> int:
-        return self.token_ids.shape[0]
-
-    @property
-    def text_len(self) -> int:
-        return self.token_ids.shape[1]
-
-
 def build_masked_batch(examples: list[TripletExample], mode: str,
                        policy: MaskPolicy, vocab_size: int,
                        rng_text: Pcg32, rng_visual: Pcg32,
                        max_len: int = 256,
                        streams: list[Stream] | None = None) -> MaskedBatch | None:
-    """Assemble a padded MaskedBatch; returns None if nothing is maskable."""
+    """Assemble a padded MaskedBatch; returns None if nothing is maskable.
+
+    The visual directives are resolved here: a SUBSTITUTE slot takes its
+    donor's feature and box from the un-substituted region stack, a
+    MASK_EMBED slot is flagged in `vis_mask`. Raises DataError when the
+    kept examples have different region counts.
+    """
     if streams is None:
         streams = [build_stream(ex, mode, max_len) for ex in examples]
-    masked_streams = []
-    all_targets = []
-    kept = []
-    for i, s in enumerate(streams):
+    rows, regions = [], []
+    tpos, tids = [], []
+    for ex, s in zip(examples, streams):
         masked, targets = mask_text(s.token_ids, policy, rng_text, vocab_size)
         if policy.select_ratio > 0 and not targets:
             continue
-        kept.append(i)
-        masked_streams.append((s, masked))
-        all_targets.append(targets)
-    if not masked_streams:
+        for pos, orig in sorted(targets.items()):
+            tpos.append((len(rows), pos))
+            tids.append(orig)
+        rows.append((masked, s.pos_ids, s.lang_ids))
+        regions.append(ex.regions)
+    if not rows:
         log.warning("batch skipped: no maskable examples")
         return None
-    examples = [examples[i] for i in kept]
-
-    b_size = len(masked_streams)
-    t_max = max(s.text_len for s, _ in masked_streams)
-    token_ids = np.full((b_size, t_max), PAD, dtype=np.int64)
-    pos_ids = np.zeros((b_size, t_max), dtype=np.int64)
-    lang_ids = np.zeros((b_size, t_max), dtype=np.int64)
-    lengths = np.zeros(b_size, dtype=np.int64)
-    tpos, tids = [], []
-    for b, ((s, masked), targets) in enumerate(zip(masked_streams, all_targets)):
-        ln = s.text_len
-        token_ids[b, :ln] = masked
-        pos_ids[b, :ln] = s.pos_ids
-        lang_ids[b, :ln] = s.lang_ids
-        lengths[b] = ln
-        for pos, orig in sorted(targets.items()):
-            tpos.append((b, pos))
-            tids.append(orig)
-    pad_mask = np.arange(t_max)[None, :] >= lengths[:, None]
-
     batch = MaskedBatch(
-        mode=mode,
-        token_ids=token_ids,
-        pos_ids=pos_ids,
-        lang_ids=lang_ids,
-        lengths=lengths,
-        pad_mask=pad_mask,
+        **vars(collate(rows, regions if mode == VTLM else None)),
         text_target_pos=np.array(tpos, dtype=np.int64).reshape(-1, 2),
         text_target_ids=np.array(tids, dtype=np.int64),
     )
     if mode == VTLM:
-        o = len(examples[0].regions)
-        feats = np.stack([np.stack([r.feat for r in ex.regions]) for ex in examples])
-        bboxes = np.stack([np.stack([r.bbox for r in ex.regions]) for ex in examples])
-        labels = np.array([[r.label for r in ex.regions] for ex in examples], dtype=np.int64)
+        labels = np.array([[r.label for r in rs] for rs in regions], dtype=np.int64)
         directives, substitutes, vtargets = mask_visual(labels, policy, rng_visual)
-        vpos = np.array(sorted(vtargets.keys()), dtype=np.int64).reshape(-1, 2)
-        vids = np.array([vtargets[tuple(p)] for p in vpos], dtype=np.int64)
-        batch.num_regions = o
-        batch.feats = feats
-        batch.bboxes = bboxes
-        batch.region_labels = labels
-        batch.vis_directives = directives
-        batch.vis_substitutes = substitutes
-        batch.vis_target_pos = vpos
-        batch.vis_target_ids = vids
+        b, slot = np.nonzero(directives == SUBSTITUTE)
+        donor, donor_slot = substitutes[b, slot].T
+        batch.feats[b, slot] = batch.feats[donor, donor_slot]
+        batch.bboxes[b, slot] = batch.bboxes[donor, donor_slot]
+        batch.vis_mask = directives == MASK_EMBED
+        batch.vis_target_pos = np.array(sorted(vtargets), dtype=np.int64).reshape(-1, 2)
+        batch.vis_target_ids = np.array([vtargets[tuple(p)] for p in batch.vis_target_pos],
+                                        dtype=np.int64)
     return batch

@@ -1,12 +1,18 @@
 """Single-stream transformer encoder with masked-token and masked-region heads.
 
-Text positions are embedded as token + per-segment position + language
+Encoder input has one format, `EncoderBatch`: padded text rows followed
+by a fixed number of region slots per row, built by `collate`. Text
+positions are embedded as token + per-segment position + language
 embeddings; region slots as projected feature + projected box + a
 dedicated visual language embedding (no sequential position: regions
-are set-like, geometry travels in the box projection). Both segments
-flow through the same post-norm encoder stack with full bidirectional
-attention. The token head is weight-tied to the input embedding; the
-region head is a fresh linear classifier over detector labels.
+are set-like, geometry travels in the box projection), or, where
+`vis_mask` is set, the [MASK] token embedding + the visual language
+embedding. `encode_batch` runs the one front end, embed → dropout → key
+mask → layer stack, for pretraining and for the translation encoder.
+Both segments flow through the same post-norm encoder stack with full
+bidirectional attention. The token head is weight-tied to the input
+embedding; the region head is a fresh linear classifier over detector
+labels.
 
 The same layer, stack and parameter names serve the translation model:
 given a `memory`, a layer adds a cross-attention sublayer over it, which
@@ -16,14 +22,13 @@ is all that tells the decoder apart from the encoder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .bpe import LANG_VIS, MASK
-from .errors import ConfigError
-from .masking import MASK_EMBED, SUBSTITUTE, MaskedBatch
+from .bpe import LANG_VIS, MASK, PAD
+from .errors import ConfigError, DataError
 from .rng import Pcg32
 from .tensor import Tensor
 
@@ -279,6 +284,73 @@ def encoder_layer(params: ParamStore, prefix: str, x: Tensor,
     return residual(x, linear(h, params, f"{prefix}.ffn.w2", f"{prefix}.ffn.b2"), "norm2")
 
 
+# -- encoder input ------------------------------------------------------------
+
+
+@dataclass
+class EncoderBatch:
+    """Padded text rows, then `num_regions` region slots per row."""
+
+    token_ids: np.ndarray               # (B, Tt) int64, [PAD] after each row
+    pos_ids: np.ndarray
+    lang_ids: np.ndarray
+    pad_mask: np.ndarray                # (B, Tt) True at padding
+    feats: np.ndarray | None = None     # (B, o, D)
+    bboxes: np.ndarray | None = None    # (B, o, 4)
+    vis_mask: np.ndarray | None = None  # (B, o) True: slot carries the [MASK] embedding
+
+    @property
+    def batch_size(self) -> int:
+        return self.token_ids.shape[0]
+
+    @property
+    def text_len(self) -> int:
+        return self.token_ids.shape[1]
+
+    @property
+    def num_regions(self) -> int:
+        return 0 if self.feats is None else self.feats.shape[1]
+
+
+@dataclass(kw_only=True)
+class MaskedBatch(EncoderBatch):
+    """Corrupted encoder input plus the masked prediction targets."""
+
+    text_target_pos: np.ndarray    # (N, 2) -> (example, stream position)
+    text_target_ids: np.ndarray    # (N,)
+    vis_target_pos: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
+    vis_target_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+
+
+def collate(rows, regions=None) -> EncoderBatch:
+    """Pad text rows into one EncoderBatch and stack their regions.
+
+    `rows` holds one (token_ids, pos_ids, lang_ids) triple per example;
+    `regions`, if given, one sequence of `RegionFeature` per example.
+    Raises DataError when the examples have different region counts.
+    """
+    lengths = np.array([len(tok) for tok, _, _ in rows], dtype=np.int64)
+    t_max = int(lengths.max())
+    bsz = len(rows)
+    token_ids = np.full((bsz, t_max), PAD, dtype=np.int64)
+    pos_ids = np.zeros((bsz, t_max), dtype=np.int64)
+    lang_ids = np.zeros((bsz, t_max), dtype=np.int64)
+    for b, (tok, pos, lang) in enumerate(rows):
+        token_ids[b, : lengths[b]] = tok
+        pos_ids[b, : lengths[b]] = pos
+        lang_ids[b, : lengths[b]] = lang
+    pad_mask = np.arange(t_max)[None, :] >= lengths[:, None]
+    batch = EncoderBatch(token_ids, pos_ids, lang_ids, pad_mask)
+    if regions is not None:
+        o = len(regions[0])
+        for rs in regions:
+            if len(rs) != o:
+                raise DataError(f"examples with {o} and {len(rs)} regions in one batch")
+        batch.feats = np.stack([np.stack([r.feat for r in rs]) for rs in regions])
+        batch.bboxes = np.stack([np.stack([r.bbox for r in rs]) for rs in regions])
+    return batch
+
+
 def key_padding_mask(pad_mask: np.ndarray, num_regions: int) -> np.ndarray:
     """(B, 1, 1, T) additive mask; region slots are never padding."""
     bsz = pad_mask.shape[0]
@@ -292,13 +364,13 @@ def key_padding_mask(pad_mask: np.ndarray, num_regions: int) -> np.ndarray:
 def embed_inputs(params: ParamStore, cfg: EncoderConfig, token_ids: np.ndarray,
                  pos_ids: np.ndarray, lang_ids: np.ndarray,
                  feats: np.ndarray | None = None, bboxes: np.ndarray | None = None,
-                 mask_slots: np.ndarray | None = None, prefix: str = "") -> Tensor:
+                 vis_mask: np.ndarray | None = None, prefix: str = "") -> Tensor:
     """Input embeddings before dropout.
 
     Text positions are token + position + language embeddings; each
     region slot, appended after the text, is projected feature +
     projected box + the visual language embedding. Slots flagged in
-    `mask_slots` carry the [MASK] token embedding in place of their
+    `vis_mask` carry the [MASK] token embedding in place of their
     projection. Parameter names are `prefix` + the encoder's names.
     """
     tok = T.embedding(params[f"{prefix}token_emb"], token_ids)
@@ -317,34 +389,13 @@ def embed_inputs(params: ParamStore, cfg: EncoderConfig, token_ids: np.ndarray,
         + T.matmul(Tensor(bboxes.astype(T.default_dtype())), params[f"{prefix}bbox_proj.w"])
         + params[f"{prefix}bbox_proj.b"]
     )
-    if mask_slots is not None:
-        keep = Tensor((~mask_slots).astype(T.default_dtype())[:, :, None])
+    if vis_mask is not None:
+        keep = Tensor((~vis_mask).astype(T.default_dtype())[:, :, None])
         mask_vec = T.embedding(params[f"{prefix}token_emb"], np.full((1, 1), MASK))
         vis = vis * keep + mask_vec * (1.0 - keep.data)
     vis = vis + T.embedding(params[f"{prefix}lang_emb"],
                             np.full(feats.shape[:2], LANG_VIS))
     return T.concat([x, vis], axis=1)
-
-
-def embed_batch(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
-                rng: Pcg32, training: bool) -> Tensor:
-    """Resolve masking directives and sum the input embeddings."""
-    feats = bboxes = mask_slots = None
-    if batch.num_regions:
-        feats = batch.feats
-        bboxes = batch.bboxes
-        sub = batch.vis_directives == SUBSTITUTE
-        if np.any(sub):
-            feats = feats.copy()
-            bboxes = bboxes.copy()
-            for b, slot in zip(*np.nonzero(sub)):
-                ob, oslot = batch.vis_substitutes[b, slot]
-                feats[b, slot] = batch.feats[ob, oslot]
-                bboxes[b, slot] = batch.bboxes[ob, oslot]
-        mask_slots = batch.vis_directives == MASK_EMBED
-    x = embed_inputs(params, cfg, batch.token_ids, batch.pos_ids,
-                     batch.lang_ids, feats, bboxes, mask_slots)
-    return T.dropout(x, cfg.dropout, rng, training)
 
 
 def encode(params: ParamStore, cfg: EncoderConfig, x: Tensor,
@@ -361,6 +412,17 @@ def encode(params: ParamStore, cfg: EncoderConfig, x: Tensor,
         x = encoder_layer(params, f"{prefix}layers.{i}", x, add_mask, cfg, rng,
                           training, collect_attn, memory, memory_mask, cache)
     return x
+
+
+def encode_batch(params: ParamStore, cfg: EncoderConfig, batch: EncoderBatch,
+                 rng: Pcg32, training: bool, prefix: str = "") -> tuple[Tensor, np.ndarray]:
+    """The encoder front end: embed → dropout → key mask → layer stack.
+    Returns (states, additive key mask)."""
+    x = embed_inputs(params, cfg, batch.token_ids, batch.pos_ids, batch.lang_ids,
+                     batch.feats, batch.bboxes, batch.vis_mask, prefix)
+    x = T.dropout(x, cfg.dropout, rng, training)
+    key_mask = key_padding_mask(batch.pad_mask, batch.num_regions)
+    return encode(params, cfg, x, key_mask, rng, training, prefix=prefix), key_mask
 
 
 @dataclass
@@ -388,9 +450,7 @@ class LossOutput:
 def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
               rng: Pcg32, training: bool) -> LossOutput:
     """Joint masked-token + masked-region objective (equal weights)."""
-    x = embed_batch(params, cfg, batch, rng, training)
-    add_mask = key_padding_mask(batch.pad_mask, batch.num_regions)
-    states = encode(params, cfg, x, add_mask, rng, training)
+    states, _ = encode_batch(params, cfg, batch, rng, training)
     bsz, total_len, d = states.shape
     flat = T.reshape(states, (bsz * total_len, d))
 

@@ -1,10 +1,12 @@
 """Encoder-decoder translation models built from the pretrained stack.
 
-Both sides are the pretraining stack itself, run by `model.embed_inputs`
-and `model.encode` on parameters named with the "enc." or "dec." prefix
-plus the pretraining names. The decoder embeds text only, attends
-causally, and passes the encoder states as `memory`, which adds a
-cross-attention sublayer (`cross_attn`, `norm_cross`) to every layer.
+Both sides are the pretraining stack itself, run on parameters named
+with the "enc." or "dec." prefix plus the pretraining names: the
+encoder by `model.encode_batch`, the pretraining front end, the
+decoder by `model.embed_inputs` and `model.encode`. The decoder embeds
+text only, attends causally, and passes the encoder states as
+`memory`, which adds a cross-attention sublayer (`cross_attn`,
+`norm_cross`) to every layer.
 Its output projection is the MLM head: tied to `dec.token_emb`, with
 bias `dec.mlm_bias`.
 
@@ -15,8 +17,9 @@ self-attention or keeps its fresh initialisation.
 
 Source layout is [BOS] s [EOS] for text-only translation; multimodal
 translation appends the o region embeddings (uncorrupted) to the source
-sequence. All MT parameters live in one store under "enc." and "dec."
-prefixes.
+sequence. Sources are padded and their regions stacked by
+`model.collate`, into the same `EncoderBatch` that pretraining uses. All
+MT parameters live in one store under "enc." and "dec." prefixes.
 
 There is one decoder, `beam_search`, and with beam=1 it is greedy. It
 is incremental and batched, as XLM's `generate_beam`: all sentences of
@@ -36,16 +39,18 @@ import numpy as np
 from . import tensor as T
 from .bpe import BOS, EOS, LANG_L1, LANG_L2, PAD
 from .data import TripletExample
-from .errors import ConfigError, DataError, TransferError
+from .errors import ConfigError, TransferError
 from .model import (
+    EncoderBatch,
     EncoderConfig,
     NEG_INF,
     ParamStore,
     _zeros,
     add_stack_params,
+    collate,
     embed_inputs,
     encode,
-    key_padding_mask,
+    encode_batch,
     select_cache_rows,
     tied_logits,
 )
@@ -112,53 +117,26 @@ def transfer_weights(pretrained: ParamStore, cfg: EncoderConfig,
 # -- batching ----------------------------------------------------------------
 
 
-@dataclass
-class SourceBatch:
-    token_ids: np.ndarray     # (B, Ts)
-    pos_ids: np.ndarray
-    lang_ids: np.ndarray
-    lengths: np.ndarray
-    pad_mask: np.ndarray      # (B, Ts) True at padding
-    num_regions: int = 0
-    feats: np.ndarray | None = None
-    bboxes: np.ndarray | None = None
-
-
 def build_source_batch(examples: list[TripletExample], task: str,
-                       max_len: int = 256) -> SourceBatch:
+                       max_len: int = 256) -> EncoderBatch:
+    """[BOS] s [EOS] rows, plus every region for MMT; raises DataError when
+    MMT examples have different region counts."""
     if task not in (NMT, MMT):
         raise ConfigError(f"unknown task {task!r}")
     o = len(examples[0].regions) if task == MMT else 0
-    for ex in examples:
-        if task == MMT and len(ex.regions) != o:
-            raise DataError(f"examples with {o} and {len(ex.regions)} regions in one batch")
     budget = max_len - o - 2
-    seqs = [list(ex.src_tokens)[:budget] for ex in examples]
-    lengths = np.array([len(s) + 2 for s in seqs], dtype=np.int64)
-    t_max = int(lengths.max())
-    bsz = len(examples)
-    token_ids = np.full((bsz, t_max), PAD, dtype=np.int64)
-    pos_ids = np.zeros((bsz, t_max), dtype=np.int64)
-    lang_ids = np.zeros((bsz, t_max), dtype=np.int64)
-    for b, s in enumerate(seqs):
-        row = [BOS] + s + [EOS]
-        token_ids[b, : len(row)] = row
-        pos_ids[b, : len(row)] = np.arange(len(row))
-        lang_ids[b, : len(row)] = LANG_L1
-    pad_mask = np.arange(t_max)[None, :] >= lengths[:, None]
-    batch = SourceBatch(token_ids, pos_ids, lang_ids, lengths, pad_mask, o)
-    if task == MMT:
-        batch.feats = np.stack([np.stack([r.feat for r in ex.regions]) for ex in examples])
-        batch.bboxes = np.stack([np.stack([r.bbox for r in ex.regions]) for ex in examples])
-    return batch
+    rows = []
+    for ex in examples:
+        row = [BOS] + list(ex.src_tokens)[:budget] + [EOS]
+        rows.append((row, np.arange(len(row)), np.full(len(row), LANG_L1)))
+    return collate(rows, [ex.regions for ex in examples] if task == MMT else None)
 
 
 @dataclass
 class TargetBatch:
     input_ids: np.ndarray    # (B, Tt) = [BOS] t_1..t_n padded
     output_ids: np.ndarray   # (B, Tt) = t_1..t_n [EOS] padded
-    lengths: np.ndarray      # n + 1 per example
-    pad_mask: np.ndarray
+    pad_mask: np.ndarray     # (B, Tt) True at padding
 
 
 def build_target_batch(examples: list[TripletExample], max_len: int = 256) -> TargetBatch:
@@ -172,20 +150,16 @@ def build_target_batch(examples: list[TripletExample], max_len: int = 256) -> Ta
         input_ids[b, : len(s) + 1] = [BOS] + s
         output_ids[b, : len(s) + 1] = s + [EOS]
     pad_mask = np.arange(t_max)[None, :] >= lengths[:, None]
-    return TargetBatch(input_ids, output_ids, lengths, pad_mask)
+    return TargetBatch(input_ids, output_ids, pad_mask)
 
 
 # -- forward passes ----------------------------------------------------------
 
 
-def encode_source(params: ParamStore, cfg: EncoderConfig, batch: SourceBatch,
+def encode_source(params: ParamStore, cfg: EncoderConfig, batch: EncoderBatch,
                   rng: Pcg32, training: bool) -> tuple[Tensor, np.ndarray]:
     """Run the MT encoder; returns (states, additive key mask)."""
-    x = embed_inputs(params, cfg, batch.token_ids, batch.pos_ids,
-                     batch.lang_ids, batch.feats, batch.bboxes, prefix="enc.")
-    x = T.dropout(x, cfg.dropout, rng, training)
-    key_mask = key_padding_mask(batch.pad_mask, batch.num_regions)
-    return encode(params, cfg, x, key_mask, rng, training, prefix="enc."), key_mask
+    return encode_batch(params, cfg, batch, rng, training, prefix="enc.")
 
 
 def causal_mask(t: int, dtype, start: int = 0) -> np.ndarray:
@@ -236,12 +210,8 @@ class MtLossOutput:
     nll: float
     n_tokens: int
 
-    @property
-    def perplexity(self) -> float:
-        return math.exp(self.nll)
 
-
-def mt_loss(params: ParamStore, cfg: EncoderConfig, src: SourceBatch,
+def mt_loss(params: ParamStore, cfg: EncoderConfig, src: EncoderBatch,
             tgt: TargetBatch, rng: Pcg32, training: bool) -> MtLossOutput:
     """Teacher-forced cross entropy over non-pad target positions."""
     enc, key_mask = encode_source(params, cfg, src, rng, training)

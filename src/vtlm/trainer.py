@@ -3,10 +3,9 @@
 `train_pretrain` (masked TLM/VTLM pretraining) and `train_mt` (NMT/MMT
 fine-tuning) share one loop, `_fit`: it owns resume, the epoch order,
 the per-step random streams, divergence checks, the Adam update, the
-evaluation schedule, best tracking, the metrics CSV and the two
-checkpoints; each phase supplies only its training step and its
-validation metric. Text is laid out within the model's
-`max_positions`.
+evaluation schedule, best tracking and the two checkpoints; each phase
+supplies only its training step and its validation metric. Text is
+laid out within the model's `max_positions`.
 
 Every random stream a training step consumes (shuffling, masking,
 dropout) is derived statelessly from (seed, purpose, step), so resuming
@@ -17,7 +16,6 @@ round-trip exactly.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import operator
@@ -198,23 +196,6 @@ def load_train_checkpoint(path, params: ParamStore):
     return header, adam
 
 
-# -- metrics log --------------------------------------------------------------
-
-METRIC_COLUMNS = ["step", "phase", "mlm_loss", "mrc_loss", "total", "lr",
-                  "val_acc", "val_ppl"]
-
-
-def append_metrics(path, row: dict) -> None:
-    if path is None:
-        return
-    new = not os.path.exists(path)
-    with open(path, "a", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=METRIC_COLUMNS)
-        if new:
-            writer.writeheader()
-        writer.writerow({k: row.get(k, "") for k in METRIC_COLUMNS})
-
-
 # -- training loops -----------------------------------------------------------
 
 
@@ -264,15 +245,15 @@ def evaluate_pretrain(params: ParamStore, cfg: EncoderConfig, streams,
 
 def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
          step_fn, eval_fn, metric: str, better, worst: float, kind: str,
-         tag: dict, out_dir, metrics_path, run_config: dict | None,
+         tag: dict, out_dir, run_config: dict | None,
          vocab_fingerprint: str, resume_from) -> TrainResult:
     """The training loop of every phase.
 
     Step k trains on batch k of the seeded epoch order: `step_fn(idx,
     split)` receives the example indices and `split(purpose)`, the
-    step's random stream for a purpose, and returns the loss tensor and
-    the phase's metrics-CSV columns, or None to skip the batch.
-    `eval_fn()` returns the validation metrics; the best parameters are
+    step's random stream for a purpose, and returns the loss tensor, or
+    None to skip the batch. `eval_fn()` returns the validation metrics,
+    which `history` records per evaluation; the best parameters are
     those whose `metric` is `better` than every earlier evaluation's
     (starting from `worst`). `out_dir` receives last.ckpt and best.ckpt
     when the loop ends; resuming from a last.ckpt continues the run
@@ -311,10 +292,9 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
         order = _epoch_order(tcfg.seed, epoch, n)
         idx = order[off * tcfg.batch_size: (off + 1) * tcfg.batch_size]
         params.zero_grads()
-        out = step_fn(idx, lambda purpose, step=step: root.split(f"{purpose}/{step}"))
-        if out is None:
+        loss = step_fn(idx, lambda purpose, step=step: root.split(f"{purpose}/{step}"))
+        if loss is None:
             continue
-        loss, row = out
         if not math.isfinite(loss.item()):
             log.error("loss diverged at step %d; aborting", step)
             diverged = True
@@ -324,12 +304,6 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
         adam_step(params, adam, lr_at(step, tcfg), clip_norm=tcfg.clip_norm)
         if step % tcfg.eval_interval == 0 or step == tcfg.max_steps:
             val = eval_fn()
-            append_metrics(metrics_path, {
-                "step": step, "phase": tcfg.phase, **row,
-                "total": f"{loss.item():.6f}",
-                "lr": f"{lr_at(step, tcfg):.3e}",
-                **{k: f"{v:.6f}" for k, v in val.items()},
-            })
             history.append({"step": step, "train_loss": loss.item(), **val})
             last_metrics = val
             if better(val[metric], best_metric):
@@ -357,7 +331,7 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
 
 def train_pretrain(train_data, valid_data, params: ParamStore,
                    cfg: EncoderConfig, tcfg: TrainConfig, objective: str,
-                   policy: MaskPolicy, out_dir=None, metrics_path=None,
+                   policy: MaskPolicy, out_dir=None,
                    run_config: dict | None = None, vocab_fingerprint: str = "",
                    resume_from=None) -> TrainResult:
     """Masked pretraining; best checkpoint by validation accuracy over
@@ -375,11 +349,7 @@ def train_pretrain(train_data, valid_data, params: ParamStore,
             streams=[streams[i] for i in idx])
         if batch is None:
             return None
-        out = vtlm_loss(params, train_cfg, batch, split("dropout"), training=True)
-        return out.loss, {
-            "mlm_loss": f"{out.mlm_loss:.6f}",
-            "mrc_loss": "" if out.mrc_loss is None else f"{out.mrc_loss:.6f}",
-        }
+        return vtlm_loss(params, train_cfg, batch, split("dropout"), training=True).loss
 
     def eval_fn():
         return evaluate_pretrain(params, cfg, val_streams, valid_data,
@@ -387,7 +357,7 @@ def train_pretrain(train_data, valid_data, params: ParamStore,
 
     return _fit(params, cfg, tcfg, len(train_data), step_fn, eval_fn,
                 "val_acc", operator.gt, -math.inf, f"pretrain-{objective}",
-                {"objective": objective}, out_dir, metrics_path, run_config,
+                {"objective": objective}, out_dir, run_config,
                 vocab_fingerprint, resume_from)
 
 
@@ -409,7 +379,7 @@ def evaluate_mt(params: ParamStore, cfg: EncoderConfig, examples, task: str,
 
 
 def train_mt(train_data, valid_data, params: ParamStore, cfg: EncoderConfig,
-             tcfg: TrainConfig, task: str, out_dir=None, metrics_path=None,
+             tcfg: TrainConfig, task: str, out_dir=None,
              run_config: dict | None = None, vocab_fingerprint: str = "",
              resume_from=None) -> TrainResult:
     """NMT/MMT training; best checkpoint by lowest validation perplexity."""
@@ -419,8 +389,7 @@ def train_mt(train_data, valid_data, params: ParamStore, cfg: EncoderConfig,
         chunk = [train_data[i] for i in idx]
         src = build_source_batch(chunk, task, cfg.max_positions)
         tgt = build_target_batch(chunk, cfg.max_positions)
-        out = mt_loss(params, train_cfg, src, tgt, split("dropout"), training=True)
-        return out.loss, {}
+        return mt_loss(params, train_cfg, src, tgt, split("dropout"), training=True).loss
 
     def eval_fn():
         return {"val_ppl": evaluate_mt(params, cfg, valid_data, task, tcfg.seed,
@@ -428,5 +397,5 @@ def train_mt(train_data, valid_data, params: ParamStore, cfg: EncoderConfig,
 
     return _fit(params, cfg, tcfg, len(train_data), step_fn, eval_fn,
                 "val_ppl", operator.lt, math.inf, f"mt-{task}", {"task": task},
-                out_dir, metrics_path, run_config, vocab_fingerprint,
+                out_dir, run_config, vocab_fingerprint,
                 resume_from)

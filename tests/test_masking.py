@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vtlm import bpe, masking
 from vtlm.bpe import NUM_RESERVED
 from vtlm.data import RegionFeature, TripletExample
-from vtlm.errors import ConfigError
+from vtlm.errors import ConfigError, DataError
 from vtlm.masking import (
     MaskPolicy,
     TLM,
@@ -192,6 +194,12 @@ class TestBatchAssembly:
         cfg = GenConfig(num_examples=n, feat_dim=8, num_merges=120)
         return generate_synthetic(cfg, seed=5)
 
+    @staticmethod
+    def _regions(examples):
+        feats = np.stack([np.stack([r.feat for r in ex.regions]) for ex in examples])
+        bboxes = np.stack([np.stack([r.bbox for r in ex.regions]) for ex in examples])
+        return feats, bboxes
+
     def test_reconstruction_invariant(self):
         """Applying recorded targets back onto the corrupted stream and
         reverting directives reproduces the original example."""
@@ -212,10 +220,37 @@ class TestBatchAssembly:
             for pos in range(s.text_len):
                 if (b, pos) not in sel:
                     assert batch.token_ids[b, pos] == s.token_ids[pos]
-        # visual: reverting directives to ORIGINAL recovers the original
-        # regions, and targets store true labels
+        # visual: non-selected slots carry their original regions, and
+        # targets store true labels
+        feats, bboxes = self._regions(examples)
+        vsel = {(int(b), int(slot)) for b, slot in batch.vis_target_pos}
+        for b in range(batch.batch_size):
+            for slot in range(batch.num_regions):
+                if (b, slot) not in vsel:
+                    assert not batch.vis_mask[b, slot]
+                    assert np.array_equal(batch.feats[b, slot], feats[b, slot])
+                    assert np.array_equal(batch.bboxes[b, slot], bboxes[b, slot])
         for (b, slot), lab in zip(batch.vis_target_pos, batch.vis_target_ids):
-            assert lab == batch.region_labels[b, slot]
+            assert lab == examples[b].regions[slot].label
+
+    def test_substitute_uses_referenced_region(self):
+        """Every substituted slot carries its donor region's feature and
+        box; the donor is read from the un-substituted regions."""
+        examples = self._examples(16)
+        policy = MaskPolicy()
+        root = Pcg32(3)
+        batch = build_masked_batch(examples, VTLM, policy, 500,
+                                   root.split("t"), root.split("v"))
+        labels = np.array([[r.label for r in ex.regions] for ex in examples])
+        directives, subs, _ = mask_visual(labels, policy, root.split("v"))
+        feats, bboxes = self._regions(examples)
+        sub = list(zip(*np.nonzero(directives == masking.SUBSTITUTE)))
+        assert sub
+        for b, slot in sub:
+            ob, oslot = subs[b, slot]
+            assert np.array_equal(batch.feats[b, slot], feats[ob, oslot])
+            assert np.array_equal(batch.bboxes[b, slot], bboxes[ob, oslot])
+            assert not batch.vis_mask[b, slot]
 
     def test_text_and_visual_streams_independent(self):
         examples = self._examples(6)
@@ -232,7 +267,9 @@ class TestBatchAssembly:
         b3 = build_masked_batch(examples, VTLM, MaskPolicy(), 500,
                                 Pcg32(4321).split("elsewhere"), root.split("vis"))
         assert np.array_equal(b1.vis_target_pos, b3.vis_target_pos)
-        assert np.array_equal(b1.vis_directives, b3.vis_directives)
+        assert np.array_equal(b1.vis_mask, b3.vis_mask)
+        assert np.array_equal(b1.feats, b3.feats)
+        assert np.array_equal(b1.bboxes, b3.bboxes)
 
     def test_tlm_mode_has_no_visual_part(self):
         examples = self._examples(3)
@@ -247,11 +284,21 @@ class TestBatchAssembly:
         root = Pcg32(2)
         batch = build_masked_batch(examples, VTLM, MaskPolicy(), 500,
                                    root.split("t"), root.split("v"))
+        assert batch.batch_size == len(examples)
         for b in range(batch.batch_size):
-            ln = batch.lengths[b]
+            ln = build_stream(examples[b], VTLM).text_len
             assert np.all(batch.token_ids[b, ln:] == bpe.PAD)
             assert np.all(batch.pad_mask[b, ln:])
             assert not np.any(batch.pad_mask[b, :ln])
+
+    def test_mixed_region_counts_raise_data_error(self):
+        a, b = self._examples(2)
+        b = replace(b, regions=b.regions[:-1])
+        root = Pcg32(2)
+        with pytest.raises(DataError, match=f"{len(a.regions)} and {len(b.regions)} regions"):
+            build_masked_batch([a, b], VTLM, MaskPolicy(), 500, root.split("t"), root.split("v"))
+        tlm = build_masked_batch([a, b], TLM, MaskPolicy(), 500, root.split("t"), root.split("v"))
+        assert tlm.num_regions == 0
 
 
 class TestSelectionStatistics:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from vtlm import bpe, tensor as T
 from vtlm.masking import (
-    MASK_EMBED,
     MaskPolicy,
     TLM,
     VTLM,
@@ -15,7 +15,7 @@ from vtlm.masking import (
 from vtlm.model import (
     EncoderConfig,
     ParamStore,
-    embed_batch,
+    embed_inputs,
     encode,
     init_encoder_params,
     key_padding_mask,
@@ -48,15 +48,28 @@ def make_batch(examples, mode=VTLM, seed=0, policy=None):
                               root.split("t"), root.split("v")), vocab
 
 
+def embed(params, cfg, batch):
+    """Input embeddings of a batch (no dropout)."""
+    return embed_inputs(params, cfg, batch.token_ids, batch.pos_ids, batch.lang_ids,
+                        batch.feats, batch.bboxes, batch.vis_mask)
+
+
+def uncorrupt_regions(batch, examples):
+    """Give every slot its own region back, unmasked."""
+    batch.feats[:] = [[r.feat for r in ex.regions] for ex in examples]
+    batch.bboxes[:] = [[r.bbox for r in ex.regions] for ex in examples]
+    batch.vis_mask[:] = False
+
+
 class TestEmbed:
     def test_mask_embed_slot_is_mask_plus_vis_lang(self, examples):
         batch, vocab = make_batch(examples[:4])
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
-        # force one slot to MASK_EMBED
-        batch.vis_directives[:] = 0
-        batch.vis_directives[0, 2] = MASK_EMBED
-        x = embed_batch(params, cfg, batch, Pcg32(0), training=False)
+        # force one slot to carry the [MASK] embedding
+        batch.vis_mask[:] = False
+        batch.vis_mask[0, 2] = True
+        x = embed(params, cfg, batch)
         got = x.data[0, batch.text_len + 2]
         expect = params["token_emb"].data[bpe.MASK] + params["lang_emb"].data[bpe.LANG_VIS]
         assert np.allclose(got, expect, atol=1e-6)
@@ -67,30 +80,13 @@ class TestEmbed:
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
         params["feat_proj.b"].data[:] = 0.5
         params["bbox_proj.b"].data[:] = -0.25
-        batch.vis_directives[:] = 0
+        batch.vis_mask[:] = False
         batch.feats[:] = 0.0
         batch.bboxes[:] = 0.0
-        x = embed_batch(params, cfg, batch, Pcg32(0), training=False)
+        x = embed(params, cfg, batch)
         got = x.data[0, batch.text_len]
         expect = 0.5 - 0.25 + params["lang_emb"].data[bpe.LANG_VIS]
         assert np.allclose(got, expect, atol=1e-6)
-
-    def test_substitute_uses_referenced_region(self, examples):
-        batch, vocab = make_batch(examples[:4])
-        cfg = desk_cfg(vocab)
-        params = init_encoder_params(cfg, Pcg32(1).split("init"))
-        batch.vis_directives[:] = 0
-        batch.vis_directives[1, 0] = 2  # SUBSTITUTE
-        batch.vis_substitutes[1, 0] = (3, 5)
-        x = embed_batch(params, cfg, batch, Pcg32(0), training=False)
-        # compare against an ORIGINAL batch whose slot carries the donor region
-        batch2, _ = make_batch(examples[:4])
-        batch2.vis_directives[:] = 0
-        batch2.feats[1, 0] = batch.feats[3, 5]
-        batch2.bboxes[1, 0] = batch.bboxes[3, 5]
-        y = embed_batch(params, cfg, batch2, Pcg32(0), training=False)
-        assert np.allclose(x.data[1, batch.text_len], y.data[1, batch2.text_len],
-                           atol=1e-6)
 
 
 class TestEncode:
@@ -98,7 +94,7 @@ class TestEncode:
         batch, vocab = make_batch(examples[:6])
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
-        x = embed_batch(params, cfg, batch, Pcg32(0), training=False)
+        x = embed(params, cfg, batch)
         mask = key_padding_mask(batch.pad_mask, batch.num_regions)
         collected = []
         encode(params, cfg, x, mask, Pcg32(0), training=False,
@@ -117,19 +113,19 @@ class TestEncode:
         """Swapping two region slots permutes their states and leaves text
         states unchanged (regions carry no sequential position)."""
         batch, vocab = make_batch(examples[:3])
-        batch.vis_directives[:] = 0
+        uncorrupt_regions(batch, examples[:3])
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
 
         def run(b):
-            x = embed_batch(params, cfg, b, Pcg32(0), training=False)
+            x = embed(params, cfg, b)
             mask = key_padding_mask(b.pad_mask, b.num_regions)
             return encode(params, cfg, x, mask, Pcg32(0), training=False).data
 
         states = run(batch)
         swapped, _ = make_batch(examples[:3])
-        swapped.vis_directives[:] = 0
-        for arr in ("feats", "bboxes", "region_labels"):
+        uncorrupt_regions(swapped, examples[:3])
+        for arr in ("feats", "bboxes"):
             a = getattr(swapped, arr)
             a[0, [2, 5]] = a[0, [5, 2]]
         states_sw = run(swapped)
@@ -179,15 +175,14 @@ class TestVtlmLoss:
         base = vtlm_loss(params, cfg, batch, Pcg32(0), training=False).loss.item()
 
         extra = 3
-        b2, _ = make_batch(examples[:4])
-        b2.vis_directives = batch.vis_directives
-        b2.vis_substitutes = batch.vis_substitutes
         pad_block = np.full((batch.batch_size, extra), bpe.PAD, dtype=np.int64)
-        b2.token_ids = np.concatenate([batch.token_ids, pad_block], axis=1)
-        b2.pos_ids = np.concatenate([batch.pos_ids, np.zeros_like(pad_block)], axis=1)
-        b2.lang_ids = np.concatenate([batch.lang_ids, np.zeros_like(pad_block)], axis=1)
-        b2.pad_mask = np.concatenate(
-            [batch.pad_mask, np.ones((batch.batch_size, extra), bool)], axis=1)
+        b2 = dataclasses.replace(
+            batch,
+            token_ids=np.concatenate([batch.token_ids, pad_block], axis=1),
+            pos_ids=np.concatenate([batch.pos_ids, np.zeros_like(pad_block)], axis=1),
+            lang_ids=np.concatenate([batch.lang_ids, np.zeros_like(pad_block)], axis=1),
+            pad_mask=np.concatenate(
+                [batch.pad_mask, np.ones((batch.batch_size, extra), bool)], axis=1))
         padded = vtlm_loss(params, cfg, b2, Pcg32(0), training=False).loss.item()
         assert padded == pytest.approx(base, abs=1e-5)
 
@@ -205,12 +200,12 @@ class TestVtlmLoss:
         """200 optimisation steps on a single small batch drive the joint
         loss under 0.1."""
         batch, vocab = make_batch(examples[:4], seed=9)
-        # A MASK_EMBED slot replaces feature and box alike, so two such
+        # A [MASK]-embedded slot replaces feature and box alike, so two such
         # slots of one example are identical inputs; if their labels differ
         # the MRC term cannot go below ln 2 and the bound is unreachable.
         masked_labels = {}
         for (b, slot), label in zip(batch.vis_target_pos, batch.vis_target_ids):
-            if batch.vis_directives[b, slot] == MASK_EMBED:
+            if batch.vis_mask[b, slot]:
                 masked_labels.setdefault(int(b), set()).add(int(label))
         assert all(len(labels) == 1 for labels in masked_labels.values())
         cfg = desk_cfg(vocab)

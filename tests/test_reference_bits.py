@@ -1,11 +1,12 @@
-"""The RNG, dropout and first-gradient paths against earlier reference
-implementations kept here: a cheaper step must give the same bits."""
+"""The RNG, dropout, first-gradient and region-directive paths against
+earlier reference implementations kept here: a cheaper or simpler step
+must give the same bits."""
 
 import numpy as np
 import pytest
 
 from vtlm import tensor as T
-from vtlm.masking import VTLM, MaskPolicy, build_masked_batch
+from vtlm.masking import MASK_EMBED, SUBSTITUTE, VTLM, MaskPolicy, build_masked_batch, mask_visual
 from vtlm.model import EncoderConfig, init_encoder_params, vtlm_loss
 from vtlm.rng import BLOCK, Pcg32
 from vtlm.seq2seq import MMT, build_source_batch, build_target_batch, init_mt_params, mt_loss
@@ -143,6 +144,16 @@ def test_first_gradient_of_a_scalar_stays_an_array():
     assert float(t.grad) == 2.0
 
 
+def reference_resolve(feats, bboxes, directives, substitutes):
+    """Region inputs from visual directives, one SUBSTITUTE slot at a time."""
+    out_feats, out_bboxes = feats.copy(), bboxes.copy()
+    for b, slot in zip(*np.nonzero(directives == SUBSTITUTE)):
+        ob, oslot = substitutes[b, slot]
+        out_feats[b, slot] = feats[ob, oslot]
+        out_bboxes[b, slot] = bboxes[ob, oslot]
+    return out_feats, out_bboxes, directives == MASK_EMBED
+
+
 # -- one training step of each phase --------------------------------------
 
 GEN = GenConfig(num_examples=16, num_valid=2, num_test=2, feat_dim=8, num_merges=150)
@@ -151,6 +162,24 @@ GEN = GenConfig(num_examples=16, num_valid=2, num_test=2, feat_dim=8, num_merges
 @pytest.fixture(scope="module")
 def corpus():
     return generate_corpus(GEN, 5)
+
+
+def test_resolved_regions_equal_reference(corpus):
+    examples = corpus.train
+    policy = MaskPolicy()
+    root = Pcg32(9)
+    batch = build_masked_batch(examples, VTLM, policy, len(corpus.codec.vocab),
+                               root.split("mask_text"), root.split("mask_visual"))
+    assert batch.batch_size == len(examples)
+    labels = np.array([[r.label for r in ex.regions] for ex in examples])
+    directives, substitutes, _ = mask_visual(labels, policy, root.split("mask_visual"))
+    assert np.any(directives == SUBSTITUTE) and np.any(directives == MASK_EMBED)
+    feats = np.stack([np.stack([r.feat for r in ex.regions]) for ex in examples])
+    bboxes = np.stack([np.stack([r.bbox for r in ex.regions]) for ex in examples])
+    expect = reference_resolve(feats, bboxes, directives, substitutes)
+    for got, ref in zip((batch.feats, batch.bboxes, batch.vis_mask), expect):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def _step(phase, corpus):

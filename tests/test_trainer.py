@@ -145,3 +145,54 @@ def test_dropout_rate_outside_unit_interval_raises(rate):
         EncoderConfig.desk(10, 5, 8, dropout=rate)
     with pytest.raises(ConfigError):
         trainer.TrainConfig.for_phase("pretrain", dropout=rate)
+
+
+def test_lr_schedules():
+    tcfg = trainer.TrainConfig.for_phase("scratch", lr=1e-3, warmup_steps=10,
+                                         warmup_init_lr=1e-7)
+    assert trainer.lr_at(1, tcfg) == pytest.approx(0.9 * 1e-7 + 0.1 * 1e-3)
+    assert trainer.lr_at(5, tcfg) == pytest.approx(0.5 * 1e-7 + 0.5 * 1e-3)
+    warm = [trainer.lr_at(s, tcfg) for s in range(1, 11)]
+    assert all(a < b for a, b in zip(warm, warm[1:]))
+    assert trainer.lr_at(10, tcfg) == pytest.approx(1e-3)
+    assert trainer.lr_at(40, tcfg) == pytest.approx(1e-3 * math.sqrt(10 / 40))
+    for phase in ("pretrain", "finetune"):
+        tcfg = trainer.TrainConfig.for_phase(phase, lr=2e-4, warmup_steps=10)
+        assert {trainer.lr_at(s, tcfg) for s in (1, 5, 10, 40, 10_000)} == {2e-4}
+    for phase in trainer.PHASES:
+        with pytest.raises(ConfigError):
+            trainer.lr_at(0, trainer.TrainConfig.for_phase(phase))
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_nan_loss_stops_the_run(phase, corpus, tmp_path, monkeypatch):
+    """A non-finite training loss at step 3 ends the loop before its
+    backward pass and update; evaluations after it never run."""
+    steps = []
+    adam_calls = []
+    real_adam_step = trainer.adam_step
+
+    def nan_at_step_3(real):
+        def loss_fn(*args, training):
+            out = real(*args, training=training)
+            if training:
+                steps.append(len(steps) + 1)
+                if len(steps) == 3:
+                    out.loss = out.loss * float("nan")
+            return out
+        return loss_fn
+
+    def counting_adam_step(*args, **kw):
+        adam_calls.append(1)
+        return real_adam_step(*args, **kw)
+
+    monkeypatch.setattr(trainer, "vtlm_loss", nan_at_step_3(trainer.vtlm_loss))
+    monkeypatch.setattr(trainer, "mt_loss", nan_at_step_3(trainer.mt_loss))
+    monkeypatch.setattr(trainer, "adam_step", counting_adam_step)
+    cfg = tiny_cfg(corpus)
+    _, result = train(phase, cfg, corpus.train, corpus.valid, 6, str(tmp_path),
+                      eval_interval=1)
+    assert result.diverged
+    assert result.final_step == 3 and steps == [1, 2, 3]
+    assert len(adam_calls) == 2
+    assert [h["step"] for h in result.history] == [1, 2]
