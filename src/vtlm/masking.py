@@ -183,17 +183,18 @@ def mask_visual(region_labels: np.ndarray, policy: MaskPolicy, rng: Pcg32):
 def build_masked_batch(examples: list[TripletExample], mode: str,
                        policy: MaskPolicy, vocab_size: int,
                        rng_text: Pcg32, rng_visual: Pcg32,
-                       max_len: int = 256,
                        streams: list[Stream] | None = None) -> MaskedBatch | None:
     """Assemble a padded MaskedBatch; returns None if nothing is maskable.
 
-    The visual directives are resolved here: a SUBSTITUTE slot takes its
-    donor's feature and box from the un-substituted region stack, a
-    MASK_EMBED slot is flagged in `vis_mask`. Raises DataError when the
-    kept examples have different region counts.
+    `streams` are the examples' layouts; by default `build_stream` lays
+    them out at its default length. The visual directives are resolved
+    here: a SUBSTITUTE slot takes its donor's feature and box from the
+    un-substituted region stack, a MASK_EMBED slot is flagged in
+    `vis_mask`. Raises DataError when the kept examples have different
+    region counts.
     """
     if streams is None:
-        streams = [build_stream(ex, mode, max_len) for ex in examples]
+        streams = [build_stream(ex, mode) for ex in examples]
     rows, regions = [], []
     tpos, tids = [], []
     for ex, s in zip(examples, streams):

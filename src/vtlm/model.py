@@ -207,7 +207,7 @@ def tied_logits(params: ParamStore, rows: Tensor, prefix: str = "") -> Tensor:
 
 def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor,
               add_mask: np.ndarray | None, n_heads: int, dropout: float,
-              rng: Pcg32, training: bool, collect: list | None = None,
+              rng: Pcg32 | None, training: bool, collect: list | None = None,
               cache: dict | None = None) -> Tensor:
     """Multi-head attention; add_mask is broadcast onto the score logits.
 
@@ -262,7 +262,7 @@ def select_cache_rows(cache: dict, rows: np.ndarray, memory_rows: np.ndarray) ->
 
 def encoder_layer(params: ParamStore, prefix: str, x: Tensor,
                   add_mask: np.ndarray | None, cfg: EncoderConfig,
-                  rng: Pcg32, training: bool, collect: list | None = None,
+                  rng: Pcg32 | None, training: bool, collect: list | None = None,
                   memory: Tensor | None = None,
                   memory_mask: np.ndarray | None = None,
                   cache: dict | None = None) -> Tensor:
@@ -372,7 +372,11 @@ def embed_inputs(params: ParamStore, cfg: EncoderConfig, token_ids: np.ndarray,
     projected box + the visual language embedding. Slots flagged in
     `vis_mask` carry the [MASK] token embedding in place of their
     projection. Parameter names are `prefix` + the encoder's names.
+    Raises ConfigError when a position id is past `cfg.max_positions`.
     """
+    top = int(pos_ids.max(initial=0))
+    if top >= cfg.max_positions:
+        raise ConfigError(f"position {top} >= max_positions {cfg.max_positions}")
     tok = T.embedding(params[f"{prefix}token_emb"], token_ids)
     pos = T.embedding(params[f"{prefix}pos_emb"], pos_ids)
     lang = T.embedding(params[f"{prefix}lang_emb"], lang_ids)
@@ -399,7 +403,7 @@ def embed_inputs(params: ParamStore, cfg: EncoderConfig, token_ids: np.ndarray,
 
 
 def encode(params: ParamStore, cfg: EncoderConfig, x: Tensor,
-           add_mask: np.ndarray | None, rng: Pcg32, training: bool,
+           add_mask: np.ndarray | None, rng: Pcg32 | None, training: bool,
            collect_attn: list | None = None, prefix: str = "",
            memory: Tensor | None = None, memory_mask: np.ndarray | None = None,
            cache: dict | None = None) -> Tensor:
@@ -415,7 +419,7 @@ def encode(params: ParamStore, cfg: EncoderConfig, x: Tensor,
 
 
 def encode_batch(params: ParamStore, cfg: EncoderConfig, batch: EncoderBatch,
-                 rng: Pcg32, training: bool, prefix: str = "") -> tuple[Tensor, np.ndarray]:
+                 rng: Pcg32 | None, training: bool, prefix: str = "") -> tuple[Tensor, np.ndarray]:
     """The encoder front end: embed → dropout → key mask → layer stack.
     Returns (states, additive key mask)."""
     x = embed_inputs(params, cfg, batch.token_ids, batch.pos_ids, batch.lang_ids,
@@ -448,7 +452,7 @@ class LossOutput:
 
 
 def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
-              rng: Pcg32, training: bool) -> LossOutput:
+              rng: Pcg32 | None, training: bool) -> LossOutput:
     """Joint masked-token + masked-region objective (equal weights)."""
     states, _ = encode_batch(params, cfg, batch, rng, training)
     bsz, total_len, d = states.shape
@@ -460,7 +464,7 @@ def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
     n_text = len(batch.text_target_ids)
     if n_text:
         idx = batch.text_target_pos[:, 0] * total_len + batch.text_target_pos[:, 1]
-        rows = T.gather_rows(flat, idx)
+        rows = T.embedding(flat, idx)
         logits = tied_logits(params, rows)
         mlm = T.cross_entropy(logits, batch.text_target_ids)
         terms.append(mlm)
@@ -476,7 +480,7 @@ def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
             + batch.text_len
             + batch.vis_target_pos[:, 1]
         )
-        vrows = T.gather_rows(flat, vidx)
+        vrows = T.embedding(flat, vidx)
         vlogits = T.matmul(vrows, params["mrc.w"]) + params["mrc.b"]
         mrc = T.cross_entropy(vlogits, batch.vis_target_ids)
         terms.append(mrc)

@@ -26,7 +26,9 @@ is incremental and batched, as XLM's `generate_beam`: all sentences of
 a chunk are encoded once, every decoder layer projects its
 cross-attention keys and values from the encoder states once and
 caches its self-attention keys and values, so each step feeds one new
-position per hypothesis. Finished sentences leave the batch.
+position per hypothesis. Finished sentences leave the batch. Decoding
+runs without dropout and samples nothing, so it draws no random
+numbers: its output depends on the parameters and sources alone.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ def build_target_batch(examples: list[TripletExample], max_len: int = 256) -> Ta
 
 
 def encode_source(params: ParamStore, cfg: EncoderConfig, batch: EncoderBatch,
-                  rng: Pcg32, training: bool) -> tuple[Tensor, np.ndarray]:
+                  rng: Pcg32 | None, training: bool) -> tuple[Tensor, np.ndarray]:
     """Run the MT encoder; returns (states, additive key mask)."""
     return encode_batch(params, cfg, batch, rng, training, prefix="enc.")
 
@@ -171,7 +173,7 @@ def causal_mask(t: int, dtype, start: int = 0) -> np.ndarray:
 
 def decode_states(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
                   enc_key_mask: np.ndarray, tgt_input_ids: np.ndarray,
-                  rng: Pcg32, training: bool,
+                  rng: Pcg32 | None, training: bool,
                   tgt_pad_mask: np.ndarray | None = None,
                   cache: dict | None = None, start: int = 0) -> Tensor:
     """Decoder states for target positions start .. start+t-1, given the
@@ -212,7 +214,7 @@ class MtLossOutput:
 
 
 def mt_loss(params: ParamStore, cfg: EncoderConfig, src: EncoderBatch,
-            tgt: TargetBatch, rng: Pcg32, training: bool) -> MtLossOutput:
+            tgt: TargetBatch, rng: Pcg32 | None, training: bool) -> MtLossOutput:
     """Teacher-forced cross entropy over non-pad target positions."""
     enc, key_mask = encode_source(params, cfg, src, rng, training)
     states = decode_states(params, cfg, enc, key_mask, tgt.input_ids, rng,
@@ -220,7 +222,7 @@ def mt_loss(params: ParamStore, cfg: EncoderConfig, src: EncoderBatch,
     bsz, t, d = states.shape
     flat = T.reshape(states, (bsz * t, d))
     keep = np.flatnonzero(~tgt.pad_mask.reshape(-1))
-    logits = tied_logits(params, T.gather_rows(flat, keep), "dec.")
+    logits = tied_logits(params, T.embedding(flat, keep), "dec.")
     targets = tgt.output_ids.reshape(-1)[keep]
     loss = T.cross_entropy(logits, targets)
     return MtLossOutput(loss, loss.item(), len(keep))
@@ -241,12 +243,12 @@ class Hypothesis:
 
 def step_logprobs(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
                   enc_key_mask: np.ndarray, tokens: np.ndarray, start: int,
-                  cache: dict, rng: Pcg32) -> np.ndarray:
+                  cache: dict) -> np.ndarray:
     """One incremental decoder step: feed `tokens` (R,) at position
     `start` and return the (R, V) float64 next-token log-probabilities."""
     with T.no_grad():
         states = decode_states(params, cfg, enc_states, enc_key_mask, tokens[:, None],
-                               rng, False, cache=cache, start=start)
+                               None, False, cache=cache, start=start)
         logits = output_logits(params, states).data[:, 0, :]
     m = logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(logits - m).sum(axis=1, keepdims=True)) + m
@@ -264,7 +266,7 @@ def _top(scores: np.ndarray, beam: int) -> np.ndarray:
 
 
 def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
-                enc_key_mask: np.ndarray, rng: Pcg32, beam: int, max_len: int,
+                enc_key_mask: np.ndarray, beam: int, max_len: int,
                 alpha: float = 1.0) -> list[Hypothesis]:
     """Beam search for every encoded source sentence at once.
 
@@ -293,7 +295,7 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
                 Hypothesis(tuple(hist[i, j].tolist()), float(logp[i, j]), finished))
 
     for t in range(max_len):
-        lp = step_logprobs(params, cfg, enc_states, enc_key_mask, tokens, t, cache, rng)
+        lp = step_logprobs(params, cfg, enc_states, enc_key_mask, tokens, t, cache)
         n_live, slots = logp.shape
         vocab = lp.shape[1]
         scores = (logp[:, :, None] + lp.reshape(n_live, slots, vocab)).reshape(n_live, -1)
@@ -325,8 +327,7 @@ CHUNK = 64
 
 def translate(params: ParamStore, cfg: EncoderConfig,
               examples: list[TripletExample], task: str, beam: int = 8,
-              max_len: int = 48, alpha: float = 1.0,
-              seed: int = 0) -> list[Hypothesis]:
+              max_len: int = 48, alpha: float = 1.0) -> list[Hypothesis]:
     """Decode every source; output order is aligned with the input.
 
     The sources are encoded and beam-searched together, in equal chunks
@@ -339,13 +340,12 @@ def translate(params: ParamStore, cfg: EncoderConfig,
             f"max_len={max_len} needs {max_len} target positions, "
             f"model has max_positions={cfg.max_positions}"
         )
-    rng = Pcg32(seed).split("translate")
     out: list[Hypothesis] = []
     n = len(examples)
     size = math.ceil(n / math.ceil(n / CHUNK)) if n else 1  # equal chunks
     for lo in range(0, n, size):
         src = build_source_batch(examples[lo: lo + size], task, cfg.max_positions)
         with T.no_grad():
-            enc, key_mask = encode_source(params, cfg, src, rng, training=False)
-        out += beam_search(params, cfg, enc, key_mask, rng, beam, max_len, alpha)
+            enc, key_mask = encode_source(params, cfg, src, None, training=False)
+        out += beam_search(params, cfg, enc, key_mask, beam, max_len, alpha)
     return out

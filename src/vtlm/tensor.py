@@ -86,9 +86,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def item(self) -> float:
         return float(self.data)
 
@@ -302,6 +299,8 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
+    """Rows `ids` (any shape) of a 2-D tensor: an embedding lookup, or a
+    gather of selected rows of flattened states."""
     ids = np.asarray(ids)
     data = weight.data[ids]
 
@@ -312,20 +311,6 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
             np.add.at(weight.grad, ids.reshape(-1), g.reshape(-1, weight.data.shape[-1]))
 
     return _make(data, (weight,), bw)
-
-
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows idx from a 2-D tensor."""
-    idx = np.asarray(idx)
-    data = a.data[idx]
-
-    def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, g)
-
-    return _make(data, (a,), bw)
 
 
 # -- nonlinearities --------------------------------------------------------
@@ -393,6 +378,8 @@ def check_dropout_rate(rate: float) -> None:
 
 def dropout(a: Tensor, rate: float, rng, training: bool) -> Tensor:
     """Inverted dropout; identity when not training or rate == 0.
+
+    `rng` is read only when training, so evaluation may pass None.
 
     `rate` must lie in [0, 1); anything else, NaN included, raises
     ConfigError. An element is kept when its raw draw u = rng.u32(...)

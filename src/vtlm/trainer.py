@@ -10,8 +10,15 @@ laid out within the model's `max_positions`.
 Every random stream a training step consumes (shuffling, masking,
 dropout) is derived statelessly from (seed, purpose, step), so resuming
 from a checkpoint at step k reproduces the un-resumed run bit for bit.
-Checkpoints store parameters and optimizer moments in float32 and
-round-trip exactly.
+Evaluation runs without dropout and draws only its masking streams.
+
+A run writes two checkpoints into its output directory: `last.ckpt`,
+the parameters and Adam moments at the end of the run, and `best.ckpt`
+beside it, the best parameters. Their headers hold `build`, `kind`
+("pretrain-<objective>" or "mt-<task>"), `step`, `metrics`,
+`model_config`, `adam_t` and `adam_skipped` (None and 0 in best.ckpt);
+last.ckpt adds `best_metric` and `best_step`. Tensors are stored in
+float32 and round-trip exactly.
 """
 
 from __future__ import annotations
@@ -109,10 +116,16 @@ def global_grad_norm(params: ParamStore) -> float:
     return math.sqrt(total)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 def adam_step(params: ParamStore, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
               clip_norm: float = 5.0) -> bool:
-    """One bias-corrected Adam update; returns False when skipped."""
+    """One bias-corrected Adam update after clipping the global gradient
+    norm to `clip_norm`; a non-finite norm skips the update and returns
+    False."""
     norm = global_grad_norm(params)
     if not math.isfinite(norm):
         state.skipped += 1
@@ -122,21 +135,21 @@ def adam_step(params: ParamStore, state: AdamState, lr: float,
     if clip_norm > 0 and norm > clip_norm:
         scale = clip_norm / norm
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         if p.grad is None:
             continue
         g = p.grad if scale == 1.0 else p.grad * p.grad.dtype.type(scale)
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
         mhat = m / bc1
         vhat = v / bc2
-        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
+        p.data -= (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.data.dtype)
     return True
 
 
@@ -154,19 +167,15 @@ def _checkpoint_tensors(params: ParamStore, adam: AdamState | None) -> dict[str,
 
 def save_train_checkpoint(path, kind: str, step: int, metrics: dict,
                           params: ParamStore, adam: AdamState | None,
-                          model_config: dict, run_config: dict,
-                          vocab_fingerprint: str, extra: dict | None = None) -> None:
+                          model_config: dict, extra: dict | None = None) -> None:
     header = {
         "build": BUILD_ID,
         "kind": kind,
         "step": step,
         "metrics": metrics,
         "model_config": model_config,
-        "config": run_config,
-        "vocab_fingerprint": vocab_fingerprint,
         "adam_t": adam.t if adam is not None else None,
         "adam_skipped": adam.skipped if adam is not None else 0,
-        "param_names": list(params.names()),
     }
     if extra:
         header.update(extra)
@@ -219,7 +228,6 @@ def evaluate_pretrain(params: ParamStore, cfg: EncoderConfig, streams,
     """Deterministic masked-prediction metrics on a validation set."""
     rng_t = Pcg32(seed).split("val/mask_text")
     rng_v = Pcg32(seed).split("val/mask_visual")
-    rng_d = Pcg32(seed).split("val/dropout")
     tot_correct = 0.0
     tot_targets = 0
     loss_sum = 0.0
@@ -233,7 +241,7 @@ def evaluate_pretrain(params: ParamStore, cfg: EncoderConfig, streams,
                                        streams=batch_streams)
             if batch is None:
                 continue
-            out = vtlm_loss(params, cfg, batch, rng_d, training=False)
+            out = vtlm_loss(params, cfg, batch, None, training=False)
             n = out.n_text + out.n_vis
             tot_correct += out.masked_prediction_accuracy * n
             tot_targets += n
@@ -245,8 +253,7 @@ def evaluate_pretrain(params: ParamStore, cfg: EncoderConfig, streams,
 
 def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
          step_fn, eval_fn, metric: str, better, worst: float, kind: str,
-         tag: dict, out_dir, run_config: dict | None,
-         vocab_fingerprint: str, resume_from) -> TrainResult:
+         out_dir, resume_from) -> TrainResult:
     """The training loop of every phase.
 
     Step k trains on batch k of the seeded epoch order: `step_fn(idx,
@@ -256,12 +263,13 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
     which `history` records per evaluation; the best parameters are
     those whose `metric` is `better` than every earlier evaluation's
     (starting from `worst`). `out_dir` receives last.ckpt and best.ckpt
-    when the loop ends; resuming from a last.ckpt continues the run
-    bit for bit. last.ckpt names best.ckpt relative to its own
-    directory, so the bytes do not depend on `out_dir` and a moved run
-    directory still resumes with its best parameters.
+    when the loop ends (header fields in the module docstring); resuming
+    from a last.ckpt continues the run bit for bit, and takes the best
+    parameters from the best.ckpt beside it, so a moved run directory
+    still resumes with them. A non-finite loss ends the loop before its
+    update; last.ckpt then records the step before it, so a resume runs
+    the diverging step again.
     """
-    run_config = run_config or {}
     model_config = cfg.__dict__.copy()
     adam = AdamState.init(params)
     root = Pcg32(tcfg.seed)
@@ -275,11 +283,9 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
         start_step = int(header["step"])
         best_metric = header.get("best_metric", worst)
         best_step = int(header.get("best_step", 0))
-        best_path = header.get("best_path")
-        if best_path:  # relative to the directory of last.ckpt
-            best_path = os.path.join(os.path.dirname(resume_from), best_path)
-            if os.path.exists(best_path):
-                load_train_checkpoint(best_path, best_params)
+        best_ckpt = os.path.join(os.path.dirname(resume_from), "best.ckpt")
+        if os.path.exists(best_ckpt):
+            load_train_checkpoint(best_ckpt, best_params)
 
     epoch_len = max(1, math.ceil(n / tcfg.batch_size))
     history: list[dict] = []
@@ -312,28 +318,21 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
                 best_params = params.copy()
 
     if out_dir is not None:
-        extra = {
-            "best_metric": best_metric,
-            "best_step": best_step,
-            "best_path": "best.ckpt",
-            **tag,
-        }
+        last_step = step - 1 if diverged else step  # the diverged update never ran
         save_train_checkpoint(
-            os.path.join(out_dir, "last.ckpt"), kind, step, last_metrics,
-            params, adam, model_config, run_config, vocab_fingerprint, extra)
+            os.path.join(out_dir, "last.ckpt"), kind, last_step, last_metrics,
+            params, adam, model_config,
+            {"best_metric": best_metric, "best_step": best_step})
         save_train_checkpoint(
             os.path.join(out_dir, "best.ckpt"), kind, best_step,
-            {metric: best_metric}, best_params, None, model_config,
-            run_config, vocab_fingerprint, tag)
+            {metric: best_metric}, best_params, None, model_config)
     return TrainResult(best_params, best_metric, best_step, step, diverged,
                        history)
 
 
 def train_pretrain(train_data, valid_data, params: ParamStore,
                    cfg: EncoderConfig, tcfg: TrainConfig, objective: str,
-                   policy: MaskPolicy, out_dir=None,
-                   run_config: dict | None = None, vocab_fingerprint: str = "",
-                   resume_from=None) -> TrainResult:
+                   policy: MaskPolicy, out_dir=None, resume_from=None) -> TrainResult:
     """Masked pretraining; best checkpoint by validation accuracy over
     all masked predictions."""
     if objective not in (TLM, VTLM):
@@ -357,14 +356,12 @@ def train_pretrain(train_data, valid_data, params: ParamStore,
 
     return _fit(params, cfg, tcfg, len(train_data), step_fn, eval_fn,
                 "val_acc", operator.gt, -math.inf, f"pretrain-{objective}",
-                {"objective": objective}, out_dir, run_config,
-                vocab_fingerprint, resume_from)
+                out_dir, resume_from)
 
 
 def evaluate_mt(params: ParamStore, cfg: EncoderConfig, examples, task: str,
-                seed: int, batch_size: int, max_len: int) -> float:
+                batch_size: int, max_len: int) -> float:
     """Teacher-forced validation perplexity."""
-    rng = Pcg32(seed).split("val/dropout")
     nll_sum = 0.0
     n_tok = 0
     with T.no_grad():
@@ -372,7 +369,7 @@ def evaluate_mt(params: ParamStore, cfg: EncoderConfig, examples, task: str,
             chunk = examples[lo: lo + batch_size]
             src = build_source_batch(chunk, task, max_len)
             tgt = build_target_batch(chunk, max_len)
-            out = mt_loss(params, cfg, src, tgt, rng, training=False)
+            out = mt_loss(params, cfg, src, tgt, None, training=False)
             nll_sum += out.nll * out.n_tokens
             n_tok += out.n_tokens
     return math.exp(nll_sum / max(1, n_tok))
@@ -380,7 +377,6 @@ def evaluate_mt(params: ParamStore, cfg: EncoderConfig, examples, task: str,
 
 def train_mt(train_data, valid_data, params: ParamStore, cfg: EncoderConfig,
              tcfg: TrainConfig, task: str, out_dir=None,
-             run_config: dict | None = None, vocab_fingerprint: str = "",
              resume_from=None) -> TrainResult:
     """NMT/MMT training; best checkpoint by lowest validation perplexity."""
     train_cfg = replace(cfg, dropout=tcfg.dropout)
@@ -392,10 +388,9 @@ def train_mt(train_data, valid_data, params: ParamStore, cfg: EncoderConfig,
         return mt_loss(params, train_cfg, src, tgt, split("dropout"), training=True).loss
 
     def eval_fn():
-        return {"val_ppl": evaluate_mt(params, cfg, valid_data, task, tcfg.seed,
+        return {"val_ppl": evaluate_mt(params, cfg, valid_data, task,
                                        tcfg.batch_size, cfg.max_positions)}
 
     return _fit(params, cfg, tcfg, len(train_data), step_fn, eval_fn,
-                "val_ppl", operator.lt, math.inf, f"mt-{task}", {"task": task},
-                out_dir, run_config, vocab_fingerprint,
-                resume_from)
+                "val_ppl", operator.lt, math.inf, f"mt-{task}",
+                out_dir, resume_from)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vtlm import bpe, tensor as T
+from vtlm.errors import ConfigError
 from vtlm.masking import (
     MaskPolicy,
     TLM,
@@ -185,6 +186,18 @@ class TestVtlmLoss:
                 [batch.pad_mask, np.ones((batch.batch_size, extra), bool)], axis=1))
         padded = vtlm_loss(params, cfg, b2, Pcg32(0), training=False).loss.item()
         assert padded == pytest.approx(base, abs=1e-5)
+
+    def test_position_past_max_positions_raises_config_error(self, examples):
+        """A row laid out past the model's positions fails at the embedding
+        with a ConfigError naming the position, not an IndexError."""
+        long_ex = dataclasses.replace(examples[0], src_tokens=(examples[0].src_tokens * 80)[:80])
+        batch, vocab = make_batch([long_ex] + examples[1:4])
+        cfg = desk_cfg(vocab)
+        assert cfg.max_positions == 64
+        params = init_encoder_params(cfg, Pcg32(0))
+        # [BOS] + 80 tokens + [EOS] [SEP]: positions 0 .. 82
+        with pytest.raises(ConfigError, match="position 82 >= max_positions 64"):
+            vtlm_loss(params, cfg, batch, None, training=False)
 
     def test_loss_bits_reproducible(self, examples):
         def run():

@@ -105,7 +105,7 @@ def test_beam_one_is_greedy(task, init_seed, fitted):
     tokens = np.full(len(examples), BOS, dtype=np.int64)
     logp = [0.0] * len(examples)
     for t in range(max(len(h.tokens) for h in hyps)):
-        lp = step_logprobs(params, cfg, enc, key_mask, tokens, t, cache, Pcg32(0))
+        lp = step_logprobs(params, cfg, enc, key_mask, tokens, t, cache)
         for row, i in enumerate(live):
             tok = hyps[i].tokens[t]
             assert tok == int(lp[row].argmax())
@@ -219,6 +219,27 @@ def test_translate_max_len_bounded_by_positions(corpus):
     params["dec.mlm_bias"].data[EOS] = -1.0e4
     (hyp,) = translate(params, cfg, corpus.test[:1], MMT, beam=2, max_len=10)
     assert len(hyp.tokens) == 10 and not hyp.finished
+
+
+def test_positions_past_max_positions_raise_config_error(corpus):
+    """Source or target rows longer than the model's positions, and a
+    decoder step past them, fail at the embedding with a ConfigError."""
+    cfg = tiny_cfg(corpus)
+    assert cfg.max_positions == 64
+    params = init_mt_params(cfg, Pcg32(0).split("init"))
+    ex = corpus.train[0]
+    # [BOS] + 80 source tokens + [EOS]: positions 0 .. 81; [BOS] + 80 target tokens: 0 .. 80
+    for long_ex, top in ((replace(ex, src_tokens=(ex.src_tokens * 80)[:80]), 81),
+                         (replace(ex, tgt_tokens=(ex.tgt_tokens * 80)[:80]), 80)):
+        src = build_source_batch([long_ex], MMT)
+        tgt = build_target_batch([long_ex])
+        with pytest.raises(ConfigError, match=f"position {top} >= max_positions 64"):
+            mt_loss(params, cfg, src, tgt, None, training=False)
+    src = build_source_batch([ex], MMT, cfg.max_positions)
+    enc, key_mask = encode_source(params, cfg, src, None, training=False)
+    with pytest.raises(ConfigError, match="position 64 >= max_positions 64"):
+        decode_states(params, cfg, enc, key_mask, np.full((1, 1), BOS), None, False,
+                      cache={}, start=cfg.max_positions)
 
 
 @pytest.mark.parametrize("copy_cross_attn", [True, False])

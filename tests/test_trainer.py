@@ -9,7 +9,7 @@ from vtlm import tensor as T, trainer
 from vtlm.errors import ConfigError
 from vtlm.checkpoint import load_checkpoint, save_checkpoint
 from vtlm.masking import VTLM, MaskPolicy
-from vtlm.model import EncoderConfig, init_encoder_params
+from vtlm.model import EncoderConfig, ParamStore, init_encoder_params
 from vtlm.rng import Pcg32
 from vtlm.seq2seq import MMT, init_mt_params
 from vtlm.synthetic import GenConfig, generate_corpus
@@ -196,3 +196,87 @@ def test_nan_loss_stops_the_run(phase, corpus, tmp_path, monkeypatch):
     assert result.final_step == 3 and steps == [1, 2, 3]
     assert len(adam_calls) == 2
     assert [h["step"] for h in result.history] == [1, 2]
+    # last.ckpt holds the last step whose update ran, so a resume runs
+    # step 3 again and, with the NaN still injected there, stops again
+    header, _ = load_checkpoint(os.path.join(tmp_path, "last.ckpt"))
+    assert header["step"] == header["adam_t"] == 2
+    del steps[2:]
+    _, resumed = train(phase, cfg, corpus.train, corpus.valid, 6, str(tmp_path),
+                       resume_from=str(tmp_path / "last.ckpt"), eval_interval=1)
+    assert resumed.diverged
+    assert resumed.final_step == 3 and steps == [1, 2, 3]
+    assert len(adam_calls) == 2 and resumed.history == []
+
+
+def adam_params(grads):
+    """A ParamStore holding `grads` as float32 gradients of fixed values."""
+    params = ParamStore()
+    for name, g in grads.items():
+        g = np.asarray(g, dtype=np.float32)
+        p = params.add(name, np.linspace(-1.0, 1.0, g.size, dtype=np.float32).reshape(g.shape))
+        p.grad = g
+    return params
+
+
+def test_adam_step_matches_float64_hand_computation():
+    """Two bias-corrected updates on known gradients below the clip norm."""
+    steps = [
+        {"a": [[0.1, -0.2, 0.3], [0.0, 0.5, -0.4]], "b": [1.0, -2.0]},
+        {"a": [[-0.3, 0.2, 0.3], [0.7, 0.0, 0.1]], "b": [0.5, 1.5]},
+    ]
+    lr = 1e-2
+    params = adam_params(steps[0])
+    state = trainer.AdamState.init(params)
+    want_p = {n: p.data.astype(np.float64) for n, p in params.items()}
+    want_m = {n: np.zeros_like(w) for n, w in want_p.items()}
+    want_v = {n: np.zeros_like(w) for n, w in want_p.items()}
+    for t, grads in enumerate(steps, start=1):
+        for name, g in grads.items():
+            params[name].grad = np.asarray(g, dtype=np.float32)
+            g = np.asarray(g, dtype=np.float64)
+            want_m[name] = 0.9 * want_m[name] + 0.1 * g
+            want_v[name] = 0.999 * want_v[name] + 0.001 * g * g
+            mhat = want_m[name] / (1 - 0.9 ** t)
+            vhat = want_v[name] / (1 - 0.999 ** t)
+            want_p[name] = want_p[name] - lr * mhat / (np.sqrt(vhat) + 1e-8)
+        assert trainer.adam_step(params, state, lr)
+        assert state.t == t and state.skipped == 0
+        for name, p in params.items():
+            np.testing.assert_allclose(p.data, want_p[name], rtol=0, atol=1e-6)
+            np.testing.assert_allclose(state.m[name], want_m[name], rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(state.v[name], want_v[name], rtol=1e-6, atol=1e-12)
+
+
+def test_adam_step_clips_the_global_norm_to_clip_norm():
+    """A gradient of norm 85 enters the moments scaled to norm 5; the
+    stored gradients are left as they were."""
+    grads = {"a": [[3.0, 4.0], [0.0, 12.0]], "b": [0.0, 84.0]}
+    params = adam_params(grads)
+    state = trainer.AdamState.init(params)
+    assert trainer.global_grad_norm(params) == 85.0
+    assert trainer.adam_step(params, state, 1e-3, clip_norm=5.0)
+    used = {n: state.m[n].astype(np.float64) / (1 - trainer.ADAM_BETA1) for n in grads}
+    norm = math.sqrt(sum(float(np.sum(u ** 2)) for u in used.values()))
+    assert norm == pytest.approx(5.0, rel=1e-6)
+    for name, g in grads.items():
+        np.testing.assert_allclose(used[name], np.asarray(g) * (5.0 / 85.0), rtol=1e-6)
+        np.testing.assert_array_equal(params[name].grad, np.asarray(g, dtype=np.float32))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_adam_step_skips_a_non_finite_norm(bad):
+    """A non-finite gradient norm leaves t, the moments and the params
+    untouched, returns False and counts the skip."""
+    params = adam_params({"a": [[0.1, -0.2], [0.3, 0.4]], "b": [1.0, -2.0]})
+    state = trainer.AdamState.init(params)
+
+    def snapshot():
+        return (bits(params), [m.tobytes() for m in state.m.values()],
+                [v.tobytes() for v in state.v.values()])
+
+    assert trainer.adam_step(params, state, 1e-2)
+    before = snapshot()
+    params["b"].grad = np.array([bad, 1.0], dtype=np.float32)
+    assert trainer.adam_step(params, state, 1e-2) is False
+    assert (state.t, state.skipped) == (1, 1)
+    assert snapshot() == before
