@@ -1,15 +1,17 @@
 """Masked-batch construction for the two pretraining objectives.
 
-Text masking follows the standard recipe: 15% of eligible (non-special)
-positions are selected, of which 80% become [MASK], 10% a random
-non-reserved token, 10% stay intact; the original token is always
-recorded as the prediction target. Visual masking selects 15% of region
+Text masking follows XLM's recipe, fixed by module constants:
+SELECT_RATIO (15%) of eligible (non-special) positions are selected, of
+which MASK_FRAC (80%) become [MASK], RANDOM_FRAC (10%) a random
+non-reserved token and KEEP_FRAC (10%) stay intact; the original token
+is always recorded as the prediction target. Visual masking selects
+`MaskPolicy.visual_select_ratio` (in [0, 1], 15% by default) of region
 slots pooled over the whole batch, independently of text masking and on
-its own PRNG stream. Selected slots are 80% replaced by the [MASK]
-token embedding, 10% substituted with a region drawn from another
-example in the batch, 10% left intact. Setting the visual ratio to 0
-gives the alternative objective: region inputs stay untouched while
-label-prediction positions are still chosen at the text rate.
+its own PRNG stream, and splits them by the same fractions into the
+[MASK] token embedding, a region drawn from another example in the
+batch, and intact slots. A visual ratio of 0 gives the alternative
+objective: region inputs stay untouched while label-prediction
+positions are still chosen at SELECT_RATIO.
 
 `mask_visual` states its corruption as per-slot directives (ORIGINAL,
 MASK_EMBED, SUBSTITUTE); `build_masked_batch` resolves them into the
@@ -43,6 +45,11 @@ ORIGINAL, MASK_EMBED, SUBSTITUTE = 0, 1, 2
 
 TLM, VTLM = "tlm", "vtlm"
 
+SELECT_RATIO = 0.15
+MASK_FRAC = 0.80
+RANDOM_FRAC = 0.10
+KEEP_FRAC = 0.10
+
 
 def round_count(x: float) -> int:
     """round-half-up, platform independent."""
@@ -51,16 +58,12 @@ def round_count(x: float) -> int:
 
 @dataclass(frozen=True)
 class MaskPolicy:
-    select_ratio: float = 0.15
-    mask_frac: float = 0.80
-    random_frac: float = 0.10
-    keep_frac: float = 0.10
     visual_select_ratio: float = 0.15
 
     def __post_init__(self):
-        total = self.mask_frac + self.random_frac + self.keep_frac
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError("mask/random/keep fractions must sum to 1")
+        if not 0.0 <= self.visual_select_ratio <= 1.0:
+            raise ConfigError(
+                f"visual_select_ratio must be in [0, 1], got {self.visual_select_ratio}")
 
 
 @dataclass
@@ -70,9 +73,6 @@ class Stream:
     token_ids: np.ndarray     # text part, int64
     pos_ids: np.ndarray
     lang_ids: np.ndarray
-    src_positions: np.ndarray  # stream index of each source token
-    tgt_positions: np.ndarray
-    num_regions: int
 
     @property
     def text_len(self) -> int:
@@ -100,9 +100,7 @@ def build_stream(example: TripletExample, mode: str, max_len: int = 256) -> Stre
     token_ids = np.array([BOS] + src + [EOS, SEP, BOS] + tgt + [EOS, SEP], dtype=np.int64)
     pos_ids = np.concatenate([np.arange(m + 3), np.arange(n + 3)])
     lang_ids = np.array([LANG_L1] * (m + 3) + [LANG_L2] * (n + 3), dtype=np.int64)
-    src_positions = np.arange(1, m + 1)
-    tgt_positions = np.arange(m + 4, m + 4 + n)
-    return Stream(token_ids, pos_ids, lang_ids, src_positions, tgt_positions, o)
+    return Stream(token_ids, pos_ids, lang_ids)
 
 
 def eligible_positions(token_ids: np.ndarray) -> np.ndarray:
@@ -110,30 +108,29 @@ def eligible_positions(token_ids: np.ndarray) -> np.ndarray:
 
 
 def select_count(ratio: float, n_eligible: int) -> int:
-    if ratio <= 0.0 or n_eligible == 0:
+    if n_eligible == 0:
         return 0
     return max(1, round_count(ratio * n_eligible))
 
 
-def mask_text(token_ids: np.ndarray, policy: MaskPolicy, rng: Pcg32,
+def mask_text(token_ids: np.ndarray, rng: Pcg32,
               vocab_size: int) -> tuple[np.ndarray, dict[int, int]]:
     """Corrupt one stream's text part; returns (masked ids, targets)."""
     eligible = eligible_positions(token_ids)
     masked = token_ids.copy()
     targets: dict[int, int] = {}
-    n_sel = select_count(policy.select_ratio, len(eligible))
+    n_sel = select_count(SELECT_RATIO, len(eligible))
     if n_sel == 0:
-        if policy.select_ratio > 0 and len(eligible) == 0:
-            log.warning("no eligible tokens to mask; example skipped")
+        log.warning("no eligible tokens to mask; example skipped")
         return masked, targets
     chosen = eligible[rng.choose(len(eligible), n_sel)]
     for pos in chosen:
         pos = int(pos)
         targets[pos] = int(token_ids[pos])
         u = rng.uniform()
-        if u < policy.mask_frac:
+        if u < MASK_FRAC:
             masked[pos] = bpe.MASK
-        elif u < policy.mask_frac + policy.random_frac:
+        elif u < MASK_FRAC + RANDOM_FRAC:
             masked[pos] = NUM_RESERVED + rng.randint(vocab_size - NUM_RESERVED)
         # else: left intact
     return masked, targets
@@ -151,7 +148,7 @@ def mask_visual(region_labels: np.ndarray, policy: MaskPolicy, rng: Pcg32):
     targets: dict[tuple[int, int], int] = {}
 
     alternative = policy.visual_select_ratio == 0.0
-    ratio = policy.select_ratio if alternative else policy.visual_select_ratio
+    ratio = SELECT_RATIO if alternative else policy.visual_select_ratio
     n_sel = select_count(ratio, b_size * o)
     if n_sel == 0:
         return directives, substitutes, targets
@@ -162,13 +159,13 @@ def mask_visual(region_labels: np.ndarray, policy: MaskPolicy, rng: Pcg32):
         if alternative:
             continue  # inputs stay intact; only prediction positions chosen
         u = rng.uniform()
-        if u < policy.mask_frac:
+        if u < MASK_FRAC:
             directives[b, slot] = MASK_EMBED
-        elif u < policy.mask_frac + policy.random_frac:
+        elif u < MASK_FRAC + RANDOM_FRAC:
             if b_size < 2:
                 # degenerate batch: no other image to draw from; re-draw
                 # between mask and keep in their 8:1 proportion
-                if rng.uniform() < policy.mask_frac / (policy.mask_frac + policy.keep_frac):
+                if rng.uniform() < MASK_FRAC / (MASK_FRAC + KEEP_FRAC):
                     directives[b, slot] = MASK_EMBED
                 continue
             other = rng.randint(b_size - 1)
@@ -198,8 +195,8 @@ def build_masked_batch(examples: list[TripletExample], mode: str,
     rows, regions = [], []
     tpos, tids = [], []
     for ex, s in zip(examples, streams):
-        masked, targets = mask_text(s.token_ids, policy, rng_text, vocab_size)
-        if policy.select_ratio > 0 and not targets:
+        masked, targets = mask_text(s.token_ids, rng_text, vocab_size)
+        if not targets:
             continue
         for pos, orig in sorted(targets.items()):
             tpos.append((len(rows), pos))

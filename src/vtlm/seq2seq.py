@@ -237,8 +237,9 @@ class Hypothesis:
     logp: float
     finished: bool
 
-    def score(self, alpha: float) -> float:
-        return self.logp / (max(1, len(self.tokens)) ** alpha)
+    def score(self) -> float:
+        """Length-normalised log-probability: logp / length."""
+        return self.logp / max(1, len(self.tokens))
 
 
 def step_logprobs(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
@@ -266,8 +267,7 @@ def _top(scores: np.ndarray, beam: int) -> np.ndarray:
 
 
 def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
-                enc_key_mask: np.ndarray, beam: int, max_len: int,
-                alpha: float = 1.0) -> list[Hypothesis]:
+                enc_key_mask: np.ndarray, beam: int, max_len: int) -> list[Hypothesis]:
     """Beam search for every encoded source sentence at once.
 
     Hypotheses live in (sentences, beam) arrays, with score -inf in an
@@ -276,8 +276,9 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
     by score, then slot, then token id. One that ends in [EOS] is
     finished and leaves its slot empty, so the beam of a sentence
     shrinks until the sentence leaves the batch. At max_len the live
-    hypotheses are force-finished. The result per sentence ranks by
-    logp / len^alpha, ties by token sequence.
+    hypotheses are force-finished. The result per sentence is the
+    finished or forced hypothesis with the highest logp / length (its
+    token count, [EOS] included), ties by token sequence.
     """
     if beam < 1:
         raise ConfigError("beam must be >= 1")
@@ -318,7 +319,7 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
         if not len(keep):
             break
     emit(np.isfinite(logp), False)
-    return [min(hyps, key=lambda h: (-h.score(alpha), h.tokens)) for hyps in results]
+    return [min(hyps, key=lambda h: (-h.score(), h.tokens)) for hyps in results]
 
 
 # sentences decoded together: bounds the decoder caches at CHUNK * beam rows
@@ -327,13 +328,14 @@ CHUNK = 64
 
 def translate(params: ParamStore, cfg: EncoderConfig,
               examples: list[TripletExample], task: str, beam: int = 8,
-              max_len: int = 48, alpha: float = 1.0) -> list[Hypothesis]:
+              max_len: int = 48) -> list[Hypothesis]:
     """Decode every source; output order is aligned with the input.
 
     The sources are encoded and beam-searched together, in equal chunks
-    of at most CHUNK sentences, by one incremental decoder. With beam=1
-    this is greedy decoding: each step takes the argmax, the lowest
-    token id among ties.
+    of at most CHUNK sentences, by one incremental decoder, and each
+    sentence's hypothesis is the one of highest logp / length. With
+    beam=1 this is greedy decoding: each step takes the argmax, the
+    lowest token id among ties.
     """
     if max_len > cfg.max_positions:
         raise ConfigError(
@@ -347,5 +349,5 @@ def translate(params: ParamStore, cfg: EncoderConfig,
         src = build_source_batch(examples[lo: lo + size], task, cfg.max_positions)
         with T.no_grad():
             enc, key_mask = encode_source(params, cfg, src, None, training=False)
-        out += beam_search(params, cfg, enc, key_mask, beam, max_len, alpha)
+        out += beam_search(params, cfg, enc, key_mask, beam, max_len)
     return out

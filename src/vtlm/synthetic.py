@@ -225,17 +225,12 @@ def encode_examples(raw: list[RawExample], codec: BpeCodec) -> list[TripletExamp
     return encoded
 
 
-def generate_synthetic(cfg: GenConfig, seed: int,
-                       codec: BpeCodec | None = None) -> list[TripletExample]:
-    """Generate cfg.num_examples encoded triplets from one seed.
-
-    Learns a joint BPE codec from the generated sentences unless one is
-    supplied.
-    """
+def generate_synthetic(cfg: GenConfig, seed: int) -> list[TripletExample]:
+    """Generate cfg.num_examples encoded triplets from one seed, with a
+    joint BPE codec learned from the generated sentences."""
     centers = label_centers(cfg, seed)
     raw = generate_raw(cfg, seed, centers)
-    if codec is None:
-        codec = BpeCodec.learn(raw_sentences(raw), cfg.num_merges)
+    codec = BpeCodec.learn(raw_sentences(raw), cfg.num_merges)
     return encode_examples(raw, codec)
 
 

@@ -26,6 +26,7 @@ _GRAD_ENABLED = True
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+LN_EPS = 1e-5
 
 
 def default_dtype():
@@ -344,12 +345,12 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    ivar = 1.0 / np.sqrt(var + eps)
+    ivar = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * ivar
     data = gain.data * xhat + bias.data
 

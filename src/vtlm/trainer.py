@@ -17,8 +17,11 @@ the parameters and Adam moments at the end of the run, and `best.ckpt`
 beside it, the best parameters. Their headers hold `build`, `kind`
 ("pretrain-<objective>" or "mt-<task>"), `step`, `metrics`,
 `model_config`, `adam_t` and `adam_skipped` (None and 0 in best.ckpt);
-last.ckpt adds `best_metric` and `best_step`. Tensors are stored in
-float32 and round-trip exactly.
+last.ckpt adds `best_metric`, `best_step` and `train_config`, every
+`TrainConfig` field but `max_steps` and `eval_interval`. A resume
+refuses a last.ckpt whose `kind`, `model_config` or `train_config`
+differs from the run's, since it could not continue that run bit for
+bit. Tensors are stored in float32 and round-trip exactly.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ log = logging.getLogger(__name__)
 
 PHASES = ("pretrain", "finetune", "scratch")
 
+# lr is the (peak) rate; scratch warms up from WARMUP_INIT_LR to lr
+WARMUP_INIT_LR = 1e-7
 _PHASE_DEFAULTS = {
-    # lr is the (peak) rate; scratch warms up from warmup_init_lr to lr
     "pretrain": dict(lr=1e-4, dropout=0.1, max_steps=30_000),
     "finetune": dict(lr=1e-5, dropout=0.1, max_steps=5_000),
     "scratch": dict(lr=1e-4, dropout=0.4, max_steps=10_000),
@@ -60,13 +64,16 @@ class TrainConfig:
     max_steps: int
     batch_size: int = 64
     warmup_steps: int = 4_000
-    warmup_init_lr: float = 1e-7
     eval_interval: int = 500
     seed: int = 1
-    clip_norm: float = 5.0
 
     def __post_init__(self):
         T.check_dropout_rate(self.dropout)
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("batch_size", "warmup_steps", "eval_interval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @classmethod
     def for_phase(cls, phase: str, **overrides) -> "TrainConfig":
@@ -86,7 +93,7 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     w = cfg.warmup_steps
     if step < w:
         f = step / w
-        return (1.0 - f) * cfg.warmup_init_lr + f * cfg.lr
+        return (1.0 - f) * WARMUP_INIT_LR + f * cfg.lr
     return cfg.lr * math.sqrt(w / step)
 
 
@@ -119,12 +126,12 @@ def global_grad_norm(params: ParamStore) -> float:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+CLIP_NORM = 5.0
 
 
-def adam_step(params: ParamStore, state: AdamState, lr: float,
-              clip_norm: float = 5.0) -> bool:
+def adam_step(params: ParamStore, state: AdamState, lr: float) -> bool:
     """One bias-corrected Adam update after clipping the global gradient
-    norm to `clip_norm`; a non-finite norm skips the update and returns
+    norm to CLIP_NORM; a non-finite norm skips the update and returns
     False."""
     norm = global_grad_norm(params)
     if not math.isfinite(norm):
@@ -132,8 +139,8 @@ def adam_step(params: ParamStore, state: AdamState, lr: float,
         log.warning("non-finite gradient norm; step skipped (%d so far)", state.skipped)
         return False
     scale = 1.0
-    if clip_norm > 0 and norm > clip_norm:
-        scale = clip_norm / norm
+    if norm > CLIP_NORM:
+        scale = CLIP_NORM / norm
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
@@ -182,12 +189,11 @@ def save_train_checkpoint(path, kind: str, step: int, metrics: dict,
     save_checkpoint(path, header, _checkpoint_tensors(params, adam))
 
 
-def load_train_checkpoint(path, params: ParamStore):
-    """Load a checkpoint into an existing (shape-compatible) ParamStore.
-
-    Returns (header, AdamState or None).
-    """
-    header, tensors = load_checkpoint(path)
+def restore_train_checkpoint(path, header: dict, tensors: dict[str, np.ndarray],
+                             params: ParamStore) -> AdamState | None:
+    """Copy the checkpoint `load_checkpoint(path)` returned into an
+    existing (shape-compatible) ParamStore; returns its AdamState, or
+    None when it holds none."""
     for name, p in params.items():
         if name not in tensors:
             raise DataError(f"{path}: missing parameter {name!r}")
@@ -202,7 +208,7 @@ def load_train_checkpoint(path, params: ParamStore):
             t=int(header["adam_t"]),
             skipped=int(header.get("adam_skipped", 0)),
         )
-    return header, adam
+    return adam
 
 
 # -- training loops -----------------------------------------------------------
@@ -251,6 +257,20 @@ def evaluate_pretrain(params: ParamStore, cfg: EncoderConfig, streams,
     return {"val_acc": acc, "val_loss": loss_sum / max(1, loss_n)}
 
 
+def _first_difference(saved: dict, run: dict, prefix: str = "") -> str | None:
+    """The first key of `run`, dotted into nested dicts, whose value
+    differs from `saved`'s, with both values; None if all agree."""
+    for key in list(run) + [k for k in saved if k not in run]:
+        have, want = saved.get(key), run.get(key)
+        if isinstance(have, dict) and isinstance(want, dict):
+            found = _first_difference(have, want, f"{prefix}{key}.")
+            if found is not None:
+                return found
+        elif have != want:
+            return f"{prefix}{key}: checkpoint has {have!r}, run has {want!r}"
+    return None
+
+
 def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
          step_fn, eval_fn, metric: str, better, worst: float, kind: str,
          out_dir, resume_from) -> TrainResult:
@@ -266,11 +286,17 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
     when the loop ends (header fields in the module docstring); resuming
     from a last.ckpt continues the run bit for bit, and takes the best
     parameters from the best.ckpt beside it, so a moved run directory
-    still resumes with them. A non-finite loss ends the loop before its
-    update; last.ckpt then records the step before it, so a resume runs
-    the diverging step again.
+    still resumes with them. The resume raises ConfigError, naming the
+    first key that differs, unless last.ckpt's `kind`, `model_config`
+    and `train_config` (every `tcfg` field but `max_steps` and
+    `eval_interval`, which a continued run may change) equal this
+    run's, before any tensor is loaded. A non-finite loss ends the loop
+    before its update; last.ckpt then records the step before it, so a
+    resume runs the diverging step again.
     """
     model_config = cfg.__dict__.copy()
+    train_config = {k: v for k, v in vars(tcfg).items()
+                    if k not in ("max_steps", "eval_interval")}
     adam = AdamState.init(params)
     root = Pcg32(tcfg.seed)
     start_step = 0
@@ -278,14 +304,18 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
     best_metric = worst
     best_step = 0
     if resume_from is not None:
-        header, adam_loaded = load_train_checkpoint(resume_from, params)
-        adam = adam_loaded or adam
+        header, tensors = load_checkpoint(resume_from)
+        run = {"kind": kind, "model_config": model_config, "train_config": train_config}
+        differs = _first_difference({k: header.get(k) for k in run}, run)
+        if differs is not None:
+            raise ConfigError(f"{resume_from} is another run: {differs}")
+        adam = restore_train_checkpoint(resume_from, header, tensors, params) or adam
         start_step = int(header["step"])
         best_metric = header.get("best_metric", worst)
         best_step = int(header.get("best_step", 0))
         best_ckpt = os.path.join(os.path.dirname(resume_from), "best.ckpt")
         if os.path.exists(best_ckpt):
-            load_train_checkpoint(best_ckpt, best_params)
+            restore_train_checkpoint(best_ckpt, *load_checkpoint(best_ckpt), best_params)
 
     epoch_len = max(1, math.ceil(n / tcfg.batch_size))
     history: list[dict] = []
@@ -307,7 +337,7 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
             break
         loss.backward()
         # a skipped update still evaluates: the schedule is by step
-        adam_step(params, adam, lr_at(step, tcfg), clip_norm=tcfg.clip_norm)
+        adam_step(params, adam, lr_at(step, tcfg))
         if step % tcfg.eval_interval == 0 or step == tcfg.max_steps:
             val = eval_fn()
             history.append({"step": step, "train_loss": loss.item(), **val})
@@ -322,7 +352,8 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
         save_train_checkpoint(
             os.path.join(out_dir, "last.ckpt"), kind, last_step, last_metrics,
             params, adam, model_config,
-            {"best_metric": best_metric, "best_step": best_step})
+            {"best_metric": best_metric, "best_step": best_step,
+             "train_config": train_config})
         save_train_checkpoint(
             os.path.join(out_dir, "best.ckpt"), kind, best_step,
             {metric: best_metric}, best_params, None, model_config)

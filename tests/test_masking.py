@@ -41,9 +41,10 @@ def make_example(m=3, n=2, o=8, feat_dim=4):
 
 class TestStreamLayout:
     def test_vtlm_length_and_segments(self):
-        s = build_stream(make_example(3, 2, 8), VTLM)
+        ex = make_example(3, 2, 8)
+        s = build_stream(ex, VTLM)
         assert s.text_len == 3 + 2 + 6
-        assert s.text_len + s.num_regions == 19
+        assert s.text_len + len(ex.regions) == 19
         assert s.token_ids[0] == bpe.BOS
         assert list(s.token_ids[4:6]) == [bpe.EOS, bpe.SEP]
         assert s.token_ids[6] == bpe.BOS
@@ -52,8 +53,9 @@ class TestStreamLayout:
     def test_tlm_length_no_vis(self):
         s = build_stream(make_example(3, 2, 8), TLM)
         assert s.text_len == 11
-        assert s.num_regions == 0
         assert set(s.lang_ids.tolist()) == {bpe.LANG_L1, bpe.LANG_L2}
+        # no room is kept for the 8 regions: the text alone fills max_len
+        assert build_stream(make_example(m=30, n=28, o=8), TLM, max_len=40).text_len == 40
 
     def test_positions_restart_per_segment(self):
         s = build_stream(make_example(3, 2, 8), VTLM)
@@ -71,39 +73,32 @@ class TestStreamLayout:
     def test_truncation_trims_text_not_regions(self):
         ex = make_example(m=30, n=28, o=8)
         s = build_stream(ex, VTLM, max_len=40)
-        assert s.text_len + s.num_regions <= 40
-        assert s.num_regions == 8
+        assert s.text_len + len(ex.regions) <= 40
+        assert s.text_len == 40 - 8
 
     def test_token_position_maps(self):
         ex = make_example(3, 2, 8)
         s = build_stream(ex, VTLM)
-        for j, pos in enumerate(s.src_positions):
-            assert s.token_ids[pos] == ex.src_tokens[j]
-        for j, pos in enumerate(s.tgt_positions):
-            assert s.token_ids[pos] == ex.tgt_tokens[j]
+        m, n = len(ex.src_tokens), len(ex.tgt_tokens)
+        assert list(s.token_ids[1:m + 1]) == list(ex.src_tokens)
+        assert list(s.token_ids[m + 4:m + n + 4]) == list(ex.tgt_tokens)
 
 
 class TestMaskText:
     def test_exact_selection_count(self):
         tokens = np.array([bpe.BOS] + list(range(10, 30)) + [bpe.EOS], dtype=np.int64)
-        _, targets = mask_text(tokens, MaskPolicy(), Pcg32(0), vocab_size=100)
+        _, targets = mask_text(tokens, Pcg32(0), vocab_size=100)
         assert len(targets) == 3  # round(0.15 * 20)
-
-    def test_ratio_zero_identity(self):
-        tokens = np.array([bpe.BOS] + list(range(10, 30)) + [bpe.EOS], dtype=np.int64)
-        masked, targets = mask_text(tokens, MaskPolicy(select_ratio=0.0), Pcg32(0), 100)
-        assert np.array_equal(masked, tokens)
-        assert targets == {}
 
     def test_floor_of_one_for_short_sentences(self):
         tokens = np.array([bpe.BOS, 17, bpe.EOS], dtype=np.int64)
-        _, targets = mask_text(tokens, MaskPolicy(), Pcg32(0), 100)
+        _, targets = mask_text(tokens, Pcg32(0), 100)
         assert len(targets) == 1
 
     def test_specials_never_selected(self):
         tokens = np.array([bpe.BOS, 10, bpe.EOS, bpe.SEP, bpe.BOS, 11, bpe.EOS, bpe.SEP])
         for seed in range(50):
-            masked, targets = mask_text(tokens, MaskPolicy(), Pcg32(seed), 100)
+            masked, targets = mask_text(tokens, Pcg32(seed), 100)
             for pos in targets:
                 assert tokens[pos] >= NUM_RESERVED
             # specials survive corruption
@@ -111,18 +106,17 @@ class TestMaskText:
 
     def test_targets_record_original_token(self):
         tokens = np.array([bpe.BOS] + list(range(50, 70)) + [bpe.EOS], dtype=np.int64)
-        _, targets = mask_text(tokens, MaskPolicy(), Pcg32(4), 100)
+        _, targets = mask_text(tokens, Pcg32(4), 100)
         for pos, orig in targets.items():
             assert orig == tokens[pos]
 
     def test_action_fractions_large_sample(self):
         """80/10/10 split within +-0.005 over >=1e5 selected positions."""
-        policy = MaskPolicy()
         rng = Pcg32(2024).split("mask_text")
         n_masked = n_random = n_keep = n_total = 0
         tokens = np.array([bpe.BOS] + list(range(100, 140)) + [bpe.EOS], dtype=np.int64)
         while n_total < 110_000:
-            masked, targets = mask_text(tokens, policy, rng, vocab_size=5000)
+            masked, targets = mask_text(tokens, rng, vocab_size=5000)
             for pos, orig in targets.items():
                 n_total += 1
                 if masked[pos] == bpe.MASK:
@@ -139,7 +133,7 @@ class TestMaskText:
         tokens = np.array([bpe.BOS] + list(range(100, 140)) + [bpe.EOS], dtype=np.int64)
         rng = Pcg32(9)
         for _ in range(200):
-            masked, targets = mask_text(tokens, MaskPolicy(), rng, vocab_size=200)
+            masked, targets = mask_text(tokens, rng, vocab_size=200)
             for pos in targets:
                 assert masked[pos] >= NUM_RESERVED or masked[pos] == bpe.MASK
 
@@ -312,7 +306,7 @@ class TestSelectionStatistics:
         eligible = selected = 0
         while selected < 16_000:  # ~ >1e5 eligible positions
             for s in streams:
-                masked, targets = mask_text(s.token_ids, MaskPolicy(), rng, 500)
+                masked, targets = mask_text(s.token_ids, rng, 500)
                 eligible += len(masking.eligible_positions(s.token_ids))
                 selected += len(targets)
         assert eligible >= 100_000
@@ -329,9 +323,10 @@ def test_round_count_half_up():
 def test_select_count_floor_one():
     assert select_count(0.15, 1) == 1
     assert select_count(0.15, 20) == 3
-    assert select_count(0.0, 20) == 0
+    assert select_count(0.15, 0) == 0
 
 
-def test_policy_fraction_validation():
-    with pytest.raises(ConfigError):
-        MaskPolicy(mask_frac=0.5, random_frac=0.1, keep_frac=0.1)
+@pytest.mark.parametrize("ratio", [2.0, -0.5, float("nan")])
+def test_visual_select_ratio_outside_unit_interval_raises(ratio):
+    with pytest.raises(ConfigError, match="visual_select_ratio"):
+        MaskPolicy(visual_select_ratio=ratio)

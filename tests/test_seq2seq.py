@@ -154,7 +154,7 @@ def test_beam_wider_than_vocab_is_exhaustive(corpus):
         cands = [seq2seq.Hypothesis(seq, 0.0, seq[-1] == EOS) for seq in seqs]
         scores = teacher_forced_logp(params, cfg, [ex] * len(seqs), MMT, cands)
         cands = [replace(h, logp=float(s)) for h, s in zip(cands, scores)]
-        best = min(cands, key=lambda h: (-h.score(1.0), h.tokens))
+        best = min(cands, key=lambda h: (-h.score(), h.tokens))
         assert (hyp.tokens, hyp.finished) == (best.tokens, best.finished)
         assert hyp.logp == pytest.approx(best.logp, abs=1e-4 * len(best.tokens))
 

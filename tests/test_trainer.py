@@ -8,7 +8,7 @@ import pytest
 from vtlm import tensor as T, trainer
 from vtlm.errors import ConfigError
 from vtlm.checkpoint import load_checkpoint, save_checkpoint
-from vtlm.masking import VTLM, MaskPolicy
+from vtlm.masking import TLM, VTLM, MaskPolicy
 from vtlm.model import EncoderConfig, ParamStore, init_encoder_params
 from vtlm.rng import Pcg32
 from vtlm.seq2seq import MMT, init_mt_params
@@ -68,6 +68,28 @@ def test_resume_4_plus_4_equals_8(phase, corpus, tmp_path):
     assert bits(res44.best_params) == bits(res8.best_params)
     assert (res44.best_metric, res44.best_step) == (res8.best_metric, res8.best_step)
     assert res44.history == res8.history[-len(res44.history):]
+
+
+@pytest.mark.parametrize("objective, seed, n_heads, key", [
+    (TLM, 4, 2, "kind"),
+    (VTLM, 5, 2, "train_config.seed"),
+    (VTLM, 4, 4, "model_config.n_heads"),
+])
+def test_resume_refuses_a_run_it_cannot_continue(objective, seed, n_heads, key,
+                                                 corpus, tmp_path):
+    """A 2-step VTLM run resumed as TLM, with another seed, or with
+    another head count (same parameter shapes) raises ConfigError naming
+    the first key that differs, and loads nothing into the params."""
+    train("pretrain", tiny_cfg(corpus), corpus.train, corpus.valid, 2, str(tmp_path))
+    cfg = dataclasses.replace(tiny_cfg(corpus), n_heads=n_heads)
+    params = init_encoder_params(cfg, Pcg32(5).split("init"))
+    fresh = bits(params)
+    tcfg = trainer.TrainConfig.for_phase("pretrain", lr=1e-3, max_steps=4, batch_size=8,
+                                         eval_interval=2, seed=seed)
+    with pytest.raises(ConfigError, match=f"another run: {key}:"):
+        trainer.train_pretrain(corpus.train, corpus.valid, params, cfg, tcfg, objective,
+                               MaskPolicy(), resume_from=str(tmp_path / "last.ckpt"))
+    assert bits(params) == fresh
 
 
 @pytest.mark.parametrize("phase", sorted(PHASES))
@@ -147,9 +169,18 @@ def test_dropout_rate_outside_unit_interval_raises(rate):
         trainer.TrainConfig.for_phase("pretrain", dropout=rate)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("eval_interval", 0), ("warmup_steps", 0),
+    ("lr", 0.0), ("lr", -1e-4), ("lr", math.nan), ("lr", math.inf),
+])
+def test_train_config_out_of_range_raises(field, value):
+    for phase in trainer.PHASES:
+        with pytest.raises(ConfigError, match=field):
+            trainer.TrainConfig.for_phase(phase, **{field: value})
+
+
 def test_lr_schedules():
-    tcfg = trainer.TrainConfig.for_phase("scratch", lr=1e-3, warmup_steps=10,
-                                         warmup_init_lr=1e-7)
+    tcfg = trainer.TrainConfig.for_phase("scratch", lr=1e-3, warmup_steps=10)
     assert trainer.lr_at(1, tcfg) == pytest.approx(0.9 * 1e-7 + 0.1 * 1e-3)
     assert trainer.lr_at(5, tcfg) == pytest.approx(0.5 * 1e-7 + 0.5 * 1e-3)
     warm = [trainer.lr_at(s, tcfg) for s in range(1, 11)]
@@ -254,7 +285,8 @@ def test_adam_step_clips_the_global_norm_to_clip_norm():
     params = adam_params(grads)
     state = trainer.AdamState.init(params)
     assert trainer.global_grad_norm(params) == 85.0
-    assert trainer.adam_step(params, state, 1e-3, clip_norm=5.0)
+    assert trainer.CLIP_NORM == 5.0
+    assert trainer.adam_step(params, state, 1e-3)
     used = {n: state.m[n].astype(np.float64) / (1 - trainer.ADAM_BETA1) for n in grads}
     norm = math.sqrt(sum(float(np.sum(u ** 2)) for u in used.values()))
     assert norm == pytest.approx(5.0, rel=1e-6)
