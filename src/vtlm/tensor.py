@@ -1,10 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Everything the transformer needs and nothing more: matmul, broadcast
-elementwise arithmetic, softmax, layer norm, embedding lookup, GELU,
-dropout and cross entropy, all backed by numpy arrays. The graph is a
-tape of parent links built during the forward pass; `backward()` walks
-it once in reverse topological order.
+The ops the model uses and nothing more, on numpy arrays: broadcasting
+`add` (`+`) and `mul` (`*`, also by a scalar), `matmul` over equal batch
+dims, `reshape`, `transpose`, `concat`, `tsum` (of every element),
+`embedding`, `softmax`, `gelu`, `layer_norm`, `dropout` and
+`cross_entropy`. The graph is a tape of parent links built during the
+forward pass; `backward()` walks it once in reverse topological order.
 
 Training runs in float32. Gradient-check tests switch the whole stack
 to float64 with `use_dtype(np.float64)` so central finite differences
@@ -103,7 +104,8 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Populate .grad on every reachable requires_grad tensor."""
+        """Populate .grad on every reachable requires_grad leaf; an op's
+        gradient is dropped once passed on to its parents."""
         if self.data.ndim != 0 and self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
         order = topo_order(self)
@@ -111,36 +113,22 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None  # complete: every consumer of node ran before it
 
     # -- operator sugar -------------------------------------------------
 
     def __add__(self, other):
         return add(self, _as_tensor(other, self.dtype))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if np.isscalar(other):
-            return add(self, -other)
-        return add(self, mul(_as_tensor(other, self.dtype), -1.0))
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other, self.dtype))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x, dtype) -> Tensor:
     if isinstance(x, Tensor):
         return x
     if np.isscalar(x):
-        return x  # handled inside the scalar fast paths
+        return x  # mul's scalar fast path
     return Tensor(np.asarray(x, dtype=dtype))
 
 
@@ -189,15 +177,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # -- arithmetic ----------------------------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        data = a.data + b
-
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(g)
-
-        return _make(data, (a,), bw)
+def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def bw(g):
@@ -230,15 +210,17 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(..., n, k) @ (..., k, m) over equal batch dims (none for a 2-D
+    product): no broadcast, so neither gradient is reduced."""
+    if a.data.shape[:-2] != b.data.shape[:-2]:
+        raise ValueError(f"matmul batch dims differ: {a.data.shape} @ {b.data.shape}")
     data = np.matmul(a.data, b.data)
 
     def bw(g):
         if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.data.shape))
+            a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+            b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return _make(data, (a, b), bw)
 
@@ -280,17 +262,11 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     return _make(data, tuple(tensors), bw)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor) -> Tensor:
+    data = a.data.sum()
 
     def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
+        if a.requires_grad:
             a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
     return _make(data, (a,), bw)

@@ -71,7 +71,7 @@ class TrainConfig:
         T.check_dropout_rate(self.dropout)
         if not 0.0 < self.lr < math.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("batch_size", "warmup_steps", "eval_interval"):
+        for name in ("max_steps", "batch_size", "warmup_steps", "eval_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -284,11 +284,12 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
     those whose `metric` is `better` than every earlier evaluation's
     (starting from `worst`). `out_dir` receives last.ckpt and best.ckpt
     when the loop ends (header fields in the module docstring); resuming
-    from a last.ckpt continues the run bit for bit, and takes the best
-    parameters from the best.ckpt beside it, so a moved run directory
-    still resumes with them. The resume raises ConfigError, naming the
-    first key that differs, unless last.ckpt's `kind`, `model_config`
-    and `train_config` (every `tcfg` field but `max_steps` and
+    from a last.ckpt continues the run bit for bit (one that runs no
+    step keeps its metrics), and takes the best parameters from the
+    best.ckpt beside it, so a moved run directory still resumes with
+    them. The resume raises ConfigError, naming the first key that
+    differs, unless last.ckpt's `kind`, `model_config` and
+    `train_config` (every `tcfg` field but `max_steps` and
     `eval_interval`, which a continued run may change) equal this
     run's, before any tensor is loaded. A non-finite loss ends the loop
     before its update; last.ckpt then records the step before it, so a
@@ -300,6 +301,7 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
     adam = AdamState.init(params)
     root = Pcg32(tcfg.seed)
     start_step = 0
+    last_metrics: dict = {}
     best_params = params.copy()
     best_metric = worst
     best_step = 0
@@ -311,6 +313,7 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
             raise ConfigError(f"{resume_from} is another run: {differs}")
         adam = restore_train_checkpoint(resume_from, header, tensors, params) or adam
         start_step = int(header["step"])
+        last_metrics = header["metrics"]  # kept if the resume runs no step
         best_metric = header.get("best_metric", worst)
         best_step = int(header.get("best_step", 0))
         best_ckpt = os.path.join(os.path.dirname(resume_from), "best.ckpt")
@@ -320,7 +323,6 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
     epoch_len = max(1, math.ceil(n / tcfg.batch_size))
     history: list[dict] = []
     diverged = False
-    last_metrics: dict = {}
 
     step = start_step
     for step in range(start_step + 1, tcfg.max_steps + 1):
@@ -361,13 +363,22 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
                        history)
 
 
+def _require_examples(train_data, valid_data) -> None:
+    """Raise DataError when either split is empty: no batch to train on,
+    or no metric to pick the best checkpoint by."""
+    for name, data in (("train_data", train_data), ("valid_data", valid_data)):
+        if len(data) == 0:
+            raise DataError(f"{name} is empty")
+
+
 def train_pretrain(train_data, valid_data, params: ParamStore,
                    cfg: EncoderConfig, tcfg: TrainConfig, objective: str,
                    policy: MaskPolicy, out_dir=None, resume_from=None) -> TrainResult:
     """Masked pretraining; best checkpoint by validation accuracy over
-    all masked predictions."""
+    all masked predictions. Raises DataError when a split is empty."""
     if objective not in (TLM, VTLM):
         raise ConfigError(f"unknown objective {objective!r}")
+    _require_examples(train_data, valid_data)
     train_cfg = replace(cfg, dropout=tcfg.dropout)
     streams = [build_stream(ex, objective, cfg.max_positions) for ex in train_data]
     val_streams = [build_stream(ex, objective, cfg.max_positions) for ex in valid_data]
@@ -409,7 +420,9 @@ def evaluate_mt(params: ParamStore, cfg: EncoderConfig, examples, task: str,
 def train_mt(train_data, valid_data, params: ParamStore, cfg: EncoderConfig,
              tcfg: TrainConfig, task: str, out_dir=None,
              resume_from=None) -> TrainResult:
-    """NMT/MMT training; best checkpoint by lowest validation perplexity."""
+    """NMT/MMT training; best checkpoint by lowest validation perplexity.
+    Raises DataError when a split is empty."""
+    _require_examples(train_data, valid_data)
     train_cfg = replace(cfg, dropout=tcfg.dropout)
 
     def step_fn(idx, split):

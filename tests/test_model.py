@@ -20,6 +20,7 @@ from vtlm.model import (
     encode,
     init_encoder_params,
     key_padding_mask,
+    linear,
     vtlm_loss,
 )
 from vtlm.rng import Pcg32
@@ -283,3 +284,29 @@ class TestWeightTyingAndGradients:
         unused = [i for i in range(vocab) if i not in used]
         grad_norms = np.abs(params["token_emb"].grad[unused]).sum()
         assert grad_norms > 0.0
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 8), (7, 8), (4, 1, 8)],
+                         ids=["batch", "rows", "decode_step"])
+def test_linear_is_one_affine_map(shape):
+    """(B, T, d), (N, d) and decode-step (R, 1, d) inputs: the forward
+    pass is numpy's x @ w + b, and the weight gradient sums all rows."""
+    rng = Pcg32(11)
+    with T.use_dtype(np.float64):
+        params = ParamStore()
+        w = params.add("w", rng.normal((8, 6), dtype=np.float64))
+        b = params.add("b", rng.normal(6, dtype=np.float64))
+        x = T.Tensor(rng.normal(shape, dtype=np.float64), requires_grad=True)
+        c = rng.normal(shape[:-1] + (6,), dtype=np.float64)
+
+        def build():
+            return T.tsum(T.mul(linear(x, params, "w", "b"), T.Tensor(c)))
+
+        y = linear(x, params, "w", "b").data
+        assert y.shape == shape[:-1] + (6,)
+        np.testing.assert_allclose(y, x.data @ w.data + b.data, rtol=1e-12, atol=1e-12)
+        err = T.gradcheck(build, [w, b, x], n_samples=30, rng=Pcg32(2), h=1e-5)
+    assert err < 1e-8
+    rows = x.data.reshape(-1, 8)
+    np.testing.assert_allclose(w.grad, rows.T @ c.reshape(-1, 6), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(b.grad, c.reshape(-1, 6).sum(axis=0), rtol=1e-12, atol=1e-12)

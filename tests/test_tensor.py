@@ -115,6 +115,13 @@ class TestBackwardBasics:
         # d/dx of 2*x^2 = 4x
         assert np.allclose(x.grad, 4 * x.data)
 
+    def test_only_leaves_keep_gradients(self):
+        x = t([1.5, -2.0], rg=True)
+        y = T.mul(x, x)
+        T.tsum(T.add(y, y)).backward()  # y's two contributions arrive before its backward
+        assert y.grad is None
+        assert np.allclose(x.grad, 4 * x.data)
+
     def test_shared_leaf_accumulates(self):
         x = t([3.0], rg=True)
         loss = T.tsum(T.add(T.mul(x, x), x))
@@ -147,6 +154,11 @@ class TestGradientsAgainstFiniteDifferences:
     def test_batched_matmul(self):
         a, b = self._randn((2, 3, 4, 5)), self._randn((2, 3, 5, 4))
         assert _fd_check(lambda: T.tsum(T.matmul(a, b)), [a, b]) < 1e-6
+
+    def test_matmul_does_not_broadcast(self):
+        a, b = self._randn((2, 4, 5)), self._randn((5, 3))
+        with pytest.raises(ValueError, match="batch dims"):
+            T.matmul(a, b)
 
     def test_broadcast_add_mul(self):
         x, b = self._randn((6, 8)), self._randn((8,))

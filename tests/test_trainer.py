@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vtlm import tensor as T, trainer
-from vtlm.errors import ConfigError
+from vtlm.errors import ConfigError, DataError
 from vtlm.checkpoint import load_checkpoint, save_checkpoint
 from vtlm.masking import TLM, VTLM, MaskPolicy
 from vtlm.model import EncoderConfig, ParamStore, init_encoder_params
@@ -157,6 +157,32 @@ def test_moved_run_resumes_with_its_best_params(phase, corpus, tmp_path):
     assert bits(result.best_params) == {name: t.tobytes() for name, t in marked.items()}
 
 
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_resume_with_nothing_to_do_keeps_the_metrics(phase, corpus, tmp_path):
+    """Resuming a finished 4-step run with max_steps=4 runs no step and
+    rewrites last.ckpt with the metrics it had."""
+    cfg = tiny_cfg(corpus)
+    train(phase, cfg, corpus.train, corpus.valid, 4, str(tmp_path))
+    before, _ = load_checkpoint(tmp_path / "last.ckpt")
+    assert PHASES[phase][2] in before["metrics"]
+    _, result = train(phase, cfg, corpus.train, corpus.valid, 4, str(tmp_path),
+                      resume_from=str(tmp_path / "last.ckpt"))
+    after, _ = load_checkpoint(tmp_path / "last.ckpt")
+    assert result.history == [] and after["step"] == 4
+    assert after["metrics"] == before["metrics"]
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+@pytest.mark.parametrize("empty", ["train_data", "valid_data"])
+def test_empty_split_raises_before_any_step(phase, empty, corpus, tmp_path, monkeypatch):
+    cfg = tiny_cfg(corpus)
+    splits = {"train_data": corpus.train, "valid_data": corpus.valid, empty: []}
+    monkeypatch.setattr(trainer, "adam_step", None)  # a step would call it
+    with pytest.raises(DataError, match=f"{empty} is empty"):
+        train(phase, cfg, splits["train_data"], splits["valid_data"], 2, str(tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, math.nan])
 def test_dropout_rate_outside_unit_interval_raises(rate):
     x = T.Tensor(np.ones(4, dtype=np.float32))
@@ -170,6 +196,7 @@ def test_dropout_rate_outside_unit_interval_raises(rate):
 
 
 @pytest.mark.parametrize("field, value", [
+    ("max_steps", 0), ("max_steps", -3),
     ("batch_size", 0), ("eval_interval", 0), ("warmup_steps", 0),
     ("lr", 0.0), ("lr", -1e-4), ("lr", math.nan), ("lr", math.inf),
 ])
