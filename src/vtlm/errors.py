@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 There is no command-line entry point yet; the CLI planned in ROADMAP
-item 4 is to map these to process exit codes: ConfigError -> 2,
+item 2 is to map these to process exit codes: ConfigError -> 2,
 DataError -> 3, DivergenceError -> 4.
 """
 
@@ -19,7 +19,8 @@ class DataError(VtlmError):
 
 
 class DivergenceError(VtlmError):
-    """Training produced non-finite losses and was aborted."""
+    """Training produced a non-finite loss. Nothing raises it yet: the
+    training loop stops and returns `diverged=True` (ROADMAP item 8)."""
 
 
 class NumericError(VtlmError):

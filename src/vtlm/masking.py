@@ -35,7 +35,7 @@ from . import bpe
 from .bpe import BOS, EOS, LANG_L1, LANG_L2, NUM_RESERVED, SEP
 from .data import TripletExample
 from .errors import ConfigError
-from .model import MaskedBatch, collate
+from .model import MaskedBatch, check_token_ids, collate
 from .rng import Pcg32
 
 log = logging.getLogger(__name__)
@@ -79,9 +79,16 @@ class Stream:
         return len(self.token_ids)
 
 
+def check_objective(mode: str) -> None:
+    """Raise ConfigError unless `mode` is TLM or VTLM."""
+    if mode not in (TLM, VTLM):
+        raise ConfigError(f"unknown objective {mode!r}")
+
+
 def build_stream(example: TripletExample, mode: str, max_len: int = 256) -> Stream:
     """Lay out one example; text segments are tail-truncated to fit,
-    regions never are."""
+    regions never are. Raises ConfigError for an unknown objective."""
+    check_objective(mode)
     o = len(example.regions) if mode == VTLM else 0
     src = list(example.src_tokens)
     tgt = list(example.tgt_tokens)
@@ -187,11 +194,15 @@ def build_masked_batch(examples: list[TripletExample], mode: str,
     them out at its default length. The visual directives are resolved
     here: a SUBSTITUTE slot takes its donor's feature and box from the
     un-substituted region stack, a MASK_EMBED slot is flagged in
-    `vis_mask`. Raises DataError when the kept examples have different
-    region counts.
+    `vis_mask`. Raises ConfigError for an unknown objective, DataError
+    when a token id is outside [0, vocab_size) or the kept examples have
+    different region counts.
     """
+    check_objective(mode)
     if streams is None:
         streams = [build_stream(ex, mode) for ex in examples]
+    if streams:
+        check_token_ids(np.concatenate([s.token_ids for s in streams]), vocab_size)
     rows, regions = [], []
     tpos, tids = [], []
     for ex, s in zip(examples, streams):

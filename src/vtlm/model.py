@@ -80,9 +80,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self._tensors
 
-    def __len__(self):
-        return len(self._tensors)
-
     def names(self) -> list[str]:
         return list(self._tensors)
 
@@ -321,6 +318,18 @@ class MaskedBatch(EncoderBatch):
     vis_target_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
 
+def pad_rows(rows, fill: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one padding loop: id rows of any lengths as a (B, longest)
+    int64 array with `fill` after each row, and its (B, longest) pad
+    mask, True at the fill."""
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    t_max = int(lengths.max())
+    out = np.full((len(rows), t_max), fill, dtype=np.int64)
+    for b, r in enumerate(rows):
+        out[b, : lengths[b]] = r
+    return out, np.arange(t_max)[None, :] >= lengths[:, None]
+
+
 def collate(rows, regions=None) -> EncoderBatch:
     """Pad text rows into one EncoderBatch and stack their regions.
 
@@ -328,18 +337,9 @@ def collate(rows, regions=None) -> EncoderBatch:
     `regions`, if given, one sequence of `RegionFeature` per example.
     Raises DataError when the examples have different region counts.
     """
-    lengths = np.array([len(tok) for tok, _, _ in rows], dtype=np.int64)
-    t_max = int(lengths.max())
-    bsz = len(rows)
-    token_ids = np.full((bsz, t_max), PAD, dtype=np.int64)
-    pos_ids = np.zeros((bsz, t_max), dtype=np.int64)
-    lang_ids = np.zeros((bsz, t_max), dtype=np.int64)
-    for b, (tok, pos, lang) in enumerate(rows):
-        token_ids[b, : lengths[b]] = tok
-        pos_ids[b, : lengths[b]] = pos
-        lang_ids[b, : lengths[b]] = lang
-    pad_mask = np.arange(t_max)[None, :] >= lengths[:, None]
-    batch = EncoderBatch(token_ids, pos_ids, lang_ids, pad_mask)
+    tok, pos, lang = zip(*rows)
+    token_ids, pad_mask = pad_rows(tok, PAD)
+    batch = EncoderBatch(token_ids, pad_rows(pos, 0)[0], pad_rows(lang, 0)[0], pad_mask)
     if regions is not None:
         o = len(regions[0])
         for rs in regions:
@@ -348,6 +348,13 @@ def collate(rows, regions=None) -> EncoderBatch:
         batch.feats = np.stack([np.stack([r.feat for r in rs]) for rs in regions])
         batch.bboxes = np.stack([np.stack([r.bbox for r in rs]) for rs in regions])
     return batch
+
+
+def check_token_ids(ids: np.ndarray, vocab_size: int) -> None:
+    """Raise DataError unless every id lies in [0, vocab_size)."""
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        bad = ids[(ids < 0) | (ids >= vocab_size)].flat[0]
+        raise DataError(f"token id {bad} outside the vocabulary [0, {vocab_size})")
 
 
 def key_padding_mask(pad_mask: np.ndarray, num_regions: int) -> np.ndarray:
@@ -371,11 +378,13 @@ def embed_inputs(params: ParamStore, cfg: EncoderConfig, token_ids: np.ndarray,
     projected box + the visual language embedding. Slots flagged in
     `vis_mask` carry the [MASK] token embedding in place of their
     projection. Parameter names are `prefix` + the encoder's names.
-    Raises ConfigError when a position id is past `cfg.max_positions`.
+    Raises ConfigError when a position id is past `cfg.max_positions`,
+    DataError when a token id is outside the vocabulary.
     """
     top = int(pos_ids.max(initial=0))
     if top >= cfg.max_positions:
         raise ConfigError(f"position {top} >= max_positions {cfg.max_positions}")
+    check_token_ids(token_ids, cfg.vocab_size)
     tok = T.embedding(params[f"{prefix}token_emb"], token_ids)
     pos = T.embedding(params[f"{prefix}pos_emb"], pos_ids)
     lang = T.embedding(params[f"{prefix}lang_emb"], lang_ids)

@@ -119,33 +119,23 @@ class Pcg32:
         """Uniform doubles in (0, 1)."""
         if size is None:
             return (self.u32() + 0.5) * 2.0**-32
-        n = int(np.prod(size)) if not np.isscalar(size) else int(size)
-        u = (self.u32(n).astype(np.float64) + 0.5) * 2.0**-32
-        return u.reshape(size) if not np.isscalar(size) else u
+        u = (self.u32(int(np.prod(size))).astype(np.float64) + 0.5) * 2.0**-32
+        return u.reshape(size)
 
-    def normal(self, size=None, dtype=np.float32):
-        """Standard normal draws via Box-Muller."""
-        scalar = size is None
-        n = 1 if scalar else (int(np.prod(size)) if not np.isscalar(size) else int(size))
+    def normal(self, size, dtype=np.float32):
+        """Standard normal draws via Box-Muller, in an array of `size`."""
+        n = int(np.prod(size))
         m = (n + 1) // 2
         u1 = self.uniform(m)
         u2 = self.uniform(m)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        z = z.astype(dtype)
-        if scalar:
-            return float(z[0])
-        return z.reshape(size) if not np.isscalar(size) else z
+        return z.astype(dtype).reshape(size)
 
-    def randint(self, n: int, size=None):
-        """Integers in [0, n) (multiply-shift reduction)."""
-        if size is None:
-            return int((self.u32() * n) >> 32)
-        k = int(np.prod(size)) if not np.isscalar(size) else int(size)
-        vals = (self.u32(k).astype(np.uint64) * np.uint64(n)) >> np.uint64(32)
-        vals = vals.astype(np.int64)
-        return vals.reshape(size) if not np.isscalar(size) else vals
+    def randint(self, n: int) -> int:
+        """An integer in [0, n) (multiply-shift reduction)."""
+        return int((self.u32() * n) >> 32)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) by sorting random keys."""

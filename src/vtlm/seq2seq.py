@@ -53,6 +53,7 @@ from .model import (
     embed_inputs,
     encode,
     encode_batch,
+    pad_rows,
     select_cache_rows,
     tied_logits,
 )
@@ -142,16 +143,11 @@ class TargetBatch:
 
 
 def build_target_batch(examples: list[TripletExample], max_len: int = 256) -> TargetBatch:
+    """Teacher-forcing rows of at most `max_len` tokens, padded by
+    `model.pad_rows`."""
     seqs = [list(ex.tgt_tokens)[: max_len - 1] for ex in examples]
-    lengths = np.array([len(s) + 1 for s in seqs], dtype=np.int64)
-    t_max = int(lengths.max())
-    bsz = len(examples)
-    input_ids = np.full((bsz, t_max), PAD, dtype=np.int64)
-    output_ids = np.full((bsz, t_max), PAD, dtype=np.int64)
-    for b, s in enumerate(seqs):
-        input_ids[b, : len(s) + 1] = [BOS] + s
-        output_ids[b, : len(s) + 1] = s + [EOS]
-    pad_mask = np.arange(t_max)[None, :] >= lengths[:, None]
+    input_ids, pad_mask = pad_rows([[BOS] + s for s in seqs], PAD)
+    output_ids, _ = pad_rows([s + [EOS] for s in seqs], PAD)
     return TargetBatch(input_ids, output_ids, pad_mask)
 
 
@@ -282,6 +278,8 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
     """
     if beam < 1:
         raise ConfigError("beam must be >= 1")
+    if max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
     n = enc_states.shape[0]
     sents = np.arange(n)                        # chunk index of each batch row
     logp = np.zeros((n, 1))                     # running log-prob per slot
@@ -337,6 +335,8 @@ def translate(params: ParamStore, cfg: EncoderConfig,
     beam=1 this is greedy decoding: each step takes the argmax, the
     lowest token id among ties.
     """
+    if max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
     if max_len > cfg.max_positions:
         raise ConfigError(
             f"max_len={max_len} needs {max_len} target positions, "

@@ -225,15 +225,6 @@ def encode_examples(raw: list[RawExample], codec: BpeCodec) -> list[TripletExamp
     return encoded
 
 
-def generate_synthetic(cfg: GenConfig, seed: int) -> list[TripletExample]:
-    """Generate cfg.num_examples encoded triplets from one seed, with a
-    joint BPE codec learned from the generated sentences."""
-    centers = label_centers(cfg, seed)
-    raw = generate_raw(cfg, seed, centers)
-    codec = BpeCodec.learn(raw_sentences(raw), cfg.num_merges)
-    return encode_examples(raw, codec)
-
-
 @dataclass
 class SyntheticCorpus:
     cfg: GenConfig
@@ -261,10 +252,3 @@ def generate_corpus(cfg: GenConfig, seed: int) -> SyntheticCorpus:
         shards[name] = encode_examples(raw_shards[name], codec)
     return SyntheticCorpus(cfg, seed, codec, centers,
                            shards["train"], shards["valid"], shards["test"])
-
-
-def nearest_center_labels(feats: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Independent nearest-centroid classifier used as a grounding oracle."""
-    # |f - c|^2 = |f|^2 - 2 f.c + |c|^2 ; the |f|^2 term is constant per row
-    scores = feats @ centers.T - 0.5 * (centers * centers).sum(axis=1)
-    return np.argmax(scores, axis=1)

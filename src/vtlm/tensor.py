@@ -2,9 +2,8 @@
 
 The ops the model uses and nothing more, on numpy arrays: broadcasting
 `add` (`+`) and `mul` (`*`, also by a scalar), `matmul` over equal batch
-dims, `reshape`, `transpose`, `concat`, `tsum` (of every element),
-`embedding`, `softmax`, `gelu`, `layer_norm`, `dropout` and
-`cross_entropy`. The graph is a tape of parent links built during the
+dims, `reshape`, `transpose`, `concat`, `embedding`, `softmax`, `gelu`,
+`layer_norm`, `dropout` and `cross_entropy`. The graph is a tape of parent links built during the
 forward pass; `backward()` walks it once in reverse topological order.
 
 Training runs in float32. Gradient-check tests switch the whole stack
@@ -262,16 +261,6 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     return _make(data, tuple(tensors), bw)
 
 
-def tsum(a: Tensor) -> Tensor:
-    data = a.data.sum()
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-
-    return _make(data, (a,), bw)
-
-
 # -- lookup / selection ---------------------------------------------------
 
 
@@ -407,40 +396,3 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
             logits._accumulate(g * p / n)
 
     return _make(data, (logits,), bw)
-
-
-# -- verification -----------------------------------------------------------
-
-
-def gradcheck(build_loss, tensors: list[Tensor], n_samples: int, rng, h: float = 1e-3):
-    """Compare tape gradients against central finite differences.
-
-    build_loss() must rebuild the forward pass from the current tensor
-    values. Returns the maximum relative error
-    |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|) over the sampled
-    coordinates, spread across all given tensors.
-    """
-    for t in tensors:
-        t.grad = None
-    loss = build_loss()
-    loss.backward()
-    grads = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors]
-
-    worst = 0.0
-    per_tensor = max(1, n_samples // len(tensors))
-    for t, g_ad in zip(tensors, grads):
-        flat = t.data.reshape(-1)
-        for _ in range(per_tensor):
-            i = rng.randint(flat.size)
-            orig = flat[i]
-            with no_grad():
-                flat[i] = orig + h
-                up = float(build_loss().data)
-                flat[i] = orig - h
-                down = float(build_loss().data)
-            flat[i] = orig
-            g_fd = (up - down) / (2.0 * h)
-            g = float(g_ad.reshape(-1)[i])
-            err = abs(g - g_fd) / max(1e-8, abs(g) + abs(g_fd))
-            worst = max(worst, err)
-    return worst

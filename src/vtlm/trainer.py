@@ -1,4 +1,4 @@
-"""Adam optimisation, learning-rate schedules, and the training loop.
+"""Adam optimisation and the training loop.
 
 `train_pretrain` (masked TLM/VTLM pretraining) and `train_mt` (NMT/MMT
 fine-tuning) share one loop, `_fit`: it owns resume, the epoch order,
@@ -37,7 +37,7 @@ import numpy as np
 from . import BUILD_ID
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError
-from .masking import MaskPolicy, TLM, VTLM, build_masked_batch, build_stream
+from .masking import MaskPolicy, build_masked_batch, build_stream
 from .model import EncoderConfig, ParamStore, vtlm_loss
 from .rng import Pcg32
 from .seq2seq import build_source_batch, build_target_batch, mt_loss
@@ -47,8 +47,6 @@ log = logging.getLogger(__name__)
 
 PHASES = ("pretrain", "finetune", "scratch")
 
-# lr is the (peak) rate; scratch warms up from WARMUP_INIT_LR to lr
-WARMUP_INIT_LR = 1e-7
 _PHASE_DEFAULTS = {
     "pretrain": dict(lr=1e-4, dropout=0.1, max_steps=30_000),
     "finetune": dict(lr=1e-5, dropout=0.1, max_steps=5_000),
@@ -58,12 +56,10 @@ _PHASE_DEFAULTS = {
 
 @dataclass(frozen=True)
 class TrainConfig:
-    phase: str
     lr: float
     dropout: float
     max_steps: int
     batch_size: int = 64
-    warmup_steps: int = 4_000
     eval_interval: int = 500
     seed: int = 1
 
@@ -71,7 +67,7 @@ class TrainConfig:
         T.check_dropout_rate(self.dropout)
         if not 0.0 < self.lr < math.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("max_steps", "batch_size", "warmup_steps", "eval_interval"):
+        for name in ("max_steps", "batch_size", "eval_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -81,20 +77,7 @@ class TrainConfig:
             raise ConfigError(f"unknown phase {phase!r}")
         kw = dict(_PHASE_DEFAULTS[phase])
         kw.update(overrides)
-        return cls(phase=phase, **kw)
-
-
-def lr_at(step: int, cfg: TrainConfig) -> float:
-    """Learning rate for 1-indexed optimisation step `step`."""
-    if step < 1:
-        raise ConfigError("steps are 1-indexed")
-    if cfg.phase != "scratch":
-        return cfg.lr
-    w = cfg.warmup_steps
-    if step < w:
-        f = step / w
-        return (1.0 - f) * WARMUP_INIT_LR + f * cfg.lr
-    return cfg.lr * math.sqrt(w / step)
+        return cls(**kw)
 
 
 # -- Adam ---------------------------------------------------------------------
@@ -339,7 +322,7 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
             break
         loss.backward()
         # a skipped update still evaluates: the schedule is by step
-        adam_step(params, adam, lr_at(step, tcfg))
+        adam_step(params, adam, tcfg.lr)
         if step % tcfg.eval_interval == 0 or step == tcfg.max_steps:
             val = eval_fn()
             history.append({"step": step, "train_loss": loss.item(), **val})
@@ -376,8 +359,6 @@ def train_pretrain(train_data, valid_data, params: ParamStore,
                    policy: MaskPolicy, out_dir=None, resume_from=None) -> TrainResult:
     """Masked pretraining; best checkpoint by validation accuracy over
     all masked predictions. Raises DataError when a split is empty."""
-    if objective not in (TLM, VTLM):
-        raise ConfigError(f"unknown objective {objective!r}")
     _require_examples(train_data, valid_data)
     train_cfg = replace(cfg, dropout=tcfg.dropout)
     streams = [build_stream(ex, objective, cfg.max_positions) for ex in train_data]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import generate_synthetic, nearest_center_labels
 from vtlm.bpe import BpeCodec
 from vtlm.data import load_triplets, write_triplets
 from vtlm.errors import ConfigError, DataError
@@ -9,9 +10,7 @@ from vtlm.synthetic import (
     OBJECT_WORDS,
     generate_corpus,
     generate_raw,
-    generate_synthetic,
     label_centers,
-    nearest_center_labels,
     raw_sentences,
     to_second_language,
 )

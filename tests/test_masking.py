@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import generate_synthetic
 from vtlm import bpe, masking
 from vtlm.bpe import NUM_RESERVED
 from vtlm.data import RegionFeature, TripletExample
@@ -19,7 +20,7 @@ from vtlm.masking import (
     select_count,
 )
 from vtlm.rng import Pcg32
-from vtlm.synthetic import GenConfig, generate_synthetic
+from vtlm.synthetic import GenConfig
 
 
 def make_example(m=3, n=2, o=8, feat_dim=4):
@@ -330,3 +331,26 @@ def test_select_count_floor_one():
 def test_visual_select_ratio_outside_unit_interval_raises(ratio):
     with pytest.raises(ConfigError, match="visual_select_ratio"):
         MaskPolicy(visual_select_ratio=ratio)
+
+
+@pytest.mark.parametrize("objective", ["VTLM", "bogus", ""])
+def test_unknown_objective_raises(objective):
+    """Only TLM and VTLM are objectives; anything else used to run as TLM."""
+    ex = make_example()
+    with pytest.raises(ConfigError, match="unknown objective"):
+        build_stream(ex, objective)
+    with pytest.raises(ConfigError, match="unknown objective"):
+        build_masked_batch([ex, ex], objective, MaskPolicy(), 50, Pcg32(1), Pcg32(2),
+                           streams=[build_stream(ex, TLM)] * 2)
+
+
+@pytest.mark.parametrize("mode", [TLM, VTLM])
+@pytest.mark.parametrize("bad", [-1, 50, 51])
+def test_token_id_outside_vocabulary_raises_data_error(mode, bad):
+    """A bad id raises before masking could hide it behind [MASK] or turn
+    it into a prediction target."""
+    ex = make_example()
+    bad_ex = replace(ex, src_tokens=[bad] + ex.src_tokens)
+    with pytest.raises(DataError, match=f"token id {bad} outside the vocabulary"):
+        build_masked_batch([ex, bad_ex], mode, MaskPolicy(), 50, Pcg32(1), Pcg32(2))
+    assert build_masked_batch([ex, ex], mode, MaskPolicy(), 50, Pcg32(1), Pcg32(2)) is not None

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import generate_synthetic, gradcheck, tsum
 from vtlm import bpe, tensor as T
 from vtlm.errors import ConfigError
 from vtlm.masking import (
@@ -25,7 +26,7 @@ from vtlm.model import (
 )
 from vtlm.rng import Pcg32
 from vtlm.seq2seq import init_mt_params
-from vtlm.synthetic import GenConfig, generate_synthetic
+from vtlm.synthetic import GenConfig
 from vtlm.trainer import AdamState, adam_step
 
 
@@ -268,7 +269,7 @@ class TestWeightTyingAndGradients:
             def build():
                 return vtlm_loss(params, cfg, batch, Pcg32(0), training=False).loss
 
-            err = T.gradcheck(build, tensors, n_samples=28, rng=Pcg32(8), h=1e-3)
+            err = gradcheck(build, tensors, n_samples=28, rng=Pcg32(8), h=1e-3)
         assert err < 1e-4
 
     def test_tied_embedding_receives_both_paths(self, examples):
@@ -300,12 +301,12 @@ def test_linear_is_one_affine_map(shape):
         c = rng.normal(shape[:-1] + (6,), dtype=np.float64)
 
         def build():
-            return T.tsum(T.mul(linear(x, params, "w", "b"), T.Tensor(c)))
+            return tsum(T.mul(linear(x, params, "w", "b"), T.Tensor(c)))
 
         y = linear(x, params, "w", "b").data
         assert y.shape == shape[:-1] + (6,)
         np.testing.assert_allclose(y, x.data @ w.data + b.data, rtol=1e-12, atol=1e-12)
-        err = T.gradcheck(build, [w, b, x], n_samples=30, rng=Pcg32(2), h=1e-5)
+        err = gradcheck(build, [w, b, x], n_samples=30, rng=Pcg32(2), h=1e-5)
     assert err < 1e-8
     rows = x.data.reshape(-1, 8)
     np.testing.assert_allclose(w.grad, rows.T @ c.reshape(-1, 6), rtol=1e-12, atol=1e-12)

@@ -5,6 +5,7 @@ must give the same bits."""
 import numpy as np
 import pytest
 
+from helpers import tsum
 from vtlm import tensor as T
 from vtlm.masking import MASK_EMBED, SUBSTITUTE, VTLM, MaskPolicy, build_masked_batch, mask_visual
 from vtlm.model import EncoderConfig, init_encoder_params, vtlm_loss
@@ -102,7 +103,7 @@ def test_dropout_mask_forward_backward_equal_reference(rate, dtype):
         ones = T.Tensor(np.ones(shape, dtype=dtype))
         with np.errstate(invalid="ignore"):  # inf * 0
             out = fn(x, rate, Pcg32(8).split("dropout"), training=True)
-            T.tsum(T.mul(out, T.Tensor(w))).backward()
+            tsum(T.mul(out, T.Tensor(w))).backward()
         mask = fn(ones, rate, Pcg32(8).split("dropout"), training=True).data
         results.append((mask, out.data, x.grad))
     for got, expect in zip(*results):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import gradcheck
 from vtlm import seq2seq
 from vtlm import tensor as T
 from vtlm.bpe import BOS, EOS, PAD
@@ -354,6 +355,31 @@ def test_mt_loss_gradcheck_64bit(corpus):
         def build():
             return mt_loss(params, cfg, src, tgt, Pcg32(0), training=False).loss
 
-        err = T.gradcheck(build, [params[n] for n in names], n_samples=39,
-                          rng=Pcg32(8), h=1e-3)
+        err = gradcheck(build, [params[n] for n in names], n_samples=39,
+                        rng=Pcg32(8), h=1e-3)
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("max_len", [0, -2])
+def test_max_len_below_one_raises_config_error(max_len, corpus):
+    cfg = tiny_cfg(corpus)
+    params = init_mt_params(cfg, Pcg32(0).split("init"))
+    with pytest.raises(ConfigError, match="max_len must be >= 1"):
+        translate(params, cfg, corpus.test[:2], MMT, beam=2, max_len=max_len)
+    src = build_source_batch(corpus.test[:2], MMT, cfg.max_positions)
+    enc, key_mask = encode_source(params, cfg, src, None, training=False)
+    with pytest.raises(ConfigError, match="max_len must be >= 1"):
+        seq2seq.beam_search(params, cfg, enc, key_mask, 2, max_len)
+
+
+@pytest.mark.parametrize("bad", [-1, None])
+def test_source_id_outside_vocabulary_raises_data_error(bad, corpus):
+    """A negative id used to read the last embedding row; one past the
+    vocabulary raised numpy's IndexError. `None` stands for vocab_size."""
+    cfg = tiny_cfg(corpus)
+    bad = cfg.vocab_size if bad is None else bad
+    params = init_mt_params(cfg, Pcg32(0).split("init"))
+    ex = corpus.test[0]
+    bad_ex = replace(ex, src_tokens=[bad] + list(ex.src_tokens))
+    with pytest.raises(DataError, match=f"token id {bad} outside the vocabulary"):
+        translate(params, cfg, [ex, bad_ex], MMT, beam=2, max_len=4)

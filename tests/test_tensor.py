@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import gradcheck, tsum
 from vtlm import tensor as T
 from vtlm.errors import NumericError
 from vtlm.rng import Pcg32
@@ -91,12 +92,12 @@ class TestLayerNorm:
 class TestBackwardBasics:
     def test_sum_grad_is_ones(self):
         x = t(np.arange(6, dtype=np.float32).reshape(2, 3), rg=True)
-        T.tsum(x).backward()
+        tsum(x).backward()
         assert np.array_equal(x.grad, np.ones((2, 3), dtype=np.float32))
 
     def test_square_grad(self):
         x = t([1.5, -2.0, 0.5], rg=True)
-        T.tsum(T.mul(x, x)).backward()
+        tsum(T.mul(x, x)).backward()
         assert np.allclose(x.grad, 2 * x.data)
 
     def test_backward_requires_scalar(self):
@@ -109,28 +110,28 @@ class TestBackwardBasics:
         x = t([2.0], rg=True)
         y = T.mul(x, x)
         z = T.add(y, y)  # diamond: y used twice
-        order = T.topo_order(T.tsum(z))
+        order = T.topo_order(tsum(z))
         assert len(order) == len({id(n) for n in order})
-        T.tsum(z).backward()
+        tsum(z).backward()
         # d/dx of 2*x^2 = 4x
         assert np.allclose(x.grad, 4 * x.data)
 
     def test_only_leaves_keep_gradients(self):
         x = t([1.5, -2.0], rg=True)
         y = T.mul(x, x)
-        T.tsum(T.add(y, y)).backward()  # y's two contributions arrive before its backward
+        tsum(T.add(y, y)).backward()  # y's two contributions arrive before its backward
         assert y.grad is None
         assert np.allclose(x.grad, 4 * x.data)
 
     def test_shared_leaf_accumulates(self):
         x = t([3.0], rg=True)
-        loss = T.tsum(T.add(T.mul(x, x), x))
+        loss = tsum(T.add(T.mul(x, x), x))
         loss.backward()
         assert np.allclose(x.grad, 2 * x.data + 1)
 
 
 def _fd_check(build, tensors, n=24, h=1e-4, seed=0):
-    return T.gradcheck(build, tensors, n, Pcg32(seed), h=h)
+    return gradcheck(build, tensors, n, Pcg32(seed), h=h)
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -149,11 +150,11 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_matmul(self):
         a, b = self._randn((4, 5)), self._randn((5, 3))
-        assert _fd_check(lambda: T.tsum(T.mul(T.matmul(a, b), T.matmul(a, b))), [a, b]) < 1e-6
+        assert _fd_check(lambda: tsum(T.mul(T.matmul(a, b), T.matmul(a, b))), [a, b]) < 1e-6
 
     def test_batched_matmul(self):
         a, b = self._randn((2, 3, 4, 5)), self._randn((2, 3, 5, 4))
-        assert _fd_check(lambda: T.tsum(T.matmul(a, b)), [a, b]) < 1e-6
+        assert _fd_check(lambda: tsum(T.matmul(a, b)), [a, b]) < 1e-6
 
     def test_matmul_does_not_broadcast(self):
         a, b = self._randn((2, 4, 5)), self._randn((5, 3))
@@ -162,22 +163,22 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_broadcast_add_mul(self):
         x, b = self._randn((6, 8)), self._randn((8,))
-        assert _fd_check(lambda: T.tsum(T.mul(T.add(x, b), T.add(x, b))), [x, b]) < 1e-6
+        assert _fd_check(lambda: tsum(T.mul(T.add(x, b), T.add(x, b))), [x, b]) < 1e-6
 
     def test_softmax(self):
         x = self._randn((5, 9), scale=2.0)
         w = self.rng.normal((5, 9), dtype=np.float64)
-        assert _fd_check(lambda: T.tsum(T.mul(T.softmax(x, axis=-1), T.Tensor(w))), [x]) < 1e-6
+        assert _fd_check(lambda: tsum(T.mul(T.softmax(x, axis=-1), T.Tensor(w))), [x]) < 1e-6
 
     def test_gelu(self):
         x = self._randn((7, 7), scale=2.0)
-        assert _fd_check(lambda: T.tsum(T.gelu(x)), [x]) < 1e-6
+        assert _fd_check(lambda: tsum(T.gelu(x)), [x]) < 1e-6
 
     def test_layer_norm(self):
         x, g, b = self._randn((4, 16), scale=3.0), self._randn((16,)), self._randn((16,))
         w = self.rng.normal((4, 16), dtype=np.float64)
         assert (
-            _fd_check(lambda: T.tsum(T.mul(T.layer_norm(x, g, b), T.Tensor(w))), [x, g, b]) < 1e-6
+            _fd_check(lambda: tsum(T.mul(T.layer_norm(x, g, b), T.Tensor(w))), [x, g, b]) < 1e-6
         )
 
     def test_cross_entropy(self):
@@ -188,10 +189,10 @@ class TestGradientsAgainstFiniteDifferences:
     def test_embedding_and_gather(self):
         w = self._randn((12, 5))
         ids = np.array([[0, 3, 3], [11, 2, 0]])
-        assert _fd_check(lambda: T.tsum(T.mul(T.embedding(w, ids), T.embedding(w, ids))), [w]) < 1e-6
+        assert _fd_check(lambda: tsum(T.mul(T.embedding(w, ids), T.embedding(w, ids))), [w]) < 1e-6
         x = self._randn((9, 4))
         idx = np.array([0, 0, 8, 2])
-        assert _fd_check(lambda: T.tsum(T.mul(T.embedding(x, idx), 2.0)), [x]) < 1e-6
+        assert _fd_check(lambda: tsum(T.mul(T.embedding(x, idx), 2.0)), [x]) < 1e-6
 
     def test_concat_reshape_transpose(self):
         a, b = self._randn((3, 4)), self._randn((2, 4))
@@ -199,13 +200,13 @@ class TestGradientsAgainstFiniteDifferences:
             c = T.concat([a, b], axis=0)
             c = T.reshape(c, (4, 5))
             c = T.transpose(c, (1, 0))
-            return T.tsum(T.mul(c, c))
+            return tsum(T.mul(c, c))
         assert _fd_check(build, [a, b]) < 1e-6
 
     def test_dropout_fixed_mask(self):
         x = self._randn((40, 10))
         def build():
-            return T.tsum(T.dropout(x, 0.3, Pcg32(123), training=True))
+            return tsum(T.dropout(x, 0.3, Pcg32(123), training=True))
         assert _fd_check(build, [x]) < 1e-6
 
 
@@ -237,7 +238,7 @@ class TestDeterminism:
             w = t(rng.normal((16, 16)))
             h = T.gelu(T.matmul(x, w))
             h = T.dropout(h, 0.1, rng.split("drop"), training=True)
-            return T.tsum(h).item()
+            return tsum(h).item()
 
         assert run() == run()
 

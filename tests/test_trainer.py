@@ -93,6 +93,43 @@ def test_resume_refuses_a_run_it_cannot_continue(objective, seed, n_heads, key,
 
 
 @pytest.mark.parametrize("phase", sorted(PHASES))
+def test_resume_refuses_a_checkpoint_with_the_warmup_settings(phase, corpus, tmp_path,
+                                                              monkeypatch):
+    """A last.ckpt whose train_config still holds the `phase` and
+    `warmup_steps` that TrainConfig no longer has is another run: the
+    resume raises ConfigError naming train_config.phase, before any
+    tensor is loaded."""
+    cfg = tiny_cfg(corpus)
+    train(phase, cfg, corpus.train, corpus.valid, 2, str(tmp_path))
+    path = tmp_path / "last.ckpt"
+    header, tensors = load_checkpoint(path)
+    header["train_config"] = {"phase": PHASES[phase][1], **header["train_config"],
+                              "warmup_steps": 4_000}
+    save_checkpoint(path, header, tensors)
+    monkeypatch.setattr(trainer, "restore_train_checkpoint", None)  # loading would call it
+    with pytest.raises(ConfigError, match="another run: train_config.phase: checkpoint has"):
+        train(phase, cfg, corpus.train, corpus.valid, 4, str(tmp_path), resume_from=str(path))
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+@pytest.mark.parametrize("stream, bad", [("src_tokens", -1), ("tgt_tokens", -3),
+                                         ("tgt_tokens", None)])
+def test_token_id_outside_vocabulary_raises_data_error(phase, stream, bad, corpus,
+                                                       tmp_path):
+    """One training example with an id outside [0, vocab_size) (`None`
+    stands for vocab_size) stops the run with a DataError, in both
+    phases."""
+    cfg = tiny_cfg(corpus)
+    bad = cfg.vocab_size if bad is None else bad
+    ex = corpus.train[0]
+    tokens = list(getattr(ex, stream))
+    tokens[1] = bad
+    data = [dataclasses.replace(ex, **{stream: tokens})] + corpus.train[1:]
+    with pytest.raises(DataError, match=f"token id {bad} outside the vocabulary"):
+        train(phase, cfg, data, corpus.valid, 4, str(tmp_path))
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
 def test_skipped_update_still_evaluates(phase, corpus, tmp_path, monkeypatch):
     real_adam_step = trainer.adam_step
     calls = []
@@ -197,29 +234,13 @@ def test_dropout_rate_outside_unit_interval_raises(rate):
 
 @pytest.mark.parametrize("field, value", [
     ("max_steps", 0), ("max_steps", -3),
-    ("batch_size", 0), ("eval_interval", 0), ("warmup_steps", 0),
+    ("batch_size", 0), ("eval_interval", 0),
     ("lr", 0.0), ("lr", -1e-4), ("lr", math.nan), ("lr", math.inf),
 ])
 def test_train_config_out_of_range_raises(field, value):
     for phase in trainer.PHASES:
         with pytest.raises(ConfigError, match=field):
             trainer.TrainConfig.for_phase(phase, **{field: value})
-
-
-def test_lr_schedules():
-    tcfg = trainer.TrainConfig.for_phase("scratch", lr=1e-3, warmup_steps=10)
-    assert trainer.lr_at(1, tcfg) == pytest.approx(0.9 * 1e-7 + 0.1 * 1e-3)
-    assert trainer.lr_at(5, tcfg) == pytest.approx(0.5 * 1e-7 + 0.5 * 1e-3)
-    warm = [trainer.lr_at(s, tcfg) for s in range(1, 11)]
-    assert all(a < b for a, b in zip(warm, warm[1:]))
-    assert trainer.lr_at(10, tcfg) == pytest.approx(1e-3)
-    assert trainer.lr_at(40, tcfg) == pytest.approx(1e-3 * math.sqrt(10 / 40))
-    for phase in ("pretrain", "finetune"):
-        tcfg = trainer.TrainConfig.for_phase(phase, lr=2e-4, warmup_steps=10)
-        assert {trainer.lr_at(s, tcfg) for s in (1, 5, 10, 40, 10_000)} == {2e-4}
-    for phase in trainer.PHASES:
-        with pytest.raises(ConfigError):
-            trainer.lr_at(0, trainer.TrainConfig.for_phase(phase))
 
 
 @pytest.mark.parametrize("phase", sorted(PHASES))
