@@ -24,7 +24,7 @@ class DivergenceError(VtlmError):
 
 
 class NumericError(VtlmError):
-    """Numeric-domain violation (e.g. non-finite softmax input)."""
+    """Numeric-domain violation (e.g. non-finite attention scores)."""
 
 
 class TransferError(ConfigError):

@@ -35,7 +35,7 @@ from . import bpe
 from .bpe import BOS, EOS, LANG_L1, LANG_L2, NUM_RESERVED, SEP
 from .data import TripletExample
 from .errors import ConfigError
-from .model import MaskedBatch, check_token_ids, collate
+from .model import MaskedBatch, check_ids, collate
 from .rng import Pcg32
 
 log = logging.getLogger(__name__)
@@ -202,7 +202,7 @@ def build_masked_batch(examples: list[TripletExample], mode: str,
     if streams is None:
         streams = [build_stream(ex, mode) for ex in examples]
     if streams:
-        check_token_ids(np.concatenate([s.token_ids for s in streams]), vocab_size)
+        check_ids(np.concatenate([s.token_ids for s in streams]), vocab_size)
     rows, regions = [], []
     tpos, tids = [], []
     for ex, s in zip(examples, streams):

@@ -205,7 +205,12 @@ def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor,
               add_mask: np.ndarray | None, n_heads: int, dropout: float,
               rng: Pcg32 | None, training: bool, collect: list | None = None,
               cache: dict | None = None) -> Tensor:
-    """Multi-head attention; add_mask is broadcast onto the score logits.
+    """Multi-head attention: the q, k and v projections, split into
+    heads, then `T.attention` (one tape node for scaled scores, additive
+    mask, softmax, dropout on the weights and the weighted sum of v), the
+    heads merged and the output projection. `add_mask` is broadcast onto
+    the score logits; `collect`, if given, receives each call's attention
+    weights before dropout, (rows, heads, queries, keys).
 
     `x_kv` may have fewer rows than `x_q`: with B key rows and B*k query
     rows, query rows b*k .. b*k+k-1 all attend to key row b (the beam of
@@ -234,14 +239,9 @@ def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor,
     if cache is not None:
         cache[prefix] = (k, v)
     q = heads(x_q, "q", k.shape[0])
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(hd))
-    if add_mask is not None:
-        scores = scores + add_mask
-    probs = T.softmax(scores, axis=-1)
+    ctx, probs = T.attention(q, k, v, add_mask, 1.0 / math.sqrt(hd), dropout, rng, training)
     if collect is not None:
-        collect.append(probs.data)
-    probs = T.dropout(probs, dropout, rng, training)
-    ctx = T.matmul(probs, v)
+        collect.append(probs)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (bsz, t_q, d))
     return linear(ctx, params, f"{prefix}.wo", f"{prefix}.bo")
 
@@ -350,11 +350,12 @@ def collate(rows, regions=None) -> EncoderBatch:
     return batch
 
 
-def check_token_ids(ids: np.ndarray, vocab_size: int) -> None:
-    """Raise DataError unless every id lies in [0, vocab_size)."""
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
-        bad = ids[(ids < 0) | (ids >= vocab_size)].flat[0]
-        raise DataError(f"token id {bad} outside the vocabulary [0, {vocab_size})")
+def check_ids(ids: np.ndarray, size: int, what: str = "token id",
+              table: str = "the vocabulary") -> None:
+    """Raise DataError naming the first id outside [0, size)."""
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        bad = ids[(ids < 0) | (ids >= size)].flat[0]
+        raise DataError(f"{what} {bad} outside {table} [0, {size})")
 
 
 def key_padding_mask(pad_mask: np.ndarray, num_regions: int) -> np.ndarray:
@@ -384,7 +385,7 @@ def embed_inputs(params: ParamStore, cfg: EncoderConfig, token_ids: np.ndarray,
     top = int(pos_ids.max(initial=0))
     if top >= cfg.max_positions:
         raise ConfigError(f"position {top} >= max_positions {cfg.max_positions}")
-    check_token_ids(token_ids, cfg.vocab_size)
+    check_ids(token_ids, cfg.vocab_size)
     tok = T.embedding(params[f"{prefix}token_emb"], token_ids)
     pos = T.embedding(params[f"{prefix}pos_emb"], pos_ids)
     lang = T.embedding(params[f"{prefix}lang_emb"], lang_ids)
@@ -460,7 +461,10 @@ class LossOutput:
 
 def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
               rng: Pcg32 | None, training: bool) -> LossOutput:
-    """Joint masked-token + masked-region objective (equal weights)."""
+    """Joint masked-token + masked-region objective (equal weights).
+    Raises DataError when a region label is outside [0, label_vocab_size)."""
+    check_ids(batch.vis_target_ids, cfg.label_vocab_size, "region label",
+              "the label vocabulary")
     states, _ = encode_batch(params, cfg, batch, rng, training)
     bsz, total_len, d = states.shape
     flat = T.reshape(states, (bsz * total_len, d))

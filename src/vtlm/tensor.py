@@ -1,10 +1,19 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The ops the model uses and nothing more, on numpy arrays: broadcasting
-`add` (`+`) and `mul` (`*`, also by a scalar), `matmul` over equal batch
-dims, `reshape`, `transpose`, `concat`, `embedding`, `softmax`, `gelu`,
-`layer_norm`, `dropout` and `cross_entropy`. The graph is a tape of parent links built during the
-forward pass; `backward()` walks it once in reverse topological order.
+`add` (`+`) and `mul` (`*`), `matmul` over equal batch dims, `reshape`,
+`transpose`, `concat`, `embedding`, `attention`, `gelu`, `layer_norm`,
+`dropout` and `cross_entropy`. The graph is a tape of parent links built
+during the forward pass; `backward()` walks it once in reverse
+topological order.
+
+`attention` is one tape node for scores → mask → softmax → dropout →
+context, with a hand-written backward that runs the arithmetic of the
+unfused ops in their order, so its outputs and gradients keep their
+bits. `gelu` is x·Φ(x) with Φ from the Abramowitz & Stegun 7.1.26 erf
+(|error| ≤ 1.5e-7), its argument clamped to |x|/√2 ≤ 9 so that
+exp(−z²) stays a normal float32; in float32 it is within 5e-7 of the
+exact GELU, and its gradient is the derivative of the function computed.
 
 Training runs in float32. Gradient-check tests switch the whole stack
 to float64 with `use_dtype(np.float64)` so central finite differences
@@ -17,15 +26,12 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, NumericError
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LN_EPS = 1e-5
 
 
@@ -126,8 +132,6 @@ class Tensor:
 def _as_tensor(x, dtype) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    if np.isscalar(x):
-        return x  # mul's scalar fast path
     return Tensor(np.asarray(x, dtype=dtype))
 
 
@@ -188,15 +192,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        data = a.data * b
-
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(g * b)
-
-        return _make(data, (a,), bw)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def bw(g):
@@ -281,33 +277,75 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
 # -- nonlinearities --------------------------------------------------------
 
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not np.all(np.isfinite(a.data)):
-        raise NumericError("softmax input contains non-finite values")
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        if a.requires_grad:
-            gy = g * data
-            a._accumulate(gy - data * gy.sum(axis=axis, keepdims=True))
-
-    return _make(data, (a,), bw)
+# erfc(z) ~ t P(t) exp(-z^2), t = 1 / (1 + p z), for z >= 0 (Abramowitz &
+# Stegun 7.1.26); the coefficients here are halved, so that t P(t) exp(-z^2)
+# is 1 - Phi(|x|) directly.
+_ERFC_P = 0.3275911
+_ERFC_A = (0.5 * 0.254829592, 0.5 * -0.284496736, 0.5 * 1.421413741,
+           0.5 * -1.453152027, 0.5 * 1.061405429)
+# (t P)'(t) * p / sqrt(2), highest power first: the slope term of Phi'
+_ERFC_DA = tuple(k * a * _ERFC_P / math.sqrt(2.0) for k, a in enumerate(_ERFC_A, 1))[::-1]
+_ERF_Z_MAX = 9.0  # exp(-81) ~ 6.6e-36 is still a normal float32
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_GELU_BLOCK = 65_536  # elements per pass, so that a block's passes stay in cache
 
 
 def gelu(a: Tensor) -> Tensor:
+    """x Phi(x), computed in place over fixed blocks.
+
+    Per block: z = min(|x| / sqrt 2, 9), t = 1 / (1 + p z), the tail
+    c = t P(t) exp(-z^2) = 1 - Phi(|x|), Phi = 0.5 + copysign(0.5 - c, x)
+    and y = x Phi. When the tape records, the same loop also writes
+    dy/dx = Phi + x Phi' of this Phi, and the backward is one multiply.
+    """
     x = a.data
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    data = x * phi
+    record = _GRAD_ENABLED and a.requires_grad
+    y = np.empty(x.shape, x.dtype)
+    dy = np.empty(x.shape, x.dtype) if record else None
+    xf, yf, n = x.reshape(-1), y.reshape(-1), x.size
+    z, t, e, c = (np.empty(min(n, _GELU_BLOCK), x.dtype) for _ in range(4))
+    for lo in range(0, n, _GELU_BLOCK):
+        hi = min(lo + _GELU_BLOCK, n)
+        xb, yb, m = xf[lo:hi], yf[lo:hi], hi - lo
+        zb, tb, eb, cb = z[:m], t[:m], e[:m], c[:m]
+        np.abs(xb, out=zb)
+        zb *= _INV_SQRT2
+        np.minimum(zb, _ERF_Z_MAX, out=zb)
+        np.multiply(zb, _ERFC_P, out=tb)
+        tb += 1.0
+        np.reciprocal(tb, out=tb)
+        np.square(zb, out=eb)
+        np.negative(eb, out=eb)
+        np.exp(eb, out=eb)
+        np.multiply(tb, _ERFC_A[-1], out=cb)  # Horner: cb = t P(t)
+        for coef in _ERFC_A[-2::-1]:
+            cb += coef
+            cb *= tb
+        if record:
+            # Phi'(x) = exp(-z^2) (t^2 (tP)'(t) p / sqrt 2 + sqrt 2 z t P(t))
+            db = dy.reshape(-1)[lo:hi]
+            np.multiply(tb, _ERFC_DA[0], out=db)
+            for coef in _ERFC_DA[1:]:
+                db += coef
+                db *= tb
+            db *= tb
+            zb *= cb
+            zb *= math.sqrt(2.0)
+            db += zb
+            db *= eb
+            db *= xb
+        cb *= eb
+        np.subtract(0.5, cb, out=yb)
+        np.copysign(yb, xb, out=yb)
+        yb += 0.5
+        if record:
+            db += yb
+        yb *= xb
 
     def bw(g):
-        if a.requires_grad:
-            pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-            a._accumulate(g * (phi + x * pdf))
+        a._accumulate(g * dy)
 
-    return _make(data, (a,), bw)
+    return _make(y, (a,), bw)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -360,10 +398,7 @@ def dropout(a: Tensor, rate: float, rng, training: bool) -> Tensor:
     check_dropout_rate(rate)
     if not training or rate == 0.0:
         return a
-    threshold = math.ceil(rate * 2.0**32 - 0.5)
-    dtype = a.data.dtype
-    mask = np.where(rng.u32(a.data.size).reshape(a.data.shape) >= threshold,
-                    dtype.type(1.0 / (1.0 - rate)), dtype.type(0.0))
+    mask = _dropout_mask(a.data, rate, rng)
     data = a.data * mask
 
     def bw(g):
@@ -371,6 +406,59 @@ def dropout(a: Tensor, rate: float, rng, training: bool) -> Tensor:
             a._accumulate(g * mask)
 
     return _make(data, (a,), bw)
+
+
+def _dropout_mask(x: np.ndarray, rate: float, rng) -> np.ndarray:
+    """1 / (1 - rate) where x's element is kept, 0 where it is dropped:
+    the keep test times the scale, which costs a third of np.where."""
+    keep = rng.u32(x.size).reshape(x.shape) >= math.ceil(rate * 2.0**32 - 0.5)
+    return np.multiply(keep, x.dtype.type(1.0 / (1.0 - rate)), dtype=x.dtype)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray | None,
+              scale: float, rate: float, rng, training: bool) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention over (..., positions, head dim) as one
+    tape node. Returns (ctx, probs): ctx = dropout(probs) @ v, and probs,
+    the attention weights before dropout, as a plain array.
+
+    probs = softmax(q kᵀ * scale + add_mask) over the keys, with dropout
+    as in `dropout`. The forward and backward run the arithmetic of
+    matmul, scalar mul, add, softmax, dropout and matmul nodes in their
+    order, in place, so values and gradients have the bits of that
+    composition. Raises NumericError when a score is not finite.
+    """
+    check_dropout_rate(rate)
+    s = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    s *= scale
+    if add_mask is not None:
+        s += add_mask
+    if not np.all(np.isfinite(s)):
+        raise NumericError("attention scores contain non-finite values")
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    probs = s
+    mask = _dropout_mask(probs, rate, rng) if training and rate != 0.0 else None
+    kept = probs if mask is None else probs * mask
+    ctx = np.matmul(kept, v.data)
+
+    def bw(g):
+        if v.requires_grad:
+            v._accumulate(np.matmul(np.swapaxes(kept, -1, -2), g))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        if mask is not None:
+            gs *= mask
+        gs *= probs  # softmax backward: p * (g - sum(p * g))
+        gs -= probs * gs.sum(axis=-1, keepdims=True)
+        gs *= scale
+        if q.requires_grad:
+            q._accumulate(np.matmul(gs, k.data))
+        if k.requires_grad:
+            k._accumulate(np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2))
+
+    return _make(ctx, (q, k, v), bw), probs
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

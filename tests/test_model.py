@@ -94,15 +94,18 @@ class TestEmbed:
 
 class TestEncode:
     def test_attention_rows_sum_to_one_over_nonpad(self, examples):
+        """`collect` receives the weights before attention dropout, also
+        when training."""
         batch, vocab = make_batch(examples[:6])
-        cfg = desk_cfg(vocab)
+        cfg = desk_cfg(vocab, dropout=0.3)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
         x = embed(params, cfg, batch)
         mask = key_padding_mask(batch.pad_mask, batch.num_regions)
         collected = []
-        encode(params, cfg, x, mask, Pcg32(0), training=False,
-               collect_attn=collected)
-        assert len(collected) == cfg.n_layers
+        for training in (False, True):
+            encode(params, cfg, x, mask, Pcg32(0).split("dropout"), training=training,
+                   collect_attn=collected)
+        assert len(collected) == 2 * cfg.n_layers
         for probs in collected:
             assert np.all(np.abs(probs.sum(axis=-1) - 1.0) < 1e-5)
             # padded keys receive zero attention from every query

@@ -1,14 +1,15 @@
-"""The RNG, dropout, first-gradient and region-directive paths against
-earlier reference implementations kept here: a cheaper or simpler step
-must give the same bits."""
+"""The RNG, dropout, first-gradient, attention and region-directive paths
+against earlier reference implementations kept here: a cheaper or
+simpler step must give the same bits."""
 
 import numpy as np
 import pytest
 
 from helpers import tsum
 from vtlm import tensor as T
+from vtlm.errors import NumericError
 from vtlm.masking import MASK_EMBED, SUBSTITUTE, VTLM, MaskPolicy, build_masked_batch, mask_visual
-from vtlm.model import EncoderConfig, init_encoder_params, vtlm_loss
+from vtlm.model import EncoderConfig, init_encoder_params, key_padding_mask, vtlm_loss
 from vtlm.rng import BLOCK, Pcg32
 from vtlm.seq2seq import MMT, build_source_batch, build_target_batch, init_mt_params, mt_loss
 from vtlm.synthetic import GenConfig, generate_corpus
@@ -145,6 +146,67 @@ def test_first_gradient_of_a_scalar_stays_an_array():
     assert float(t.grad) == 2.0
 
 
+def reference_softmax(a, axis=-1):
+    """The softmax node of the unfused attention."""
+    if not np.all(np.isfinite(a.data)):
+        raise NumericError("softmax input contains non-finite values")
+    m = a.data.max(axis=axis, keepdims=True)
+    e = np.exp(a.data - m)
+    data = e / e.sum(axis=axis, keepdims=True)
+
+    def bw(g):
+        if a.requires_grad:
+            gy = g * data
+            a._accumulate(gy - data * gy.sum(axis=axis, keepdims=True))
+
+    return T._make(data, (a,), bw)
+
+
+def reference_scale(a, b):
+    """Multiplication by a Python scalar, as one tape node."""
+    data = a.data * b
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(g * b)
+
+    return T._make(data, (a,), bw)
+
+
+def reference_attention(q, k, v, add_mask, scale, rate, rng, training):
+    """Unfused attention: matmul, transpose, scalar mul, add, softmax,
+    dropout and matmul nodes."""
+    scores = reference_scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
+    if add_mask is not None:
+        scores = scores + add_mask
+    probs = reference_softmax(scores, axis=-1)
+    ctx = T.matmul(T.dropout(probs, rate, rng, training), v)
+    return ctx, probs.data
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+def test_attention_forward_backward_equal_reference(rate, dtype):
+    rng = Pcg32(12)
+    shape = (3, 2, 7, 4)  # (rows, heads, positions, head dim)
+    q0, k0, v0 = (rng.normal(shape, dtype=dtype) * 2 for _ in range(3))
+    w = rng.normal(shape, dtype=dtype)
+    pad = np.zeros((3, 7), dtype=bool)
+    pad[1, 5:] = pad[2, 3:] = True
+    with T.use_dtype(dtype):
+        add_mask = key_padding_mask(pad, 0)
+    results = []
+    for fn in (T.attention, reference_attention):
+        q, k, v = (T.Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
+        ctx, probs = fn(q, k, v, add_mask, 0.5, rate, Pcg32(8).split("dropout"), True)
+        tsum(T.mul(ctx, T.Tensor(w))).backward()
+        results.append((ctx.data, probs, q.grad, k.grad, v.grad))
+    assert np.all(results[0][1][1, :, :, 5:] == 0.0)  # padded keys get no weight
+    for got, expect in zip(*results):
+        assert got.dtype == expect.dtype == dtype
+        assert got.tobytes() == expect.tobytes()
+
+
 def reference_resolve(feats, bboxes, directives, substitutes):
     """Region inputs from visual directives, one SUBSTITUTE slot at a time."""
     out_feats, out_bboxes = feats.copy(), bboxes.copy()
@@ -217,6 +279,7 @@ def test_training_step_bits_equal_reference(phase, corpus, monkeypatch):
 
     monkeypatch.setattr(Pcg32, "u32", reference_u32)
     monkeypatch.setattr(T, "dropout", reference_dropout)
+    monkeypatch.setattr(T, "attention", reference_attention)
     monkeypatch.setattr(T.Tensor, "_accumulate", reference_accumulate)
     expect = _step(phase, corpus)
     assert got[0] == expect[0]

@@ -15,33 +15,71 @@ def t(data, rg=False, dtype=None):
     return T.Tensor(np.asarray(data), requires_grad=rg, dtype=dtype)
 
 
+def attention_weights(scores, dtype=None):
+    """T.attention's probs for one query whose scores are `scores`: zero
+    queries and keys, the scores given as the additive mask."""
+    row = np.asarray(scores, dtype=dtype or T.default_dtype())[None, :]
+    zeros = t(np.zeros((row.size, 1)), dtype=row.dtype)
+    _, probs = T.attention(t(np.zeros((1, 1)), dtype=row.dtype), zeros, zeros, row,
+                           1.0, 0.0, None, training=False)
+    return probs[0]
+
+
 class TestSoftmax:
+    """The softmax inside T.attention, through its probs."""
+
     def test_symmetry(self):
-        out = T.softmax(t([0.0, 0.0, 0.0])).data
+        out = attention_weights([0.0, 0.0, 0.0])
         assert np.allclose(out, [1 / 3] * 3, atol=1e-7)
 
     def test_large_logit_no_overflow(self):
-        out = T.softmax(t([1000.0, 0.0])).data
+        out = attention_weights([1000.0, 0.0])
         assert np.all(np.isfinite(out))
         assert abs(out[0] - 1.0) < 1e-6 and abs(out[1]) < 1e-6
 
     def test_hand_computed_values(self):
         # e^x / sum(e^x) for [1,2,3], evaluated by hand calculator
-        out = T.softmax(t([1.0, 2.0, 3.0])).data
+        out = attention_weights([1.0, 2.0, 3.0])
         assert np.allclose(out, [0.09003057, 0.24472847, 0.66524096], atol=1e-5)
 
     def test_nonfinite_input_rejected(self):
-        with pytest.raises(NumericError):
-            T.softmax(t([1.0, float("nan")]))
-        with pytest.raises(NumericError):
-            T.softmax(t([1.0, float("inf")]))
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(NumericError):
+                attention_weights([1.0, bad])
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
     @settings(max_examples=50, deadline=None)
     def test_rows_sum_to_one(self, row):
-        out = T.softmax(t([row], dtype=np.float64), axis=-1).data
+        out = attention_weights(row, dtype=np.float64)
         assert out.min() >= 0
         assert abs(out.sum() - 1.0) < 1e-6
+
+
+class TestGelu:
+    def test_within_stated_tolerance_of_exact(self):
+        """float32 GELU within 5e-7 of x Phi(x) from float64 math.erf on a
+        dense grid over [-12, 12], at +-1e4 and at +-0."""
+        grid = np.linspace(-12.0, 12.0, 240_001, dtype=np.float32)
+        x = np.concatenate([grid, np.float32([1e4, -1e4, 0.0, -0.0])])
+        got = T.gelu(t(x, dtype=np.float32)).data
+        assert got.dtype == np.float32
+        exact = np.array([v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
+                          for v in x.astype(np.float64).tolist()])
+        assert np.max(np.abs(got.astype(np.float64) - exact)) <= 5e-7
+        assert got[-4:].tolist() == [1e4, 0.0, 0.0, 0.0]
+
+    def test_blocks_do_not_change_values_or_gradients(self):
+        # three rows of 50,000 span three 65,536-element blocks; each row
+        # alone fits in one, and the op is elementwise
+        x = Pcg32(5).normal((3, 50_000), dtype=np.float32) * 3
+        whole = t(x, rg=True)
+        tsum(T.gelu(whole)).backward()
+        for r in range(3):
+            row = t(x[r], rg=True)
+            y = T.gelu(row)
+            tsum(y).backward()
+            assert y.data.tobytes() == T.gelu(t(x)).data[r].tobytes()
+            assert row.grad.tobytes() == whole.grad[r].tobytes()
 
 
 class TestCrossEntropy:
@@ -165,10 +203,25 @@ class TestGradientsAgainstFiniteDifferences:
         x, b = self._randn((6, 8)), self._randn((8,))
         assert _fd_check(lambda: tsum(T.mul(T.add(x, b), T.add(x, b))), [x, b]) < 1e-6
 
+    def _attention_check(self, rate):
+        q, k, v = (self._randn((2, 2, 5, 3), scale=2.0) for _ in range(3))
+        w = self.rng.normal((2, 2, 5, 3), dtype=np.float64)
+        add_mask = np.zeros((2, 1, 1, 5))
+        add_mask[1, ..., 3:] = -1e9
+
+        def build():
+            ctx, _ = T.attention(q, k, v, add_mask, 0.7, rate, Pcg32(123), training=True)
+            return tsum(T.mul(ctx, T.Tensor(w)))
+
+        return _fd_check(build, [q, k, v], n=36)
+
     def test_softmax(self):
-        x = self._randn((5, 9), scale=2.0)
-        w = self.rng.normal((5, 9), dtype=np.float64)
-        assert _fd_check(lambda: tsum(T.mul(T.softmax(x, axis=-1), T.Tensor(w))), [x]) < 1e-6
+        """Attention without dropout: scores, padding mask, softmax and
+        context, with respect to q, k and v."""
+        assert self._attention_check(0.0) < 1e-6
+
+    def test_attention_with_dropout(self):
+        assert self._attention_check(0.3) < 1e-6
 
     def test_gelu(self):
         x = self._randn((7, 7), scale=2.0)
@@ -192,7 +245,7 @@ class TestGradientsAgainstFiniteDifferences:
         assert _fd_check(lambda: tsum(T.mul(T.embedding(w, ids), T.embedding(w, ids))), [w]) < 1e-6
         x = self._randn((9, 4))
         idx = np.array([0, 0, 8, 2])
-        assert _fd_check(lambda: tsum(T.mul(T.embedding(x, idx), 2.0)), [x]) < 1e-6
+        assert _fd_check(lambda: tsum(T.embedding(x, idx) * 2.0), [x]) < 1e-6
 
     def test_concat_reshape_transpose(self):
         a, b = self._randn((3, 4)), self._randn((2, 4))

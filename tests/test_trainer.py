@@ -129,6 +129,15 @@ def test_token_id_outside_vocabulary_raises_data_error(phase, stream, bad, corpu
         train(phase, cfg, data, corpus.valid, 4, str(tmp_path))
 
 
+def test_region_label_outside_label_vocabulary_raises_data_error(corpus, tmp_path):
+    """A VTLM run whose corpus has more detector labels than the region
+    head stops with a DataError naming the label and the bound."""
+    cfg = dataclasses.replace(tiny_cfg(corpus), label_vocab_size=10)
+    assert max(r.label for ex in corpus.train for r in ex.regions) >= 10
+    with pytest.raises(DataError, match=r"region label \d+ outside the label vocabulary \[0, 10\)"):
+        train("pretrain", cfg, corpus.train, corpus.valid, 4, str(tmp_path))
+
+
 @pytest.mark.parametrize("phase", sorted(PHASES))
 def test_skipped_update_still_evaluates(phase, corpus, tmp_path, monkeypatch):
     real_adam_step = trainer.adam_step
