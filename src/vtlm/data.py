@@ -1,8 +1,14 @@
 """Triplet dataset records and line-oriented file I/O.
 
+In memory, an example's o detector regions are three arrays in the
+layout of one row of `model.EncoderBatch`: `feats` (o, D) float32
+pooled features, `bboxes` (o, 4) float32 normalised (x1, y1, x2, y2)
+boxes and `labels` (o,) int64 detector labels.
+
 A triplet file is UTF-8 JSON lines: a one-line header
 {"version", "D", "o", "label_vocab"} followed by one record per line
-with fields {id, src, tgt, regions, entities}. Token fields hold
+with fields {id, src, tgt, regions, entities}, where `regions` lists
+one {label, bbox, feat} object per region. Token fields hold
 vocabulary ids; region features are float32 round-tripped exactly
 through their decimal representation. The same format ingests real
 precomputed detector features.
@@ -27,46 +33,17 @@ class EntitySpan(NamedTuple):
     end: int     # token index, exclusive
 
 
-@dataclass
-class RegionFeature:
-    """One detected region: pooled feature, normalised box, detector label."""
-
-    feat: np.ndarray
-    bbox: np.ndarray
-    label: int
-
-    def validate(self, feat_dim: int, label_vocab: int) -> None:
-        if self.feat.shape != (feat_dim,):
-            raise DataError(f"region feature dim {self.feat.shape} != ({feat_dim},)")
-        if not np.all(np.isfinite(self.feat)):
-            raise DataError("region feature contains non-finite values")
-        x1, y1, x2, y2 = (float(v) for v in self.bbox)
-        if not (0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0):
-            raise DataError(f"invalid bbox {self.bbox}")
-        if not (0 <= self.label < label_vocab):
-            raise DataError(f"region label {self.label} out of range")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RegionFeature)
-            and self.label == other.label
-            and np.array_equal(self.feat, other.feat)
-            and np.array_equal(self.bbox, other.bbox)
-        )
-
-
-@dataclass
+@dataclass(eq=False)  # == on the region arrays would raise
 class TripletExample:
     """One (source sentence, target sentence, region set) training unit."""
 
     id: str
     src_tokens: list[int]
     tgt_tokens: list[int]
-    regions: list[RegionFeature]
+    feats: np.ndarray    # (o, D) float32
+    bboxes: np.ndarray   # (o, 4) float32
+    labels: np.ndarray   # (o,) int64
     entity_spans: list[EntitySpan] = field(default_factory=list)
-
-    def spans_for(self, stream: str) -> list[EntitySpan]:
-        return [s for s in self.entity_spans if s.stream == stream]
 
 
 def write_triplets(path, examples: list[TripletExample], feat_dim: int,
@@ -80,19 +57,16 @@ def write_triplets(path, examples: list[TripletExample], feat_dim: int,
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
         for ex in examples:
-            if len(ex.regions) != num_regions:
+            if len(ex.labels) != num_regions:
                 raise DataError(f"example {ex.id}: expected {num_regions} regions")
             rec = {
                 "id": ex.id,
                 "src": [int(t) for t in ex.src_tokens],
                 "tgt": [int(t) for t in ex.tgt_tokens],
                 "regions": [
-                    {
-                        "label": int(r.label),
-                        "bbox": [float(v) for v in r.bbox],
-                        "feat": [float(v) for v in r.feat],
-                    }
-                    for r in ex.regions
+                    {"label": label, "bbox": bbox, "feat": feat}
+                    for feat, bbox, label in zip(ex.feats.tolist(), ex.bboxes.tolist(),
+                                                 ex.labels.tolist())
                 ],
                 "entities": [
                     {"stream": s.stream, "start": s.start, "end": s.end}
@@ -102,8 +76,29 @@ def write_triplets(path, examples: list[TripletExample], feat_dim: int,
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _region_problem(ex: TripletExample, num_regions: int, label_vocab: int) -> str | None:
+    """What is wrong with one record's (o, D) and (o, 4) region arrays,
+    checked as whole arrays, or None."""
+    if len(ex.labels) != num_regions:
+        return f"{len(ex.labels)} regions, header says {num_regions}"
+    if not np.all(np.isfinite(ex.feats)):
+        return "a region feature contains non-finite values"
+    x1, y1, x2, y2 = ex.bboxes.T
+    ok = (0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0)
+    if not np.all(ok):
+        return f"invalid bbox {ex.bboxes[np.argmin(ok)]}"
+    bad = (ex.labels < 0) | (ex.labels >= label_vocab)
+    if np.any(bad):
+        return f"region label {ex.labels[bad][0]} outside [0, {label_vocab})"
+    return None
+
+
 def load_triplets(path, expect_feat_dim: int | None = None):
-    """Read a triplet file; returns (examples, header)."""
+    """Read a triplet file; returns (examples, header). Raises DataError
+    naming the line of a malformed record, an empty sentence or regions
+    that do not fit the header: a count other than `o`, features not
+    `D` long or not finite, a box outside 0 <= x1 < x2 <= 1,
+    0 <= y1 < y2 <= 1, or a label outside [0, `label_vocab`)."""
     examples: list[TripletExample] = []
     with open(path, encoding="utf-8") as f:
         first = f.readline()
@@ -128,19 +123,16 @@ def load_triplets(path, expect_feat_dim: int | None = None):
                 continue
             try:
                 rec = json.loads(line)
-                regions = [
-                    RegionFeature(
-                        feat=np.asarray(r["feat"], dtype=np.float32),
-                        bbox=np.asarray(r["bbox"], dtype=np.float32),
-                        label=int(r["label"]),
-                    )
-                    for r in rec["regions"]
-                ]
+                regions = rec["regions"]
                 ex = TripletExample(
                     id=rec["id"],
                     src_tokens=[int(t) for t in rec["src"]],
                     tgt_tokens=[int(t) for t in rec["tgt"]],
-                    regions=regions,
+                    feats=np.array([r["feat"] for r in regions],
+                                   dtype=np.float32).reshape(len(regions), feat_dim),
+                    bboxes=np.array([r["bbox"] for r in regions],
+                                    dtype=np.float32).reshape(len(regions), 4),
+                    labels=np.array([r["label"] for r in regions], dtype=np.int64),
                     entity_spans=[
                         EntitySpan(e["stream"], int(e["start"]), int(e["end"]))
                         for e in rec.get("entities", [])
@@ -150,11 +142,8 @@ def load_triplets(path, expect_feat_dim: int | None = None):
                 raise DataError(f"{path}: malformed record at line {line_no}: {e}") from e
             if not ex.src_tokens or not ex.tgt_tokens:
                 raise DataError(f"{path}: empty sentence at line {line_no}")
-            if len(ex.regions) != num_regions:
-                raise DataError(
-                    f"{path}: line {line_no} has {len(ex.regions)} regions, header says {num_regions}"
-                )
-            for r in ex.regions:
-                r.validate(feat_dim, label_vocab)
+            problem = _region_problem(ex, num_regions, label_vocab)
+            if problem is not None:
+                raise DataError(f"{path}: {problem} at line {line_no}")
             examples.append(ex)
     return examples, header

@@ -89,7 +89,7 @@ def build_stream(example: TripletExample, mode: str, max_len: int = 256) -> Stre
     """Lay out one example; text segments are tail-truncated to fit,
     regions never are. Raises ConfigError for an unknown objective."""
     check_objective(mode)
-    o = len(example.regions) if mode == VTLM else 0
+    o = len(example.labels) if mode == VTLM else 0
     src = list(example.src_tokens)
     tgt = list(example.tgt_tokens)
     budget = max_len - o - 6
@@ -203,7 +203,7 @@ def build_masked_batch(examples: list[TripletExample], mode: str,
         streams = [build_stream(ex, mode) for ex in examples]
     if streams:
         check_ids(np.concatenate([s.token_ids for s in streams]), vocab_size)
-    rows, regions = [], []
+    rows, kept = [], []
     tpos, tids = [], []
     for ex, s in zip(examples, streams):
         masked, targets = mask_text(s.token_ids, rng_text, vocab_size)
@@ -213,17 +213,17 @@ def build_masked_batch(examples: list[TripletExample], mode: str,
             tpos.append((len(rows), pos))
             tids.append(orig)
         rows.append((masked, s.pos_ids, s.lang_ids))
-        regions.append(ex.regions)
+        kept.append(ex)
     if not rows:
         log.warning("batch skipped: no maskable examples")
         return None
     batch = MaskedBatch(
-        **vars(collate(rows, regions if mode == VTLM else None)),
+        **vars(collate(rows, kept if mode == VTLM else None)),
         text_target_pos=np.array(tpos, dtype=np.int64).reshape(-1, 2),
         text_target_ids=np.array(tids, dtype=np.int64),
     )
     if mode == VTLM:
-        labels = np.array([[r.label for r in rs] for rs in regions], dtype=np.int64)
+        labels = np.stack([ex.labels for ex in kept])
         directives, substitutes, vtargets = mask_visual(labels, policy, rng_visual)
         b, slot = np.nonzero(directives == SUBSTITUTE)
         donor, donor_slot = substitutes[b, slot].T

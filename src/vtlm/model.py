@@ -330,23 +330,25 @@ def pad_rows(rows, fill: int) -> tuple[np.ndarray, np.ndarray]:
     return out, np.arange(t_max)[None, :] >= lengths[:, None]
 
 
-def collate(rows, regions=None) -> EncoderBatch:
+def collate(rows, examples=None) -> EncoderBatch:
     """Pad text rows into one EncoderBatch and stack their regions.
 
     `rows` holds one (token_ids, pos_ids, lang_ids) triple per example;
-    `regions`, if given, one sequence of `RegionFeature` per example.
-    Raises DataError when the examples have different region counts.
+    `examples`, if given, one `data.TripletExample` per row, whose (o, D)
+    `feats` and (o, 4) `bboxes` are stacked into the batch's (B, o, D)
+    and (B, o, 4) arrays. Raises DataError when the examples have
+    different region counts.
     """
     tok, pos, lang = zip(*rows)
     token_ids, pad_mask = pad_rows(tok, PAD)
     batch = EncoderBatch(token_ids, pad_rows(pos, 0)[0], pad_rows(lang, 0)[0], pad_mask)
-    if regions is not None:
-        o = len(regions[0])
-        for rs in regions:
-            if len(rs) != o:
-                raise DataError(f"examples with {o} and {len(rs)} regions in one batch")
-        batch.feats = np.stack([np.stack([r.feat for r in rs]) for rs in regions])
-        batch.bboxes = np.stack([np.stack([r.bbox for r in rs]) for rs in regions])
+    if examples is not None:
+        o = len(examples[0].labels)
+        for ex in examples:
+            if len(ex.labels) != o:
+                raise DataError(f"examples with {o} and {len(ex.labels)} regions in one batch")
+        batch.feats = np.stack([ex.feats for ex in examples])
+        batch.bboxes = np.stack([ex.bboxes for ex in examples])
     return batch
 
 

@@ -53,6 +53,7 @@ from .model import (
     embed_inputs,
     encode,
     encode_batch,
+    key_padding_mask,
     pad_rows,
     select_cache_rows,
     tied_logits,
@@ -126,13 +127,13 @@ def build_source_batch(examples: list[TripletExample], task: str,
     MMT examples have different region counts."""
     if task not in (NMT, MMT):
         raise ConfigError(f"unknown task {task!r}")
-    o = len(examples[0].regions) if task == MMT else 0
+    o = len(examples[0].labels) if task == MMT else 0
     budget = max_len - o - 2
     rows = []
     for ex in examples:
         row = [BOS] + list(ex.src_tokens)[:budget] + [EOS]
         rows.append((row, np.arange(len(row)), np.full(len(row), LANG_L1)))
-    return collate(rows, [ex.regions for ex in examples] if task == MMT else None)
+    return collate(rows, examples if task == MMT else None)
 
 
 @dataclass
@@ -189,8 +190,7 @@ def decode_states(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
     x = T.dropout(x, cfg.dropout, rng, training)
     self_mask = causal_mask(t, T.default_dtype(), start)
     if tgt_pad_mask is not None:
-        pad_add = np.where(tgt_pad_mask, NEG_INF, 0.0).astype(T.default_dtype())
-        self_mask = self_mask + pad_add[:, None, None, :]
+        self_mask = self_mask + key_padding_mask(tgt_pad_mask, 0)
     return encode(params, cfg, x, self_mask, rng, training, prefix="dec.",
                   memory=enc_states, memory_mask=enc_key_mask, cache=cache)
 
@@ -271,10 +271,13 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
     (`step_logprobs`) and keeps the `beam` best extensions per sentence,
     by score, then slot, then token id. One that ends in [EOS] is
     finished and leaves its slot empty, so the beam of a sentence
-    shrinks until the sentence leaves the batch. At max_len the live
-    hypotheses are force-finished. The result per sentence is the
-    finished or forced hypothesis with the highest logp / length (its
-    token count, [EOS] included), ties by token sequence.
+    shrinks until the sentence leaves the batch. Only step 0 reads
+    `enc_states`, to fill every decoder layer's cross-attention cache;
+    later steps keep the live rows of the caches and of `enc_key_mask`.
+    At max_len the live hypotheses are force-finished. The result per
+    sentence is the finished or forced hypothesis with the highest
+    logp / length (its token count, [EOS] included), ties by token
+    sequence.
     """
     if beam < 1:
         raise ConfigError("beam must be >= 1")
@@ -312,7 +315,7 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
         keep = np.flatnonzero(np.isfinite(logp).any(axis=1))
         rows = (keep[:, None] * slots + parent[keep]).reshape(-1)
         select_cache_rows(cache, rows, keep)
-        enc_states, enc_key_mask = Tensor(enc_states.data[keep]), enc_key_mask[keep]
+        enc_key_mask = enc_key_mask[keep]
         sents, logp, hist, tokens = sents[keep], logp[keep], hist[keep], tok[keep].reshape(-1)
         if not len(keep):
             break

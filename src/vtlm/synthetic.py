@@ -16,11 +16,14 @@ convention so that captions are recoverable from the region set alone:
     slots 2..k-1     middle objects, in mention order
     slots k..o-1     distractors with uniformly drawn labels
 
-Every region's feature vector is its label's fixed Gaussian cluster
-centre plus N(0, sigma^2) noise; bounding boxes are a deterministic
-grid cell per slot. Nearest-centre classification of slot 0 therefore
-predicts the final content word of the first caption, which is what
-makes the masked last-word probes meaningful at this scale.
+An example's regions are the three arrays of `data.TripletExample`:
+`labels` (o,) by the convention above, `feats` (o, D), every row its
+label's fixed Gaussian cluster centre plus N(0, sigma^2) noise, and
+`bboxes` (o, 4), slot j's deterministic grid cell, one read-only table
+shared by every example of a call. Nearest-centre classification of
+slot 0 therefore predicts the final content word of the first caption,
+which is what makes the masked last-word probes meaningful at this
+scale.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bpe import BpeCodec
-from .data import EntitySpan, RegionFeature, TripletExample
+from .data import EntitySpan, TripletExample
 from .errors import ConfigError
 from .rng import Pcg32, derive_seed
 
@@ -98,24 +101,15 @@ class RawExample:
     tgt_words: list[str]
     src_entity_words: list[int]   # word positions of object mentions
     tgt_entity_words: list[int]
-    regions: list[RegionFeature]
+    feats: np.ndarray    # (o, D) float32
+    bboxes: np.ndarray   # (o, 4) float32
+    labels: np.ndarray   # (o,) int64
 
 
 def label_centers(cfg: GenConfig, seed: int) -> np.ndarray:
     """Per-label Gaussian cluster centres, shared by all shards of a corpus."""
     rng = Pcg32(seed).split("centers")
     return rng.normal((cfg.num_labels, cfg.feat_dim), dtype=np.float32)
-
-
-def slot_bbox(slot: int, num_regions: int) -> np.ndarray:
-    """Deterministic grid cell for a region slot."""
-    cols = int(np.ceil(np.sqrt(num_regions)))
-    rows = int(np.ceil(num_regions / cols))
-    r, c = divmod(slot, cols)
-    return np.array(
-        [(c + 0.1) / cols, (r + 0.1) / rows, (c + 0.9) / cols, (r + 0.9) / rows],
-        dtype=np.float32,
-    )
 
 
 def _caption_words(pairs: list[tuple[str, str]]) -> tuple[list[str], list[int]]:
@@ -143,6 +137,13 @@ def generate_raw(cfg: GenConfig, seed: int, centers: np.ndarray,
     rng = Pcg32(seed).split("gen")
     n = cfg.num_examples if count is None else count
     n_span = cfg.max_objects - cfg.min_objects + 1
+    # slot j's grid cell, row-major on a near-square grid
+    cols = int(np.ceil(np.sqrt(cfg.num_regions)))
+    rows = int(np.ceil(cfg.num_regions / cols))
+    r, c = np.divmod(np.arange(cfg.num_regions), cols)
+    bboxes = np.stack([(c + 0.1) / cols, (r + 0.1) / rows,
+                       (c + 0.9) / cols, (r + 0.9) / rows], axis=1).astype(np.float32)
+    bboxes.flags.writeable = False
     examples: list[RawExample] = []
     for i in range(n):
         k = cfg.min_objects + rng.randint(n_span)
@@ -154,24 +155,11 @@ def generate_raw(cfg: GenConfig, seed: int, centers: np.ndarray,
         tgt_template, tgt_obj_pos = _caption_words(list(reversed(pairs)))
         tgt_words = [to_second_language(w) if w not in (",", ".") else w for w in tgt_template]
 
-        # region slots: 0 = last mention, 1 = first mention, 2.. = middles
-        slot_labels = [0] * cfg.num_regions
-        slot_labels[0] = label_ids[-1]
-        slot_labels[1] = label_ids[0]
-        for j in range(2, k):
-            slot_labels[j] = label_ids[j - 1]
-        for j in range(k, cfg.num_regions):
-            slot_labels[j] = rng.randint(cfg.num_labels)
-
+        # region slots: 0 = last mention, 1 = first mention, 2.. = middles,
+        # then distractors
+        distractors = [rng.randint(cfg.num_labels) for _ in range(k, cfg.num_regions)]
+        labels = np.array([label_ids[-1], *label_ids[:-1], *distractors], dtype=np.int64)
         noise = rng.normal((cfg.num_regions, cfg.feat_dim), dtype=np.float32)
-        regions = [
-            RegionFeature(
-                feat=centers[lab] + cfg.cluster_sigma * noise[j],
-                bbox=slot_bbox(j, cfg.num_regions),
-                label=lab,
-            )
-            for j, lab in enumerate(slot_labels)
-        ]
         examples.append(
             RawExample(
                 id=f"{id_prefix}{i:06d}",
@@ -179,7 +167,9 @@ def generate_raw(cfg: GenConfig, seed: int, centers: np.ndarray,
                 tgt_words=tgt_words,
                 src_entity_words=src_obj_pos,
                 tgt_entity_words=tgt_obj_pos,
-                regions=regions,
+                feats=centers[labels] + cfg.cluster_sigma * noise,
+                bboxes=bboxes,
+                labels=labels,
             )
         )
     return examples
@@ -218,7 +208,9 @@ def encode_examples(raw: list[RawExample], codec: BpeCodec) -> list[TripletExamp
                 id=ex.id,
                 src_tokens=tokens_by_stream["src"],
                 tgt_tokens=tokens_by_stream["tgt"],
-                regions=ex.regions,
+                feats=ex.feats,
+                bboxes=ex.bboxes,
+                labels=ex.labels,
                 entity_spans=spans,
             )
         )
@@ -230,7 +222,6 @@ class SyntheticCorpus:
     cfg: GenConfig
     seed: int
     codec: BpeCodec
-    centers: np.ndarray
     train: list[TripletExample]
     valid: list[TripletExample]
     test: list[TripletExample]
@@ -250,5 +241,4 @@ def generate_corpus(cfg: GenConfig, seed: int) -> SyntheticCorpus:
     codec = BpeCodec.learn(raw_sentences(raw_shards["train"]), cfg.num_merges)
     for name in ("train", "valid", "test"):
         shards[name] = encode_examples(raw_shards[name], codec)
-    return SyntheticCorpus(cfg, seed, codec, centers,
-                           shards["train"], shards["valid"], shards["test"])
+    return SyntheticCorpus(cfg, seed, codec, shards["train"], shards["valid"], shards["test"])

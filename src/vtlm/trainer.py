@@ -270,13 +270,14 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
     from a last.ckpt continues the run bit for bit (one that runs no
     step keeps its metrics), and takes the best parameters from the
     best.ckpt beside it, so a moved run directory still resumes with
-    them. The resume raises ConfigError, naming the first key that
-    differs, unless last.ckpt's `kind`, `model_config` and
+    them. Before any tensor is loaded, the resume raises DataError when
+    that best.ckpt is missing, and ConfigError, naming the first key
+    that differs, unless last.ckpt's `kind`, `model_config` and
     `train_config` (every `tcfg` field but `max_steps` and
     `eval_interval`, which a continued run may change) equal this
-    run's, before any tensor is loaded. A non-finite loss ends the loop
-    before its update; last.ckpt then records the step before it, so a
-    resume runs the diverging step again.
+    run's. A non-finite loss ends the loop before its update; last.ckpt
+    then records the step before it, so a resume runs the diverging
+    step again.
     """
     model_config = cfg.__dict__.copy()
     train_config = {k: v for k, v in vars(tcfg).items()
@@ -289,6 +290,9 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
     best_metric = worst
     best_step = 0
     if resume_from is not None:
+        best_ckpt = os.path.join(os.path.dirname(resume_from), "best.ckpt")
+        if not os.path.exists(best_ckpt):
+            raise DataError(f"cannot resume {resume_from}: no {best_ckpt} beside it")
         header, tensors = load_checkpoint(resume_from)
         run = {"kind": kind, "model_config": model_config, "train_config": train_config}
         differs = _first_difference({k: header.get(k) for k in run}, run)
@@ -299,9 +303,7 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
         last_metrics = header["metrics"]  # kept if the resume runs no step
         best_metric = header.get("best_metric", worst)
         best_step = int(header.get("best_step", 0))
-        best_ckpt = os.path.join(os.path.dirname(resume_from), "best.ckpt")
-        if os.path.exists(best_ckpt):
-            restore_train_checkpoint(best_ckpt, *load_checkpoint(best_ckpt), best_params)
+        restore_train_checkpoint(best_ckpt, *load_checkpoint(best_ckpt), best_params)
 
     epoch_len = max(1, math.ceil(n / tcfg.batch_size))
     history: list[dict] = []

@@ -1,3 +1,8 @@
+import hashlib
+import json
+from dataclasses import replace
+from operator import setitem
+
 import numpy as np
 import pytest
 
@@ -19,6 +24,13 @@ SMALL = GenConfig(num_examples=120, num_valid=30, num_test=30, num_merges=300,
                   feat_dim=16)
 
 
+def assert_same_regions(a, b):
+    """Equal dtype, shape and bytes of two examples' region arrays."""
+    for name in ("feats", "bboxes", "labels"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
 class TestGenerator:
     def test_seed_determinism(self):
         a = generate_synthetic(SMALL, seed=9)
@@ -29,23 +41,22 @@ class TestGenerator:
             assert x.src_tokens == y.src_tokens
             assert x.tgt_tokens == y.tgt_tokens
             assert x.entity_spans == y.entity_spans
-            assert all(rx == ry for rx, ry in zip(x.regions, y.regions))
+            assert_same_regions(x, y)
 
     def test_sigma_zero_feats_equal_centers(self):
         cfg = GenConfig(num_examples=40, cluster_sigma=0.0, feat_dim=16)
         centers = label_centers(cfg, 3)
         raw = generate_raw(cfg, 3, centers)
         for ex in raw:
-            for r in ex.regions:
-                assert np.array_equal(r.feat, centers[r.label])
+            assert np.array_equal(ex.feats, centers[ex.labels])
 
     def test_nearest_center_recovers_labels(self):
         # 10k regions, sigma=0.1, centres N(0,1) in D=64
         cfg = GenConfig(num_examples=1250, cluster_sigma=0.1, feat_dim=64)
         centers = label_centers(cfg, 5)
         raw = generate_raw(cfg, 5, centers)
-        feats = np.stack([r.feat for ex in raw for r in ex.regions])
-        labels = np.array([r.label for ex in raw for r in ex.regions])
+        feats = np.concatenate([ex.feats for ex in raw])
+        labels = np.concatenate([ex.labels for ex in raw])
         assert feats.shape[0] >= 10_000
         acc = np.mean(nearest_center_labels(feats, centers) == labels)
         assert acc > 0.99
@@ -57,7 +68,7 @@ class TestGenerator:
         raw = generate_raw(cfg, 11, centers)
         hits = 0
         for ex in raw:
-            pred = int(nearest_center_labels(ex.regions[0].feat[None, :], centers)[0])
+            pred = int(nearest_center_labels(ex.feats[:1], centers)[0])
             last_content = ex.src_words[-2]  # final "." is punctuation
             hits += OBJECT_WORDS[pred] == last_content
         assert hits / len(raw) > 0.95
@@ -77,10 +88,25 @@ class TestGenerator:
         raw = generate_raw(cfg, 13, label_centers(cfg, 13))
         for ex in raw:
             objs = [ex.src_words[i] for i in ex.src_entity_words]
-            assert OBJECT_WORDS[ex.regions[0].label] == objs[-1]
-            assert OBJECT_WORDS[ex.regions[1].label] == objs[0]
+            assert OBJECT_WORDS[ex.labels[0]] == objs[-1]
+            assert OBJECT_WORDS[ex.labels[1]] == objs[0]
             for j in range(2, len(objs)):
-                assert OBJECT_WORDS[ex.regions[j].label] == objs[j - 1]
+                assert OBJECT_WORDS[ex.labels[j]] == objs[j - 1]
+
+    def test_region_arrays(self):
+        """An example's regions are (o, D) float32 features, (o, 4) float32
+        boxes and (o,) int64 labels; the boxes are slot j's cell of a 3 x 3
+        grid at o = 8, one read-only table shared by the examples."""
+        cfg = GenConfig(num_examples=5, feat_dim=8)
+        raw = generate_raw(cfg, 13, label_centers(cfg, 13))
+        for ex in raw:
+            assert ex.feats.dtype == np.float32 and ex.feats.shape == (8, 8)
+            assert ex.labels.dtype == np.int64 and ex.labels.shape == (8,)
+            assert ex.bboxes is raw[0].bboxes and not ex.bboxes.flags.writeable
+        cells = np.array([[c + 0.1, r + 0.1, c + 0.9, r + 0.9]
+                          for r in range(3) for c in range(3)][:8]) / 3
+        assert raw[0].bboxes.dtype == np.float32
+        assert raw[0].bboxes.tobytes() == cells.astype(np.float32).tobytes()
 
     def test_too_few_regions_rejected(self):
         with pytest.raises(ConfigError):
@@ -90,7 +116,7 @@ class TestGenerator:
         corpus = generate_corpus(SMALL, seed=21)
         codec = corpus.codec
         for ex in corpus.train[:50]:
-            for span in ex.spans_for("src"):
+            for span in (s for s in ex.entity_spans if s.stream == "src"):
                 word = codec.decode(ex.src_tokens[span.start:span.end])
                 assert word in OBJECT_WORDS
 
@@ -129,7 +155,7 @@ class TestTripletIO:
             assert a.src_tokens == b.src_tokens
             assert a.tgt_tokens == b.tgt_tokens
             assert a.entity_spans == b.entity_spans
-            assert all(x == y for x, y in zip(a.regions, b.regions))
+            assert_same_regions(a, b)
 
     def test_truncated_line_names_line_number(self, tmp_path):
         examples = generate_synthetic(SMALL, seed=8)[:3]
@@ -158,3 +184,51 @@ class TestTripletIO:
             write_triplets(p, examples, SMALL.feat_dim, SMALL.num_regions,
                            SMALL.num_labels)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        """The on-disk format does not change: a seeded corpus writes the
+        bytes it wrote when regions were one object each."""
+        examples = generate_synthetic(SMALL, seed=8)[:20]
+        path = tmp_path / "triplets.jsonl"
+        write_triplets(path, examples, SMALL.feat_dim, SMALL.num_regions,
+                       SMALL.num_labels)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ef7d54085884fc897f5d7796cd0eb5e41f76b61eb4667c5b19d8398d7fbc61ba")
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda regions: regions[1]["feat"].pop(), "malformed record"),
+        (lambda regions: [r["feat"].pop() for r in regions], "malformed record"),
+        (lambda regions: setitem(regions[2]["feat"], 3, float("nan")), "non-finite"),
+        (lambda regions: setitem(regions[0]["bbox"], 0, regions[0]["bbox"][2]),
+         "invalid bbox"),
+        (lambda regions: setitem(regions[4]["bbox"], 3, 1.5), "invalid bbox"),
+        (lambda regions: setitem(regions[5], "label", SMALL.num_labels),
+         f"region label {SMALL.num_labels} outside"),
+        (lambda regions: setitem(regions[5], "label", -1), "region label -1 outside"),
+        (lambda regions: regions.pop(), f"{SMALL.num_regions - 1} regions, header says"),
+    ], ids=["feat-length", "every-feat-length", "nan-feat", "x1-ge-x2", "box-edge",
+            "label-vocab", "label-negative", "region-count"])
+    def test_bad_regions_name_their_line(self, tmp_path, corrupt, message):
+        """A bad region in the record on line 3 raises a DataError naming
+        what is wrong and the line."""
+        examples = generate_synthetic(SMALL, seed=8)[:3]
+        path = tmp_path / "triplets.jsonl"
+        write_triplets(path, examples, SMALL.feat_dim, SMALL.num_regions,
+                       SMALL.num_labels)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        corrupt(rec["regions"])
+        lines[2] = json.dumps(rec, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"{message}.* line 3\\b"):
+            load_triplets(path)
+
+    def test_no_regions_load(self, tmp_path):
+        """o = 0 loads as (0, D), (0, 4) and (0,) arrays."""
+        ex = generate_synthetic(SMALL, seed=8)[0]
+        bare = replace(ex, feats=ex.feats[:0], bboxes=ex.bboxes[:0], labels=ex.labels[:0])
+        path = tmp_path / "triplets.jsonl"
+        write_triplets(path, [bare], SMALL.feat_dim, 0, SMALL.num_labels)
+        (loaded,), _ = load_triplets(path)
+        assert loaded.feats.shape == (0, SMALL.feat_dim) and loaded.feats.dtype == np.float32
+        assert loaded.bboxes.shape == (0, 4) and loaded.labels.shape == (0,)

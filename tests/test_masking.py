@@ -6,7 +6,7 @@ import pytest
 from helpers import generate_synthetic
 from vtlm import bpe, masking
 from vtlm.bpe import NUM_RESERVED
-from vtlm.data import RegionFeature, TripletExample
+from vtlm.data import TripletExample
 from vtlm.errors import ConfigError, DataError
 from vtlm.masking import (
     MaskPolicy,
@@ -24,19 +24,13 @@ from vtlm.synthetic import GenConfig
 
 
 def make_example(m=3, n=2, o=8, feat_dim=4):
-    regions = [
-        RegionFeature(
-            feat=np.zeros(feat_dim, dtype=np.float32),
-            bbox=np.array([0.1, 0.1, 0.9, 0.9], dtype=np.float32),
-            label=j % 5,
-        )
-        for j in range(o)
-    ]
     return TripletExample(
         id="x",
         src_tokens=list(range(NUM_RESERVED, NUM_RESERVED + m)),
         tgt_tokens=list(range(NUM_RESERVED + m, NUM_RESERVED + m + n)),
-        regions=regions,
+        feats=np.zeros((o, feat_dim), dtype=np.float32),
+        bboxes=np.tile(np.array([0.1, 0.1, 0.9, 0.9], dtype=np.float32), (o, 1)),
+        labels=np.arange(o, dtype=np.int64) % 5,
     )
 
 
@@ -45,7 +39,7 @@ class TestStreamLayout:
         ex = make_example(3, 2, 8)
         s = build_stream(ex, VTLM)
         assert s.text_len == 3 + 2 + 6
-        assert s.text_len + len(ex.regions) == 19
+        assert s.text_len + len(ex.labels) == 19
         assert s.token_ids[0] == bpe.BOS
         assert list(s.token_ids[4:6]) == [bpe.EOS, bpe.SEP]
         assert s.token_ids[6] == bpe.BOS
@@ -74,7 +68,7 @@ class TestStreamLayout:
     def test_truncation_trims_text_not_regions(self):
         ex = make_example(m=30, n=28, o=8)
         s = build_stream(ex, VTLM, max_len=40)
-        assert s.text_len + len(ex.regions) <= 40
+        assert s.text_len + len(ex.labels) <= 40
         assert s.text_len == 40 - 8
 
     def test_token_position_maps(self):
@@ -191,9 +185,8 @@ class TestBatchAssembly:
 
     @staticmethod
     def _regions(examples):
-        feats = np.stack([np.stack([r.feat for r in ex.regions]) for ex in examples])
-        bboxes = np.stack([np.stack([r.bbox for r in ex.regions]) for ex in examples])
-        return feats, bboxes
+        return (np.stack([ex.feats for ex in examples]),
+                np.stack([ex.bboxes for ex in examples]))
 
     def test_reconstruction_invariant(self):
         """Applying recorded targets back onto the corrupted stream and
@@ -226,7 +219,7 @@ class TestBatchAssembly:
                     assert np.array_equal(batch.feats[b, slot], feats[b, slot])
                     assert np.array_equal(batch.bboxes[b, slot], bboxes[b, slot])
         for (b, slot), lab in zip(batch.vis_target_pos, batch.vis_target_ids):
-            assert lab == examples[b].regions[slot].label
+            assert lab == examples[b].labels[slot]
 
     def test_substitute_uses_referenced_region(self):
         """Every substituted slot carries its donor region's feature and
@@ -236,7 +229,7 @@ class TestBatchAssembly:
         root = Pcg32(3)
         batch = build_masked_batch(examples, VTLM, policy, 500,
                                    root.split("t"), root.split("v"))
-        labels = np.array([[r.label for r in ex.regions] for ex in examples])
+        labels = np.stack([ex.labels for ex in examples])
         directives, subs, _ = mask_visual(labels, policy, root.split("v"))
         feats, bboxes = self._regions(examples)
         sub = list(zip(*np.nonzero(directives == masking.SUBSTITUTE)))
@@ -288,9 +281,9 @@ class TestBatchAssembly:
 
     def test_mixed_region_counts_raise_data_error(self):
         a, b = self._examples(2)
-        b = replace(b, regions=b.regions[:-1])
+        b = replace(b, feats=b.feats[:-1], bboxes=b.bboxes[:-1], labels=b.labels[:-1])
         root = Pcg32(2)
-        with pytest.raises(DataError, match=f"{len(a.regions)} and {len(b.regions)} regions"):
+        with pytest.raises(DataError, match=f"{len(a.labels)} and {len(b.labels)} regions"):
             build_masked_batch([a, b], VTLM, MaskPolicy(), 500, root.split("t"), root.split("v"))
         tlm = build_masked_batch([a, b], TLM, MaskPolicy(), 500, root.split("t"), root.split("v"))
         assert tlm.num_regions == 0

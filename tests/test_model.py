@@ -59,8 +59,8 @@ def embed(params, cfg, batch):
 
 def uncorrupt_regions(batch, examples):
     """Give every slot its own region back, unmasked."""
-    batch.feats[:] = [[r.feat for r in ex.regions] for ex in examples]
-    batch.bboxes[:] = [[r.bbox for r in ex.regions] for ex in examples]
+    batch.feats[:] = np.stack([ex.feats for ex in examples])
+    batch.bboxes[:] = np.stack([ex.bboxes for ex in examples])
     batch.vis_mask[:] = False
 
 

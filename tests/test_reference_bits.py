@@ -234,11 +234,11 @@ def test_resolved_regions_equal_reference(corpus):
     batch = build_masked_batch(examples, VTLM, policy, len(corpus.codec.vocab),
                                root.split("mask_text"), root.split("mask_visual"))
     assert batch.batch_size == len(examples)
-    labels = np.array([[r.label for r in ex.regions] for ex in examples])
+    labels = np.stack([ex.labels for ex in examples])
     directives, substitutes, _ = mask_visual(labels, policy, root.split("mask_visual"))
     assert np.any(directives == SUBSTITUTE) and np.any(directives == MASK_EMBED)
-    feats = np.stack([np.stack([r.feat for r in ex.regions]) for ex in examples])
-    bboxes = np.stack([np.stack([r.bbox for r in ex.regions]) for ex in examples])
+    feats = np.stack([ex.feats for ex in examples])
+    bboxes = np.stack([ex.bboxes for ex in examples])
     expect = reference_resolve(feats, bboxes, directives, substitutes)
     for got, ref in zip((batch.feats, batch.bboxes, batch.vis_mask), expect):
         assert got.dtype == ref.dtype and got.shape == ref.shape

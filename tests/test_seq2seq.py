@@ -205,8 +205,8 @@ def test_translate_keeps_the_traced_call_contract(fitted, monkeypatch):
 
 def test_mixed_region_counts_raise_data_error(corpus):
     a, b = corpus.train[:2]
-    b = replace(b, regions=b.regions[:-1])
-    with pytest.raises(DataError, match=f"{len(a.regions)} and {len(b.regions)} regions"):
+    b = replace(b, feats=b.feats[:-1], bboxes=b.bboxes[:-1], labels=b.labels[:-1])
+    with pytest.raises(DataError, match=f"{len(a.labels)} and {len(b.labels)} regions"):
         build_source_batch([a, b], MMT)
     assert build_source_batch([a, b], NMT).num_regions == 0
 

@@ -133,7 +133,7 @@ def test_region_label_outside_label_vocabulary_raises_data_error(corpus, tmp_pat
     """A VTLM run whose corpus has more detector labels than the region
     head stops with a DataError naming the label and the bound."""
     cfg = dataclasses.replace(tiny_cfg(corpus), label_vocab_size=10)
-    assert max(r.label for ex in corpus.train for r in ex.regions) >= 10
+    assert max(ex.labels.max() for ex in corpus.train) >= 10
     with pytest.raises(DataError, match=r"region label \d+ outside the label vocabulary \[0, 10\)"):
         train("pretrain", cfg, corpus.train, corpus.valid, 4, str(tmp_path))
 
@@ -201,6 +201,21 @@ def test_moved_run_resumes_with_its_best_params(phase, corpus, tmp_path):
     _, result = train(phase, cfg, corpus.train, corpus.valid, 4, str(new),
                       resume_from=str(new / "last.ckpt"))
     assert bits(result.best_params) == {name: t.tobytes() for name, t in marked.items()}
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_resume_without_best_ckpt_raises_data_error(phase, corpus, tmp_path, monkeypatch):
+    """Without the best.ckpt beside last.ckpt a resume could not return
+    the best parameters that the best_step and best_metric it reports
+    belong to: it raises DataError naming best.ckpt, before any tensor
+    is loaded."""
+    cfg = tiny_cfg(corpus)
+    train(phase, cfg, corpus.train, corpus.valid, 4, str(tmp_path))
+    os.remove(tmp_path / "best.ckpt")
+    monkeypatch.setattr(trainer, "load_checkpoint", None)  # loading would call it
+    with pytest.raises(DataError, match="best.ckpt"):
+        train(phase, cfg, corpus.train, corpus.valid, 8, str(tmp_path),
+              resume_from=str(tmp_path / "last.ckpt"))
 
 
 @pytest.mark.parametrize("phase", sorted(PHASES))
