@@ -187,18 +187,16 @@ def init_encoder_params(cfg: EncoderConfig, rng: Pcg32) -> ParamStore:
 
 
 def linear(x: Tensor, params: ParamStore, w: str, b: str) -> Tensor:
-    """x W + b of (..., d) rows by a (d, f) weight, as one 2-D product
-    (one weight-gradient GEMM over all rows), reshaped to (..., f)."""
-    weight = params[w]
-    y = T.matmul(T.reshape(x, (-1, x.shape[-1])), weight) + params[b]
-    return T.reshape(y, x.shape[:-1] + weight.shape[1:])
+    """x W + b of (..., d) rows by the (d, f) weight `w` and bias `b`:
+    `T.linear`, one 2-D product over all rows."""
+    return T.linear(x, params[w], params[b])
 
 
 def tied_logits(params: ParamStore, rows: Tensor, prefix: str = "") -> Tensor:
     """Token logits of (N, d) rows: the tied token embedding plus the MLM
     head bias."""
     emb = params[f"{prefix}token_emb"]
-    return T.matmul(rows, T.transpose(emb, (1, 0))) + params[f"{prefix}mlm_bias"]
+    return T.linear(rows, T.transpose(emb, (1, 0)), params[f"{prefix}mlm_bias"])
 
 
 def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor,

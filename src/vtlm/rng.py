@@ -37,6 +37,9 @@ np.cumprod(_POWS, out=_POWS)
 _SUMS = np.zeros(BLOCK, dtype=np.uint64)   # sum_{j<i} a^j
 np.cumsum(_POWS[:-1], out=_SUMS[1:])
 
+_U18, _U27, _U32, _U59 = (np.uint64(k) for k in (18, 27, 32, 59))
+_LOW32 = np.uint64(0xFFFFFFFF)
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -97,10 +100,20 @@ class Pcg32:
         inc = np.uint64(self._inc)
         for lo in range(0, n, BLOCK):
             m = min(BLOCK, n - lo)
-            states = _POWS[:m] * np.uint64(self._state) + _SUMS[:m] * inc
+            states = _POWS[:m] * np.uint64(self._state)
+            states += _SUMS[:m] * inc
             # the state after the block's last draw starts the next block
             self._state = (int(states[-1]) * _MULT + self._inc) & _MASK64
-            out[lo:lo + m] = self._output_array(states)
+            # XSH-RR in uint64: x = xorshifted, doubled as (x << 32) | x so
+            # that its low 32 bits after >> rot are x rotated right by rot
+            x = states >> _U18
+            x ^= states
+            x >>= _U27
+            x &= _LOW32
+            x |= x << _U32
+            states >>= _U59
+            x >>= states
+            out[lo:lo + m] = x  # keeps the low 32 bits
         return out
 
     @staticmethod
@@ -108,12 +121,6 @@ class Pcg32:
         xorshifted = (((state >> 18) ^ state) >> 27) & 0xFFFFFFFF
         rot = state >> 59
         return ((xorshifted >> rot) | (xorshifted << ((32 - rot) & 31))) & 0xFFFFFFFF
-
-    @staticmethod
-    def _output_array(states: np.ndarray) -> np.ndarray:
-        xorshifted = (((states >> np.uint64(18)) ^ states) >> np.uint64(27)).astype(np.uint32)
-        rot = (states >> np.uint64(59)).astype(np.uint32)
-        return (xorshifted >> rot) | (xorshifted << ((np.uint32(32) - rot) & np.uint32(31)))
 
     def uniform(self, size=None):
         """Uniform doubles in (0, 1)."""

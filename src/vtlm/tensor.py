@@ -1,11 +1,17 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The ops the model uses and nothing more, on numpy arrays: broadcasting
-`add` (`+`) and `mul` (`*`), `matmul` over equal batch dims, `reshape`,
-`transpose`, `concat`, `embedding`, `attention`, `gelu`, `layer_norm`,
-`dropout` and `cross_entropy`. The graph is a tape of parent links built
-during the forward pass; `backward()` walks it once in reverse
-topological order.
+`add` (`+`) and `mul` (`*`), `linear`, `reshape`, `transpose`,
+`concat`, `embedding`, `attention`, `gelu`, `layer_norm`, `dropout` and
+`cross_entropy`. The graph is a tape of parent links built during the
+forward pass; `backward()` walks it once in reverse topological order.
+
+Gradient handover: an op that builds a gradient as a fresh array and
+keeps no reference to it passes it with `_accumulate(g, owned=True)`
+(`linear`, `gelu`, `attention`'s dq and dv, `layer_norm`'s dx and
+`cross_entropy`). A non-leaf receiving its first gradient keeps such an
+array, if C-contiguous and of its dtype and shape, instead of copying
+it; every other first gradient, and every parameter's, is a copy.
 
 `attention` is one tape node for scores → mask → softmax → dropout →
 context, with a hand-written backward that runs the arithmetic of the
@@ -98,15 +104,28 @@ class Tensor:
 
     # -- graph plumbing ------------------------------------------------
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # One pass that owns a C-ordered copy in the tensor's dtype.
-            # Same bits as zeros + g: -0.0 + 0.0 is +0.0, and the cast is
-            # the one `+=` applies. C order keeps later reductions over
-            # this gradient in the order they would have for zeros + g.
-            self.grad = np.add(g, 0.0, out=np.empty(self.data.shape, self.data.dtype))
-        else:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add g to .grad. The first gradient of a leaf (a parameter) is
+        a C-ordered copy in the tensor's dtype, with the bits of zeros + g:
+        -0.0 + 0.0 is +0.0, and the cast is the one `+=` applies. C order
+        keeps later reductions over the gradient in the order they would
+        have for zeros + g.
+
+        Handover: an op passes `owned=True` for an array it has just built
+        and keeps no reference to. A non-leaf keeps such a first gradient
+        as it is when it is a C-contiguous, non-0-d array of the node's
+        dtype and shape; anything else is copied as for a leaf. Kept or
+        copied, the values are equal: a kept -0.0 stays -0.0, but the
+        backward only adds and multiplies, so no nonzero value downstream
+        changes, and a parameter's first gradient still turns it into +0.0.
+        """
+        if self.grad is not None:
             self.grad += g
+        elif (owned and self._parents and g.ndim and g.flags.c_contiguous
+              and g.dtype == self.data.dtype and g.shape == self.data.shape):
+            self.grad = g
+        else:
+            self.grad = np.add(g, 0.0, out=np.empty(self.data.shape, self.data.dtype))
 
     def backward(self) -> None:
         """Populate .grad on every reachable requires_grad leaf; an op's
@@ -204,20 +223,30 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., n, k) @ (..., k, m) over equal batch dims (none for a 2-D
-    product): no broadcast, so neither gradient is reduced."""
-    if a.data.shape[:-2] != b.data.shape[:-2]:
-        raise ValueError(f"matmul batch dims differ: {a.data.shape} @ {b.data.shape}")
-    data = np.matmul(a.data, b.data)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x W + b of (..., d) rows by a (d, f) weight and an (f,) bias, as
+    one tape node: one 2-D GEMM over all rows, the bias added in place.
+
+    The arithmetic of reshape → matmul → add → reshape in that order, so
+    values and gradients keep their bits: dx = g Wᵀ, dW = x2ᵀ g over the
+    (rows, d) view x2 of x, and db the column sum of g. All three are
+    handed over.
+    """
+    f = w.data.shape[1]
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    y = np.matmul(x2, w.data)
+    y += b.data
 
     def bw(g):
-        if a.requires_grad:
-            a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        g2 = g.reshape(-1, f)
         if b.requires_grad:
-            b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
+            b._accumulate(g2.sum(axis=0), owned=True)
+        if w.requires_grad:
+            w._accumulate(np.matmul(x2.T, g2), owned=True)
+        if x.requires_grad:
+            x._accumulate(np.matmul(g2, w.data.T).reshape(x.data.shape), owned=True)
 
-    return _make(data, (a, b), bw)
+    return _make(y.reshape(x.data.shape[:-1] + (f,)), (x, w, b), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -268,9 +297,14 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
     def bw(g):
         if weight.requires_grad:
+            # one add.at over elements id * d + j of the C-ordered flat
+            # gradient: per element, the additions of a row-wise add.at
+            # in their order
+            d = weight.data.shape[-1]
             if weight.grad is None:
-                weight.grad = np.zeros_like(weight.data)
-            np.add.at(weight.grad, ids.reshape(-1), g.reshape(-1, weight.data.shape[-1]))
+                weight.grad = np.zeros(weight.data.shape, weight.data.dtype)
+            at = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+            np.add.at(weight.grad.reshape(-1), at, g.reshape(-1))
 
     return _make(data, (weight,), bw)
 
@@ -343,7 +377,7 @@ def gelu(a: Tensor) -> Tensor:
         yb *= xb
 
     def bw(g):
-        a._accumulate(g * dy)
+        a._accumulate(g * dy, owned=True)
 
     return _make(y, (a,), bw)
 
@@ -369,7 +403,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                 - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             )
-            a._accumulate(dx)
+            a._accumulate(dx, owned=True)
 
     return _make(data, (a, gain, bias), bw)
 
@@ -444,7 +478,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray | None,
 
     def bw(g):
         if v.requires_grad:
-            v._accumulate(np.matmul(np.swapaxes(kept, -1, -2), g))
+            v._accumulate(np.matmul(np.swapaxes(kept, -1, -2), g), owned=True)
         if not (q.requires_grad or k.requires_grad):
             return
         gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
@@ -454,7 +488,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray | None,
         gs -= probs * gs.sum(axis=-1, keepdims=True)
         gs *= scale
         if q.requires_grad:
-            q._accumulate(np.matmul(gs, k.data))
+            q._accumulate(np.matmul(gs, k.data), owned=True)
         if k.requires_grad:
             k._accumulate(np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2))
 
@@ -481,6 +515,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         if logits.requires_grad:
             p = np.exp(logp)
             p[rows, targets] -= 1.0
-            logits._accumulate(g * p / n)
+            logits._accumulate(g * p / n, owned=True)
 
     return _make(data, (logits,), bw)

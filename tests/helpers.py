@@ -1,7 +1,7 @@
 """Scaffolding the tests share and the package itself never runs: a
-summing op and a finite-difference gradient check for the autograd
-tape, and the one-seed corpus and nearest-centre classifier that
-several test corpora and oracles are built from."""
+summing op, a matmul op and a finite-difference gradient check for the
+autograd tape, and the one-seed corpus and nearest-centre classifier
+that several test corpora and oracles are built from."""
 
 from __future__ import annotations
 
@@ -21,6 +21,22 @@ def tsum(a: Tensor) -> Tensor:
             a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
     return _make(data, (a,), bw)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(..., n, k) @ (..., k, m) over equal batch dims (none for a 2-D
+    product): no broadcast, so neither gradient is reduced."""
+    if a.data.shape[:-2] != b.data.shape[:-2]:
+        raise ValueError(f"matmul batch dims differ: {a.data.shape} @ {b.data.shape}")
+    data = np.matmul(a.data, b.data)
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        if b.requires_grad:
+            b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
+
+    return _make(data, (a, b), bw)
 
 
 def gradcheck(build_loss, tensors: list[Tensor], n_samples: int, rng, h: float = 1e-3):

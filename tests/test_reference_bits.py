@@ -1,11 +1,11 @@
-"""The RNG, dropout, first-gradient, attention and region-directive paths
-against earlier reference implementations kept here: a cheaper or
-simpler step must give the same bits."""
+"""The RNG, dropout, first-gradient, linear, embedding, attention and
+region-directive paths against earlier reference implementations kept
+here: a cheaper or simpler step must give the same bits."""
 
 import numpy as np
 import pytest
 
-from helpers import tsum
+from helpers import matmul, tsum
 from vtlm import tensor as T
 from vtlm.errors import NumericError
 from vtlm.masking import MASK_EMBED, SUBSTITUTE, VTLM, MaskPolicy, build_masked_batch, mask_visual
@@ -16,6 +16,13 @@ from vtlm.synthetic import GenConfig, generate_corpus
 
 _MULT = 6364136223846793005
 _MASK64 = (1 << 64) - 1
+
+
+def reference_output(states):
+    """PCG's XSH-RR output step in uint32 arithmetic."""
+    xorshifted = (((states >> np.uint64(18)) ^ states) >> np.uint64(27)).astype(np.uint32)
+    rot = (states >> np.uint64(59)).astype(np.uint32)
+    return (xorshifted >> rot) | (xorshifted << ((np.uint32(32) - rot) & np.uint32(31)))
 
 
 def reference_u32(self, n=None):
@@ -37,7 +44,7 @@ def reference_u32(self, n=None):
         np.cumsum(pows[:-1], out=sums[1:])
     states = pows * np.uint64(self._state) + sums * np.uint64(self._inc)
     self._state = (int(states[-1]) * _MULT + self._inc) & _MASK64
-    return self._output_array(states)
+    return reference_output(states)
 
 
 def reference_dropout(a, rate, rng, training):
@@ -55,11 +62,31 @@ def reference_dropout(a, rate, rng, training):
     return T._make(data, (a,), bw)
 
 
-def reference_accumulate(self, g):
-    """First gradient as zeros_like + g."""
+def reference_accumulate(self, g, owned=False):
+    """First gradient as zeros_like + g, whoever owns g."""
     if self.grad is None:
         self.grad = np.zeros_like(self.data)
     self.grad += g
+
+
+def reference_linear(x, w, b):
+    """x W + b as reshape, matmul, add and reshape nodes."""
+    y = matmul(T.reshape(x, (-1, x.shape[-1])), w) + b
+    return T.reshape(y, x.shape[:-1] + w.shape[1:])
+
+
+def reference_embedding(weight, ids):
+    """Rows `ids` of a 2-D tensor, with a row-wise add.at backward."""
+    ids = np.asarray(ids)
+    data = weight.data[ids]
+
+    def bw(g):
+        if weight.requires_grad:
+            if weight.grad is None:
+                weight.grad = np.zeros_like(weight.data)
+            np.add.at(weight.grad, ids.reshape(-1), g.reshape(-1, weight.data.shape[-1]))
+
+    return T._make(data, (weight,), bw)
 
 
 class FixedDraws:
@@ -138,12 +165,122 @@ def test_first_gradient_equals_zeros_plus_g(case):
     assert not np.shares_memory(got, g)
 
 
+def _node(data):
+    """A non-leaf tensor holding `data`: one tape node over a leaf."""
+    leaf = T.Tensor(np.zeros_like(data), requires_grad=True)
+    return T._make(data, (leaf,), None)
+
+
+def test_owned_first_gradient_is_kept_by_a_node():
+    node = _node(np.ones((4, 6), dtype=np.float32))
+    g = Pcg32(3).normal((4, 6), dtype=np.float32)
+    g[0, 0] = -0.0
+    node._accumulate(g, owned=True)
+    assert np.shares_memory(node.grad, g)
+    assert np.signbit(node.grad[0, 0])  # kept as handed over
+    node._accumulate(np.ones((4, 6), dtype=np.float32), owned=True)
+    assert np.shares_memory(node.grad, g)  # later gradients add in place
+
+
+def test_leaf_copies_an_owned_first_gradient():
+    data = np.ones((4, 6), dtype=np.float32)
+    g = np.full((4, 6), -0.0, dtype=np.float32)
+    t = T.Tensor(data, requires_grad=True)
+    t._accumulate(g, owned=True)
+    assert not np.shares_memory(t.grad, g)
+    assert t.grad.tobytes() == _first_grad(reference_accumulate, data, g).tobytes()
+    assert not np.any(np.signbit(t.grad))  # -0.0 became +0.0
+
+
+@pytest.mark.parametrize("case", ["transposed", "float64_into_float32", "zero_dim"])
+def test_node_copies_an_owned_gradient_it_cannot_keep(case):
+    rng = Pcg32(4)
+    if case == "transposed":
+        data = np.ones((6, 4), dtype=np.float32)
+        g = rng.normal((4, 6), dtype=np.float32).T
+    elif case == "float64_into_float32":
+        data = np.ones((4, 6), dtype=np.float32)
+        g = rng.normal((4, 6), dtype=np.float64) * 1e3
+    else:
+        data = np.ones((), dtype=np.float32)
+        g = np.full((), -0.0, dtype=np.float32)
+    node = _node(data)
+    node._accumulate(g, owned=True)
+    expect = _first_grad(reference_accumulate, data, g)
+    assert not np.shares_memory(node.grad, g)
+    assert isinstance(node.grad, np.ndarray) and node.grad.flags.c_contiguous
+    assert node.grad.dtype == expect.dtype and node.grad.tobytes() == expect.tobytes()
+
+
 def test_first_gradient_of_a_scalar_stays_an_array():
     t = T.Tensor(np.float32(2.0), requires_grad=True)
     t._accumulate(np.ones((), dtype=np.float64))
     t._accumulate(np.ones((), dtype=np.float64))
     assert isinstance(t.grad, np.ndarray) and t.grad.dtype == np.float32
     assert float(t.grad) == 2.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, BLOCK - 1, BLOCK, BLOCK + 1, 541_696])
+def test_u32_draws_and_state_equal_reference(n):
+    rng, ref = Pcg32(17).split("u32"), Pcg32(17).split("u32")
+    got, expect = rng.u32(n), reference_u32(ref, n)
+    assert got.dtype == expect.dtype == np.uint32
+    assert got.tobytes() == expect.tobytes()
+    assert rng._state == ref._state
+    assert rng.u32() == reference_u32(ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["2d", "3d", "tied"])
+def test_linear_forward_backward_equal_reference(case, dtype):
+    """T.linear against reshape → matmul → add → reshape, on an input
+    that is a tape node (its gradient handed over) and, for the tied
+    head, a weight that is a transpose node."""
+    rng = Pcg32(14)
+    shape = {"2d": (23, 8), "3d": (3, 7, 8), "tied": (23, 8)}[case]
+    x0 = rng.normal(shape, dtype=dtype) * 2
+    w0 = rng.normal((11, 8) if case == "tied" else (8, 11), dtype=dtype)
+    b0 = rng.normal((11,), dtype=dtype)
+    out_w = rng.normal(shape[:-1] + (11,), dtype=dtype)
+    results = []
+    for fn in (T.linear, reference_linear):
+        x, w, b = (T.Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+        weight = T.transpose(w, (1, 0)) if case == "tied" else w
+        y = fn(T.gelu(x), weight, b)
+        tsum(T.mul(y, T.Tensor(out_w))).backward()
+        results.append((y.data, x.grad, w.grad, b.grad))
+    for got, expect in zip(*results):
+        assert got.dtype == expect.dtype == dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["repeated_ids_onto_a_gradient", "unique_ids"])
+def test_embedding_backward_equals_row_wise_add_at(case, dtype):
+    """The flat add.at against a row-wise one: repeated ids added onto a
+    gradient already there (the tied token table, whose head gradient
+    arrives first), and unique ids into a fresh one (the target-row
+    gathers)."""
+    rng = Pcg32(21)
+    table = rng.normal((50, 16), dtype=dtype)
+    if case == "repeated_ids_onto_a_gradient":
+        ids = (rng.u32(120) % 50).astype(np.int64).reshape(3, 40)
+        assert len(np.unique(ids)) < ids.size
+        start = rng.normal((50, 16), dtype=dtype)
+    else:
+        ids = rng.permutation(50)[:23]
+        start = None
+    g = rng.normal(ids.shape + (16,), dtype=dtype)
+    results = []
+    for fn in (T.embedding, reference_embedding):
+        w = T.Tensor(table.copy(), requires_grad=True)
+        w.grad = None if start is None else start.copy()
+        out = fn(w, ids)
+        out._backward(g.copy())
+        results.append((out.data, w.grad))
+    for got, expect in zip(*results):
+        assert got.dtype == expect.dtype == dtype
+        assert got.tobytes() == expect.tobytes()
 
 
 def reference_softmax(a, axis=-1):
@@ -176,11 +313,11 @@ def reference_scale(a, b):
 def reference_attention(q, k, v, add_mask, scale, rate, rng, training):
     """Unfused attention: matmul, transpose, scalar mul, add, softmax,
     dropout and matmul nodes."""
-    scores = reference_scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
+    scores = reference_scale(matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
     if add_mask is not None:
         scores = scores + add_mask
     probs = reference_softmax(scores, axis=-1)
-    ctx = T.matmul(T.dropout(probs, rate, rng, training), v)
+    ctx = matmul(T.dropout(probs, rate, rng, training), v)
     return ctx, probs.data
 
 
@@ -281,6 +418,8 @@ def test_training_step_bits_equal_reference(phase, corpus, monkeypatch):
     monkeypatch.setattr(T, "dropout", reference_dropout)
     monkeypatch.setattr(T, "attention", reference_attention)
     monkeypatch.setattr(T.Tensor, "_accumulate", reference_accumulate)
+    monkeypatch.setattr(T, "linear", reference_linear)
+    monkeypatch.setattr(T, "embedding", reference_embedding)
     expect = _step(phase, corpus)
     assert got[0] == expect[0]
     assert got[1].keys() == expect[1].keys()

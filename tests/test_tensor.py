@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gradcheck, tsum
+from helpers import gradcheck, matmul, tsum
 from vtlm import tensor as T
 from vtlm.errors import NumericError
 from vtlm.rng import Pcg32
@@ -188,16 +188,25 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_matmul(self):
         a, b = self._randn((4, 5)), self._randn((5, 3))
-        assert _fd_check(lambda: tsum(T.mul(T.matmul(a, b), T.matmul(a, b))), [a, b]) < 1e-6
+        assert _fd_check(lambda: tsum(T.mul(matmul(a, b), matmul(a, b))), [a, b]) < 1e-6
 
     def test_batched_matmul(self):
         a, b = self._randn((2, 3, 4, 5)), self._randn((2, 3, 5, 4))
-        assert _fd_check(lambda: tsum(T.matmul(a, b)), [a, b]) < 1e-6
+        assert _fd_check(lambda: tsum(matmul(a, b)), [a, b]) < 1e-6
 
     def test_matmul_does_not_broadcast(self):
         a, b = self._randn((2, 4, 5)), self._randn((5, 3))
         with pytest.raises(ValueError, match="batch dims"):
-            T.matmul(a, b)
+            matmul(a, b)
+
+    def test_linear(self):
+        w, b = self._randn((5, 3)), self._randn((3,))
+        for shape in ((4, 5), (2, 3, 5)):
+            x = self._randn(shape)
+            def build():
+                y = T.linear(x, w, b)
+                return tsum(T.mul(y, y))
+            assert _fd_check(build, [x, w, b]) < 1e-6
 
     def test_broadcast_add_mul(self):
         x, b = self._randn((6, 8)), self._randn((8,))
@@ -289,7 +298,7 @@ class TestDeterminism:
             rng = Pcg32(2024)
             x = t(rng.normal((8, 16)), rg=True)
             w = t(rng.normal((16, 16)))
-            h = T.gelu(T.matmul(x, w))
+            h = T.gelu(matmul(x, w))
             h = T.dropout(h, 0.1, rng.split("drop"), training=True)
             return tsum(h).item()
 
