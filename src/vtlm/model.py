@@ -21,7 +21,6 @@ is all that tells the decoder apart from the encoder.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,8 +192,8 @@ def linear(x: Tensor, params: ParamStore, w: str, b: str) -> Tensor:
 
 
 def tied_logits(params: ParamStore, rows: Tensor, prefix: str = "") -> Tensor:
-    """Token logits of (N, d) rows: the tied token embedding plus the MLM
-    head bias."""
+    """Token logits of (..., d) rows: the tied token embedding plus the
+    MLM head bias."""
     emb = params[f"{prefix}token_emb"]
     return T.linear(rows, T.transpose(emb, (1, 0)), params[f"{prefix}mlm_bias"])
 
@@ -203,44 +202,35 @@ def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor,
               add_mask: np.ndarray | None, n_heads: int, dropout: float,
               rng: Pcg32 | None, training: bool, collect: list | None = None,
               cache: dict | None = None) -> Tensor:
-    """Multi-head attention: the q, k and v projections, split into
-    heads, then `T.attention` (one tape node for scaled scores, additive
-    mask, softmax, dropout on the weights and the weighted sum of v), the
-    heads merged and the output projection. `add_mask` is broadcast onto
-    the score logits; `collect`, if given, receives each call's attention
-    weights before dropout, (rows, heads, queries, keys).
+    """Multi-head attention: four `linear` projections around
+    `T.attention`. `add_mask` is broadcast onto the (rows, heads,
+    queries, keys) score logits; `collect`, if given, receives each
+    call's attention weights before dropout, of that shape.
 
     `x_kv` may have fewer rows than `x_q`: with B key rows and B*k query
     rows, query rows b*k .. b*k+k-1 all attend to key row b (the beam of
     one sentence reading its encoder states).
 
-    `cache` (a dict, inference only) keeps the projected keys and values
-    under `prefix` between decode steps. Self-attention (`x_kv is x_q`)
-    appends the new positions to them; any other attention projects
-    `x_kv` on its first call and re-uses the projection afterwards.
+    `cache` (a dict, inference only) keeps the (rows, positions, d) key
+    and value projections under `prefix` between decode steps.
+    Self-attention (`x_kv is x_q`) appends the new positions to them on
+    axis 1; any other attention projects `x_kv` on its first call and
+    re-uses the projection afterwards.
     """
-    bsz, t_q, d = x_q.shape
-    hd = d // n_heads
-
-    def heads(x, name, rows):  # (.., d) -> (rows, n_heads, positions, hd)
-        y = T.reshape(linear(x, params, f"{prefix}.w{name}", f"{prefix}.b{name}"),
-                      (rows, -1, n_heads, hd))
-        return T.transpose(y, (0, 2, 1, 3))
-
     if cache is not None and prefix in cache and x_kv is not x_q:
         k, v = cache[prefix]
     else:
-        k, v = heads(x_kv, "k", x_kv.shape[0]), heads(x_kv, "v", x_kv.shape[0])
+        k = linear(x_kv, params, f"{prefix}.wk", f"{prefix}.bk")
+        v = linear(x_kv, params, f"{prefix}.wv", f"{prefix}.bv")
         if cache is not None and prefix in cache:
-            k = T.concat([cache[prefix][0], k], axis=2)
-            v = T.concat([cache[prefix][1], v], axis=2)
+            k = T.concat([cache[prefix][0], k], axis=1)
+            v = T.concat([cache[prefix][1], v], axis=1)
     if cache is not None:
         cache[prefix] = (k, v)
-    q = heads(x_q, "q", k.shape[0])
-    ctx, probs = T.attention(q, k, v, add_mask, 1.0 / math.sqrt(hd), dropout, rng, training)
+    q = linear(x_q, params, f"{prefix}.wq", f"{prefix}.bq")
+    ctx, probs = T.attention(q, k, v, add_mask, n_heads, dropout, rng, training)
     if collect is not None:
         collect.append(probs)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (bsz, t_q, d))
     return linear(ctx, params, f"{prefix}.wo", f"{prefix}.bo")
 
 
@@ -466,8 +456,7 @@ def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
     check_ids(batch.vis_target_ids, cfg.label_vocab_size, "region label",
               "the label vocabulary")
     states, _ = encode_batch(params, cfg, batch, rng, training)
-    bsz, total_len, d = states.shape
-    flat = T.reshape(states, (bsz * total_len, d))
+    total_len = states.shape[1]
 
     terms = []
     mlm_loss_val = 0.0
@@ -475,7 +464,7 @@ def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
     n_text = len(batch.text_target_ids)
     if n_text:
         idx = batch.text_target_pos[:, 0] * total_len + batch.text_target_pos[:, 1]
-        rows = T.embedding(flat, idx)
+        rows = T.embedding(states, idx)
         logits = tied_logits(params, rows)
         mlm = T.cross_entropy(logits, batch.text_target_ids)
         terms.append(mlm)
@@ -491,7 +480,7 @@ def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
             + batch.text_len
             + batch.vis_target_pos[:, 1]
         )
-        vrows = T.embedding(flat, vidx)
+        vrows = T.embedding(states, vidx)
         vlogits = linear(vrows, params, "mrc.w", "mrc.b")
         mrc = T.cross_entropy(vlogits, batch.vis_target_ids)
         terms.append(mrc)

@@ -123,12 +123,15 @@ def transfer_weights(pretrained: ParamStore, cfg: EncoderConfig,
 
 def build_source_batch(examples: list[TripletExample], task: str,
                        max_len: int = 256) -> EncoderBatch:
-    """[BOS] s [EOS] rows, plus every region for MMT; raises DataError when
-    MMT examples have different region counts."""
+    """[BOS] s [EOS] rows, plus every region for MMT, with s cut to fit
+    `max_len`. Raises ConfigError when no source token fits, DataError
+    when MMT examples have different region counts."""
     if task not in (NMT, MMT):
         raise ConfigError(f"unknown task {task!r}")
     o = len(examples[0].labels) if task == MMT else 0
     budget = max_len - o - 2
+    if budget < 1:
+        raise ConfigError(f"max_len={max_len} cannot fit {o} regions and a source token")
     rows = []
     for ex in examples:
         row = [BOS] + list(ex.src_tokens)[:budget] + [EOS]
@@ -196,10 +199,9 @@ def decode_states(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
 
 
 def output_logits(params: ParamStore, states: Tensor) -> Tensor:
-    """Project decoder states onto the vocabulary (tied embedding)."""
-    bsz, t, d = states.shape
-    logits = tied_logits(params, T.reshape(states, (bsz * t, d)), "dec.")
-    return T.reshape(logits, (bsz, t, params["dec.token_emb"].data.shape[0]))
+    """Project (B, t, d) decoder states onto the vocabulary (tied
+    embedding): (B, t, V) logits."""
+    return tied_logits(params, states, "dec.")
 
 
 @dataclass
@@ -215,10 +217,8 @@ def mt_loss(params: ParamStore, cfg: EncoderConfig, src: EncoderBatch,
     enc, key_mask = encode_source(params, cfg, src, rng, training)
     states = decode_states(params, cfg, enc, key_mask, tgt.input_ids, rng,
                            training, tgt_pad_mask=tgt.pad_mask)
-    bsz, t, d = states.shape
-    flat = T.reshape(states, (bsz * t, d))
     keep = np.flatnonzero(~tgt.pad_mask.reshape(-1))
-    logits = tied_logits(params, T.embedding(flat, keep), "dec.")
+    logits = tied_logits(params, T.embedding(states, keep), "dec.")
     targets = tgt.output_ids.reshape(-1)[keep]
     loss = T.cross_entropy(logits, targets)
     return MtLossOutput(loss, loss.item(), len(keep))

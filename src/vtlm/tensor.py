@@ -1,25 +1,27 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The ops the model uses and nothing more, on numpy arrays: broadcasting
-`add` (`+`) and `mul` (`*`), `linear`, `reshape`, `transpose`,
-`concat`, `embedding`, `attention`, `gelu`, `layer_norm`, `dropout` and
+`add` (`+`) and `mul` (`*`), `linear`, `transpose`, `concat`,
+`embedding`, `attention`, `gelu`, `layer_norm`, `dropout` and
 `cross_entropy`. The graph is a tape of parent links built during the
 forward pass; `backward()` walks it once in reverse topological order.
 
 Gradient handover: an op that builds a gradient as a fresh array and
 keeps no reference to it passes it with `_accumulate(g, owned=True)`
-(`linear`, `gelu`, `attention`'s dq and dv, `layer_norm`'s dx and
+(`linear`, `gelu`, `attention`'s dq, dk and dv, `layer_norm`'s dx and
 `cross_entropy`). A non-leaf receiving its first gradient keeps such an
 array, if C-contiguous and of its dtype and shape, instead of copying
 it; every other first gradient, and every parameter's, is a copy.
 
-`attention` is one tape node for scores → mask → softmax → dropout →
-context, with a hand-written backward that runs the arithmetic of the
-unfused ops in their order, so its outputs and gradients keep their
-bits. `gelu` is x·Φ(x) with Φ from the Abramowitz & Stegun 7.1.26 erf
-(|error| ≤ 1.5e-7), its argument clamped to |x|/√2 ≤ 9 so that
-exp(−z²) stays a normal float32; in float32 it is within 5e-7 of the
-exact GELU, and its gradient is the derivative of the function computed.
+`attention` is multi-head attention as one tape node: the heads are
+views, the scores are scaled by 1/√(d / n_heads), and a block of query
+rows may share one key row (a sentence's beams). Its hand-written
+backward runs the arithmetic of the unfused ops in their order, so its
+outputs and gradients keep their bits. `gelu` is x·Φ(x) with Φ from the
+Abramowitz & Stegun 7.1.26 erf (|error| ≤ 1.5e-7), its argument clamped
+to |x|/√2 ≤ 9 so that exp(−z²) stays a normal float32; in float32 it is
+within 5e-7 of the exact GELU, and its gradient is the derivative of
+the function computed.
 
 Training runs in float32. Gradient-check tests switch the whole stack
 to float64 with `use_dtype(np.float64)` so central finite differences
@@ -249,17 +251,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(y.reshape(x.data.shape[:-1] + (f,)), (x, w, b), bw)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.data.shape
-    data = a.data.reshape(shape)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(old))
-
-    return _make(data, (a,), bw)
-
-
 def transpose(a: Tensor, axes) -> Tensor:
     inv = np.argsort(axes)
     data = a.data.transpose(axes)
@@ -290,17 +281,18 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Rows `ids` (any shape) of a 2-D tensor: an embedding lookup, or a
-    gather of selected rows of flattened states."""
+    """Rows `ids` (any shape) of a (..., d) tensor, read as (rows, d) over
+    its flattened leading axes: an embedding lookup in a 2-D table, or a
+    gather of selected positions of (B, T, d) states at ids b*T + t."""
     ids = np.asarray(ids)
-    data = weight.data[ids]
+    d = weight.data.shape[-1]
+    data = weight.data.reshape(-1, d)[ids]
 
     def bw(g):
         if weight.requires_grad:
             # one add.at over elements id * d + j of the C-ordered flat
             # gradient: per element, the additions of a row-wise add.at
             # in their order
-            d = weight.data.shape[-1]
             if weight.grad is None:
                 weight.grad = np.zeros(weight.data.shape, weight.data.dtype)
             at = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
@@ -450,19 +442,32 @@ def _dropout_mask(x: np.ndarray, rate: float, rng) -> np.ndarray:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray | None,
-              scale: float, rate: float, rng, training: bool) -> tuple[Tensor, np.ndarray]:
-    """Scaled dot-product attention over (..., positions, head dim) as one
-    tape node. Returns (ctx, probs): ctx = dropout(probs) @ v, and probs,
-    the attention weights before dropout, as a plain array.
+              n_heads: int, rate: float, rng, training: bool) -> tuple[Tensor, np.ndarray]:
+    """Multi-head attention of (rows, positions, d) projections as one
+    tape node. Returns (ctx, probs): ctx = dropout(probs) @ v with the
+    heads merged to q's shape, and probs, the (key rows, n_heads,
+    queries, keys) weights before dropout, as a plain array. q may have
+    m times k's rows: query rows r*m .. r*m+m-1 then attend to key row r.
 
-    probs = softmax(q kᵀ * scale + add_mask) over the keys, with dropout
-    as in `dropout`. The forward and backward run the arithmetic of
+    probs = softmax(q kᵀ / √(d / n_heads) + add_mask) over the keys of
+    each head, with dropout as in `dropout`. The arithmetic is that of
     matmul, scalar mul, add, softmax, dropout and matmul nodes in their
-    order, in place, so values and gradients have the bits of that
-    composition. Raises NumericError when a score is not finite.
+    order, so values and gradients have the bits of that composition.
+    Raises NumericError when a score is not finite.
     """
     check_dropout_rate(rate)
-    s = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    rows, _, d = k.data.shape
+    hd = d // n_heads
+    scale = 1.0 / math.sqrt(hd)
+
+    def split(x):  # (.., d) -> (rows, n_heads, positions, hd), a view
+        return x.reshape(rows, -1, n_heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(x, shape):  # the inverse of split
+        return x.transpose(0, 2, 1, 3).reshape(shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    s = np.matmul(qh, np.swapaxes(kh, -1, -2))
     s *= scale
     if add_mask is not None:
         s += add_mask
@@ -474,23 +479,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray | None,
     probs = s
     mask = _dropout_mask(probs, rate, rng) if training and rate != 0.0 else None
     kept = probs if mask is None else probs * mask
-    ctx = np.matmul(kept, v.data)
+    ctx = merge(np.matmul(kept, vh), q.data.shape)
 
     def bw(g):
+        gh = split(g)
         if v.requires_grad:
-            v._accumulate(np.matmul(np.swapaxes(kept, -1, -2), g), owned=True)
+            v._accumulate(merge(np.matmul(np.swapaxes(kept, -1, -2), gh), v.data.shape),
+                          owned=True)
         if not (q.requires_grad or k.requires_grad):
             return
-        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gs = np.matmul(gh, np.swapaxes(vh, -1, -2))
         if mask is not None:
             gs *= mask
         gs *= probs  # softmax backward: p * (g - sum(p * g))
         gs -= probs * gs.sum(axis=-1, keepdims=True)
         gs *= scale
         if q.requires_grad:
-            q._accumulate(np.matmul(gs, k.data), owned=True)
+            q._accumulate(merge(np.matmul(gs, kh), q.data.shape), owned=True)
         if k.requires_grad:
-            k._accumulate(np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2))
+            k._accumulate(merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2),
+                                k.data.shape), owned=True)
 
     return _make(ctx, (q, k, v), bw), probs
 

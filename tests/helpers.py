@@ -1,7 +1,7 @@
-"""Scaffolding the tests share and the package itself never runs: a
-summing op, a matmul op and a finite-difference gradient check for the
-autograd tape, and the one-seed corpus and nearest-centre classifier
-that several test corpora and oracles are built from."""
+"""Scaffolding the tests share and the package itself never runs:
+summing, matmul and reshape ops and a finite-difference gradient check
+for the autograd tape, and the one-seed corpus and nearest-centre
+classifier that several test corpora and oracles are built from."""
 
 from __future__ import annotations
 
@@ -37,6 +37,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return _make(data, (a, b), bw)
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    old = a.data.shape
+    data = a.data.reshape(shape)
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(g.reshape(old))
+
+    return _make(data, (a,), bw)
 
 
 def gradcheck(build_loss, tensors: list[Tensor], n_samples: int, rng, h: float = 1e-3):

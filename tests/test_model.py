@@ -17,6 +17,8 @@ from vtlm.masking import (
 from vtlm.model import (
     EncoderConfig,
     ParamStore,
+    add_layer_params,
+    attention,
     embed_inputs,
     encode,
     init_encoder_params,
@@ -314,3 +316,17 @@ def test_linear_is_one_affine_map(shape):
     rows = x.data.reshape(-1, 8)
     np.testing.assert_allclose(w.grad, rows.T @ c.reshape(-1, 6), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(b.grad, c.reshape(-1, 6).sum(axis=0), rtol=1e-12, atol=1e-12)
+
+
+def test_self_attention_is_four_linears_and_one_attention_node():
+    """One self-attention call tapes its input, the 8 projection
+    parameters, the q, k, v and output linears and one attention node:
+    the heads are split and merged inside that node."""
+    params = ParamStore()
+    add_layer_params(params, "l", 8, 16, Pcg32(3))
+    x = T.Tensor(Pcg32(4).normal((2, 5, 8), dtype=np.float32), requires_grad=True)
+    out = attention(params, "l.attn", x, x, None, 2, 0.0, None, training=False)
+    assert out.shape == (2, 5, 8)
+    order = T.topo_order(out)
+    assert len(order) == 14
+    assert sum(node._parents == () for node in order) == 9

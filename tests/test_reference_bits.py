@@ -2,10 +2,12 @@
 region-directive paths against earlier reference implementations kept
 here: a cheaper or simpler step must give the same bits."""
 
+import math
+
 import numpy as np
 import pytest
 
-from helpers import matmul, tsum
+from helpers import matmul, reshape, tsum
 from vtlm import tensor as T
 from vtlm.errors import NumericError
 from vtlm.masking import MASK_EMBED, SUBSTITUTE, VTLM, MaskPolicy, build_masked_batch, mask_visual
@@ -71,12 +73,15 @@ def reference_accumulate(self, g, owned=False):
 
 def reference_linear(x, w, b):
     """x W + b as reshape, matmul, add and reshape nodes."""
-    y = matmul(T.reshape(x, (-1, x.shape[-1])), w) + b
-    return T.reshape(y, x.shape[:-1] + w.shape[1:])
+    y = matmul(reshape(x, (-1, x.shape[-1])), w) + b
+    return reshape(y, x.shape[:-1] + w.shape[1:])
 
 
 def reference_embedding(weight, ids):
-    """Rows `ids` of a 2-D tensor, with a row-wise add.at backward."""
+    """Rows `ids` of a 2-D tensor, with a row-wise add.at backward; a
+    (..., d) tensor goes through a reshape node to (rows, d) first."""
+    if weight.data.ndim > 2:
+        weight = reshape(weight, (-1, weight.shape[-1]))
     ids = np.asarray(ids)
     data = weight.data[ids]
 
@@ -310,38 +315,66 @@ def reference_scale(a, b):
     return T._make(data, (a,), bw)
 
 
-def reference_attention(q, k, v, add_mask, scale, rate, rng, training):
-    """Unfused attention: matmul, transpose, scalar mul, add, softmax,
-    dropout and matmul nodes."""
-    scores = reference_scale(matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
+def reference_attention(q, k, v, add_mask, n_heads, rate, rng, training):
+    """Unfused multi-head attention: reshape and transpose nodes split
+    the heads, then matmul, transpose, scalar mul, add, softmax, dropout
+    and matmul nodes, and transpose and reshape nodes merge them."""
+    rows, _, d = k.shape
+    hd = d // n_heads
+
+    def split(x):
+        return T.transpose(reshape(x, (rows, -1, n_heads, hd)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = reference_scale(matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
     if add_mask is not None:
         scores = scores + add_mask
     probs = reference_softmax(scores, axis=-1)
-    ctx = matmul(T.dropout(probs, rate, rng, training), v)
-    return ctx, probs.data
+    ctx = matmul(T.dropout(probs, rate, rng, training), vh)
+    return reshape(T.transpose(ctx, (0, 2, 1, 3)), q.shape), probs.data
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("rate", [0.0, 0.1])
-def test_attention_forward_backward_equal_reference(rate, dtype):
+def _attention_and_reference(beam, rate, dtype):
+    """T.attention and reference_attention on 3 key rows and 3 * beam
+    query rows: ctx, probs and the q, k and v gradients of each, through
+    projections that are tape nodes (their gradients handed over)."""
     rng = Pcg32(12)
-    shape = (3, 2, 7, 4)  # (rows, heads, positions, head dim)
-    q0, k0, v0 = (rng.normal(shape, dtype=dtype) * 2 for _ in range(3))
-    w = rng.normal(shape, dtype=dtype)
+    shape = (3, 7, 8)  # (rows, positions, d), 2 heads of 4
+    q0 = rng.normal((3 * beam,) + shape[1:], dtype=dtype) * 2
+    k0, v0 = (rng.normal(shape, dtype=dtype) * 2 for _ in range(2))
+    w = rng.normal(q0.shape, dtype=dtype)
     pad = np.zeros((3, 7), dtype=bool)
     pad[1, 5:] = pad[2, 3:] = True
     with T.use_dtype(dtype):
         add_mask = key_padding_mask(pad, 0)
     results = []
     for fn in (T.attention, reference_attention):
-        q, k, v = (T.Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
-        ctx, probs = fn(q, k, v, add_mask, 0.5, rate, Pcg32(8).split("dropout"), True)
+        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0)]
+        q, k, v = (T.mul(x, T.Tensor(np.ones_like(x.data))) for x in leaves)
+        ctx, probs = fn(q, k, v, add_mask, 2, rate, Pcg32(8).split("dropout"), True)
         tsum(T.mul(ctx, T.Tensor(w))).backward()
-        results.append((ctx.data, probs, q.grad, k.grad, v.grad))
-    assert np.all(results[0][1][1, :, :, 5:] == 0.0)  # padded keys get no weight
-    for got, expect in zip(*results):
-        assert got.dtype == expect.dtype == dtype
-        assert got.tobytes() == expect.tobytes()
+        results.append((ctx.data, probs, *(x.grad for x in leaves)))
+    got, expect = results
+    assert got[0].shape == q0.shape
+    assert got[1].shape == (3, 2, 7 * beam, 7)
+    assert np.all(got[1][1, :, :, 5:] == 0.0)  # padded keys get no weight
+    for a, b in zip(got, expect):
+        assert a.dtype == b.dtype == dtype
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+def test_attention_forward_backward_equal_reference(rate, dtype):
+    _attention_and_reference(1, rate, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+def test_attention_with_shared_key_rows_equals_reference(rate, dtype):
+    """Three query rows per key row, as the beams of one sentence share
+    its encoder states."""
+    _attention_and_reference(3, rate, dtype)
 
 
 def reference_resolve(feats, bboxes, directives, substitutes):

@@ -212,14 +212,34 @@ def test_mixed_region_counts_raise_data_error(corpus):
 
 
 def test_translate_max_len_bounded_by_positions(corpus):
-    cfg = tiny_cfg(corpus, max_positions=10)
+    # 11 positions: 8 regions, [BOS], [EOS] and one source token
+    cfg = tiny_cfg(corpus, max_positions=11)
     params = init_mt_params(cfg, Pcg32(0).split("init"))
-    with pytest.raises(ConfigError):
-        translate(params, cfg, corpus.test[:1], MMT, beam=2, max_len=11)
-    # never ending a hypothesis, decoding feeds [BOS] + 9 tokens at the last step
+    with pytest.raises(ConfigError, match="max_len=12 needs 12 target positions"):
+        translate(params, cfg, corpus.test[:1], MMT, beam=2, max_len=12)
+    # never ending a hypothesis, decoding feeds [BOS] + 10 tokens at the last step
     params["dec.mlm_bias"].data[EOS] = -1.0e4
-    (hyp,) = translate(params, cfg, corpus.test[:1], MMT, beam=2, max_len=10)
-    assert len(hyp.tokens) == 10 and not hyp.finished
+    (hyp,) = translate(params, cfg, corpus.test[:1], MMT, beam=2, max_len=11)
+    assert len(hyp.tokens) == 11 and not hyp.finished
+
+
+@pytest.mark.parametrize("max_len", [9, 10])
+def test_no_room_for_a_source_token_raises_config_error(max_len, corpus):
+    """8 regions, [BOS] and [EOS] leave max_len - 10 slots for source
+    tokens: none at 10, where every source would be [BOS] [EOS], and a
+    negative count at 9, which would slice from the end of the source."""
+    examples = corpus.test[:2]
+    assert len(examples[0].labels) == 8
+    with pytest.raises(ConfigError, match=f"max_len={max_len} cannot fit 8 regions"):
+        build_source_batch(examples, MMT, max_len)
+    cfg = tiny_cfg(corpus, max_positions=max_len)
+    params = init_mt_params(cfg, Pcg32(0).split("init"))
+    with pytest.raises(ConfigError, match=f"max_len={max_len} cannot fit 8 regions"):
+        translate(params, cfg, examples, MMT, beam=2, max_len=max_len)
+    # one slot left: each row is [BOS], the first source token and [EOS]
+    src = build_source_batch(examples, MMT, 11)
+    assert src.token_ids.tolist() == [[BOS, ex.src_tokens[0], EOS] for ex in examples]
+    assert build_source_batch(examples, NMT, max_len).text_len == max_len
 
 
 def test_positions_past_max_positions_raise_config_error(corpus):

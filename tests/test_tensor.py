@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gradcheck, matmul, tsum
+from helpers import gradcheck, matmul, reshape, tsum
 from vtlm import tensor as T
 from vtlm.errors import NumericError
 from vtlm.rng import Pcg32
@@ -17,12 +17,12 @@ def t(data, rg=False, dtype=None):
 
 def attention_weights(scores, dtype=None):
     """T.attention's probs for one query whose scores are `scores`: zero
-    queries and keys, the scores given as the additive mask."""
+    queries and keys of one head, the scores given as the additive mask."""
     row = np.asarray(scores, dtype=dtype or T.default_dtype())[None, :]
-    zeros = t(np.zeros((row.size, 1)), dtype=row.dtype)
-    _, probs = T.attention(t(np.zeros((1, 1)), dtype=row.dtype), zeros, zeros, row,
-                           1.0, 0.0, None, training=False)
-    return probs[0]
+    zeros = t(np.zeros((1, row.size, 1)), dtype=row.dtype)
+    _, probs = T.attention(t(np.zeros((1, 1, 1)), dtype=row.dtype), zeros, zeros, row,
+                           1, 0.0, None, training=False)
+    return probs[0, 0, 0]
 
 
 class TestSoftmax:
@@ -213,13 +213,13 @@ class TestGradientsAgainstFiniteDifferences:
         assert _fd_check(lambda: tsum(T.mul(T.add(x, b), T.add(x, b))), [x, b]) < 1e-6
 
     def _attention_check(self, rate):
-        q, k, v = (self._randn((2, 2, 5, 3), scale=2.0) for _ in range(3))
-        w = self.rng.normal((2, 2, 5, 3), dtype=np.float64)
+        q, k, v = (self._randn((2, 5, 6), scale=2.0) for _ in range(3))
+        w = self.rng.normal((2, 5, 6), dtype=np.float64)
         add_mask = np.zeros((2, 1, 1, 5))
         add_mask[1, ..., 3:] = -1e9
 
         def build():
-            ctx, _ = T.attention(q, k, v, add_mask, 0.7, rate, Pcg32(123), training=True)
+            ctx, _ = T.attention(q, k, v, add_mask, 2, rate, Pcg32(123), training=True)
             return tsum(T.mul(ctx, T.Tensor(w)))
 
         return _fd_check(build, [q, k, v], n=36)
@@ -252,15 +252,17 @@ class TestGradientsAgainstFiniteDifferences:
         w = self._randn((12, 5))
         ids = np.array([[0, 3, 3], [11, 2, 0]])
         assert _fd_check(lambda: tsum(T.mul(T.embedding(w, ids), T.embedding(w, ids))), [w]) < 1e-6
-        x = self._randn((9, 4))
         idx = np.array([0, 0, 8, 2])
-        assert _fd_check(lambda: tsum(T.embedding(x, idx) * 2.0), [x]) < 1e-6
+        for shape in ((9, 4), (3, 3, 4)):  # rows of a table, or positions of states
+            x = self._randn(shape)
+            assert T.embedding(x, idx).data.tolist() == x.data.reshape(9, 4)[idx].tolist()
+            assert _fd_check(lambda: tsum(T.embedding(x, idx) * 2.0), [x]) < 1e-6
 
     def test_concat_reshape_transpose(self):
         a, b = self._randn((3, 4)), self._randn((2, 4))
         def build():
             c = T.concat([a, b], axis=0)
-            c = T.reshape(c, (4, 5))
+            c = reshape(c, (4, 5))
             c = T.transpose(c, (1, 0))
             return tsum(T.mul(c, c))
         assert _fd_check(build, [a, b]) < 1e-6
