@@ -94,20 +94,13 @@ class Vocab:
     def id_of(self, token: str) -> int:
         return self._ids.get(token, UNK)
 
-    def token_of(self, idx: int) -> str:
-        return self.tokens[idx]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
 
 class BpeCodec:
     """Applies a learned merge table and maps symbols to vocabulary ids."""
 
     def __init__(self, merges: list[tuple[str, str]], vocab: Vocab):
-        self.merges = list(merges)
         self.vocab = vocab
-        self._rank = {pair: i for i, pair in enumerate(self.merges)}
+        self._rank = {pair: i for i, pair in enumerate(merges)}
         self._word_cache: dict[str, tuple[str, ...]] = {}
 
     @classmethod
@@ -138,41 +131,3 @@ class BpeCodec:
             syms = _merge_word(syms, pair)
         self._word_cache[word] = syms
         return syms
-
-    def encode(self, sentence: str) -> list[int]:
-        ids = []
-        for w in sentence.split():
-            ids.extend(self.vocab.id_of(s) for s in self.segment_word(w))
-        return ids
-
-    def decode(self, ids) -> str:
-        return detokenize([self.vocab.token_of(int(i)) for i in ids])
-
-    # -- persistence -----------------------------------------------------
-
-    def save(self, merges_path, vocab_path) -> None:
-        with open(merges_path, "w", encoding="utf-8") as f:
-            for a, b in self.merges:
-                f.write(f"{a} {b}\n")
-        with open(vocab_path, "w", encoding="utf-8") as f:
-            for tok in self.vocab.tokens:
-                f.write(tok + "\n")
-
-    @classmethod
-    def load(cls, merges_path, vocab_path) -> "BpeCodec":
-        merges = []
-        with open(merges_path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, 1):
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) != 2:
-                    raise DataError(f"{merges_path}: malformed merge at line {line_no}")
-                merges.append((parts[0], parts[1]))
-        with open(vocab_path, encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f]
-        return cls(merges, Vocab(tokens))
-
-
-def detokenize(tokens: list[str]) -> str:
-    """Join BPE symbols back into surface text (inverse of encode)."""
-    text = "".join(tokens)
-    return text.replace(EOW, " ").strip()

@@ -60,7 +60,8 @@ def save_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path):
     """Returns (header, {name: float32 array}); a truncated or corrupt
-    file raises DataError."""
+    file, or a header that is not a JSON object with a non-negative
+    integer `tensor_count`, raises DataError."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
@@ -76,8 +77,13 @@ def load_checkpoint(path):
             header = json.loads(read(hlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise DataError(f"{path}: corrupt header: {e}") from e
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: corrupt header: not a JSON object")
+        count = header.get("tensor_count", 0)
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise DataError(f"{path}: corrupt header: tensor_count {count!r}")
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(header.get("tensor_count", 0)):
+        for _ in range(count):
             (nlen,) = struct.unpack("<H", read(2))
             try:
                 name = read(nlen).decode("utf-8")

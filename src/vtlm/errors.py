@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 There is no command-line entry point yet; the CLI planned in ROADMAP
-item 2 is to map these to process exit codes: ConfigError -> 2,
+item 4 is to map these to process exit codes: ConfigError -> 2,
 DataError -> 3, DivergenceError -> 4.
 """
 
@@ -15,7 +15,10 @@ class ConfigError(VtlmError):
 
 
 class DataError(VtlmError):
-    """Corpus files missing, malformed, or incompatible."""
+    """Input the package cannot use: a token id or region label outside
+    its vocabulary, examples with differing region counts in one batch,
+    an empty split, a checkpoint that is corrupt, truncated or does not
+    fit the model, or a resume without its `best.ckpt`."""
 
 
 class DivergenceError(VtlmError):

@@ -74,10 +74,6 @@ class Stream:
     pos_ids: np.ndarray
     lang_ids: np.ndarray
 
-    @property
-    def text_len(self) -> int:
-        return len(self.token_ids)
-
 
 def check_objective(mode: str) -> None:
     """Raise ConfigError unless `mode` is TLM or VTLM."""

@@ -284,10 +284,6 @@ class EncoderBatch:
     vis_mask: np.ndarray | None = None  # (B, o) True: slot carries the [MASK] embedding
 
     @property
-    def batch_size(self) -> int:
-        return self.token_ids.shape[0]
-
-    @property
     def text_len(self) -> int:
         return self.token_ids.shape[1]
 

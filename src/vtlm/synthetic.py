@@ -96,7 +96,6 @@ class GenConfig:
 
 @dataclass
 class RawExample:
-    id: str
     src_words: list[str]
     tgt_words: list[str]
     src_entity_words: list[int]   # word positions of object mentions
@@ -131,7 +130,7 @@ def _caption_words(pairs: list[tuple[str, str]]) -> tuple[list[str], list[int]]:
 
 
 def generate_raw(cfg: GenConfig, seed: int, centers: np.ndarray,
-                 count: int | None = None, id_prefix: str = "") -> list[RawExample]:
+                 count: int | None = None) -> list[RawExample]:
     """Generate raw word-level examples; fully determined by (cfg, seed)."""
     cfg.validate()
     rng = Pcg32(seed).split("gen")
@@ -145,7 +144,7 @@ def generate_raw(cfg: GenConfig, seed: int, centers: np.ndarray,
                        (c + 0.9) / cols, (r + 0.9) / rows], axis=1).astype(np.float32)
     bboxes.flags.writeable = False
     examples: list[RawExample] = []
-    for i in range(n):
+    for _ in range(n):
         k = cfg.min_objects + rng.randint(n_span)
         label_ids = [int(v) for v in rng.choose(cfg.num_labels, k)]
         attr_ids = [rng.randint(cfg.num_attributes) for _ in range(k)]
@@ -162,7 +161,6 @@ def generate_raw(cfg: GenConfig, seed: int, centers: np.ndarray,
         noise = rng.normal((cfg.num_regions, cfg.feat_dim), dtype=np.float32)
         examples.append(
             RawExample(
-                id=f"{id_prefix}{i:06d}",
                 src_words=src_words,
                 tgt_words=tgt_words,
                 src_entity_words=src_obj_pos,
@@ -205,7 +203,6 @@ def encode_examples(raw: list[RawExample], codec: BpeCodec) -> list[TripletExamp
                 spans.append(EntitySpan(name, offsets[wpos], offsets[wpos + 1]))
         encoded.append(
             TripletExample(
-                id=ex.id,
                 src_tokens=tokens_by_stream["src"],
                 tgt_tokens=tokens_by_stream["tgt"],
                 feats=ex.feats,
@@ -219,8 +216,6 @@ def encode_examples(raw: list[RawExample], codec: BpeCodec) -> list[TripletExamp
 
 @dataclass
 class SyntheticCorpus:
-    cfg: GenConfig
-    seed: int
     codec: BpeCodec
     train: list[TripletExample]
     valid: list[TripletExample]
@@ -236,9 +231,8 @@ def generate_corpus(cfg: GenConfig, seed: int) -> SyntheticCorpus:
                         ("valid", cfg.num_valid),
                         ("test", cfg.num_test)):
         shard_seed = derive_seed(seed, f"shard/{name}")
-        raw_shards[name] = generate_raw(cfg, shard_seed, centers,
-                                        count=count, id_prefix=f"{name}-")
+        raw_shards[name] = generate_raw(cfg, shard_seed, centers, count=count)
     codec = BpeCodec.learn(raw_sentences(raw_shards["train"]), cfg.num_merges)
     for name in ("train", "valid", "test"):
         shards[name] = encode_examples(raw_shards[name], codec)
-    return SyntheticCorpus(cfg, seed, codec, shards["train"], shards["valid"], shards["test"])
+    return SyntheticCorpus(codec, shards["train"], shards["valid"], shards["test"])

@@ -176,18 +176,23 @@ def restore_train_checkpoint(path, header: dict, tensors: dict[str, np.ndarray],
                              params: ParamStore) -> AdamState | None:
     """Copy the checkpoint `load_checkpoint(path)` returned into an
     existing (shape-compatible) ParamStore; returns its AdamState, or
-    None when it holds none."""
-    for name, p in params.items():
+    None when it holds none. A parameter or Adam moment that is missing,
+    or whose shape differs from its parameter's, raises DataError."""
+
+    def fetch(name: str, shape: tuple) -> np.ndarray:
         if name not in tensors:
-            raise DataError(f"{path}: missing parameter {name!r}")
-        if tensors[name].shape != p.data.shape:
+            raise DataError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != shape:
             raise DataError(f"{path}: shape mismatch for {name!r}")
-        p.data[...] = tensors[name]
+        return tensors[name]
+
+    for name, p in params.items():
+        p.data[...] = fetch(name, p.data.shape)
     adam = None
     if header.get("adam_t") is not None:
         adam = AdamState(
-            m={n: tensors[f"adam.m.{n}"].copy() for n in params.names()},
-            v={n: tensors[f"adam.v.{n}"].copy() for n in params.names()},
+            m={n: fetch(f"adam.m.{n}", p.data.shape).copy() for n, p in params.items()},
+            v={n: fetch(f"adam.v.{n}", p.data.shape).copy() for n, p in params.items()},
             t=int(header["adam_t"]),
             skipped=int(header.get("adam_skipped", 0)),
         )

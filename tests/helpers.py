@@ -1,13 +1,14 @@
 """Scaffolding the tests share and the package itself never runs:
 summing, matmul and reshape ops and a finite-difference gradient check
-for the autograd tape, and the one-seed corpus and nearest-centre
-classifier that several test corpora and oracles are built from."""
+for the autograd tape, sentence encoding and decoding through a BPE
+codec, and the one-seed corpus and nearest-centre classifier that
+several test corpora and oracles are built from."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from vtlm.bpe import BpeCodec
+from vtlm.bpe import EOW, BpeCodec
 from vtlm.data import TripletExample
 from vtlm.synthetic import GenConfig, encode_examples, generate_raw, label_centers, raw_sentences
 from vtlm.tensor import Tensor, _make, no_grad
@@ -82,6 +83,17 @@ def gradcheck(build_loss, tensors: list[Tensor], n_samples: int, rng, h: float =
             err = abs(g - g_fd) / max(1e-8, abs(g) + abs(g_fd))
             worst = max(worst, err)
     return worst
+
+
+def encode(codec: BpeCodec, sentence: str) -> list[int]:
+    """Token ids of a whitespace-tokenised sentence."""
+    return [codec.vocab.id_of(s) for w in sentence.split() for s in codec.segment_word(w)]
+
+
+def decode(codec: BpeCodec, ids) -> str:
+    """Surface text of token ids, the inverse of `encode`: the symbols
+    joined, each end-of-word marker a space."""
+    return "".join(codec.vocab.tokens[int(i)] for i in ids).replace(EOW, " ").strip()
 
 
 def generate_synthetic(cfg: GenConfig, seed: int) -> list[TripletExample]:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import decode, encode
 from vtlm import bpe
-from vtlm.bpe import BpeCodec, Vocab, detokenize, learn_bpe
+from vtlm.bpe import BpeCodec, Vocab, learn_bpe
 from vtlm.errors import ConfigError, DataError
 
 
@@ -73,37 +74,23 @@ class TestCodec:
         sentences = ["a red dog and a blue cat .", "e son mep uwm e lvio xuf ."]
         codec = BpeCodec.learn(sentences, 30)
         for s in sentences:
-            assert codec.decode(codec.encode(s)) == s
+            assert decode(codec, encode(codec, s)) == s
 
     def test_no_unk_on_training_corpus(self):
         sentences = ["the quick brown fox", "jumps over the lazy dog"]
         codec = BpeCodec.learn(sentences, 50)
         for s in sentences:
-            assert bpe.UNK not in codec.encode(s)
+            assert bpe.UNK not in encode(codec, s)
 
     def test_unknown_symbol_maps_to_unk(self):
         codec = BpeCodec.learn(["ab ab"], 5)
-        assert bpe.UNK in codec.encode("zq")
+        assert bpe.UNK in encode(codec, "zq")
 
     def test_reserved_ids_fixed(self):
         codec = BpeCodec.learn(["hello world"], 5)
         assert codec.vocab.tokens[:6] == list(bpe.RESERVED_TOKENS)
         assert codec.vocab.id_of("[MASK]") == bpe.MASK == 1
         assert codec.vocab.id_of("[PAD]") == bpe.PAD == 0
-
-    def test_save_load_identity(self, tmp_path):
-        codec = BpeCodec.learn(["some words to merge", "more words appear here"], 20)
-        codec.save(tmp_path / "merges.txt", tmp_path / "vocab.txt")
-        loaded = BpeCodec.load(tmp_path / "merges.txt", tmp_path / "vocab.txt")
-        assert loaded.merges == codec.merges
-        assert loaded.vocab.tokens == codec.vocab.tokens
-        assert loaded.encode("words appear") == codec.encode("words appear")
-
-    def test_malformed_merge_file(self, tmp_path):
-        (tmp_path / "merges.txt").write_text("a b\nbroken\n")
-        (tmp_path / "vocab.txt").write_text("\n".join(bpe.RESERVED_TOKENS) + "\n")
-        with pytest.raises(DataError, match="line 2"):
-            BpeCodec.load(tmp_path / "merges.txt", tmp_path / "vocab.txt")
 
     @given(
         st.lists(
@@ -116,13 +103,10 @@ class TestCodec:
     def test_roundtrip_property(self, words):
         sentence = " ".join(words)
         codec = BpeCodec.learn([sentence], 25)
-        assert codec.decode(codec.encode(sentence)) == sentence
+        assert decode(codec, encode(codec, sentence)) == sentence
 
 
 def test_vocab_rejects_bad_reserved_prefix():
     with pytest.raises(DataError):
         Vocab(["x", "y"])
 
-
-def test_detokenize_strips_markers():
-    assert detokenize(["lo", "w</w>", "c", "at</w>"]) == "low cat"

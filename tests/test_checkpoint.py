@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -53,4 +56,18 @@ def test_corrupt_extent_raises_data_error(tmp_path):
     raw[-16:-8] = (2 ** 62).to_bytes(8, "little")
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [b"[]", b'"x"', b'{"tensor_count": "3"}',
+                                    b'{"tensor_count": 1.5}', b'{"tensor_count": -1}',
+                                    b'{"tensor_count": true}'],
+                         ids=["list", "string", "count-string", "count-float", "count-negative",
+                              "count-bool"])
+def test_malformed_header_raises_data_error(tmp_path, header):
+    """A header that is valid JSON but not an object with a non-negative
+    integer `tensor_count` raises DataError naming the file."""
+    path = tmp_path / "a.ckpt"
+    path.write_bytes(struct.pack("<Q", len(header)) + header)
+    with pytest.raises(DataError, match=f"{re.escape(str(path))}: corrupt header"):
         load_checkpoint(path)

@@ -1,20 +1,12 @@
 import hashlib
 import json
-import tempfile
-from dataclasses import replace
-from functools import lru_cache
-from operator import setitem
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from helpers import generate_synthetic, nearest_center_labels
+from helpers import decode, encode, generate_synthetic, nearest_center_labels
 from vtlm.bpe import BpeCodec
-from vtlm.data import EntitySpan, load_triplets, write_triplets
-from vtlm.errors import ConfigError, DataError
+from vtlm.errors import ConfigError
 from vtlm.synthetic import (
     GenConfig,
     OBJECT_WORDS,
@@ -27,11 +19,6 @@ from vtlm.synthetic import (
 
 SMALL = GenConfig(num_examples=120, num_valid=30, num_test=30, num_merges=300,
                   feat_dim=16)
-
-
-@lru_cache(maxsize=1)
-def small_examples():
-    return tuple(generate_synthetic(SMALL, seed=8)[:3])
 
 
 def assert_same_regions(a, b):
@@ -47,7 +34,6 @@ class TestGenerator:
         b = generate_synthetic(SMALL, seed=9)
         assert len(a) == len(b) == SMALL.num_examples
         for x, y in zip(a, b):
-            assert x.id == y.id
             assert x.src_tokens == y.src_tokens
             assert x.tgt_tokens == y.tgt_tokens
             assert x.entity_spans == y.entity_spans
@@ -127,7 +113,7 @@ class TestGenerator:
         codec = corpus.codec
         for ex in corpus.train[:50]:
             for span in (s for s in ex.entity_spans if s.stream == "src"):
-                word = codec.decode(ex.src_tokens[span.start:span.end])
+                word = decode(codec, ex.src_tokens[span.start:span.end])
                 assert word in OBJECT_WORDS
 
 
@@ -148,203 +134,19 @@ class TestCorpusSplits:
         raw = generate_raw(cfg, 2, centers)
         codec = BpeCodec.learn(raw_sentences(raw), cfg.num_merges)
         for s in raw_sentences(raw):
-            assert 4 not in codec.encode(s)
+            assert 4 not in encode(codec, s)
 
-
-class TestTripletIO:
-    def test_write_load_roundtrip(self, tmp_path):
-        examples = generate_synthetic(SMALL, seed=8)[:100]
-        path = tmp_path / "triplets.jsonl"
-        write_triplets(path, examples, SMALL.feat_dim, SMALL.num_regions,
-                       SMALL.num_labels)
-        loaded, header = load_triplets(path)
-        assert header["D"] == SMALL.feat_dim and header["o"] == SMALL.num_regions
-        assert len(loaded) == len(examples)
-        for a, b in zip(examples, loaded):
-            assert a.id == b.id
-            assert a.src_tokens == b.src_tokens
-            assert a.tgt_tokens == b.tgt_tokens
-            assert a.entity_spans == b.entity_spans
-            assert_same_regions(a, b)
-
-    def test_truncated_line_names_line_number(self, tmp_path):
-        examples = generate_synthetic(SMALL, seed=8)[:3]
-        path = tmp_path / "triplets.jsonl"
-        write_triplets(path, examples, SMALL.feat_dim, SMALL.num_regions,
-                       SMALL.num_labels)
-        text = path.read_text()
-        lines = text.splitlines()
-        lines[-1] = lines[-1][: len(lines[-1]) // 2]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="line 4"):
-            load_triplets(path)
-
-    def test_feat_dim_mismatch_is_schema_error(self, tmp_path):
-        examples = generate_synthetic(SMALL, seed=8)[:3]
-        path = tmp_path / "triplets.jsonl"
-        write_triplets(path, examples, SMALL.feat_dim, SMALL.num_regions,
-                       SMALL.num_labels)
-        with pytest.raises(DataError, match="feature dim"):
-            load_triplets(path, expect_feat_dim=SMALL.feat_dim + 1)
-
-    def test_byte_identical_across_writes(self, tmp_path):
-        examples = generate_synthetic(SMALL, seed=8)[:20]
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        for p in (p1, p2):
-            write_triplets(p, examples, SMALL.feat_dim, SMALL.num_regions,
-                           SMALL.num_labels)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_file_bytes_are_pinned(self, tmp_path):
-        """The on-disk format does not change: a seeded corpus writes the
-        bytes it wrote when regions were one object each."""
-        examples = generate_synthetic(SMALL, seed=8)[:20]
-        path = tmp_path / "triplets.jsonl"
-        write_triplets(path, examples, SMALL.feat_dim, SMALL.num_regions,
-                       SMALL.num_labels)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "ef7d54085884fc897f5d7796cd0eb5e41f76b61eb4667c5b19d8398d7fbc61ba")
-
-    @pytest.mark.parametrize("corrupt, message", [
-        (lambda regions: regions[1]["feat"].pop(), "malformed record"),
-        (lambda regions: [r["feat"].pop() for r in regions], "malformed record"),
-        (lambda regions: setitem(regions[2]["feat"], 3, float("nan")), "non-finite"),
-        (lambda regions: setitem(regions[0]["bbox"], 0, regions[0]["bbox"][2]),
-         "invalid bbox"),
-        (lambda regions: setitem(regions[4]["bbox"], 3, 1.5), "invalid bbox"),
-        (lambda regions: setitem(regions[5], "label", SMALL.num_labels),
-         f"region label {SMALL.num_labels} outside"),
-        (lambda regions: setitem(regions[5], "label", -1), "region label -1 outside"),
-        (lambda regions: regions.pop(), f"{SMALL.num_regions - 1} regions, header says"),
-    ], ids=["feat-length", "every-feat-length", "nan-feat", "x1-ge-x2", "box-edge",
-            "label-vocab", "label-negative", "region-count"])
-    def test_bad_regions_name_their_line(self, tmp_path, corrupt, message):
-        """A bad region in the record on line 3 raises a DataError naming
-        what is wrong and the line."""
-        examples = generate_synthetic(SMALL, seed=8)[:3]
-        path = tmp_path / "triplets.jsonl"
-        write_triplets(path, examples, SMALL.feat_dim, SMALL.num_regions,
-                       SMALL.num_labels)
-        lines = path.read_text().splitlines()
-        rec = json.loads(lines[2])
-        corrupt(rec["regions"])
-        lines[2] = json.dumps(rec, sort_keys=True)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=f"{message}.* line 3\\b"):
-            load_triplets(path)
-
-    def test_no_regions_load(self, tmp_path):
-        """o = 0 loads as (0, D), (0, 4) and (0,) arrays."""
-        ex = generate_synthetic(SMALL, seed=8)[0]
-        bare = replace(ex, feats=ex.feats[:0], bboxes=ex.bboxes[:0], labels=ex.labels[:0])
-        path = tmp_path / "triplets.jsonl"
-        write_triplets(path, [bare], SMALL.feat_dim, 0, SMALL.num_labels)
-        (loaded,), _ = load_triplets(path)
-        assert loaded.feats.shape == (0, SMALL.feat_dim) and loaded.feats.dtype == np.float32
-        assert loaded.bboxes.shape == (0, 4) and loaded.labels.shape == (0,)
-
-    @pytest.mark.parametrize("corrupt, message", [
-        (lambda rec: setitem(rec["src"], 0, 9.9), "token id 9.9 is not an integer"),
-        (lambda rec: setitem(rec["tgt"], 1, "3"), "token id '3' is not an integer"),
-        (lambda rec: setitem(rec["regions"][5], "label", 3.7),
-         "region label 3.7 is not an integer"),
-        (lambda rec: setitem(rec, "entities", [{"stream": "src", "start": 1.5, "end": 2}]),
-         "span start 1.5 is not an integer"),
-        (lambda rec: setitem(rec, "entities", [{"stream": "tgt", "start": 50, "end": 90}]),
-         "entity span [50, 90) does not fit"),
-        (lambda rec: setitem(rec, "entities", [{"stream": "src", "start": 3, "end": 1}]),
-         "entity span [3, 1) does not fit"),
-        (lambda rec: setitem(rec, "entities", [{"stream": "src", "start": 2, "end": 2}]),
-         "entity span [2, 2) does not fit"),
-        (lambda rec: setitem(rec, "entities", [{"stream": "pic", "start": 3, "end": 4}]),
-         "entity span on stream 'pic'"),
-    ], ids=["src-float", "tgt-string", "label-float", "span-float", "span-past-stream",
-            "span-reversed", "span-empty", "span-stream"])
-    def test_bad_ids_and_spans_name_their_line(self, tmp_path, corrupt, message):
-        """A non-integer id or label, or a span that does not fit its
-        record, on line 3 raises a DataError naming it and the line."""
-        path = tmp_path / "triplets.jsonl"
-        write_triplets(path, list(small_examples()), SMALL.feat_dim, SMALL.num_regions,
-                       SMALL.num_labels)
-        lines = path.read_text().splitlines()
-        rec = json.loads(lines[2])
-        corrupt(rec)
-        lines[2] = json.dumps(rec, sort_keys=True)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=r"line 3\b") as err:
-            load_triplets(path)
-        assert message in str(err.value)
-
-    @pytest.mark.parametrize("corrupt, message", [
-        (lambda ex: replace(ex, feats=ex.feats[:, :-1]), "header says D = 16"),
-        (lambda ex: replace(ex, bboxes=np.pad(ex.bboxes, ((0, 0), (0, 1)))),
-         "boxes of shape (8, 5)"),
-        (lambda ex: replace(ex, labels=ex.labels + SMALL.num_labels), "outside [0, 40)"),
-        (lambda ex: replace(ex, labels=ex.labels + 0.5), "not integers"),
-        (lambda ex: replace(ex, feats=ex.feats[1:], bboxes=ex.bboxes[1:], labels=ex.labels[1:]),
-         "7 regions, header says 8"),
-        (lambda ex: replace(ex, entity_spans=[EntitySpan("tgt", 0, 99)]), "does not fit"),
-        (lambda ex: replace(ex, entity_spans=[EntitySpan("src", 1.5, 3)]),
-         "span start 1.5 is not an integer"),
-        (lambda ex: replace(ex, tgt_tokens=ex.tgt_tokens[:-1] + [7.0]),
-         "token id 7.0 is not an integer"),
-    ], ids=["feat-dim", "box-shape", "label-vocab", "label-float", "region-count", "span",
-            "span-float", "token-float"])
-    def test_rejected_write_leaves_no_file(self, tmp_path, corrupt, message):
-        """The writer checks every example against its header before it
-        opens the file; a bad last example leaves nothing behind."""
-        *good, last = small_examples()
-        path = tmp_path / "triplets.jsonl"
-        with pytest.raises(DataError, match=f"example {last.id}") as err:
-            write_triplets(path, good + [corrupt(last)], SMALL.feat_dim, SMALL.num_regions,
-                           SMALL.num_labels)
-        assert message in str(err.value)
-        assert not path.exists()
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_whatever_is_written_reads_back(self, data):
-        """Examples with at most one defect drawn at random: the writer
-        either refuses them and leaves no file, or writes a file the
-        reader loads back as written."""
-        ex = small_examples()[0]
-        o, dim, vocab = SMALL.num_regions, SMALL.feat_dim, SMALL.num_labels
-        defect = data.draw(st.sampled_from(
-            ["none", "feat_dim", "count", "box_shape", "box_order", "label", "label_dtype",
-             "nan", "empty", "span"]))
-        if defect == "feat_dim":
-            ex = replace(ex, feats=ex.feats[:, : data.draw(st.integers(0, dim - 1))])
-        elif defect == "count":
-            ex = replace(ex, labels=ex.labels[: data.draw(st.integers(0, o - 1))])
-        elif defect == "box_shape":
-            ex = replace(ex, bboxes=ex.bboxes[:, :3])
-        elif defect == "box_order":
-            ex = replace(ex, bboxes=ex.bboxes[:, [2, 1, 0, 3]])
-        elif defect == "label":
-            labels = ex.labels.copy()
-            labels[data.draw(st.integers(0, o - 1))] = data.draw(st.integers(-2, vocab + 1))
-            ex = replace(ex, labels=labels)
-        elif defect == "label_dtype":
-            ex = replace(ex, labels=ex.labels.astype(np.float64))
-        elif defect == "nan":
-            feats = ex.feats.copy()
-            feats[data.draw(st.integers(0, o - 1)), 0] = np.nan
-            ex = replace(ex, feats=feats)
-        elif defect == "empty":
-            ex = replace(ex, tgt_tokens=[])
-        elif defect == "span":
-            bound = st.integers(-1, len(ex.src_tokens) + 1) | st.floats(0, 4)
-            span = EntitySpan(data.draw(st.sampled_from(["src", "tgt", "pic"])),
-                              data.draw(bound), data.draw(bound))
-            ex = replace(ex, entity_spans=[span])
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "triplets.jsonl"
-            try:
-                write_triplets(path, [small_examples()[1], ex], dim, o, vocab)
-            except DataError:
-                assert not path.exists()
-                return
-            (_, loaded), _ = load_triplets(path)
-        assert (loaded.id, loaded.src_tokens, loaded.tgt_tokens, loaded.entity_spans) == (
-            ex.id, ex.src_tokens, ex.tgt_tokens, ex.entity_spans)
-        assert_same_regions(ex, loaded)
+    def test_corpus_is_pinned(self):
+        """The generator's output does not change: a sha256 over every
+        split's tokens, entity spans and region array bytes, and the
+        codec's vocabulary."""
+        corpus = generate_corpus(SMALL, seed=8)
+        h = hashlib.sha256(json.dumps(corpus.codec.vocab.tokens).encode())
+        for split in (corpus.train, corpus.valid, corpus.test):
+            h.update(json.dumps(len(split)).encode())
+            for ex in split:
+                h.update(json.dumps([ex.src_tokens, ex.tgt_tokens, ex.entity_spans]).encode())
+                for arr in (ex.feats, ex.bboxes, ex.labels):
+                    h.update(f"{arr.dtype}{arr.shape}".encode() + arr.tobytes())
+        assert h.hexdigest() == (
+            "92a3eda370ca3404bacf2b6cde773ae1177969461306a1f8c9dc90209cb6a113")

@@ -25,7 +25,6 @@ from vtlm.synthetic import GenConfig
 
 def make_example(m=3, n=2, o=8, feat_dim=4):
     return TripletExample(
-        id="x",
         src_tokens=list(range(NUM_RESERVED, NUM_RESERVED + m)),
         tgt_tokens=list(range(NUM_RESERVED + m, NUM_RESERVED + m + n)),
         feats=np.zeros((o, feat_dim), dtype=np.float32),
@@ -38,8 +37,8 @@ class TestStreamLayout:
     def test_vtlm_length_and_segments(self):
         ex = make_example(3, 2, 8)
         s = build_stream(ex, VTLM)
-        assert s.text_len == 3 + 2 + 6
-        assert s.text_len + len(ex.labels) == 19
+        assert len(s.token_ids) == 3 + 2 + 6
+        assert len(s.token_ids) + len(ex.labels) == 19
         assert s.token_ids[0] == bpe.BOS
         assert list(s.token_ids[4:6]) == [bpe.EOS, bpe.SEP]
         assert s.token_ids[6] == bpe.BOS
@@ -47,10 +46,10 @@ class TestStreamLayout:
 
     def test_tlm_length_no_vis(self):
         s = build_stream(make_example(3, 2, 8), TLM)
-        assert s.text_len == 11
+        assert len(s.token_ids) == 11
         assert set(s.lang_ids.tolist()) == {bpe.LANG_L1, bpe.LANG_L2}
         # no room is kept for the 8 regions: the text alone fills max_len
-        assert build_stream(make_example(m=30, n=28, o=8), TLM, max_len=40).text_len == 40
+        assert len(build_stream(make_example(m=30, n=28, o=8), TLM, max_len=40).token_ids) == 40
 
     def test_positions_restart_per_segment(self):
         s = build_stream(make_example(3, 2, 8), VTLM)
@@ -68,8 +67,8 @@ class TestStreamLayout:
     def test_truncation_trims_text_not_regions(self):
         ex = make_example(m=30, n=28, o=8)
         s = build_stream(ex, VTLM, max_len=40)
-        assert s.text_len + len(ex.labels) <= 40
-        assert s.text_len == 40 - 8
+        assert len(s.token_ids) + len(ex.labels) <= 40
+        assert len(s.token_ids) == 40 - 8
 
     def test_token_position_maps(self):
         ex = make_example(3, 2, 8)
@@ -201,18 +200,18 @@ class TestBatchAssembly:
         for (b, pos), orig in zip(batch.text_target_pos, batch.text_target_ids):
             restored[b, pos] = orig
         for b, s in enumerate(streams):
-            assert np.array_equal(restored[b, : s.text_len], s.token_ids)
+            assert np.array_equal(restored[b, : len(s.token_ids)], s.token_ids)
         # non-selected positions were never corrupted
         sel = {(int(b), int(p)) for b, p in batch.text_target_pos}
         for b, s in enumerate(streams):
-            for pos in range(s.text_len):
+            for pos in range(len(s.token_ids)):
                 if (b, pos) not in sel:
                     assert batch.token_ids[b, pos] == s.token_ids[pos]
         # visual: non-selected slots carry their original regions, and
         # targets store true labels
         feats, bboxes = self._regions(examples)
         vsel = {(int(b), int(slot)) for b, slot in batch.vis_target_pos}
-        for b in range(batch.batch_size):
+        for b in range(len(batch.token_ids)):
             for slot in range(batch.num_regions):
                 if (b, slot) not in vsel:
                     assert not batch.vis_mask[b, slot]
@@ -272,9 +271,9 @@ class TestBatchAssembly:
         root = Pcg32(2)
         batch = build_masked_batch(examples, VTLM, MaskPolicy(), 500,
                                    root.split("t"), root.split("v"))
-        assert batch.batch_size == len(examples)
-        for b in range(batch.batch_size):
-            ln = build_stream(examples[b], VTLM).text_len
+        assert len(batch.token_ids) == len(examples)
+        for b in range(len(batch.token_ids)):
+            ln = len(build_stream(examples[b], VTLM).token_ids)
             assert np.all(batch.token_ids[b, ln:] == bpe.PAD)
             assert np.all(batch.pad_mask[b, ln:])
             assert not np.any(batch.pad_mask[b, :ln])

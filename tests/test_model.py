@@ -113,8 +113,8 @@ class TestEncode:
             # padded keys receive zero attention from every query
             pad_cols = np.concatenate(
                 [batch.pad_mask,
-                 np.zeros((batch.batch_size, batch.num_regions), bool)], axis=1)
-            for b in range(batch.batch_size):
+                 np.zeros((len(batch.token_ids), batch.num_regions), bool)], axis=1)
+            for b in range(len(batch.token_ids)):
                 assert np.all(probs[b, :, :, pad_cols[b]] == 0.0)
 
     def test_visual_slot_permutation_equivariance(self, examples):
@@ -183,14 +183,14 @@ class TestVtlmLoss:
         base = vtlm_loss(params, cfg, batch, Pcg32(0), training=False).loss.item()
 
         extra = 3
-        pad_block = np.full((batch.batch_size, extra), bpe.PAD, dtype=np.int64)
+        pad_block = np.full((len(batch.token_ids), extra), bpe.PAD, dtype=np.int64)
         b2 = dataclasses.replace(
             batch,
             token_ids=np.concatenate([batch.token_ids, pad_block], axis=1),
             pos_ids=np.concatenate([batch.pos_ids, np.zeros_like(pad_block)], axis=1),
             lang_ids=np.concatenate([batch.lang_ids, np.zeros_like(pad_block)], axis=1),
             pad_mask=np.concatenate(
-                [batch.pad_mask, np.ones((batch.batch_size, extra), bool)], axis=1))
+                [batch.pad_mask, np.ones((len(batch.token_ids), extra), bool)], axis=1))
         padded = vtlm_loss(params, cfg, b2, Pcg32(0), training=False).loss.item()
         assert padded == pytest.approx(base, abs=1e-5)
 

@@ -12,19 +12,17 @@ SRC = ROOT / "src" / "vtlm"
 # name, or Class.member -> why it stays although nothing outside the
 # tests uses it yet
 KEPT = {
-    "write_triplets": "corpus files for the CLI of ROADMAP item 2",
-    "load_triplets": "corpus files for the CLI of ROADMAP item 2",
-    "DivergenceError": "exit code 4 of the item 2 CLI, raised or mapped per item 8",
+    "DivergenceError": "exit code 4 of the item 4 CLI, raised or mapped per item 8",
     "use_dtype": "the float64 mode the gradient-check tests run in",
-    "BpeCodec.save": "the codec files of the item 2 CLI's `gen`",
-    "BpeCodec.load": "the codec files of the item 2 CLI's `pretrain`, `finetune` and `translate`",
+    "TripletExample.entity_spans": "item 1's entity accuracy",
+    "EntitySpan.stream": "item 1's entity accuracy",
     "Pcg32.derangement": "the incongruent-image control of item 1",
-    "LossOutput.mlm_loss": "the per-step loss terms of item 3's telemetry",
-    "LossOutput.mrc_loss": "the per-step loss terms of item 3's telemetry",
+    "LossOutput.mlm_loss": "the per-step loss terms of item 5's telemetry",
+    "LossOutput.mrc_loss": "the per-step loss terms of item 5's telemetry",
     "TrainResult.best_params": "item 1's VTLM->MMT and TLM->MMT arms fine-tune the best "
                                "pretrained parameters",
-    "TrainResult.best_metric": "the results JSON of item 2's one-command matrix",
-    "TrainResult.best_step": "the results JSON of item 2's one-command matrix",
+    "TrainResult.best_metric": "the results JSON of item 4's one-command matrix",
+    "TrainResult.best_step": "the results JSON of item 4's one-command matrix",
 }
 
 

@@ -403,7 +403,7 @@ def test_resolved_regions_equal_reference(corpus):
     root = Pcg32(9)
     batch = build_masked_batch(examples, VTLM, policy, len(corpus.codec.vocab),
                                root.split("mask_text"), root.split("mask_visual"))
-    assert batch.batch_size == len(examples)
+    assert len(batch.token_ids) == len(examples)
     labels = np.stack([ex.labels for ex in examples])
     directives, substitutes, _ = mask_visual(labels, policy, root.split("mask_visual"))
     assert np.any(directives == SUBSTITUTE) and np.any(directives == MASK_EMBED)

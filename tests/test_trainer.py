@@ -384,3 +384,24 @@ def test_adam_step_skips_a_non_finite_norm(bad):
     assert trainer.adam_step(params, state, 1e-2) is False
     assert (state.t, state.skipped) == (1, 1)
     assert snapshot() == before
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda tensors: tensors.pop("adam.m.b"), "missing tensor 'adam.m.b'"),
+    (lambda tensors: tensors.update({"adam.v.a": np.zeros(4, np.float32)}),
+     "shape mismatch for 'adam.v.a'"),
+], ids=["missing", "shape"])
+def test_restore_rejects_a_bad_adam_moment(corrupt, message, tmp_path):
+    """A checkpoint whose header sets `adam_t` but whose Adam moment is
+    missing, or not of its parameter's shape, raises DataError naming
+    the file and the moment."""
+    params = adam_params({"a": [[0.1, -0.2], [0.3, 0.4]], "b": [1.0, -2.0]})
+    tensors = {n: p.data for n, p in params.items()}
+    tensors.update({f"adam.{k}.{n}": np.zeros_like(p.data) for k in "mv"
+                    for n, p in params.items()})
+    corrupt(tensors)
+    path = tmp_path / "last.ckpt"
+    save_checkpoint(path, {"adam_t": 1}, tensors)
+    with pytest.raises(DataError) as err:
+        trainer.restore_train_checkpoint(path, *load_checkpoint(path), params)
+    assert str(err.value) == f"{path}: {message}"
