@@ -110,3 +110,10 @@ def test_vocab_rejects_bad_reserved_prefix():
     with pytest.raises(DataError):
         Vocab(["x", "y"])
 
+
+
+def test_detokenize_strips_markers():
+    symbols = ["lo", "w</w>", "c", "at</w>"]
+    codec = BpeCodec([], Vocab(list(bpe.RESERVED_TOKENS) + symbols))
+    ids = [codec.vocab.id_of(s) for s in symbols]
+    assert decode(codec, ids) == "low cat"
