@@ -58,10 +58,19 @@ def save_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
         raise
 
 
+def header_count(path, header: dict, key: str) -> int:
+    """`header[key]` (0 when absent) as a count: a value that is not a
+    non-negative int, or is a bool, raises DataError naming `path`."""
+    value = header.get(key, 0)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise DataError(f"{path}: corrupt header: {key} {value!r}")
+    return value
+
+
 def load_checkpoint(path):
     """Returns (header, {name: float32 array}); a truncated or corrupt
-    file, or a header that is not a JSON object with a non-negative
-    integer `tensor_count`, raises DataError."""
+    file, a header that is not a JSON object with a non-negative integer
+    `tensor_count`, or bytes after the last tensor raise DataError."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
@@ -79,11 +88,8 @@ def load_checkpoint(path):
             raise DataError(f"{path}: corrupt header: {e}") from e
         if not isinstance(header, dict):
             raise DataError(f"{path}: corrupt header: not a JSON object")
-        count = header.get("tensor_count", 0)
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise DataError(f"{path}: corrupt header: tensor_count {count!r}")
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
+        for _ in range(header_count(path, header, "tensor_count")):
             (nlen,) = struct.unpack("<H", read(2))
             try:
                 name = read(nlen).decode("utf-8")
@@ -96,4 +102,6 @@ def load_checkpoint(path):
             payload = read(math.prod(shape) * 4)
             arr = np.frombuffer(payload, dtype=_DTYPE_TAGS[tag]).reshape(shape)
             tensors[name] = arr.astype(np.float32)
+        if f.tell() != size:
+            raise DataError(f"{path}: {size - f.tell()} bytes after the last tensor")
     return header, tensors

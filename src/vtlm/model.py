@@ -14,6 +14,12 @@ bidirectional attention. The token head is weight-tied to the input
 embedding; the region head is a fresh linear classifier over detector
 labels.
 
+The heads read only the masked positions, so `vtlm_loss` runs the last
+layer at those rows alone: given (B, Tq) row ids, a layer computes its
+queries, residuals and feed-forward sublayer at those rows only, while
+its keys and values still come from every position. That layer's
+attention weights are (B, H, Tq, T).
+
 The same layer, stack and parameter names serve the translation model:
 given a `memory`, a layer adds a cross-attention sublayer over it, which
 is all that tells the decoder apart from the encoder.
@@ -249,17 +255,24 @@ def encoder_layer(params: ParamStore, prefix: str, x: Tensor,
                   rng: Pcg32 | None, training: bool, collect: list | None = None,
                   memory: Tensor | None = None,
                   memory_mask: np.ndarray | None = None,
-                  cache: dict | None = None) -> Tensor:
+                  cache: dict | None = None, ids: np.ndarray | None = None) -> Tensor:
     """Post-norm layer: self-attention, then, given a `memory` (a decoder
     layer), cross-attention over it, then the feed-forward sublayer.
-    `cache` is passed to both attentions (see `attention`)."""
+    `cache` is passed to both attentions (see `attention`).
+
+    `ids`, (B, Tq) flat row ids b*T + t into the (B, T, d) `x`, computes
+    only those rows: they are the self-attention queries (keys and values
+    still come from all of `x`), the residuals and the feed-forward
+    sublayer run on (B, Tq, d), which is what the layer returns, and
+    `collect` receives (B, H, Tq, T) weights."""
 
     def residual(x, y, norm):
         return T.layer_norm(x + T.dropout(y, cfg.dropout, rng, training),
                             params[f"{prefix}.{norm}.g"], params[f"{prefix}.{norm}.b"])
 
-    x = residual(x, attention(params, f"{prefix}.attn", x, x, add_mask, cfg.n_heads,
-                              cfg.dropout, rng, training, collect, cache), "norm1")
+    x_q = x if ids is None else T.embedding(x, ids)
+    x = residual(x_q, attention(params, f"{prefix}.attn", x_q, x, add_mask, cfg.n_heads,
+                                cfg.dropout, rng, training, collect, cache), "norm1")
     if memory is not None:
         x = residual(x, attention(params, f"{prefix}.cross_attn", x, memory, memory_mask,
                                   cfg.n_heads, cfg.dropout, rng, training, cache=cache),
@@ -400,27 +413,35 @@ def encode(params: ParamStore, cfg: EncoderConfig, x: Tensor,
            add_mask: np.ndarray | None, rng: Pcg32 | None, training: bool,
            collect_attn: list | None = None, prefix: str = "",
            memory: Tensor | None = None, memory_mask: np.ndarray | None = None,
-           cache: dict | None = None) -> Tensor:
+           cache: dict | None = None, ids: np.ndarray | None = None) -> Tensor:
     """The layer stack; `prefix` is "" for the pretraining model, "enc."
     for the encoder of a translation model and "dec." for its decoder,
     which attends to the encoder states `memory` under `memory_mask`.
     An incremental decoder passes one `cache` dict for all its steps: it
-    holds every attention's keys and values by parameter prefix."""
+    holds every attention's keys and values by parameter prefix.
+
+    `ids` (see `encoder_layer`) go to the last layer only, which then
+    computes and returns just those (B, Tq) rows; its `collect_attn`
+    entry is (B, H, Tq, T)."""
+    last = cfg.n_layers - 1
     for i in range(cfg.n_layers):
         x = encoder_layer(params, f"{prefix}layers.{i}", x, add_mask, cfg, rng,
-                          training, collect_attn, memory, memory_mask, cache)
+                          training, collect_attn, memory, memory_mask, cache,
+                          ids if i == last else None)
     return x
 
 
 def encode_batch(params: ParamStore, cfg: EncoderConfig, batch: EncoderBatch,
-                 rng: Pcg32 | None, training: bool, prefix: str = "") -> tuple[Tensor, np.ndarray]:
-    """The encoder front end: embed → dropout → key mask → layer stack.
+                 rng: Pcg32 | None, training: bool, prefix: str = "",
+                 ids: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """The encoder front end: embed → dropout → key mask → layer stack,
+    whose last layer computes only the rows `ids` if given (see `encode`).
     Returns (states, additive key mask)."""
     x = embed_inputs(params, cfg, batch.token_ids, batch.pos_ids, batch.lang_ids,
                      batch.feats, batch.bboxes, batch.vis_mask, prefix)
     x = T.dropout(x, cfg.dropout, rng, training)
     key_mask = key_padding_mask(batch.pad_mask, batch.num_regions)
-    return encode(params, cfg, x, key_mask, rng, training, prefix=prefix), key_mask
+    return encode(params, cfg, x, key_mask, rng, training, prefix=prefix, ids=ids), key_mask
 
 
 @dataclass
@@ -448,20 +469,42 @@ class LossOutput:
 def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
               rng: Pcg32 | None, training: bool) -> LossOutput:
     """Joint masked-token + masked-region objective (equal weights).
-    Raises DataError when a region label is outside [0, label_vocab_size)."""
+
+    The last encoder layer runs only at the rows the two heads read. Its
+    (B, Tq) row ids, Tq the largest target count of one example, hold in
+    row b the flat stream rows b*T + t of example b's targets: text ones
+    (t its text position) in `text_target_pos` order, then region ones
+    (t = text_len + slot) in `vis_target_pos` order, then b*T, the
+    example's first position, up to Tq. The heads gather their rows from
+    that layer's (B, Tq, d) output. Raises ValueError when the batch has
+    no targets, DataError when a region label is outside
+    [0, label_vocab_size)."""
     check_ids(batch.vis_target_ids, cfg.label_vocab_size, "region label",
               "the label vocabulary")
-    states, _ = encode_batch(params, cfg, batch, rng, training)
-    total_len = states.shape[1]
+    n_text = len(batch.text_target_ids)
+    n_vis = len(batch.vis_target_ids)
+    if not (n_text or n_vis):
+        raise ValueError("batch has no prediction targets")
+    bsz = len(batch.token_ids)
+    total_len = batch.text_len + batch.num_regions
+    ex = np.concatenate([batch.text_target_pos[:, 0], batch.vis_target_pos[:, 0]])
+    pos = np.concatenate([batch.text_target_pos[:, 1],
+                          batch.text_len + batch.vis_target_pos[:, 1]])
+    counts = np.bincount(ex, minlength=bsz)
+    order = np.argsort(ex, kind="stable")
+    slot = np.empty_like(ex)  # each target's rank among its example's targets
+    slot[order] = np.arange(len(ex)) - (np.cumsum(counts) - counts)[ex[order]]
+    ids = np.repeat(np.arange(bsz, dtype=np.int64)[:, None] * total_len,
+                    int(counts.max()), axis=1)
+    ids[ex, slot] = ex * total_len + pos
+    rows = ex * ids.shape[1] + slot  # each target's row of the (B, Tq, d) output
+    states, _ = encode_batch(params, cfg, batch, rng, training, ids=ids)
 
     terms = []
     mlm_loss_val = 0.0
     mlm_acc = float("nan")
-    n_text = len(batch.text_target_ids)
     if n_text:
-        idx = batch.text_target_pos[:, 0] * total_len + batch.text_target_pos[:, 1]
-        rows = T.embedding(states, idx)
-        logits = tied_logits(params, rows)
+        logits = tied_logits(params, T.embedding(states, rows[:n_text]))
         mlm = T.cross_entropy(logits, batch.text_target_ids)
         terms.append(mlm)
         mlm_loss_val = mlm.item()
@@ -469,22 +512,13 @@ def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
 
     mrc_loss_val = None
     mrc_acc = None
-    n_vis = len(batch.vis_target_ids)
     if n_vis:
-        vidx = (
-            batch.vis_target_pos[:, 0] * total_len
-            + batch.text_len
-            + batch.vis_target_pos[:, 1]
-        )
-        vrows = T.embedding(states, vidx)
-        vlogits = linear(vrows, params, "mrc.w", "mrc.b")
+        vlogits = linear(T.embedding(states, rows[n_text:]), params, "mrc.w", "mrc.b")
         mrc = T.cross_entropy(vlogits, batch.vis_target_ids)
         terms.append(mrc)
         mrc_loss_val = mrc.item()
         mrc_acc = float(np.mean(np.argmax(vlogits.data, axis=1) == batch.vis_target_ids))
 
-    if not terms:
-        raise ValueError("batch has no prediction targets")
     loss = terms[0] if len(terms) == 1 else T.add(terms[0], terms[1])
     return LossOutput(loss, mlm_loss_val, mrc_loss_val, mlm_acc, mrc_acc,
                       n_text, n_vis)

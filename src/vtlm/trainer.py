@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import BUILD_ID
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import header_count, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError
 from .masking import MaskPolicy, build_masked_batch, build_stream
 from .model import EncoderConfig, ParamStore, vtlm_loss
@@ -177,7 +177,8 @@ def restore_train_checkpoint(path, header: dict, tensors: dict[str, np.ndarray],
     """Copy the checkpoint `load_checkpoint(path)` returned into an
     existing (shape-compatible) ParamStore; returns its AdamState, or
     None when it holds none. A parameter or Adam moment that is missing,
-    or whose shape differs from its parameter's, raises DataError."""
+    or whose shape differs from its parameter's, or an `adam_t` or
+    `adam_skipped` that is not a non-negative int, raises DataError."""
 
     def fetch(name: str, shape: tuple) -> np.ndarray:
         if name not in tensors:
@@ -193,8 +194,8 @@ def restore_train_checkpoint(path, header: dict, tensors: dict[str, np.ndarray],
         adam = AdamState(
             m={n: fetch(f"adam.m.{n}", p.data.shape).copy() for n, p in params.items()},
             v={n: fetch(f"adam.v.{n}", p.data.shape).copy() for n, p in params.items()},
-            t=int(header["adam_t"]),
-            skipped=int(header.get("adam_skipped", 0)),
+            t=header_count(path, header, "adam_t"),
+            skipped=header_count(path, header, "adam_skipped"),
         )
     return adam
 

@@ -1,15 +1,18 @@
 """Scaffolding the tests share and the package itself never runs:
 summing, matmul and reshape ops and a finite-difference gradient check
 for the autograd tape, sentence encoding and decoding through a BPE
-codec, and the one-seed corpus and nearest-centre classifier that
-several test corpora and oracles are built from."""
+codec, the one-seed corpus and nearest-centre classifier that several
+test corpora and oracles are built from, and the full-row pretraining
+loss that the pruned one is checked against."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from vtlm.bpe import EOW, BpeCodec
+from vtlm import tensor as T
 from vtlm.data import TripletExample
+from vtlm.model import LossOutput, encode_batch, linear, tied_logits
 from vtlm.synthetic import GenConfig, encode_examples, generate_raw, label_centers, raw_sentences
 from vtlm.tensor import Tensor, _make, no_grad
 
@@ -110,3 +113,44 @@ def nearest_center_labels(feats: np.ndarray, centers: np.ndarray) -> np.ndarray:
     # |f - c|^2 = |f|^2 - 2 f.c + |c|^2 ; the |f|^2 term is constant per row
     scores = feats @ centers.T - 0.5 * (centers * centers).sum(axis=1)
     return np.argmax(scores, axis=1)
+
+
+def full_row_vtlm_loss(params, cfg, batch, rng, training) -> LossOutput:
+    """`model.vtlm_loss` as it was before its last layer was pruned: the
+    whole stack at every position, then the target rows gathered."""
+    states, _ = encode_batch(params, cfg, batch, rng, training)
+    total_len = states.shape[1]
+    n_text, n_vis = len(batch.text_target_ids), len(batch.vis_target_ids)
+    terms = []
+    mlm_loss, mlm_acc, mrc_loss, mrc_acc = 0.0, float("nan"), None, None
+    if n_text:
+        idx = batch.text_target_pos[:, 0] * total_len + batch.text_target_pos[:, 1]
+        logits = tied_logits(params, T.embedding(states, idx))
+        terms.append(T.cross_entropy(logits, batch.text_target_ids))
+        mlm_loss = terms[-1].item()
+        mlm_acc = float(np.mean(np.argmax(logits.data, axis=1) == batch.text_target_ids))
+    if n_vis:
+        vidx = (batch.vis_target_pos[:, 0] * total_len + batch.text_len
+                + batch.vis_target_pos[:, 1])
+        vlogits = linear(T.embedding(states, vidx), params, "mrc.w", "mrc.b")
+        terms.append(T.cross_entropy(vlogits, batch.vis_target_ids))
+        mrc_loss = terms[-1].item()
+        mrc_acc = float(np.mean(np.argmax(vlogits.data, axis=1) == batch.vis_target_ids))
+    loss = terms[0] if len(terms) == 1 else T.add(terms[0], terms[1])
+    return LossOutput(loss, mlm_loss, mrc_loss, mlm_acc, mrc_acc, n_text, n_vis)
+
+
+def assert_grads_close(got: dict, ref: dict, rel: float = 1e-6) -> None:
+    """Each gradient of `got` within `rel` times the largest magnitude of
+    its `ref` counterpart (None where `ref` is None). A key bias has no
+    gradient in exact arithmetic, since the softmax ignores a shift
+    shared by all keys, so both of its values are round-off: it is held
+    to the scale of its layer's query-bias gradient instead."""
+    assert got.keys() == ref.keys()
+    for name, g in ref.items():
+        if g is None:
+            assert got[name] is None, name
+            continue
+        scale_name = name[:-2] + "bq" if name.endswith(".bk") else name
+        scale = np.max(np.abs(ref[scale_name]))
+        assert np.max(np.abs(got[name] - g)) <= rel * scale, name

@@ -71,3 +71,23 @@ def test_malformed_header_raises_data_error(tmp_path, header):
     path.write_bytes(struct.pack("<Q", len(header)) + header)
     with pytest.raises(DataError, match=f"{re.escape(str(path))}: corrupt header"):
         load_checkpoint(path)
+
+
+def test_bytes_after_the_last_tensor_raise_data_error(tmp_path):
+    """Garbage appended to a file, or a `tensor_count` lowered in its
+    header, leaves bytes after the last record: DataError, not a valid
+    load of the records before them."""
+    two = {"w": TENSORS["w"], "b": TENSORS["b"]}
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, {"step": 1}, two)
+    raw = path.read_bytes()
+    path.write_bytes(raw + bytes(range(70)))
+    with pytest.raises(DataError, match=f"{re.escape(str(path))}: 70 bytes after the last tensor"):
+        load_checkpoint(path)
+
+    (hlen,) = struct.unpack("<Q", raw[:8])
+    header = raw[8:8 + hlen].replace(b'"tensor_count": 2', b'"tensor_count": 1')
+    assert len(header) == hlen
+    path.write_bytes(raw[:8] + header + raw[8 + hlen:])
+    with pytest.raises(DataError, match="bytes after the last tensor"):
+        load_checkpoint(path)

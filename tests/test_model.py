@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import generate_synthetic, gradcheck, tsum
-from vtlm import bpe, tensor as T
+from helpers import assert_grads_close, full_row_vtlm_loss, generate_synthetic, gradcheck, tsum
+from vtlm import bpe, model, tensor as T
 from vtlm.errors import ConfigError
 from vtlm.masking import (
     MaskPolicy,
@@ -142,6 +142,26 @@ class TestEncode:
         assert np.allclose(states[0, t + 2], states_sw[0, t + 5], atol=1e-5)
         assert np.allclose(states[0, t + 5], states_sw[0, t + 2], atol=1e-5)
 
+    def test_last_layer_computes_only_the_given_rows(self, examples):
+        """With (B, Tq) row ids the stack returns those rows of its full
+        output, and the last layer's weights are (B, H, Tq, T)."""
+        batch, vocab = make_batch(examples[:3])
+        cfg = desk_cfg(vocab)
+        params = init_encoder_params(cfg, Pcg32(1).split("init"))
+        x = embed(params, cfg, batch)
+        mask = key_padding_mask(batch.pad_mask, batch.num_regions)
+        full = encode(params, cfg, x, mask, None, training=False).data
+        total_len = full.shape[1]
+        ids = np.array([[0, 5, total_len - 1], [total_len + 2] * 3,
+                        [2 * total_len + 1, 2 * total_len + 9, 2 * total_len]])
+        collected = []
+        rows = encode(params, cfg, x, mask, None, training=False, collect_attn=collected,
+                      ids=ids).data
+        assert rows.shape == (3, 3, cfg.d_model)
+        assert np.allclose(rows, full.reshape(-1, cfg.d_model)[ids], atol=1e-6)
+        assert [p.shape for p in collected] == [(3, cfg.n_heads, total_len, total_len),
+                                                (3, cfg.n_heads, 3, total_len)]
+
     def test_degenerate_single_token(self):
         cfg = EncoderConfig.desk(vocab_size=10, label_vocab_size=4, feat_dim=4,
                                  d_model=16, ffn_dim=32, n_layers=1, n_heads=2,
@@ -239,6 +259,71 @@ class TestVtlmLoss:
             adam_step(params, adam, lr=1e-3)
             loss = out.loss.item()
         assert loss < 0.1
+
+
+def retarget(batch, text, vis, vocab):
+    """`batch` with text targets at (example, position) pairs `text` and
+    region targets at (example, slot) pairs `vis`, with spread-out ids."""
+    text = np.array(text, dtype=np.int64).reshape(-1, 2)
+    vis = np.array(vis, dtype=np.int64).reshape(-1, 2)
+    return dataclasses.replace(
+        batch, text_target_pos=text, text_target_ids=(7 * np.arange(len(text)) + 5) % vocab,
+        vis_target_pos=vis, vis_target_ids=(3 * np.arange(len(vis)) + 1) % CFG.num_labels)
+
+
+class TestTargetRows:
+    """`vtlm_loss` runs the last layer at the heads' rows only; its loss
+    is the full-row loss. Where a test compares bytes, it rests on the
+    BLAS library giving each row of a matmul the same bytes whatever the
+    number of rows in the call; OpenBLAS does for 3 or more rows, and a
+    single row may differ by an ulp (`test_one_target_per_example`)."""
+
+    def test_uneven_target_counts(self, examples):
+        """Example 0 has every text position and a region as targets,
+        example 1 one target, so its row is mostly fill; example 2 has
+        region targets only; targets are not in example order."""
+        batch, vocab = make_batch(examples[:4])
+        cfg = desk_cfg(vocab)
+        params = init_encoder_params(cfg, Pcg32(1).split("init"))
+        n0 = int((~batch.pad_mask[0]).sum())
+        text = [(3, 2)] + [(0, t) for t in range(n0)] + [(1, 1), (3, 1)]
+        batch = retarget(batch, text, [(2, 0), (0, 7), (2, 3)], vocab)
+
+        def loss_and_grads(loss_fn):
+            params.zero_grads()
+            out = loss_fn(params, cfg, batch, None, training=False)
+            out.loss.backward()
+            return out, {name: t.grad for name, t in params.items()}
+
+        got, got_grads = loss_and_grads(vtlm_loss)
+        ref, ref_grads = loss_and_grads(full_row_vtlm_loss)
+        assert got.loss.data.tobytes() == ref.loss.data.tobytes()
+        assert (got.mlm_acc, got.mrc_acc) == (ref.mlm_acc, ref.mrc_acc)
+        assert_grads_close(got_grads, ref_grads)
+
+    def test_one_target_per_example(self, examples):
+        """One row per example (Tq = 1), text or region: BLAS may take its
+        single-row path there, so the loss matches within tolerance."""
+        batch, vocab = make_batch(examples[:6])
+        cfg = desk_cfg(vocab)
+        params = init_encoder_params(cfg, Pcg32(1).split("init"))
+        batch = retarget(batch, [(0, 1), (1, 3), (2, 2)], [(3, 0), (4, 5), (5, 7)], vocab)
+        got = vtlm_loss(params, cfg, batch, None, training=False)
+        ref = full_row_vtlm_loss(params, cfg, batch, None, training=False)
+        assert got.loss.item() == pytest.approx(ref.loss.item(), rel=1e-6)
+        assert (got.mlm_acc, got.mrc_acc) == (ref.mlm_acc, ref.mrc_acc)
+
+    def test_no_targets_raise_before_encoding(self, examples, monkeypatch):
+        batch, vocab = make_batch(examples[:2])
+        cfg = desk_cfg(vocab)
+        params = init_encoder_params(cfg, Pcg32(1).split("init"))
+
+        def no_encoding(*args, **kwargs):
+            raise AssertionError("encoder ran")
+
+        monkeypatch.setattr(model, "encode_batch", no_encoding)
+        with pytest.raises(ValueError, match="batch has no prediction targets"):
+            vtlm_loss(params, cfg, retarget(batch, [], [], vocab), None, training=False)
 
 
 class TestInit:

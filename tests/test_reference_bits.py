@@ -1,16 +1,18 @@
 """The RNG, dropout, first-gradient, linear, embedding, attention and
 region-directive paths against earlier reference implementations kept
-here: a cheaper or simpler step must give the same bits."""
+here, and the pruned pretraining loss against the full-row one: a
+cheaper or simpler step must give the same bits."""
 
 import math
 
 import numpy as np
 import pytest
 
-from helpers import matmul, reshape, tsum
+from helpers import assert_grads_close, full_row_vtlm_loss, matmul, reshape, tsum
 from vtlm import tensor as T
 from vtlm.errors import NumericError
-from vtlm.masking import MASK_EMBED, SUBSTITUTE, VTLM, MaskPolicy, build_masked_batch, mask_visual
+from vtlm.masking import (MASK_EMBED, SUBSTITUTE, TLM, VTLM, MaskPolicy, build_masked_batch,
+                          mask_visual)
 from vtlm.model import EncoderConfig, init_encoder_params, key_padding_mask, vtlm_loss
 from vtlm.rng import BLOCK, Pcg32
 from vtlm.seq2seq import MMT, build_source_batch, build_target_batch, init_mt_params, mt_loss
@@ -458,3 +460,51 @@ def test_training_step_bits_equal_reference(phase, corpus, monkeypatch):
     assert got[1].keys() == expect[1].keys()
     assert all(got[1][name] == expect[1][name] for name in expect[1])
 
+
+# -- the last layer at the target rows only ------------------------------------
+
+DESK = GenConfig(num_examples=64, num_valid=2, num_test=2, num_merges=150)
+
+
+@pytest.fixture(scope="module")
+def desk_corpus():
+    return generate_corpus(DESK, 3)
+
+
+@pytest.mark.parametrize("mode", [VTLM, TLM])
+def test_pruned_loss_equals_full_row_reference(mode, desk_corpus):
+    """On a desk-shaped batch (B = 64, d_model 64, 8 regions): evaluation
+    gives the full-row loss and accuracies byte for byte, and so does a
+    training step at dropout 0; its gradients, whose weight sums now run
+    over fewer rows, are within 1e-6 of their largest magnitude
+    (`assert_grads_close`). The byte checks rest on the BLAS library
+    giving each row of a matmul the same bytes whatever the number of
+    rows in the call (B*Tq here, B*T in the reference); OpenBLAS does for
+    3 or more rows. If a BLAS without that property fails this test on
+    correct code, compare within a tight relative tolerance instead, as
+    `test_model.py::TestTargetRows::test_one_target_per_example` does."""
+    cfg = EncoderConfig.desk(len(desk_corpus.codec.vocab), DESK.num_labels, DESK.feat_dim,
+                             dropout=0.0)
+    root = Pcg32(11)
+    params = init_encoder_params(cfg, root.split("init"))
+    batch = build_masked_batch(desk_corpus.train, mode, MaskPolicy(), cfg.vocab_size,
+                               root.split("mask_text"), root.split("mask_visual"))
+    assert len(batch.token_ids) == 64 and cfg.d_model == 64
+    assert batch.num_regions == (8 if mode == VTLM else 0)
+
+    got = vtlm_loss(params, cfg, batch, None, training=False)
+    ref = full_row_vtlm_loss(params, cfg, batch, None, training=False)
+    assert got.loss.data.tobytes() == ref.loss.data.tobytes()
+    assert (got.mlm_loss, got.mrc_loss) == (ref.mlm_loss, ref.mrc_loss)
+    assert (got.mlm_acc, got.mrc_acc) == (ref.mlm_acc, ref.mrc_acc)
+
+    def step(loss_fn):
+        params.zero_grads()
+        loss = loss_fn(params, cfg, batch, root.split("dropout"), training=True).loss
+        loss.backward()
+        return loss.data.tobytes(), {name: t.grad for name, t in params.items()}
+
+    got_loss, got_grads = step(vtlm_loss)
+    ref_loss, ref_grads = step(full_row_vtlm_loss)
+    assert got_loss == ref_loss
+    assert_grads_close(got_grads, ref_grads)

@@ -386,6 +386,23 @@ def test_adam_step_skips_a_non_finite_norm(bad):
     assert snapshot() == before
 
 
+def restore_error(tmp_path, header, corrupt=None) -> tuple[str, str]:
+    """The checkpoint path and the full DataError message of restoring a
+    checkpoint of two parameters with zero Adam moments, under `header`,
+    after `corrupt(tensors)`."""
+    params = adam_params({"a": [[0.1, -0.2], [0.3, 0.4]], "b": [1.0, -2.0]})
+    tensors = {n: p.data for n, p in params.items()}
+    tensors.update({f"adam.{k}.{n}": np.zeros_like(p.data) for k in "mv"
+                    for n, p in params.items()})
+    if corrupt is not None:
+        corrupt(tensors)
+    path = tmp_path / "last.ckpt"
+    save_checkpoint(path, header, tensors)
+    with pytest.raises(DataError) as err:
+        trainer.restore_train_checkpoint(path, *load_checkpoint(path), params)
+    return str(path), str(err.value)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda tensors: tensors.pop("adam.m.b"), "missing tensor 'adam.m.b'"),
     (lambda tensors: tensors.update({"adam.v.a": np.zeros(4, np.float32)}),
@@ -395,13 +412,18 @@ def test_restore_rejects_a_bad_adam_moment(corrupt, message, tmp_path):
     """A checkpoint whose header sets `adam_t` but whose Adam moment is
     missing, or not of its parameter's shape, raises DataError naming
     the file and the moment."""
-    params = adam_params({"a": [[0.1, -0.2], [0.3, 0.4]], "b": [1.0, -2.0]})
-    tensors = {n: p.data for n, p in params.items()}
-    tensors.update({f"adam.{k}.{n}": np.zeros_like(p.data) for k in "mv"
-                    for n, p in params.items()})
-    corrupt(tensors)
-    path = tmp_path / "last.ckpt"
-    save_checkpoint(path, {"adam_t": 1}, tensors)
-    with pytest.raises(DataError) as err:
-        trainer.restore_train_checkpoint(path, *load_checkpoint(path), params)
-    assert str(err.value) == f"{path}: {message}"
+    path, got = restore_error(tmp_path, {"adam_t": 1}, corrupt)
+    assert got == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("adam_t", -3), ("adam_t", 1.7), ("adam_t", "x"), ("adam_t", True),
+    ("adam_skipped", [1]), ("adam_skipped", -1),
+], ids=["t-negative", "t-float", "t-string", "t-bool", "skipped-list", "skipped-negative"])
+def test_restore_rejects_a_bad_adam_counter(key, value, tmp_path):
+    """An `adam_t` or `adam_skipped` that is not a non-negative int
+    raises DataError naming the file, not a bare ValueError or
+    TypeError, and is never truncated or taken as it stands."""
+    header = {"adam_t": 1, "adam_skipped": 0, key: value}
+    path, got = restore_error(tmp_path, header)
+    assert got == f"{path}: corrupt header: {key} {value!r}"
