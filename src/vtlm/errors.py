@@ -18,7 +18,9 @@ class DataError(VtlmError):
     """Input the package cannot use: a token id or region label outside
     its vocabulary, examples with differing region counts in one batch,
     an empty split, a checkpoint that is corrupt, truncated or does not
-    fit the model, or a resume without its `best.ckpt`."""
+    fit the model, a resume without its `best.ckpt`, or one whose
+    `last.ckpt` header holds a corrupt `step`, `best_step`, `metrics`
+    or `best_metric`."""
 
 
 class DivergenceError(VtlmError):

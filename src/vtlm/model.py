@@ -53,6 +53,10 @@ class EncoderConfig:
     max_positions: int = 256
 
     def __post_init__(self):
+        for name in ("vocab_size", "label_vocab_size", "feat_dim", "d_model", "ffn_dim",
+                     "n_layers", "n_heads", "max_positions"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by n_heads")
         T.check_dropout_rate(self.dropout)
@@ -66,77 +70,48 @@ class EncoderConfig:
         return cls(vocab_size, label_vocab_size, feat_dim, **defaults)
 
 
-class ParamStore:
-    """Ordered collection of named parameter tensors."""
-
-    def __init__(self):
-        self._tensors: dict[str, Tensor] = {}
-
-    def add(self, name: str, data: np.ndarray) -> Tensor:
-        if name in self._tensors:
-            raise ValueError(f"duplicate parameter {name}")
-        t = Tensor(data, requires_grad=True)
-        self._tensors[name] = t
-        return t
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def names(self) -> list[str]:
-        return list(self._tensors)
-
-    def items(self):
-        return self._tensors.items()
-
-    def tensors(self):
-        return self._tensors.values()
-
-    def zero_grads(self) -> None:
-        for t in self._tensors.values():
-            t.grad = None
-
-    def copy(self) -> "ParamStore":
-        out = ParamStore()
-        for name, t in self._tensors.items():
-            out.add(name, t.data.copy())
-        return out
+# Model parameters by name: float32 tensors that require gradients, made
+# by the init helpers below. Every op computes in its inputs' dtype, so a
+# gradient-check test casts the tensors to float64 and the model follows.
+ParamStore = dict[str, Tensor]
 
 
-def _normal(rng: Pcg32, shape, std: float):
-    return (rng.normal(shape, dtype=np.float64) * std).astype(T.default_dtype())
+def _param(data: np.ndarray) -> Tensor:
+    return Tensor(data.astype(np.float32), requires_grad=True)
 
 
-def _embedding(rng: Pcg32, n: int, d: int):
+def _normal(rng: Pcg32, shape, std: float) -> Tensor:
+    return _param(rng.normal(shape, dtype=np.float64) * std)
+
+
+def _embedding(rng: Pcg32, n: int, d: int) -> Tensor:
     """XLM embedding table: N(0, 1/d)."""
     return _normal(rng, (n, d), d ** -0.5)
 
 
-def _weight(rng: Pcg32, fan_in: int, fan_out: int):
+def _weight(rng: Pcg32, fan_in: int, fan_out: int) -> Tensor:
     """XLM linear weight, stored (in, out): N(0, 1/(3 fan_in)), the
     variance of the uniform default init of a PyTorch linear layer."""
     return _normal(rng, (fan_in, fan_out), (3 * fan_in) ** -0.5)
 
 
-def _zeros(shape):
-    return np.zeros(shape, dtype=T.default_dtype())
+def _zeros(shape) -> Tensor:
+    return _param(np.zeros(shape))
 
 
-def _ones(shape):
-    return np.ones(shape, dtype=T.default_dtype())
+def _ones(shape) -> Tensor:
+    return _param(np.ones(shape))
 
 
 def _add_attention_params(params: ParamStore, prefix: str, d: int, rng: Pcg32) -> None:
     for name in ("wq", "wk", "wv", "wo"):
-        params.add(f"{prefix}.{name}", _weight(rng, d, d))
-        params.add(f"{prefix}.b{name[1]}", _zeros(d))
+        params[f"{prefix}.{name}"] = _weight(rng, d, d)
+        params[f"{prefix}.b{name[1]}"] = _zeros(d)
 
 
 def _add_norm_params(params: ParamStore, prefix: str, d: int) -> None:
-    params.add(f"{prefix}.g", _ones(d))
-    params.add(f"{prefix}.b", _zeros(d))
+    params[f"{prefix}.g"] = _ones(d)
+    params[f"{prefix}.b"] = _zeros(d)
 
 
 def add_layer_params(params: ParamStore, prefix: str, d: int, f: int, rng: Pcg32,
@@ -148,10 +123,10 @@ def add_layer_params(params: ParamStore, prefix: str, d: int, f: int, rng: Pcg32
     if cross:
         _add_attention_params(params, f"{prefix}.cross_attn", d, rng)
         _add_norm_params(params, f"{prefix}.norm_cross", d)
-    params.add(f"{prefix}.ffn.w1", _weight(rng, d, f))
-    params.add(f"{prefix}.ffn.b1", _zeros(f))
-    params.add(f"{prefix}.ffn.w2", _weight(rng, f, d))
-    params.add(f"{prefix}.ffn.b2", _zeros(d))
+    params[f"{prefix}.ffn.w1"] = _weight(rng, d, f)
+    params[f"{prefix}.ffn.b1"] = _zeros(f)
+    params[f"{prefix}.ffn.w2"] = _weight(rng, f, d)
+    params[f"{prefix}.ffn.b2"] = _zeros(d)
     _add_norm_params(params, f"{prefix}.norm2", d)
 
 
@@ -161,14 +136,14 @@ def add_stack_params(params: ParamStore, cfg: EncoderConfig, rng: Pcg32,
     only, so it has no region projections, and every layer has a
     cross-attention sublayer."""
     d = cfg.d_model
-    params.add(f"{prefix}token_emb", _embedding(rng, cfg.vocab_size, d))
-    params.add(f"{prefix}pos_emb", _embedding(rng, cfg.max_positions, d))
-    params.add(f"{prefix}lang_emb", _embedding(rng, 3, d))
+    params[f"{prefix}token_emb"] = _embedding(rng, cfg.vocab_size, d)
+    params[f"{prefix}pos_emb"] = _embedding(rng, cfg.max_positions, d)
+    params[f"{prefix}lang_emb"] = _embedding(rng, 3, d)
     if not decoder:
-        params.add(f"{prefix}feat_proj.w", _weight(rng, cfg.feat_dim, d))
-        params.add(f"{prefix}feat_proj.b", _zeros(d))
-        params.add(f"{prefix}bbox_proj.w", _weight(rng, 4, d))
-        params.add(f"{prefix}bbox_proj.b", _zeros(d))
+        params[f"{prefix}feat_proj.w"] = _weight(rng, cfg.feat_dim, d)
+        params[f"{prefix}feat_proj.b"] = _zeros(d)
+        params[f"{prefix}bbox_proj.w"] = _weight(rng, 4, d)
+        params[f"{prefix}bbox_proj.b"] = _zeros(d)
     for i in range(cfg.n_layers):
         add_layer_params(params, f"{prefix}layers.{i}", d, cfg.ffn_dim, rng, decoder)
 
@@ -183,11 +158,11 @@ def init_encoder_params(cfg: EncoderConfig, rng: Pcg32) -> ParamStore:
     region head give non-trivial logits from the first step at desk
     widths, where BERT's fixed 0.02 leaves them near zero.
     """
-    params = ParamStore()
+    params: ParamStore = {}
     add_stack_params(params, cfg, rng)
-    params.add("mlm_bias", _zeros(cfg.vocab_size))
-    params.add("mrc.w", _weight(rng, cfg.d_model, cfg.label_vocab_size))
-    params.add("mrc.b", _zeros(cfg.label_vocab_size))
+    params["mlm_bias"] = _zeros(cfg.vocab_size)
+    params["mrc.w"] = _weight(rng, cfg.d_model, cfg.label_vocab_size)
+    params["mrc.b"] = _zeros(cfg.label_vocab_size)
     return params
 
 
@@ -358,12 +333,13 @@ def check_ids(ids: np.ndarray, size: int, what: str = "token id",
 
 
 def key_padding_mask(pad_mask: np.ndarray, num_regions: int) -> np.ndarray:
-    """(B, 1, 1, T) additive mask; region slots are never padding."""
+    """(B, 1, 1, T) float32 additive mask; region slots are never
+    padding. Added to float64 scores it upcasts to them exactly."""
     bsz = pad_mask.shape[0]
     if num_regions:
         vis = np.zeros((bsz, num_regions), dtype=bool)
         pad_mask = np.concatenate([pad_mask, vis], axis=1)
-    mask = np.where(pad_mask, NEG_INF, 0.0).astype(T.default_dtype())
+    mask = np.where(pad_mask, NEG_INF, 0.0).astype(np.float32)
     return mask[:, None, None, :]
 
 
@@ -378,6 +354,7 @@ def embed_inputs(params: ParamStore, cfg: EncoderConfig, token_ids: np.ndarray,
     projected box + the visual language embedding. Slots flagged in
     `vis_mask` carry the [MASK] token embedding in place of their
     projection. Parameter names are `prefix` + the encoder's names.
+    Region features and boxes are cast to the projection weight's dtype.
     Raises ConfigError when a position id is past `cfg.max_positions`,
     DataError when a token id is outside the vocabulary.
     """
@@ -396,12 +373,12 @@ def embed_inputs(params: ParamStore, cfg: EncoderConfig, token_ids: np.ndarray,
             f"region feature dim {feats.shape[-1]} != model feat_dim {cfg.feat_dim}"
         )
     def project(a, name):
-        return linear(Tensor(a.astype(T.default_dtype())), params,
-                      f"{prefix}{name}.w", f"{prefix}{name}.b")
+        w = params[f"{prefix}{name}.w"]
+        return T.linear(Tensor(a.astype(w.dtype)), w, params[f"{prefix}{name}.b"])
 
     vis = project(feats, "feat_proj") + project(bboxes, "bbox_proj")
     if vis_mask is not None:
-        keep = Tensor((~vis_mask).astype(T.default_dtype())[:, :, None])
+        keep = Tensor((~vis_mask).astype(vis.dtype)[:, :, None])
         mask_vec = T.embedding(params[f"{prefix}token_emb"], np.full((1, 1), MASK))
         vis = vis * keep + mask_vec * (1.0 - keep.data)
     vis = vis + T.embedding(params[f"{prefix}lang_emb"],

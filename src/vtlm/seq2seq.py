@@ -19,7 +19,7 @@ Source layout is [BOS] s [EOS] for text-only translation; multimodal
 translation appends the o region embeddings (uncorrupted) to the source
 sequence. Sources are padded and their regions stacked by
 `model.collate`, into the same `EncoderBatch` that pretraining uses. All
-MT parameters live in one store under "enc." and "dec." prefixes.
+MT parameters live in one dict under "enc." and "dec." prefixes.
 
 There is one decoder, `beam_search`, and with beam=1 it is greedy. It
 is incremental and batched, as XLM's `generate_beam`: all sentences of
@@ -70,10 +70,10 @@ def init_mt_params(cfg: EncoderConfig, rng: Pcg32) -> ParamStore:
     Same XLM recipe as `init_encoder_params`: embeddings N(0, 1/d_model),
     weight matrices N(0, 1/(3 fan_in)), zero biases, unit LayerNorm gains.
     """
-    params = ParamStore()
+    params: ParamStore = {}
     add_stack_params(params, cfg, rng, "enc.")
     add_stack_params(params, cfg, rng, "dec.", decoder=True)
-    params.add("dec.mlm_bias", _zeros(cfg.vocab_size))
+    params["dec.mlm_bias"] = _zeros(cfg.vocab_size)
     return params
 
 
@@ -112,7 +112,7 @@ def transfer_weights(pretrained: ParamStore, cfg: EncoderConfig,
                 )
             params[dst].data[...] = src.data
             filled.add(dst)
-    for name in params.names():
+    for name in params:
         if name.startswith("enc.") and name not in filled:
             raise TransferError(f"no pretrained tensor for {name}")
     return params
@@ -191,7 +191,7 @@ def decode_states(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
                      np.broadcast_to(np.arange(start, start + t), (bsz, t)),
                      np.full((bsz, t), LANG_L2), prefix="dec.")
     x = T.dropout(x, cfg.dropout, rng, training)
-    self_mask = causal_mask(t, T.default_dtype(), start)
+    self_mask = causal_mask(t, x.dtype, start)
     if tgt_pad_mask is not None:
         self_mask = self_mask + key_padding_mask(tgt_pad_mask, 0)
     return encode(params, cfg, x, self_mask, rng, training, prefix="dec.",

@@ -78,7 +78,7 @@ class GenConfig:
     max_objects: int = 4
     num_merges: int = 2_000
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.num_regions < self.max_objects:
             raise ConfigError(
                 f"num_regions={self.num_regions} smaller than max objects "
@@ -132,7 +132,6 @@ def _caption_words(pairs: list[tuple[str, str]]) -> tuple[list[str], list[int]]:
 def generate_raw(cfg: GenConfig, seed: int, centers: np.ndarray,
                  count: int | None = None) -> list[RawExample]:
     """Generate raw word-level examples; fully determined by (cfg, seed)."""
-    cfg.validate()
     rng = Pcg32(seed).split("gen")
     n = cfg.num_examples if count is None else count
     n_span = cfg.max_objects - cfg.min_objects + 1

@@ -23,9 +23,10 @@ to |x|/√2 ≤ 9 so that exp(−z²) stays a normal float32; in float32 it is
 within 5e-7 of the exact GELU, and its gradient is the derivative of
 the function computed.
 
-Training runs in float32. Gradient-check tests switch the whole stack
-to float64 with `use_dtype(np.float64)` so central finite differences
-are trustworthy.
+Every op computes in the dtype of its inputs. The model's parameters
+are float32, so training runs in float32; gradient-check tests cast the
+parameters to float64 so that central finite differences are
+trustworthy.
 """
 
 from __future__ import annotations
@@ -37,32 +38,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 
-_DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
 
 LN_EPS = 1e-5
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("supported dtypes: float32, float64")
-    _DEFAULT_DTYPE = dtype
-
-
-@contextmanager
-def use_dtype(dtype):
-    """Temporarily switch the default dtype (64-bit verification mode)."""
-    prev = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_default_dtype(prev)
 
 
 @contextmanager
@@ -80,11 +58,14 @@ def no_grad():
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, np.ndarray) and dtype is None and data.dtype in (np.float32, np.float64):
-            self.data = data
-        else:
-            self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False):
+        """A float32 or float64 array or numpy scalar (a sum, made a 0-d
+        array) keeps its dtype; anything else becomes float32."""
+        if isinstance(data, np.generic):
+            data = np.asarray(data)
+        if not (isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64)):
+            data = np.asarray(data, dtype=np.float32)
+        self.data = data
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()

@@ -100,7 +100,7 @@ class AdamState:
 
 def global_grad_norm(params: ParamStore) -> float:
     total = 0.0
-    for p in params.tensors():
+    for p in params.values():
         if p.grad is not None:
             total += float(np.sum(p.grad.astype(np.float64) ** 2))
     return math.sqrt(total)
@@ -149,7 +149,7 @@ def adam_step(params: ParamStore, state: AdamState, lr: float) -> bool:
 def _checkpoint_tensors(params: ParamStore, adam: AdamState | None) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {n: p.data for n, p in params.items()}
     if adam is not None:
-        for n in params.names():
+        for n in params:
             tensors[f"adam.m.{n}"] = adam.m[n]
             tensors[f"adam.v.{n}"] = adam.v[n]
     return tensors
@@ -174,11 +174,12 @@ def save_train_checkpoint(path, kind: str, step: int, metrics: dict,
 
 def restore_train_checkpoint(path, header: dict, tensors: dict[str, np.ndarray],
                              params: ParamStore) -> AdamState | None:
-    """Copy the checkpoint `load_checkpoint(path)` returned into an
-    existing (shape-compatible) ParamStore; returns its AdamState, or
-    None when it holds none. A parameter or Adam moment that is missing,
-    or whose shape differs from its parameter's, or an `adam_t` or
-    `adam_skipped` that is not a non-negative int, raises DataError."""
+    """Copy the tensors `load_checkpoint(path)` returned into the arrays
+    of an existing (shape-compatible) parameter dict; returns its
+    AdamState, or None when it holds none. A parameter or Adam moment
+    that is missing, or whose shape differs from its parameter's, or an
+    `adam_t` or `adam_skipped` that is not a non-negative int, raises
+    DataError."""
 
     def fetch(name: str, shape: tuple) -> np.ndarray:
         if name not in tensors:
@@ -260,6 +261,24 @@ def _first_difference(saved: dict, run: dict, prefix: str = "") -> str | None:
     return None
 
 
+def _resume_header(path, header: dict, worst: float) -> tuple[int, dict, float, int]:
+    """(step, metrics, best_metric, best_step) of a last.ckpt header.
+    Raises DataError naming `path` unless `step` is present and it and
+    `best_step` (0 when absent) are non-negative ints, `metrics` is a
+    JSON object and `best_metric` (`worst` when absent) is a number
+    other than NaN or a bool; ±inf is what an unimproved run saves."""
+    if "step" not in header:
+        raise DataError(f"{path}: corrupt header: no step")
+    metrics = header.get("metrics")
+    if not isinstance(metrics, dict):
+        raise DataError(f"{path}: corrupt header: metrics {metrics!r}")
+    best = header.get("best_metric", worst)
+    if isinstance(best, bool) or not isinstance(best, (int, float)) or math.isnan(best):
+        raise DataError(f"{path}: corrupt header: best_metric {best!r}")
+    return (header_count(path, header, "step"), metrics, best,
+            header_count(path, header, "best_step"))
+
+
 def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
          step_fn, eval_fn, metric: str, better, worst: float, kind: str,
          out_dir, resume_from) -> TrainResult:
@@ -269,21 +288,23 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
     split)` receives the example indices and `split(purpose)`, the
     step's random stream for a purpose, and returns the loss tensor, or
     None to skip the batch. `eval_fn()` returns the validation metrics,
-    which `history` records per evaluation; the best parameters are
-    those whose `metric` is `better` than every earlier evaluation's
-    (starting from `worst`). `out_dir` receives last.ckpt and best.ckpt
-    when the loop ends (header fields in the module docstring); resuming
-    from a last.ckpt continues the run bit for bit (one that runs no
-    step keeps its metrics), and takes the best parameters from the
-    best.ckpt beside it, so a moved run directory still resumes with
-    them. Before any tensor is loaded, the resume raises DataError when
+    which `history` records per evaluation; the best parameters, copied
+    into a new dict, are those whose `metric` is `better` than every
+    earlier evaluation's (starting from `worst`). `out_dir` receives
+    last.ckpt and best.ckpt when the loop ends (header fields in the
+    module docstring); resuming from a last.ckpt continues the run bit
+    for bit (one that runs no step keeps its metrics), and takes the
+    best parameters from the best.ckpt beside it, so a moved run
+    directory still resumes with them. Before any tensor is loaded, the resume raises DataError when
     that best.ckpt is missing, and ConfigError, naming the first key
     that differs, unless last.ckpt's `kind`, `model_config` and
     `train_config` (every `tcfg` field but `max_steps` and
     `eval_interval`, which a continued run may change) equal this
-    run's. A non-finite loss ends the loop before its update; last.ckpt
-    then records the step before it, so a resume runs the diverging
-    step again.
+    run's. Before any tensor is restored, it raises DataError for a
+    corrupt `step`, `metrics`, `best_metric` or `best_step`
+    (`_resume_header`). A non-finite loss ends the loop before its
+    update; last.ckpt then records the step before it, so a resume runs
+    the diverging step again.
     """
     model_config = cfg.__dict__.copy()
     train_config = {k: v for k, v in vars(tcfg).items()
@@ -292,7 +313,11 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
     root = Pcg32(tcfg.seed)
     start_step = 0
     last_metrics: dict = {}
-    best_params = params.copy()
+
+    def snapshot() -> ParamStore:
+        return {n: T.Tensor(p.data.copy(), requires_grad=True) for n, p in params.items()}
+
+    best_params = snapshot()
     best_metric = worst
     best_step = 0
     if resume_from is not None:
@@ -304,11 +329,10 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
         differs = _first_difference({k: header.get(k) for k in run}, run)
         if differs is not None:
             raise ConfigError(f"{resume_from} is another run: {differs}")
+        # last_metrics are kept if the resume runs no step
+        start_step, last_metrics, best_metric, best_step = _resume_header(
+            resume_from, header, worst)
         adam = restore_train_checkpoint(resume_from, header, tensors, params) or adam
-        start_step = int(header["step"])
-        last_metrics = header["metrics"]  # kept if the resume runs no step
-        best_metric = header.get("best_metric", worst)
-        best_step = int(header.get("best_step", 0))
         restore_train_checkpoint(best_ckpt, *load_checkpoint(best_ckpt), best_params)
 
     epoch_len = max(1, math.ceil(n / tcfg.batch_size))
@@ -320,7 +344,8 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
         epoch, off = divmod(step - 1, epoch_len)
         order = _epoch_order(tcfg.seed, epoch, n)
         idx = order[off * tcfg.batch_size: (off + 1) * tcfg.batch_size]
-        params.zero_grads()
+        for p in params.values():
+            p.grad = None
         loss = step_fn(idx, lambda purpose, step=step: root.split(f"{purpose}/{step}"))
         if loss is None:
             continue
@@ -338,7 +363,7 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
             if better(val[metric], best_metric):
                 best_metric = val[metric]
                 best_step = step
-                best_params = params.copy()
+                best_params = snapshot()
 
     if out_dir is not None:
         last_step = step - 1 if diverged else step  # the diverged update never ran

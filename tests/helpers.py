@@ -1,9 +1,10 @@
 """Scaffolding the tests share and the package itself never runs:
-summing, matmul and reshape ops and a finite-difference gradient check
-for the autograd tape, sentence encoding and decoding through a BPE
-codec, the one-seed corpus and nearest-centre classifier that several
-test corpora and oracles are built from, and the full-row pretraining
-loss that the pruned one is checked against."""
+summing, matmul and reshape ops, a finite-difference gradient check for
+the autograd tape and the float64 parameters it runs on, gradient
+clearing, sentence encoding and decoding through a BPE codec, the
+one-seed corpus and nearest-centre classifier that several test corpora
+and oracles are built from, and the full-row pretraining loss that the
+pruned one is checked against."""
 
 from __future__ import annotations
 
@@ -52,6 +53,18 @@ def reshape(a: Tensor, shape) -> Tensor:
             a._accumulate(g.reshape(old))
 
     return _make(data, (a,), bw)
+
+
+def float64_params(params: dict) -> dict:
+    """A copy of a parameter dict in float64, for gradient checks: every
+    op computes in its inputs' dtype, so the model then runs in float64."""
+    return {name: Tensor(p.data.astype(np.float64), requires_grad=True)
+            for name, p in params.items()}
+
+
+def clear_grads(params: dict) -> None:
+    for p in params.values():
+        p.grad = None
 
 
 def gradcheck(build_loss, tensors: list[Tensor], n_samples: int, rng, h: float = 1e-3):

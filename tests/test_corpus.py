@@ -105,8 +105,20 @@ class TestGenerator:
         assert raw[0].bboxes.tobytes() == cells.astype(np.float32).tobytes()
 
     def test_too_few_regions_rejected(self):
-        with pytest.raises(ConfigError):
-            generate_synthetic(GenConfig(num_examples=5, num_regions=2), seed=1)
+        """When the config is built, not in the first `generate_raw`."""
+        with pytest.raises(ConfigError, match="num_regions=2 smaller than max objects"):
+            GenConfig(num_examples=5, num_regions=2)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(min_objects=0), "need 1 <= min_objects <= max_objects"),
+        (dict(min_objects=5), "need 1 <= min_objects <= max_objects"),
+        (dict(num_labels=41), "at most 40 object labels"),
+        (dict(num_attributes=13), "at most 12 attributes"),
+        (dict(num_examples=0), "num_examples must be positive"),
+    ])
+    def test_bad_config_rejected_when_built(self, kw, message):
+        with pytest.raises(ConfigError, match=message):
+            GenConfig(**kw)
 
     def test_entity_spans_point_at_object_tokens(self):
         corpus = generate_corpus(SMALL, seed=21)

@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import assert_grads_close, full_row_vtlm_loss, generate_synthetic, gradcheck, tsum
+from helpers import (
+    assert_grads_close,
+    clear_grads,
+    float64_params,
+    full_row_vtlm_loss,
+    generate_synthetic,
+    gradcheck,
+    tsum,
+)
 from vtlm import bpe, model, tensor as T
 from vtlm.errors import ConfigError
 from vtlm.masking import (
@@ -16,7 +24,6 @@ from vtlm.masking import (
 )
 from vtlm.model import (
     EncoderConfig,
-    ParamStore,
     add_layer_params,
     attention,
     embed_inputs,
@@ -253,7 +260,7 @@ class TestVtlmLoss:
         adam = AdamState.init(params)
         loss = None
         for _ in range(200):
-            params.zero_grads()
+            clear_grads(params)
             out = vtlm_loss(params, cfg, batch, Pcg32(0), training=False)
             out.loss.backward()
             adam_step(params, adam, lr=1e-3)
@@ -290,7 +297,7 @@ class TestTargetRows:
         batch = retarget(batch, text, [(2, 0), (0, 7), (2, 3)], vocab)
 
         def loss_and_grads(loss_fn):
-            params.zero_grads()
+            clear_grads(params)
             out = loss_fn(params, cfg, batch, None, training=False)
             out.loss.backward()
             return out, {name: t.grad for name, t in params.items()}
@@ -348,25 +355,24 @@ class TestWeightTyingAndGradients:
     def test_vtlm_gradcheck_64bit(self, examples):
         """End-to-end joint loss vs central finite differences on a
         2-example batch, sampled across several parameter tensors."""
-        with T.use_dtype(np.float64):
-            batch, vocab = make_batch(examples[:2], seed=4)
-            cfg = desk_cfg(vocab)
-            params = init_encoder_params(cfg, Pcg32(5).split("init"))
-            names = ["token_emb", "feat_proj.w", "layers.0.attn.wq",
-                     "layers.1.ffn.w1", "mrc.w", "layers.0.norm1.g", "mlm_bias"]
-            tensors = [params[n] for n in names]
+        batch, vocab = make_batch(examples[:2], seed=4)
+        cfg = desk_cfg(vocab)
+        params = float64_params(init_encoder_params(cfg, Pcg32(5).split("init")))
+        names = ["token_emb", "feat_proj.w", "layers.0.attn.wq",
+                 "layers.1.ffn.w1", "mrc.w", "layers.0.norm1.g", "mlm_bias"]
+        tensors = [params[n] for n in names]
 
-            def build():
-                return vtlm_loss(params, cfg, batch, Pcg32(0), training=False).loss
+        def build():
+            return vtlm_loss(params, cfg, batch, Pcg32(0), training=False).loss
 
-            err = gradcheck(build, tensors, n_samples=28, rng=Pcg32(8), h=1e-3)
+        err = gradcheck(build, tensors, n_samples=28, rng=Pcg32(8), h=1e-3)
         assert err < 1e-4
 
     def test_tied_embedding_receives_both_paths(self, examples):
         batch, vocab = make_batch(examples[:2])
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
-        params.zero_grads()
+        clear_grads(params)
         out = vtlm_loss(params, cfg, batch, Pcg32(0), training=False)
         out.loss.backward()
         # rows of token_emb not present in the input still get gradient
@@ -383,20 +389,18 @@ def test_linear_is_one_affine_map(shape):
     """(B, T, d), (N, d) and decode-step (R, 1, d) inputs: the forward
     pass is numpy's x @ w + b, and the weight gradient sums all rows."""
     rng = Pcg32(11)
-    with T.use_dtype(np.float64):
-        params = ParamStore()
-        w = params.add("w", rng.normal((8, 6), dtype=np.float64))
-        b = params.add("b", rng.normal(6, dtype=np.float64))
-        x = T.Tensor(rng.normal(shape, dtype=np.float64), requires_grad=True)
-        c = rng.normal(shape[:-1] + (6,), dtype=np.float64)
+    w, b, x = (T.Tensor(rng.normal(s, dtype=np.float64), requires_grad=True)
+               for s in ((8, 6), 6, shape))
+    params = {"w": w, "b": b}
+    c = rng.normal(shape[:-1] + (6,), dtype=np.float64)
 
-        def build():
-            return tsum(T.mul(linear(x, params, "w", "b"), T.Tensor(c)))
+    def build():
+        return tsum(T.mul(linear(x, params, "w", "b"), T.Tensor(c)))
 
-        y = linear(x, params, "w", "b").data
-        assert y.shape == shape[:-1] + (6,)
-        np.testing.assert_allclose(y, x.data @ w.data + b.data, rtol=1e-12, atol=1e-12)
-        err = gradcheck(build, [w, b, x], n_samples=30, rng=Pcg32(2), h=1e-5)
+    y = linear(x, params, "w", "b").data
+    assert y.shape == shape[:-1] + (6,)
+    np.testing.assert_allclose(y, x.data @ w.data + b.data, rtol=1e-12, atol=1e-12)
+    err = gradcheck(build, [w, b, x], n_samples=30, rng=Pcg32(2), h=1e-5)
     assert err < 1e-8
     rows = x.data.reshape(-1, 8)
     np.testing.assert_allclose(w.grad, rows.T @ c.reshape(-1, 6), rtol=1e-12, atol=1e-12)
@@ -407,7 +411,7 @@ def test_self_attention_is_four_linears_and_one_attention_node():
     """One self-attention call tapes its input, the 8 projection
     parameters, the q, k, v and output linears and one attention node:
     the heads are split and merged inside that node."""
-    params = ParamStore()
+    params = {}
     add_layer_params(params, "l", 8, 16, Pcg32(3))
     x = T.Tensor(Pcg32(4).normal((2, 5, 8), dtype=np.float32), requires_grad=True)
     out = attention(params, "l.attn", x, x, None, 2, 0.0, None, training=False)
@@ -415,3 +419,16 @@ def test_self_attention_is_four_linears_and_one_attention_node():
     order = T.topo_order(out)
     assert len(order) == 14
     assert sum(node._parents == () for node in order) == 9
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("field", ["vocab_size", "label_vocab_size", "feat_dim", "d_model",
+                                   "ffn_dim", "n_layers", "n_heads", "max_positions"])
+def test_encoder_config_size_below_one_raises(field, value):
+    """Every size is checked before d_model % n_heads, so n_heads=0 is a
+    ConfigError, not a ZeroDivisionError; n_layers=0 would leave no layer
+    to compute the rows `vtlm_loss` reads its targets from."""
+    sizes = dict(vocab_size=100, label_vocab_size=10, feat_dim=8, d_model=32,
+                 ffn_dim=64, n_layers=2, n_heads=2, max_positions=64)
+    with pytest.raises(ConfigError, match=f"^{field} must be >= 1, got {value}$"):
+        EncoderConfig(**{**sizes, field: value})

@@ -13,7 +13,6 @@ SRC = ROOT / "src" / "vtlm"
 # tests uses it yet
 KEPT = {
     "DivergenceError": "exit code 4 of the item 4 CLI, raised or mapped per item 8",
-    "use_dtype": "the float64 mode the gradient-check tests run in",
     "TripletExample.entity_spans": "item 1's entity accuracy",
     "EntitySpan.stream": "item 1's entity accuracy",
     "Pcg32.derangement": "the incongruent-image control of item 1",

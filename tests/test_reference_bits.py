@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import assert_grads_close, full_row_vtlm_loss, matmul, reshape, tsum
+from helpers import assert_grads_close, clear_grads, full_row_vtlm_loss, matmul, reshape, tsum
 from vtlm import tensor as T
 from vtlm.errors import NumericError
 from vtlm.masking import (MASK_EMBED, SUBSTITUTE, TLM, VTLM, MaskPolicy, build_masked_batch,
@@ -347,8 +347,7 @@ def _attention_and_reference(beam, rate, dtype):
     w = rng.normal(q0.shape, dtype=dtype)
     pad = np.zeros((3, 7), dtype=bool)
     pad[1, 5:] = pad[2, 3:] = True
-    with T.use_dtype(dtype):
-        add_mask = key_padding_mask(pad, 0)
+    add_mask = key_padding_mask(pad, 0)  # float32, exact in float64 scores too
     results = []
     for fn in (T.attention, reference_attention):
         leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0)]
@@ -499,7 +498,7 @@ def test_pruned_loss_equals_full_row_reference(mode, desk_corpus):
     assert (got.mlm_acc, got.mrc_acc) == (ref.mlm_acc, ref.mrc_acc)
 
     def step(loss_fn):
-        params.zero_grads()
+        clear_grads(params)
         loss = loss_fn(params, cfg, batch, root.split("dropout"), training=True).loss
         loss.backward()
         return loss.data.tobytes(), {name: t.grad for name, t in params.items()}

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import gradcheck
+from helpers import clear_grads, float64_params, gradcheck
 from vtlm import seq2seq
 from vtlm import tensor as T
 from vtlm.bpe import BOS, EOS, PAD
@@ -60,7 +60,7 @@ def fitted():
             tgt = build_target_batch(corpus.train, cfg.max_positions)
             adam = AdamState.init(params)
             for _ in range(60):
-                params.zero_grads()
+                clear_grads(params)
                 mt_loss(params, cfg, src, tgt, Pcg32(0), training=False).loss.backward()
                 adam_step(params, adam, 1e-2)
             models[task, init_seed] = params
@@ -269,7 +269,7 @@ def test_transfer_copies_by_name(copy_cross_attn, corpus):
     pre = init_encoder_params(cfg, Pcg32(1).split("init"))
     fresh = init_mt_params(cfg, Pcg32(2).split("transfer"))
     params = transfer_weights(pre, cfg, copy_cross_attn, Pcg32(2).split("transfer"))
-    assert params.names() == fresh.names()
+    assert list(params) == list(fresh)
     checked = set()
 
     def same(name, want):
@@ -279,7 +279,7 @@ def test_transfer_copies_by_name(copy_cross_attn, corpus):
     for name, t in pre.items():
         if not name.startswith("mrc.") and name != "mlm_bias":
             same(f"enc.{name}", t.data)
-    dec_copied = [n for n in params.names() if n.startswith("dec.") and n[4:] in pre]
+    dec_copied = [n for n in params if n.startswith("dec.") and n[4:] in pre]
     for name in dec_copied:
         same(name, pre[name[4:]].data)
     for i in range(cfg.n_layers):
@@ -291,7 +291,7 @@ def test_transfer_copies_by_name(copy_cross_attn, corpus):
         same(f"dec.layers.{i}.norm_cross.g", np.ones(cfg.d_model))
         same(f"dec.layers.{i}.norm_cross.b", np.zeros(cfg.d_model))
     assert "dec.mlm_bias" in checked
-    for name in set(params.names()) - checked:
+    for name in set(params) - checked:
         same(name, fresh[name].data)
     # pretrained and fresh values differ, so every check above is a real one
     assert not np.array_equal(pre["layers.0.ffn.w1"].data, fresh["dec.layers.0.ffn.w1"].data)
@@ -307,7 +307,7 @@ def test_transfer_rejects_mismatched_stack(field, delta, corpus):
                               Pcg32(1).split("init"))
     with pytest.raises(TransferError) as err:
         transfer_weights(pre, cfg, True, Pcg32(2).split("transfer"))
-    names = pre.names() + init_mt_params(cfg, Pcg32(2)).names()
+    names = [*pre, *init_mt_params(cfg, Pcg32(2))]
     assert any(name in str(err.value) for name in names)
 
 
@@ -360,23 +360,22 @@ def test_mt_loss_padding_invariance(task, corpus):
 def test_mt_loss_gradcheck_64bit(corpus):
     """Teacher-forced MMT loss vs central finite differences, sampled over
     encoder, decoder self-attention, cross-attention, FFN and embeddings."""
-    with T.use_dtype(np.float64):
-        cfg = tiny_cfg(corpus)
-        params = init_mt_params(cfg, Pcg32(5).split("init"))
-        examples = corpus.train[:2]
-        src = build_source_batch(examples, MMT, cfg.max_positions)
-        tgt = build_target_batch(examples, cfg.max_positions)
-        names = ["enc.token_emb", "enc.feat_proj.w", "enc.layers.0.attn.wq",
-                 "enc.layers.0.ffn.w1", "dec.token_emb", "dec.layers.0.attn.wk",
-                 "dec.layers.0.norm1.g", "dec.layers.0.cross_attn.wq",
-                 "dec.layers.0.cross_attn.wv", "dec.layers.0.norm_cross.g",
-                 "dec.layers.0.ffn.w1", "dec.layers.0.ffn.w2", "dec.mlm_bias"]
+    cfg = tiny_cfg(corpus)
+    params = float64_params(init_mt_params(cfg, Pcg32(5).split("init")))
+    examples = corpus.train[:2]
+    src = build_source_batch(examples, MMT, cfg.max_positions)
+    tgt = build_target_batch(examples, cfg.max_positions)
+    names = ["enc.token_emb", "enc.feat_proj.w", "enc.layers.0.attn.wq",
+             "enc.layers.0.ffn.w1", "dec.token_emb", "dec.layers.0.attn.wk",
+             "dec.layers.0.norm1.g", "dec.layers.0.cross_attn.wq",
+             "dec.layers.0.cross_attn.wv", "dec.layers.0.norm_cross.g",
+             "dec.layers.0.ffn.w1", "dec.layers.0.ffn.w2", "dec.mlm_bias"]
 
-        def build():
-            return mt_loss(params, cfg, src, tgt, Pcg32(0), training=False).loss
+    def build():
+        return mt_loss(params, cfg, src, tgt, Pcg32(0), training=False).loss
 
-        err = gradcheck(build, [params[n] for n in names], n_samples=39,
-                        rng=Pcg32(8), h=1e-3)
+    err = gradcheck(build, [params[n] for n in names], n_samples=39,
+                    rng=Pcg32(8), h=1e-3)
     assert err < 1e-4
 
 

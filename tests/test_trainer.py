@@ -5,13 +5,14 @@ import os
 import numpy as np
 import pytest
 
+from helpers import float64_params
 from vtlm import tensor as T, trainer
 from vtlm.errors import ConfigError, DataError
 from vtlm.checkpoint import load_checkpoint, save_checkpoint
-from vtlm.masking import TLM, VTLM, MaskPolicy
-from vtlm.model import EncoderConfig, ParamStore, init_encoder_params
+from vtlm.masking import TLM, VTLM, MaskPolicy, build_masked_batch
+from vtlm.model import EncoderConfig, init_encoder_params, vtlm_loss
 from vtlm.rng import Pcg32
-from vtlm.seq2seq import MMT, init_mt_params
+from vtlm.seq2seq import MMT, build_source_batch, build_target_batch, init_mt_params, mt_loss
 from vtlm.synthetic import GenConfig, generate_corpus
 
 GEN = GenConfig(num_examples=24, num_valid=8, num_test=2, feat_dim=8, num_merges=150)
@@ -312,12 +313,14 @@ def test_nan_loss_stops_the_run(phase, corpus, tmp_path, monkeypatch):
 
 
 def adam_params(grads):
-    """A ParamStore holding `grads` as float32 gradients of fixed values."""
-    params = ParamStore()
+    """A parameter dict holding `grads` as float32 gradients of fixed values."""
+    params = {}
     for name, g in grads.items():
         g = np.asarray(g, dtype=np.float32)
-        p = params.add(name, np.linspace(-1.0, 1.0, g.size, dtype=np.float32).reshape(g.shape))
+        p = T.Tensor(np.linspace(-1.0, 1.0, g.size, dtype=np.float32).reshape(g.shape),
+                     requires_grad=True)
         p.grad = g
+        params[name] = p
     return params
 
 
@@ -427,3 +430,106 @@ def test_restore_rejects_a_bad_adam_counter(key, value, tmp_path):
     header = {"adam_t": 1, "adam_skipped": 0, key: value}
     path, got = restore_error(tmp_path, header)
     assert got == f"{path}: corrupt header: {key} {value!r}"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("step", -3), ("step", 1.7), ("step", "x"), ("step", True), ("step", None),
+    ("best_step", "x"), ("best_step", -1),
+    ("metrics", None), ("metrics", [1.0]),
+    ("best_metric", "x"), ("best_metric", True), ("best_metric", math.nan),
+], ids=["step-negative", "step-float", "step-string", "step-bool", "step-missing",
+        "best-step-string", "best-step-negative", "metrics-missing", "metrics-list",
+        "best-metric-string", "best-metric-bool", "best-metric-nan"])
+def test_resume_rejects_a_corrupt_run_header(key, value, corpus, tmp_path, monkeypatch):
+    """A last.ckpt whose `step`, `best_step`, `metrics` or `best_metric`
+    is not what a run writes raises DataError naming the file before any
+    tensor is restored: it is never truncated, run from a negative step
+    or compared at the first evaluation. None stands for a missing key."""
+    cfg = tiny_cfg(corpus)
+    train("pretrain", cfg, corpus.train, corpus.valid, 2, str(tmp_path))
+    path = tmp_path / "last.ckpt"
+    header, tensors = load_checkpoint(path)
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    save_checkpoint(path, header, tensors)
+
+    def no_restore(*args):
+        raise AssertionError("a tensor was restored")
+
+    monkeypatch.setattr(trainer, "restore_train_checkpoint", no_restore)
+    with pytest.raises(DataError) as err:
+        train("pretrain", cfg, corpus.train, corpus.valid, 4, str(tmp_path),
+              resume_from=str(path))
+    found = "no step" if key == "step" and value is None else f"{key} {value!r}"
+    assert str(err.value) == f"{path}: corrupt header: {found}"
+
+
+def test_resume_accepts_the_best_metric_of_an_unimproved_run(corpus, tmp_path):
+    """`best_metric` inf is what an MT run saves when no evaluation has
+    improved on its starting value, as in a run that diverged before its
+    first one; a resume takes it and improves on it."""
+    cfg = tiny_cfg(corpus)
+    train("mt", cfg, corpus.train, corpus.valid, 2, str(tmp_path), eval_interval=5)
+    path = tmp_path / "last.ckpt"
+    header, tensors = load_checkpoint(path)
+    header.update(best_metric=math.inf, best_step=0, metrics={})
+    save_checkpoint(path, header, tensors)
+    _, result = train("mt", cfg, corpus.train, corpus.valid, 3, str(tmp_path),
+                      resume_from=str(path), eval_interval=5)
+    assert result.best_step == 3 and result.best_metric < math.inf
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_training_stays_float32(phase, corpus, monkeypatch):
+    """One step at the desk widths: every parameter, gradient and Adam
+    moment, and every loss, training and validation, is float32. No op
+    upcasts, which would change the bits and the memory a run takes."""
+    cfg = EncoderConfig.desk(len(corpus.codec.vocab), GEN.num_labels, GEN.feat_dim)
+    name = "vtlm_loss" if phase == "pretrain" else "mt_loss"
+    real_loss, real_adam = getattr(trainer, name), trainer.adam_step
+    dtypes, losses = set(), []
+
+    def loss_spy(*args, **kwargs):
+        out = real_loss(*args, **kwargs)
+        losses.append(out.loss)
+        return out
+
+    def adam_spy(params, state, lr):
+        ok = real_adam(params, state, lr)
+        arrays = [*state.m.values(), *state.v.values()]
+        for p in params.values():
+            arrays += [p.data] if p.grad is None else [p.data, p.grad]
+        dtypes.update(a.dtype for a in arrays)
+        return ok
+
+    monkeypatch.setattr(trainer, name, loss_spy)
+    monkeypatch.setattr(trainer, "adam_step", adam_spy)
+    params, _ = train(phase, cfg, corpus.train, corpus.valid, 1, None)
+    assert len(losses) >= 2 and dtypes == {np.dtype(np.float32)}
+    assert {loss.dtype for loss in losses} == {np.dtype(np.float32)}
+    assert all(p.grad is not None for p in params.values() if p.requires_grad)
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_float64_parameters_give_float64_losses_and_gradients(phase, corpus):
+    """Cast to float64, the parameters carry a training step (dropout
+    on) in float64: the loss and every gradient."""
+    cfg = EncoderConfig.desk(len(corpus.codec.vocab), GEN.num_labels, GEN.feat_dim)
+    init, _, _ = PHASES[phase]
+    params = float64_params(init(cfg, Pcg32(5).split("init")))
+    examples = corpus.train[:8]
+    if phase == "pretrain":
+        batch = build_masked_batch(examples, VTLM, MaskPolicy(), cfg.vocab_size,
+                                   Pcg32(1), Pcg32(2))
+        loss = vtlm_loss(params, cfg, batch, Pcg32(3), training=True).loss
+    else:
+        loss = mt_loss(params, cfg, build_source_batch(examples, MMT, cfg.max_positions),
+                       build_target_batch(examples, cfg.max_positions), Pcg32(3),
+                       training=True).loss
+    loss.backward()
+    assert loss.dtype == np.float64
+    grads = [p.grad for p in params.values() if p.grad is not None]
+    assert len(grads) > len(params) // 2
+    assert {g.dtype for g in grads} == {np.dtype(np.float64)}
