@@ -18,6 +18,9 @@ MASK_EMBED, SUBSTITUTE); `build_masked_batch` resolves them into the
 model's input format, so no other module reads them: a substituted slot
 gets its donor region's feature and box, a masked slot sets `vis_mask`.
 
+Targets come out in the (B, Tq) layout of `model.MaskedBatch`, which the
+loss reads: per kept example, text targets, then region targets.
+
 Stream layout (positions restart at 0 at every [BOS]; the [SEP]
 closing a segment carries that segment's language id):
 
@@ -35,7 +38,7 @@ from . import bpe
 from .bpe import BOS, EOS, LANG_L1, LANG_L2, NUM_RESERVED, SEP
 from .data import TripletExample
 from .errors import ConfigError
-from .model import MaskedBatch, check_ids, collate
+from .model import MaskedBatch, check_ids, collate, pad_rows
 from .rng import Pcg32
 
 log = logging.getLogger(__name__)
@@ -117,50 +120,48 @@ def select_count(ratio: float, n_eligible: int) -> int:
 
 
 def mask_text(token_ids: np.ndarray, rng: Pcg32,
-              vocab_size: int) -> tuple[np.ndarray, dict[int, int]]:
-    """Corrupt one stream's text part; returns (masked ids, targets)."""
+              vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Corrupt one stream's text part; returns (masked ids, selected
+    positions in ascending order), no positions when none is eligible."""
     eligible = eligible_positions(token_ids)
     masked = token_ids.copy()
-    targets: dict[int, int] = {}
     n_sel = select_count(SELECT_RATIO, len(eligible))
     if n_sel == 0:
         log.warning("no eligible tokens to mask; example skipped")
-        return masked, targets
+        return masked, eligible
     chosen = eligible[rng.choose(len(eligible), n_sel)]
     for pos in chosen:
-        pos = int(pos)
-        targets[pos] = int(token_ids[pos])
         u = rng.uniform()
         if u < MASK_FRAC:
             masked[pos] = bpe.MASK
         elif u < MASK_FRAC + RANDOM_FRAC:
             masked[pos] = NUM_RESERVED + rng.randint(vocab_size - NUM_RESERVED)
         # else: left intact
-    return masked, targets
+    return masked, np.sort(chosen)
 
 
 def mask_visual(region_labels: np.ndarray, policy: MaskPolicy, rng: Pcg32):
     """Select and corrupt region slots, pooled over the batch.
 
     region_labels is (B, o). Returns (directives (B, o), substitutes
-    (B, o, 2), targets {(b, slot): label}).
+    (B, o, 2), selected (B, o) bool: the slots whose labels are targets).
     """
     b_size, o = region_labels.shape
     directives = np.full((b_size, o), ORIGINAL, dtype=np.int8)
     substitutes = np.zeros((b_size, o, 2), dtype=np.int64)
-    targets: dict[tuple[int, int], int] = {}
+    selected = np.zeros((b_size, o), dtype=bool)
 
     alternative = policy.visual_select_ratio == 0.0
     ratio = SELECT_RATIO if alternative else policy.visual_select_ratio
     n_sel = select_count(ratio, b_size * o)
     if n_sel == 0:
-        return directives, substitutes, targets
+        return directives, substitutes, selected
     flat = rng.choose(b_size * o, n_sel)
+    selected.flat[flat] = True
+    if alternative:
+        return directives, substitutes, selected  # inputs stay intact
     for f in flat:
         b, slot = divmod(int(f), o)
-        targets[(b, slot)] = int(region_labels[b, slot])
-        if alternative:
-            continue  # inputs stay intact; only prediction positions chosen
         u = rng.uniform()
         if u < MASK_FRAC:
             directives[b, slot] = MASK_EMBED
@@ -177,7 +178,7 @@ def mask_visual(region_labels: np.ndarray, policy: MaskPolicy, rng: Pcg32):
             directives[b, slot] = SUBSTITUTE
             substitutes[b, slot] = (other, rng.randint(o))
         # else: left intact
-    return directives, substitutes, targets
+    return directives, substitutes, selected
 
 
 def build_masked_batch(examples: list[TripletExample], mode: str,
@@ -199,34 +200,31 @@ def build_masked_batch(examples: list[TripletExample], mode: str,
         streams = [build_stream(ex, mode) for ex in examples]
     if streams:
         check_ids(np.concatenate([s.token_ids for s in streams]), vocab_size)
-    rows, kept = [], []
-    tpos, tids = [], []
+    rows, kept, tpos, tids = [], [], [], []
     for ex, s in zip(examples, streams):
-        masked, targets = mask_text(s.token_ids, rng_text, vocab_size)
-        if not targets:
+        masked, pos = mask_text(s.token_ids, rng_text, vocab_size)
+        if not len(pos):
             continue
-        for pos, orig in sorted(targets.items()):
-            tpos.append((len(rows), pos))
-            tids.append(orig)
         rows.append((masked, s.pos_ids, s.lang_ids))
         kept.append(ex)
+        tpos.append(pos)
+        tids.append(s.token_ids[pos])
     if not rows:
         log.warning("batch skipped: no maskable examples")
         return None
-    batch = MaskedBatch(
-        **vars(collate(rows, kept if mode == VTLM else None)),
-        text_target_pos=np.array(tpos, dtype=np.int64).reshape(-1, 2),
-        text_target_ids=np.array(tids, dtype=np.int64),
-    )
+    batch = collate(rows, kept if mode == VTLM else None)
     if mode == VTLM:
         labels = np.stack([ex.labels for ex in kept])
-        directives, substitutes, vtargets = mask_visual(labels, policy, rng_visual)
+        directives, substitutes, selected = mask_visual(labels, policy, rng_visual)
         b, slot = np.nonzero(directives == SUBSTITUTE)
         donor, donor_slot = substitutes[b, slot].T
         batch.feats[b, slot] = batch.feats[donor, donor_slot]
         batch.bboxes[b, slot] = batch.bboxes[donor, donor_slot]
         batch.vis_mask = directives == MASK_EMBED
-        batch.vis_target_pos = np.array(sorted(vtargets), dtype=np.int64).reshape(-1, 2)
-        batch.vis_target_ids = np.array([vtargets[tuple(p)] for p in batch.vis_target_pos],
-                                        dtype=np.int64)
-    return batch
+        slots = batch.text_len + np.arange(labels.shape[1])  # encoder positions
+        for b, sel in enumerate(selected):
+            tpos[b] = np.concatenate([tpos[b], slots[sel]])
+            tids[b] = np.concatenate([tids[b], labels[b, sel]])
+    target_pos, target_pad = pad_rows(tpos, 0)
+    return MaskedBatch(**vars(batch), target_pos=target_pos,
+                       target_ids=pad_rows(tids, 0)[0], target_pad=target_pad)

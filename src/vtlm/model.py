@@ -27,7 +27,7 @@ is all that tells the decoder apart from the encoder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -282,18 +282,21 @@ class EncoderBatch:
 
 @dataclass(kw_only=True)
 class MaskedBatch(EncoderBatch):
-    """Corrupted encoder input plus the masked prediction targets."""
+    """Corrupted encoder input plus its prediction targets, one row per
+    example: its text targets in position order, then its region targets
+    in slot order, then fill up to Tq, the largest target count."""
 
-    text_target_pos: np.ndarray    # (N, 2) -> (example, stream position)
-    text_target_ids: np.ndarray    # (N,)
-    vis_target_pos: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
-    vis_target_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    target_pos: np.ndarray    # (B, Tq) encoder position: text position, or text_len + slot
+    target_ids: np.ndarray    # (B, Tq) token id, or region label
+    target_pad: np.ndarray    # (B, Tq) True at fill (position 0, id 0)
 
 
 def pad_rows(rows, fill: int) -> tuple[np.ndarray, np.ndarray]:
     """The one padding loop: id rows of any lengths as a (B, longest)
     int64 array with `fill` after each row, and its (B, longest) pad
-    mask, True at the fill."""
+    mask, True at the fill. Raises DataError when there are no rows."""
+    if not rows:
+        raise DataError("an empty batch: no rows to pad")
     lengths = np.array([len(r) for r in rows], dtype=np.int64)
     t_max = int(lengths.max())
     out = np.full((len(rows), t_max), fill, dtype=np.int64)
@@ -308,9 +311,11 @@ def collate(rows, examples=None) -> EncoderBatch:
     `rows` holds one (token_ids, pos_ids, lang_ids) triple per example;
     `examples`, if given, one `data.TripletExample` per row, whose (o, D)
     `feats` and (o, 4) `bboxes` are stacked into the batch's (B, o, D)
-    and (B, o, 4) arrays. Raises DataError when the examples have
-    different region counts.
+    and (B, o, 4) arrays. Raises DataError when there are no rows or the
+    examples have different region counts.
     """
+    if not rows:
+        raise DataError("an empty batch: no rows to collate")
     tok, pos, lang = zip(*rows)
     token_ids, pad_mask = pad_rows(tok, PAD)
     batch = EncoderBatch(token_ids, pad_rows(pos, 0)[0], pad_rows(lang, 0)[0], pad_mask)
@@ -447,54 +452,45 @@ def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
               rng: Pcg32 | None, training: bool) -> LossOutput:
     """Joint masked-token + masked-region objective (equal weights).
 
-    The last encoder layer runs only at the rows the two heads read. Its
-    (B, Tq) row ids, Tq the largest target count of one example, hold in
-    row b the flat stream rows b*T + t of example b's targets: text ones
-    (t its text position) in `text_target_pos` order, then region ones
-    (t = text_len + slot) in `vis_target_pos` order, then b*T, the
-    example's first position, up to Tq. The heads gather their rows from
-    that layer's (B, Tq, d) output. Raises ValueError when the batch has
-    no targets, DataError when a region label is outside
+    The last encoder layer runs only at the rows the two heads read: the
+    (B, Tq) row ids b*T + `target_pos`, so a fill entry reads the
+    example's first position. Each head gathers its targets from that
+    layer's (B, Tq, d) output, text ones where `target_pos` is a text
+    position, region ones where it is a slot. Raises ValueError when the
+    batch has no targets, DataError when a region label is outside
     [0, label_vocab_size)."""
-    check_ids(batch.vis_target_ids, cfg.label_vocab_size, "region label",
-              "the label vocabulary")
-    n_text = len(batch.text_target_ids)
-    n_vis = len(batch.vis_target_ids)
+    target = ~batch.target_pad
+    is_text = batch.target_pos < batch.text_len
+    text_rows = np.flatnonzero(target & is_text)
+    vis_rows = np.flatnonzero(target & ~is_text)
+    text_ids = batch.target_ids.flat[text_rows]
+    vis_ids = batch.target_ids.flat[vis_rows]
+    check_ids(vis_ids, cfg.label_vocab_size, "region label", "the label vocabulary")
+    n_text, n_vis = len(text_rows), len(vis_rows)
     if not (n_text or n_vis):
         raise ValueError("batch has no prediction targets")
-    bsz = len(batch.token_ids)
     total_len = batch.text_len + batch.num_regions
-    ex = np.concatenate([batch.text_target_pos[:, 0], batch.vis_target_pos[:, 0]])
-    pos = np.concatenate([batch.text_target_pos[:, 1],
-                          batch.text_len + batch.vis_target_pos[:, 1]])
-    counts = np.bincount(ex, minlength=bsz)
-    order = np.argsort(ex, kind="stable")
-    slot = np.empty_like(ex)  # each target's rank among its example's targets
-    slot[order] = np.arange(len(ex)) - (np.cumsum(counts) - counts)[ex[order]]
-    ids = np.repeat(np.arange(bsz, dtype=np.int64)[:, None] * total_len,
-                    int(counts.max()), axis=1)
-    ids[ex, slot] = ex * total_len + pos
-    rows = ex * ids.shape[1] + slot  # each target's row of the (B, Tq, d) output
+    ids = np.arange(len(batch.token_ids))[:, None] * total_len + batch.target_pos
     states, _ = encode_batch(params, cfg, batch, rng, training, ids=ids)
 
     terms = []
     mlm_loss_val = 0.0
     mlm_acc = float("nan")
     if n_text:
-        logits = tied_logits(params, T.embedding(states, rows[:n_text]))
-        mlm = T.cross_entropy(logits, batch.text_target_ids)
+        logits = tied_logits(params, T.embedding(states, text_rows))
+        mlm = T.cross_entropy(logits, text_ids)
         terms.append(mlm)
         mlm_loss_val = mlm.item()
-        mlm_acc = float(np.mean(np.argmax(logits.data, axis=1) == batch.text_target_ids))
+        mlm_acc = float(np.mean(np.argmax(logits.data, axis=1) == text_ids))
 
     mrc_loss_val = None
     mrc_acc = None
     if n_vis:
-        vlogits = linear(T.embedding(states, rows[n_text:]), params, "mrc.w", "mrc.b")
-        mrc = T.cross_entropy(vlogits, batch.vis_target_ids)
+        vlogits = linear(T.embedding(states, vis_rows), params, "mrc.w", "mrc.b")
+        mrc = T.cross_entropy(vlogits, vis_ids)
         terms.append(mrc)
         mrc_loss_val = mrc.item()
-        mrc_acc = float(np.mean(np.argmax(vlogits.data, axis=1) == batch.vis_target_ids))
+        mrc_acc = float(np.mean(np.argmax(vlogits.data, axis=1) == vis_ids))
 
     loss = terms[0] if len(terms) == 1 else T.add(terms[0], terms[1])
     return LossOutput(loss, mlm_loss_val, mrc_loss_val, mlm_acc, mrc_acc,

@@ -41,7 +41,7 @@ import numpy as np
 from . import tensor as T
 from .bpe import BOS, EOS, LANG_L1, LANG_L2, PAD
 from .data import TripletExample
-from .errors import ConfigError, TransferError
+from .errors import ConfigError, DataError, TransferError
 from .model import (
     EncoderBatch,
     EncoderConfig,
@@ -125,9 +125,11 @@ def build_source_batch(examples: list[TripletExample], task: str,
                        max_len: int = 256) -> EncoderBatch:
     """[BOS] s [EOS] rows, plus every region for MMT, with s cut to fit
     `max_len`. Raises ConfigError when no source token fits, DataError
-    when MMT examples have different region counts."""
+    when there are no examples or MMT ones have different region counts."""
     if task not in (NMT, MMT):
         raise ConfigError(f"unknown task {task!r}")
+    if not examples:
+        raise DataError("an empty batch: no examples")
     o = len(examples[0].labels) if task == MMT else 0
     budget = max_len - o - 2
     if budget < 1:
@@ -148,7 +150,7 @@ class TargetBatch:
 
 def build_target_batch(examples: list[TripletExample], max_len: int = 256) -> TargetBatch:
     """Teacher-forcing rows of at most `max_len` tokens, padded by
-    `model.pad_rows`."""
+    `model.pad_rows`. Raises DataError when there are no examples."""
     seqs = [list(ex.tgt_tokens)[: max_len - 1] for ex in examples]
     input_ids, pad_mask = pad_rows([[BOS] + s for s in seqs], PAD)
     output_ids, _ = pad_rows([s + [EOS] for s in seqs], PAD)

@@ -79,19 +79,25 @@ class GenConfig:
     num_merges: int = 2_000
 
     def __post_init__(self):
-        if self.num_regions < self.max_objects:
-            raise ConfigError(
-                f"num_regions={self.num_regions} smaller than max objects "
-                f"per caption ({self.max_objects})"
-            )
+        for name in ("num_regions", "num_labels"):
+            if getattr(self, name) < self.max_objects:
+                raise ConfigError(
+                    f"{name}={getattr(self, name)} smaller than max objects "
+                    f"per caption ({self.max_objects})"
+                )
         if not (1 <= self.min_objects <= self.max_objects):
             raise ConfigError("need 1 <= min_objects <= max_objects")
         if self.num_labels > len(OBJECT_WORDS):
             raise ConfigError(f"at most {len(OBJECT_WORDS)} object labels available")
         if self.num_attributes > len(ATTRIBUTE_WORDS):
             raise ConfigError(f"at most {len(ATTRIBUTE_WORDS)} attributes available")
-        if self.num_examples <= 0:
-            raise ConfigError("num_examples must be positive")
+        for name in ("num_examples", "num_attributes", "feat_dim", "num_merges"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if min(self.num_valid, self.num_test) < 0:
+            raise ConfigError("num_valid and num_test must not be negative")
+        if not (np.isfinite(self.cluster_sigma) and self.cluster_sigma >= 0):
+            raise ConfigError(f"cluster_sigma must be finite and >= 0, got {self.cluster_sigma}")
 
 
 @dataclass

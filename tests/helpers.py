@@ -3,8 +3,9 @@ summing, matmul and reshape ops, a finite-difference gradient check for
 the autograd tape and the float64 parameters it runs on, gradient
 clearing, sentence encoding and decoding through a BPE codec, the
 one-seed corpus and nearest-centre classifier that several test corpora
-and oracles are built from, and the full-row pretraining loss that the
-pruned one is checked against."""
+and oracles are built from, and a batch's prediction targets as
+(example, position, id) triples and the full-row pretraining loss that
+the pruned one is checked against."""
 
 from __future__ import annotations
 
@@ -128,27 +129,33 @@ def nearest_center_labels(feats: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=1)
 
 
+def target_triples(batch) -> np.ndarray:
+    """(N, 3) int64 rows (example, encoder position, id) of a
+    MaskedBatch's prediction targets, by example, then position."""
+    b, j = np.nonzero(~batch.target_pad)
+    return np.column_stack([b, batch.target_pos[b, j], batch.target_ids[b, j]])
+
+
 def full_row_vtlm_loss(params, cfg, batch, rng, training) -> LossOutput:
     """`model.vtlm_loss` as it was before its last layer was pruned: the
     whole stack at every position, then the target rows gathered."""
     states, _ = encode_batch(params, cfg, batch, rng, training)
-    total_len = states.shape[1]
-    n_text, n_vis = len(batch.text_target_ids), len(batch.vis_target_ids)
+    ex, pos, ids = target_triples(batch).T
+    rows = ex * states.shape[1] + pos
+    is_text = pos < batch.text_len
+    n_text, n_vis = int(is_text.sum()), int((~is_text).sum())
     terms = []
     mlm_loss, mlm_acc, mrc_loss, mrc_acc = 0.0, float("nan"), None, None
     if n_text:
-        idx = batch.text_target_pos[:, 0] * total_len + batch.text_target_pos[:, 1]
-        logits = tied_logits(params, T.embedding(states, idx))
-        terms.append(T.cross_entropy(logits, batch.text_target_ids))
+        logits = tied_logits(params, T.embedding(states, rows[is_text]))
+        terms.append(T.cross_entropy(logits, ids[is_text]))
         mlm_loss = terms[-1].item()
-        mlm_acc = float(np.mean(np.argmax(logits.data, axis=1) == batch.text_target_ids))
+        mlm_acc = float(np.mean(np.argmax(logits.data, axis=1) == ids[is_text]))
     if n_vis:
-        vidx = (batch.vis_target_pos[:, 0] * total_len + batch.text_len
-                + batch.vis_target_pos[:, 1])
-        vlogits = linear(T.embedding(states, vidx), params, "mrc.w", "mrc.b")
-        terms.append(T.cross_entropy(vlogits, batch.vis_target_ids))
+        vlogits = linear(T.embedding(states, rows[~is_text]), params, "mrc.w", "mrc.b")
+        terms.append(T.cross_entropy(vlogits, ids[~is_text]))
         mrc_loss = terms[-1].item()
-        mrc_acc = float(np.mean(np.argmax(vlogits.data, axis=1) == batch.vis_target_ids))
+        mrc_acc = float(np.mean(np.argmax(vlogits.data, axis=1) == ids[~is_text]))
     loss = terms[0] if len(terms) == 1 else T.add(terms[0], terms[1])
     return LossOutput(loss, mlm_loss, mrc_loss, mlm_acc, mrc_acc, n_text, n_vis)
 

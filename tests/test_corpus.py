@@ -115,10 +115,29 @@ class TestGenerator:
         (dict(num_labels=41), "at most 40 object labels"),
         (dict(num_attributes=13), "at most 12 attributes"),
         (dict(num_examples=0), "num_examples must be positive"),
+        # each of these used to pass, then fail deep in generation, give
+        # NaN or empty features, or silently narrow the corpus
+        (dict(num_labels=0), "num_labels=0 smaller than max objects per caption"),
+        (dict(num_labels=3), r"num_labels=3 smaller than max objects per caption \(4\)"),
+        (dict(num_attributes=0), "num_attributes must be positive, got 0"),
+        (dict(num_valid=-5), "num_valid and num_test must not be negative"),
+        (dict(num_test=-1), "num_valid and num_test must not be negative"),
+        (dict(feat_dim=0), "feat_dim must be positive, got 0"),
+        (dict(cluster_sigma=float("nan")), "cluster_sigma must be finite and >= 0, got nan"),
+        (dict(cluster_sigma=float("inf")), "cluster_sigma must be finite"),
+        (dict(cluster_sigma=-0.1), "cluster_sigma must be finite and >= 0"),
+        (dict(num_merges=0), "num_merges must be positive, got 0"),
     ])
     def test_bad_config_rejected_when_built(self, kw, message):
         with pytest.raises(ConfigError, match=message):
             GenConfig(**kw)
+
+    def test_smallest_valid_config_generates(self):
+        cfg = GenConfig(num_examples=20, num_valid=0, num_test=0, num_labels=4,
+                        num_attributes=1, feat_dim=1, cluster_sigma=0.0, num_merges=1)
+        corpus = generate_corpus(cfg, seed=1)
+        assert (len(corpus.train), len(corpus.valid), len(corpus.test)) == (20, 0, 0)
+        assert corpus.train[0].feats.shape == (8, 1)
 
     def test_entity_spans_point_at_object_tokens(self):
         corpus = generate_corpus(SMALL, seed=21)

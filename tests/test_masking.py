@@ -1,9 +1,10 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import generate_synthetic
+from helpers import generate_synthetic, target_triples
 from vtlm import bpe, masking
 from vtlm.bpe import NUM_RESERVED
 from vtlm.data import TripletExample
@@ -81,28 +82,34 @@ class TestStreamLayout:
 class TestMaskText:
     def test_exact_selection_count(self):
         tokens = np.array([bpe.BOS] + list(range(10, 30)) + [bpe.EOS], dtype=np.int64)
-        _, targets = mask_text(tokens, Pcg32(0), vocab_size=100)
-        assert len(targets) == 3  # round(0.15 * 20)
+        _, chosen = mask_text(tokens, Pcg32(0), vocab_size=100)
+        assert len(chosen) == 3  # round(0.15 * 20)
 
     def test_floor_of_one_for_short_sentences(self):
         tokens = np.array([bpe.BOS, 17, bpe.EOS], dtype=np.int64)
-        _, targets = mask_text(tokens, Pcg32(0), 100)
-        assert len(targets) == 1
+        _, chosen = mask_text(tokens, Pcg32(0), 100)
+        assert len(chosen) == 1
 
     def test_specials_never_selected(self):
         tokens = np.array([bpe.BOS, 10, bpe.EOS, bpe.SEP, bpe.BOS, 11, bpe.EOS, bpe.SEP])
         for seed in range(50):
-            masked, targets = mask_text(tokens, Pcg32(seed), 100)
-            for pos in targets:
+            masked, chosen = mask_text(tokens, Pcg32(seed), 100)
+            for pos in chosen:
                 assert tokens[pos] >= NUM_RESERVED
             # specials survive corruption
             assert masked[0] == bpe.BOS and masked[3] == bpe.SEP
 
     def test_targets_record_original_token(self):
-        tokens = np.array([bpe.BOS] + list(range(50, 70)) + [bpe.EOS], dtype=np.int64)
-        _, targets = mask_text(tokens, Pcg32(4), 100)
-        for pos, orig in targets.items():
-            assert orig == tokens[pos]
+        """Selected positions ascend, and each target keeps its position's
+        original token, whatever the corruption put there."""
+        ex = make_example(m=20, n=20)
+        tokens = build_stream(ex, TLM).token_ids
+        _, chosen = mask_text(tokens, Pcg32(4), 100)
+        assert np.all(np.diff(chosen) > 0)
+        batch = build_masked_batch([ex], TLM, MaskPolicy(), 100, Pcg32(4), Pcg32(5))
+        assert np.array_equal(batch.target_pos[0], chosen)
+        assert np.array_equal(batch.target_ids[0], tokens[chosen])
+        assert np.any(batch.token_ids[0, chosen] != tokens[chosen])
 
     def test_action_fractions_large_sample(self):
         """80/10/10 split within +-0.005 over >=1e5 selected positions."""
@@ -110,8 +117,9 @@ class TestMaskText:
         n_masked = n_random = n_keep = n_total = 0
         tokens = np.array([bpe.BOS] + list(range(100, 140)) + [bpe.EOS], dtype=np.int64)
         while n_total < 110_000:
-            masked, targets = mask_text(tokens, rng, vocab_size=5000)
-            for pos, orig in targets.items():
+            masked, chosen = mask_text(tokens, rng, vocab_size=5000)
+            for pos in chosen:
+                orig = tokens[pos]
                 n_total += 1
                 if masked[pos] == bpe.MASK:
                     n_masked += 1
@@ -127,26 +135,26 @@ class TestMaskText:
         tokens = np.array([bpe.BOS] + list(range(100, 140)) + [bpe.EOS], dtype=np.int64)
         rng = Pcg32(9)
         for _ in range(200):
-            masked, targets = mask_text(tokens, rng, vocab_size=200)
-            for pos in targets:
+            masked, chosen = mask_text(tokens, rng, vocab_size=200)
+            for pos in chosen:
                 assert masked[pos] >= NUM_RESERVED or masked[pos] == bpe.MASK
 
 
 class TestMaskVisual:
     def test_selection_bounds_small_batch(self):
         labels = np.arange(32).reshape(4, 8) % 7
-        directives, _, targets = mask_visual(labels, MaskPolicy(), Pcg32(3))
-        assert 4 <= len(targets) <= 8
-        for (b, slot), lab in targets.items():
-            assert lab == labels[b, slot]
-        assert directives.shape == (4, 8)
+        directives, _, selected = mask_visual(labels, MaskPolicy(), Pcg32(3))
+        assert 4 <= selected.sum() <= 8
+        assert directives.shape == selected.shape == (4, 8)
+        # only selected slots are corrupted
+        assert np.all(directives[~selected] == masking.ORIGINAL)
 
     def test_alternative_variant_inputs_untouched(self):
         labels = np.arange(80).reshape(10, 8) % 7
         policy = MaskPolicy(visual_select_ratio=0.0)
-        directives, _, targets = mask_visual(labels, policy, Pcg32(3))
+        directives, _, selected = mask_visual(labels, policy, Pcg32(3))
         assert np.all(directives == masking.ORIGINAL)
-        assert len(targets) == round(0.15 * 80)
+        assert selected.sum() == round(0.15 * 80)
 
     def test_single_example_batch_never_substitutes(self):
         labels = np.arange(8).reshape(1, 8)
@@ -171,8 +179,8 @@ class TestMaskVisual:
         rng = Pcg32(77).split("vis")
         total = chosen = 0
         while chosen < 100_000:
-            _, _, targets = mask_visual(labels, MaskPolicy(), rng)
-            chosen += len(targets)
+            _, _, selected = mask_visual(labels, MaskPolicy(), rng)
+            chosen += selected.sum()
             total += labels.size
         assert abs(chosen / total - 0.15) < 0.005
 
@@ -196,13 +204,16 @@ class TestBatchAssembly:
         batch = build_masked_batch(examples, VTLM, MaskPolicy(), 500,
                                    root.split("t"), root.split("v"),
                                    streams=streams)
+        triples = target_triples(batch)
+        text = triples[triples[:, 1] < batch.text_len]
+        vis = triples[triples[:, 1] >= batch.text_len]
         restored = batch.token_ids.copy()
-        for (b, pos), orig in zip(batch.text_target_pos, batch.text_target_ids):
+        for b, pos, orig in text:
             restored[b, pos] = orig
         for b, s in enumerate(streams):
             assert np.array_equal(restored[b, : len(s.token_ids)], s.token_ids)
         # non-selected positions were never corrupted
-        sel = {(int(b), int(p)) for b, p in batch.text_target_pos}
+        sel = {(int(b), int(p)) for b, p, _ in text}
         for b, s in enumerate(streams):
             for pos in range(len(s.token_ids)):
                 if (b, pos) not in sel:
@@ -210,15 +221,15 @@ class TestBatchAssembly:
         # visual: non-selected slots carry their original regions, and
         # targets store true labels
         feats, bboxes = self._regions(examples)
-        vsel = {(int(b), int(slot)) for b, slot in batch.vis_target_pos}
+        vsel = {(int(b), int(pos) - batch.text_len) for b, pos, _ in vis}
         for b in range(len(batch.token_ids)):
             for slot in range(batch.num_regions):
                 if (b, slot) not in vsel:
                     assert not batch.vis_mask[b, slot]
                     assert np.array_equal(batch.feats[b, slot], feats[b, slot])
                     assert np.array_equal(batch.bboxes[b, slot], bboxes[b, slot])
-        for (b, slot), lab in zip(batch.vis_target_pos, batch.vis_target_ids):
-            assert lab == examples[b].labels[slot]
+        for b, pos, lab in vis:
+            assert lab == examples[b].labels[pos - batch.text_len]
 
     def test_substitute_uses_referenced_region(self):
         """Every substituted slot carries its donor region's feature and
@@ -249,11 +260,15 @@ class TestBatchAssembly:
         other = Pcg32(1234).split("somewhere-else")
         b2 = build_masked_batch(examples, VTLM, MaskPolicy(), 500,
                                 root.split("text"), other)
+        def targets(batch, text):
+            t = target_triples(batch)
+            return t[(t[:, 1] < batch.text_len) == text]
+
         assert np.array_equal(b1.token_ids, b2.token_ids)
-        assert np.array_equal(b1.text_target_pos, b2.text_target_pos)
+        assert np.array_equal(targets(b1, True), targets(b2, True))
         b3 = build_masked_batch(examples, VTLM, MaskPolicy(), 500,
                                 Pcg32(4321).split("elsewhere"), root.split("vis"))
-        assert np.array_equal(b1.vis_target_pos, b3.vis_target_pos)
+        assert np.array_equal(targets(b1, False), targets(b3, False))
         assert np.array_equal(b1.vis_mask, b3.vis_mask)
         assert np.array_equal(b1.feats, b3.feats)
         assert np.array_equal(b1.bboxes, b3.bboxes)
@@ -264,7 +279,7 @@ class TestBatchAssembly:
         batch = build_masked_batch(examples, TLM, MaskPolicy(), 500,
                                    root.split("t"), root.split("v"))
         assert batch.num_regions == 0 and batch.feats is None
-        assert len(batch.vis_target_ids) == 0
+        assert np.all(batch.target_pos < batch.text_len)
 
     def test_padding_marks_short_examples(self):
         examples = self._examples(8)
@@ -346,3 +361,35 @@ def test_token_id_outside_vocabulary_raises_data_error(mode, bad):
     with pytest.raises(DataError, match=f"token id {bad} outside the vocabulary"):
         build_masked_batch([ex, bad_ex], mode, MaskPolicy(), 50, Pcg32(1), Pcg32(2))
     assert build_masked_batch([ex, ex], mode, MaskPolicy(), 50, Pcg32(1), Pcg32(2)) is not None
+
+
+def _pinned_examples():
+    examples = generate_synthetic(GenConfig(num_examples=12, feat_dim=8, num_merges=120), seed=5)
+    # one example with no maskable token: masking skips it, so kept rows
+    # and example indices part ways after it
+    examples[4] = replace(examples[4], src_tokens=[], tgt_tokens=[])
+    return examples
+
+
+@pytest.mark.parametrize("mode, ratio, n, seed, digest", [
+    (VTLM, 0.15, 12, 1, "d90f6c7631cfe0f7"),
+    (VTLM, 0.5, 12, 2, "47624e2b494c96e4"),
+    (VTLM, 0.0, 12, 3, "204ece1c4f42b56c"),
+    # one example: a slot drawn for substitution has no donor and re-draws
+    (VTLM, 1.0, 1, 7, "33cd71b05331c2cf"),
+    (TLM, 0.15, 12, 5, "ba0ba1d4490222e9"),
+], ids=["vtlm", "vtlm-half", "vtlm-ratio-0", "vtlm-one-example", "tlm"])
+def test_masking_draws_are_pinned(mode, ratio, n, seed, digest):
+    """Every masking draw is pinned: the corrupted inputs' bytes and the
+    (example, encoder position, id) target triples in that order, which
+    do not depend on how a batch lays its targets out."""
+    root = Pcg32(seed)
+    batch = build_masked_batch(_pinned_examples()[:n], mode, MaskPolicy(ratio), 500,
+                               root.split("t"), root.split("v"))
+    h = hashlib.sha256()
+    for a in (batch.token_ids, batch.feats, batch.bboxes, batch.vis_mask,
+              target_triples(batch)):
+        if a is not None:
+            h.update(repr((a.dtype.str, a.shape)).encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest()[:16] == digest

@@ -11,10 +11,11 @@ from helpers import (
     full_row_vtlm_loss,
     generate_synthetic,
     gradcheck,
+    target_triples,
     tsum,
 )
 from vtlm import bpe, model, tensor as T
-from vtlm.errors import ConfigError
+from vtlm.errors import ConfigError, DataError
 from vtlm.masking import (
     MaskPolicy,
     TLM,
@@ -26,11 +27,13 @@ from vtlm.model import (
     EncoderConfig,
     add_layer_params,
     attention,
+    collate,
     embed_inputs,
     encode,
     init_encoder_params,
     key_padding_mask,
     linear,
+    pad_rows,
     vtlm_loss,
 )
 from vtlm.rng import Pcg32
@@ -203,7 +206,8 @@ class TestVtlmLoss:
         assert out.loss.item() == pytest.approx(out.mlm_loss + out.mrc_loss, rel=1e-6)
 
     def test_padding_invariance(self, examples):
-        """Extra [PAD] columns change no loss value."""
+        """Extra [PAD] columns change no loss value; the region targets
+        move with the regions, whose encoder positions follow the text."""
         batch, vocab = make_batch(examples[:4])
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
@@ -217,7 +221,9 @@ class TestVtlmLoss:
             pos_ids=np.concatenate([batch.pos_ids, np.zeros_like(pad_block)], axis=1),
             lang_ids=np.concatenate([batch.lang_ids, np.zeros_like(pad_block)], axis=1),
             pad_mask=np.concatenate(
-                [batch.pad_mask, np.ones((len(batch.token_ids), extra), bool)], axis=1))
+                [batch.pad_mask, np.ones((len(batch.token_ids), extra), bool)], axis=1),
+            target_pos=np.where(batch.target_pos < batch.text_len, batch.target_pos,
+                                batch.target_pos + extra))
         padded = vtlm_loss(params, cfg, b2, Pcg32(0), training=False).loss.item()
         assert padded == pytest.approx(base, abs=1e-5)
 
@@ -251,8 +257,8 @@ class TestVtlmLoss:
         # slots of one example are identical inputs; if their labels differ
         # the MRC term cannot go below ln 2 and the bound is unreachable.
         masked_labels = {}
-        for (b, slot), label in zip(batch.vis_target_pos, batch.vis_target_ids):
-            if batch.vis_mask[b, slot]:
+        for b, pos, label in target_triples(batch):
+            if pos >= batch.text_len and batch.vis_mask[b, pos - batch.text_len]:
                 masked_labels.setdefault(int(b), set()).add(int(label))
         assert all(len(labels) == 1 for labels in masked_labels.values())
         cfg = desk_cfg(vocab)
@@ -270,12 +276,19 @@ class TestVtlmLoss:
 
 def retarget(batch, text, vis, vocab):
     """`batch` with text targets at (example, position) pairs `text` and
-    region targets at (example, slot) pairs `vis`, with spread-out ids."""
-    text = np.array(text, dtype=np.int64).reshape(-1, 2)
-    vis = np.array(vis, dtype=np.int64).reshape(-1, 2)
-    return dataclasses.replace(
-        batch, text_target_pos=text, text_target_ids=(7 * np.arange(len(text)) + 5) % vocab,
-        vis_target_pos=vis, vis_target_ids=(3 * np.arange(len(vis)) + 1) % CFG.num_labels)
+    region targets at (example, slot) pairs `vis`, with spread-out ids;
+    each example's targets keep their order in `text`, then in `vis`."""
+    pos = [[] for _ in batch.token_ids]
+    ids = [[] for _ in batch.token_ids]
+    for k, (b, t) in enumerate(text):
+        pos[b].append(t)
+        ids[b].append((7 * k + 5) % vocab)
+    for k, (b, slot) in enumerate(vis):
+        pos[b].append(batch.text_len + slot)
+        ids[b].append((3 * k + 1) % CFG.num_labels)
+    target_pos, target_pad = pad_rows(pos, 0)
+    return dataclasses.replace(batch, target_pos=target_pos,
+                               target_ids=pad_rows(ids, 0)[0], target_pad=target_pad)
 
 
 class TestTargetRows:
@@ -288,13 +301,13 @@ class TestTargetRows:
     def test_uneven_target_counts(self, examples):
         """Example 0 has every text position and a region as targets,
         example 1 one target, so its row is mostly fill; example 2 has
-        region targets only; targets are not in example order."""
+        region targets only."""
         batch, vocab = make_batch(examples[:4])
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
         n0 = int((~batch.pad_mask[0]).sum())
-        text = [(3, 2)] + [(0, t) for t in range(n0)] + [(1, 1), (3, 1)]
-        batch = retarget(batch, text, [(2, 0), (0, 7), (2, 3)], vocab)
+        text = [(0, t) for t in range(n0)] + [(1, 1), (3, 1), (3, 2)]
+        batch = retarget(batch, text, [(0, 7), (2, 0), (2, 3)], vocab)
 
         def loss_and_grads(loss_fn):
             clear_grads(params)
@@ -331,6 +344,16 @@ class TestTargetRows:
         monkeypatch.setattr(model, "encode_batch", no_encoding)
         with pytest.raises(ValueError, match="batch has no prediction targets"):
             vtlm_loss(params, cfg, retarget(batch, [], [], vocab), None, training=False)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: collate([]),
+    lambda: collate([], []),
+    lambda: pad_rows([], 0),
+], ids=["collate", "collate-regions", "pad_rows"])
+def test_empty_batch_raises_data_error(build):
+    with pytest.raises(DataError, match="an empty batch"):
+        build()
 
 
 class TestInit:

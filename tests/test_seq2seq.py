@@ -211,6 +211,16 @@ def test_mixed_region_counts_raise_data_error(corpus):
     assert build_source_batch([a, b], NMT).num_regions == 0
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_source_batch([], NMT),
+    lambda: build_source_batch([], MMT),
+    lambda: build_target_batch([]),
+], ids=["source-nmt", "source-mmt", "target"])
+def test_empty_example_list_raises_data_error(build):
+    with pytest.raises(DataError, match="an empty batch"):
+        build()
+
+
 def test_translate_max_len_bounded_by_positions(corpus):
     # 11 positions: 8 regions, [BOS], [EOS] and one source token
     cfg = tiny_cfg(corpus, max_positions=11)
