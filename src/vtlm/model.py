@@ -9,6 +9,7 @@ are set-like, geometry travels in the box projection), or, where
 `vis_mask` is set, the [MASK] token embedding + the visual language
 embedding. `encode_batch` runs the one front end, embed → dropout → key
 mask → layer stack, for pretraining and for the translation encoder.
+Every forward pass takes `drop`: None, or a training step's (rate, stream).
 Both segments flow through the same post-norm encoder stack with full
 bidirectional attention. The token head is weight-tied to the input
 embedding; the region head is a fresh linear classifier over detector
@@ -42,6 +43,8 @@ NEG_INF = -1.0e9  # additive mask value; exp() underflows to exactly 0
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """The architecture only: what a checkpoint's `model_config` records."""
+
     vocab_size: int
     label_vocab_size: int
     feat_dim: int
@@ -49,7 +52,6 @@ class EncoderConfig:
     ffn_dim: int = 2048
     n_layers: int = 6
     n_heads: int = 8
-    dropout: float = 0.1
     max_positions: int = 256
 
     def __post_init__(self):
@@ -59,13 +61,11 @@ class EncoderConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by n_heads")
-        T.check_dropout_rate(self.dropout)
 
     @classmethod
     def desk(cls, vocab_size: int, label_vocab_size: int, feat_dim: int, **kw):
         """CPU-friendly configuration used throughout the experiments."""
-        defaults = dict(d_model=64, ffn_dim=256, n_layers=2, n_heads=4,
-                        dropout=0.1, max_positions=64)
+        defaults = dict(d_model=64, ffn_dim=256, n_layers=2, n_heads=4, max_positions=64)
         defaults.update(kw)
         return cls(vocab_size, label_vocab_size, feat_dim, **defaults)
 
@@ -180,9 +180,8 @@ def tied_logits(params: ParamStore, rows: Tensor, prefix: str = "") -> Tensor:
 
 
 def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor,
-              add_mask: np.ndarray | None, n_heads: int, dropout: float,
-              rng: Pcg32 | None, training: bool, collect: list | None = None,
-              cache: dict | None = None) -> Tensor:
+              add_mask: np.ndarray | None, n_heads: int, drop,
+              collect: list | None = None, cache: dict | None = None) -> Tensor:
     """Multi-head attention: four `linear` projections around
     `T.attention`. `add_mask` is broadcast onto the (rows, heads,
     queries, keys) score logits; `collect`, if given, receives each
@@ -209,7 +208,7 @@ def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor,
     if cache is not None:
         cache[prefix] = (k, v)
     q = linear(x_q, params, f"{prefix}.wq", f"{prefix}.bq")
-    ctx, probs = T.attention(q, k, v, add_mask, n_heads, dropout, rng, training)
+    ctx, probs = T.attention(q, k, v, add_mask, n_heads, drop)
     if collect is not None:
         collect.append(probs)
     return linear(ctx, params, f"{prefix}.wo", f"{prefix}.bo")
@@ -226,9 +225,8 @@ def select_cache_rows(cache: dict, rows: np.ndarray, memory_rows: np.ndarray) ->
 
 
 def encoder_layer(params: ParamStore, prefix: str, x: Tensor,
-                  add_mask: np.ndarray | None, cfg: EncoderConfig,
-                  rng: Pcg32 | None, training: bool, collect: list | None = None,
-                  memory: Tensor | None = None,
+                  add_mask: np.ndarray | None, cfg: EncoderConfig, drop,
+                  collect: list | None = None, memory: Tensor | None = None,
                   memory_mask: np.ndarray | None = None,
                   cache: dict | None = None, ids: np.ndarray | None = None) -> Tensor:
     """Post-norm layer: self-attention, then, given a `memory` (a decoder
@@ -242,16 +240,15 @@ def encoder_layer(params: ParamStore, prefix: str, x: Tensor,
     `collect` receives (B, H, Tq, T) weights."""
 
     def residual(x, y, norm):
-        return T.layer_norm(x + T.dropout(y, cfg.dropout, rng, training),
+        return T.layer_norm(x + T.dropout(y, drop),
                             params[f"{prefix}.{norm}.g"], params[f"{prefix}.{norm}.b"])
 
     x_q = x if ids is None else T.embedding(x, ids)
     x = residual(x_q, attention(params, f"{prefix}.attn", x_q, x, add_mask, cfg.n_heads,
-                                cfg.dropout, rng, training, collect, cache), "norm1")
+                                drop, collect, cache), "norm1")
     if memory is not None:
         x = residual(x, attention(params, f"{prefix}.cross_attn", x, memory, memory_mask,
-                                  cfg.n_heads, cfg.dropout, rng, training, cache=cache),
-                     "norm_cross")
+                                  cfg.n_heads, drop, cache=cache), "norm_cross")
     h = T.gelu(linear(x, params, f"{prefix}.ffn.w1", f"{prefix}.ffn.b1"))
     return residual(x, linear(h, params, f"{prefix}.ffn.w2", f"{prefix}.ffn.b2"), "norm2")
 
@@ -392,7 +389,7 @@ def embed_inputs(params: ParamStore, cfg: EncoderConfig, token_ids: np.ndarray,
 
 
 def encode(params: ParamStore, cfg: EncoderConfig, x: Tensor,
-           add_mask: np.ndarray | None, rng: Pcg32 | None, training: bool,
+           add_mask: np.ndarray | None, drop,
            collect_attn: list | None = None, prefix: str = "",
            memory: Tensor | None = None, memory_mask: np.ndarray | None = None,
            cache: dict | None = None, ids: np.ndarray | None = None) -> Tensor:
@@ -407,23 +404,21 @@ def encode(params: ParamStore, cfg: EncoderConfig, x: Tensor,
     entry is (B, H, Tq, T)."""
     last = cfg.n_layers - 1
     for i in range(cfg.n_layers):
-        x = encoder_layer(params, f"{prefix}layers.{i}", x, add_mask, cfg, rng,
-                          training, collect_attn, memory, memory_mask, cache,
-                          ids if i == last else None)
+        x = encoder_layer(params, f"{prefix}layers.{i}", x, add_mask, cfg, drop, collect_attn,
+                          memory, memory_mask, cache, ids if i == last else None)
     return x
 
 
-def encode_batch(params: ParamStore, cfg: EncoderConfig, batch: EncoderBatch,
-                 rng: Pcg32 | None, training: bool, prefix: str = "",
-                 ids: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+def encode_batch(params: ParamStore, cfg: EncoderConfig, batch: EncoderBatch, drop,
+                 prefix: str = "", ids: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """The encoder front end: embed → dropout → key mask → layer stack,
     whose last layer computes only the rows `ids` if given (see `encode`).
     Returns (states, additive key mask)."""
     x = embed_inputs(params, cfg, batch.token_ids, batch.pos_ids, batch.lang_ids,
                      batch.feats, batch.bboxes, batch.vis_mask, prefix)
-    x = T.dropout(x, cfg.dropout, rng, training)
+    x = T.dropout(x, drop)
     key_mask = key_padding_mask(batch.pad_mask, batch.num_regions)
-    return encode(params, cfg, x, key_mask, rng, training, prefix=prefix, ids=ids), key_mask
+    return encode(params, cfg, x, key_mask, drop, prefix=prefix, ids=ids), key_mask
 
 
 @dataclass
@@ -449,15 +444,15 @@ class LossOutput:
 
 
 def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
-              rng: Pcg32 | None, training: bool) -> LossOutput:
+              drop) -> LossOutput:
     """Joint masked-token + masked-region objective (equal weights).
 
     The last encoder layer runs only at the rows the two heads read: the
     (B, Tq) row ids b*T + `target_pos`, so a fill entry reads the
     example's first position. Each head gathers its targets from that
     layer's (B, Tq, d) output, text ones where `target_pos` is a text
-    position, region ones where it is a slot. Raises ValueError when the
-    batch has no targets, DataError when a region label is outside
+    position, region ones where it is a slot. Raises DataError when the
+    batch has no targets or a region label is outside
     [0, label_vocab_size)."""
     target = ~batch.target_pad
     is_text = batch.target_pos < batch.text_len
@@ -468,30 +463,24 @@ def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
     check_ids(vis_ids, cfg.label_vocab_size, "region label", "the label vocabulary")
     n_text, n_vis = len(text_rows), len(vis_rows)
     if not (n_text or n_vis):
-        raise ValueError("batch has no prediction targets")
+        raise DataError("batch has no prediction targets")
     total_len = batch.text_len + batch.num_regions
     ids = np.arange(len(batch.token_ids))[:, None] * total_len + batch.target_pos
-    states, _ = encode_batch(params, cfg, batch, rng, training, ids=ids)
+    states, _ = encode_batch(params, cfg, batch, drop, ids=ids)
 
     terms = []
-    mlm_loss_val = 0.0
-    mlm_acc = float("nan")
+    mlm_loss_val, mlm_acc, mrc_loss_val, mrc_acc = 0.0, float("nan"), None, None
     if n_text:
         logits = tied_logits(params, T.embedding(states, text_rows))
-        mlm = T.cross_entropy(logits, text_ids)
-        terms.append(mlm)
-        mlm_loss_val = mlm.item()
+        terms.append(T.cross_entropy(logits, text_ids))
+        mlm_loss_val = terms[-1].item()
         mlm_acc = float(np.mean(np.argmax(logits.data, axis=1) == text_ids))
 
-    mrc_loss_val = None
-    mrc_acc = None
     if n_vis:
         vlogits = linear(T.embedding(states, vis_rows), params, "mrc.w", "mrc.b")
-        mrc = T.cross_entropy(vlogits, vis_ids)
-        terms.append(mrc)
-        mrc_loss_val = mrc.item()
+        terms.append(T.cross_entropy(vlogits, vis_ids))
+        mrc_loss_val = terms[-1].item()
         mrc_acc = float(np.mean(np.argmax(vlogits.data, axis=1) == vis_ids))
 
     loss = terms[0] if len(terms) == 1 else T.add(terms[0], terms[1])
-    return LossOutput(loss, mlm_loss_val, mrc_loss_val, mlm_acc, mrc_acc,
-                      n_text, n_vis)
+    return LossOutput(loss, mlm_loss_val, mrc_loss_val, mlm_acc, mrc_acc, n_text, n_vis)

@@ -5,6 +5,8 @@ The ops the model uses and nothing more, on numpy arrays: broadcasting
 `embedding`, `attention`, `gelu`, `layer_norm`, `dropout` and
 `cross_entropy`. The graph is a tape of parent links built during the
 forward pass; `backward()` walks it once in reverse topological order.
+`dropout` and `attention` drop out by `drop`: a training step's
+(rate, stream) pair, or None for no dropout and no draw.
 
 Gradient handover: an op that builds a gradient as a fresh array and
 keeps no reference to it passes it with `_accumulate(g, owned=True)`
@@ -387,25 +389,23 @@ def check_dropout_rate(rate: float) -> None:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate!r}")
 
 
-def dropout(a: Tensor, rate: float, rng, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0.
+def dropout(a: Tensor, drop) -> Tensor:
+    """Inverted dropout by `drop`, None or a (rate, stream) pair; the
+    identity, drawing nothing, for None or rate 0.
 
-    `rng` is read only when training, so evaluation may pass None.
-
-    `rate` must lie in [0, 1); anything else, NaN included, raises
-    ConfigError. An element is kept when its raw draw u = rng.u32(...)
+    The rate must lie in [0, 1); anything else, NaN included, raises
+    ConfigError. An element is kept when its raw draw u = stream.u32(...)
     satisfies u >= ceil(rate * 2**32 - 0.5). This is the same test as
-    rng.uniform(...) >= rate, bit for bit: uniform is (u + 0.5) * 2**-32,
+    stream.uniform(...) >= rate, bit for bit: uniform is (u + 0.5) * 2**-32,
     the scaling by 2**32 is exact in float64, and so is the subtraction
     of 0.5 once rate * 2**32 >= 0.5 (below that both tests keep every
     element). Kept elements are scaled by 1 / (1 - rate) in the tensor's
     dtype; the forward and backward passes share one mask holding 0 or
     that scale.
     """
-    check_dropout_rate(rate)
-    if not training or rate == 0.0:
+    mask = _dropout_mask(a.data, drop)
+    if mask is None:
         return a
-    mask = _dropout_mask(a.data, rate, rng)
     data = a.data * mask
 
     def bw(g):
@@ -415,15 +415,20 @@ def dropout(a: Tensor, rate: float, rng, training: bool) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def _dropout_mask(x: np.ndarray, rate: float, rng) -> np.ndarray:
-    """1 / (1 - rate) where x's element is kept, 0 where it is dropped:
-    the keep test times the scale, which costs a third of np.where."""
+def _dropout_mask(x: np.ndarray, drop) -> np.ndarray | None:
+    """None when `drop` is None or its rate 0; else 1 / (1 - rate) where
+    x's element is kept, 0 where it is dropped: the keep test times the
+    scale, which costs a third of np.where."""
+    if drop is None or drop[0] == 0.0:
+        return None
+    rate, rng = drop
+    check_dropout_rate(rate)
     keep = rng.u32(x.size).reshape(x.shape) >= math.ceil(rate * 2.0**32 - 0.5)
     return np.multiply(keep, x.dtype.type(1.0 / (1.0 - rate)), dtype=x.dtype)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray | None,
-              n_heads: int, rate: float, rng, training: bool) -> tuple[Tensor, np.ndarray]:
+              n_heads: int, drop) -> tuple[Tensor, np.ndarray]:
     """Multi-head attention of (rows, positions, d) projections as one
     tape node. Returns (ctx, probs): ctx = dropout(probs) @ v with the
     heads merged to q's shape, and probs, the (key rows, n_heads,
@@ -436,7 +441,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray | None,
     order, so values and gradients have the bits of that composition.
     Raises NumericError when a score is not finite.
     """
-    check_dropout_rate(rate)
     rows, _, d = k.data.shape
     hd = d // n_heads
     scale = 1.0 / math.sqrt(hd)
@@ -458,7 +462,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray | None,
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     probs = s
-    mask = _dropout_mask(probs, rate, rng) if training and rate != 0.0 else None
+    mask = _dropout_mask(probs, drop)
     kept = probs if mask is None else probs * mask
     ctx = merge(np.matmul(kept, vh), q.data.shape)
 

@@ -10,15 +10,17 @@ laid out within the model's `max_positions`.
 Every random stream a training step consumes (shuffling, masking,
 dropout) is derived statelessly from (seed, purpose, step), so resuming
 from a checkpoint at step k reproduces the un-resumed run bit for bit.
-Evaluation runs without dropout and draws only its masking streams.
+Training steps drop out by (`TrainConfig.dropout`, the step's dropout
+stream); evaluation passes None and draws only its masking streams.
 
 A run writes two checkpoints into its output directory: `last.ckpt`,
 the parameters and Adam moments at the end of the run, and `best.ckpt`
 beside it, the best parameters. Their headers hold `build`, `kind`
 ("pretrain-<objective>" or "mt-<task>"), `step`, `metrics`,
-`model_config`, `adam_t` and `adam_skipped` (None and 0 in best.ckpt);
-last.ckpt adds `best_metric`, `best_step` and `train_config`, every
-`TrainConfig` field but `max_steps` and `eval_interval`. A resume
+`model_config` (the `EncoderConfig` fields), `adam_t` and
+`adam_skipped` (None and 0 in best.ckpt); last.ckpt adds
+`best_metric`, `best_step` and `train_config`, every `TrainConfig`
+field but `max_steps` and `eval_interval`. A resume
 refuses a last.ckpt whose `kind`, `model_config` or `train_config`
 differs from the run's, since it could not continue that run bit for
 bit. Tensors are stored in float32 and round-trip exactly.
@@ -30,7 +32,7 @@ import logging
 import math
 import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -221,30 +223,28 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 def evaluate_pretrain(params: ParamStore, cfg: EncoderConfig, streams,
                       examples, objective: str, policy: MaskPolicy,
                       seed: int, batch_size: int) -> dict:
-    """Deterministic masked-prediction metrics on a validation set."""
+    """Deterministic masked-prediction metrics on a validation set;
+    ConfigError when `batch_size` is below 1."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     rng_t = Pcg32(seed).split("val/mask_text")
     rng_v = Pcg32(seed).split("val/mask_visual")
-    tot_correct = 0.0
+    tot_correct = loss_sum = 0.0
     tot_targets = 0
-    loss_sum = 0.0
-    loss_n = 0
     with T.no_grad():
         for lo in range(0, len(examples), batch_size):
-            batch_ex = examples[lo: lo + batch_size]
-            batch_streams = streams[lo: lo + batch_size]
-            batch = build_masked_batch(batch_ex, objective, policy,
+            batch = build_masked_batch(examples[lo: lo + batch_size], objective, policy,
                                        cfg.vocab_size, rng_t, rng_v,
-                                       streams=batch_streams)
+                                       streams=streams[lo: lo + batch_size])
             if batch is None:
                 continue
-            out = vtlm_loss(params, cfg, batch, None, training=False)
+            out = vtlm_loss(params, cfg, batch, None)
             n = out.n_text + out.n_vis
             tot_correct += out.masked_prediction_accuracy * n
             tot_targets += n
             loss_sum += out.loss.item() * n
-            loss_n += n
     acc = tot_correct / tot_targets if tot_targets else float("nan")
-    return {"val_acc": acc, "val_loss": loss_sum / max(1, loss_n)}
+    return {"val_acc": acc, "val_loss": loss_sum / max(1, tot_targets)}
 
 
 def _first_difference(saved: dict, run: dict, prefix: str = "") -> str | None:
@@ -295,13 +295,13 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
     module docstring); resuming from a last.ckpt continues the run bit
     for bit (one that runs no step keeps its metrics), and takes the
     best parameters from the best.ckpt beside it, so a moved run
-    directory still resumes with them. Before any tensor is loaded, the resume raises DataError when
-    that best.ckpt is missing, and ConfigError, naming the first key
-    that differs, unless last.ckpt's `kind`, `model_config` and
-    `train_config` (every `tcfg` field but `max_steps` and
-    `eval_interval`, which a continued run may change) equal this
-    run's. Before any tensor is restored, it raises DataError for a
-    corrupt `step`, `metrics`, `best_metric` or `best_step`
+    directory still resumes with them. Before any tensor is loaded, the
+    resume raises DataError when that best.ckpt is missing, and
+    ConfigError, naming the first key that differs, unless last.ckpt's
+    `kind`, `model_config` and `train_config` (every `tcfg` field but
+    `max_steps` and `eval_interval`, which a continued run may change)
+    equal this run's. Before any tensor is restored, it raises DataError
+    for a corrupt `step`, `metrics`, `best_metric` or `best_step`
     (`_resume_header`). A non-finite loss ends the loop before its
     update; last.ckpt then records the step before it, so a resume runs
     the diverging step again.
@@ -393,7 +393,6 @@ def train_pretrain(train_data, valid_data, params: ParamStore,
     """Masked pretraining; best checkpoint by validation accuracy over
     all masked predictions. Raises DataError when a split is empty."""
     _require_examples(train_data, valid_data)
-    train_cfg = replace(cfg, dropout=tcfg.dropout)
     streams = [build_stream(ex, objective, cfg.max_positions) for ex in train_data]
     val_streams = [build_stream(ex, objective, cfg.max_positions) for ex in valid_data]
 
@@ -404,7 +403,7 @@ def train_pretrain(train_data, valid_data, params: ParamStore,
             streams=[streams[i] for i in idx])
         if batch is None:
             return None
-        return vtlm_loss(params, train_cfg, batch, split("dropout"), training=True).loss
+        return vtlm_loss(params, cfg, batch, (tcfg.dropout, split("dropout"))).loss
 
     def eval_fn():
         return evaluate_pretrain(params, cfg, val_streams, valid_data,
@@ -416,16 +415,18 @@ def train_pretrain(train_data, valid_data, params: ParamStore,
 
 
 def evaluate_mt(params: ParamStore, cfg: EncoderConfig, examples, task: str,
-                batch_size: int, max_len: int) -> float:
-    """Teacher-forced validation perplexity."""
-    nll_sum = 0.0
-    n_tok = 0
+                batch_size: int) -> float:
+    """Teacher-forced validation perplexity, text within
+    `cfg.max_positions`; ConfigError when `batch_size` is below 1."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    nll_sum, n_tok = 0.0, 0
     with T.no_grad():
         for lo in range(0, len(examples), batch_size):
             chunk = examples[lo: lo + batch_size]
-            src = build_source_batch(chunk, task, max_len)
-            tgt = build_target_batch(chunk, max_len)
-            out = mt_loss(params, cfg, src, tgt, None, training=False)
+            src = build_source_batch(chunk, task, cfg.max_positions)
+            tgt = build_target_batch(chunk, cfg.max_positions)
+            out = mt_loss(params, cfg, src, tgt, None)
             nll_sum += out.nll * out.n_tokens
             n_tok += out.n_tokens
     return math.exp(nll_sum / max(1, n_tok))
@@ -437,17 +438,15 @@ def train_mt(train_data, valid_data, params: ParamStore, cfg: EncoderConfig,
     """NMT/MMT training; best checkpoint by lowest validation perplexity.
     Raises DataError when a split is empty."""
     _require_examples(train_data, valid_data)
-    train_cfg = replace(cfg, dropout=tcfg.dropout)
 
     def step_fn(idx, split):
         chunk = [train_data[i] for i in idx]
         src = build_source_batch(chunk, task, cfg.max_positions)
         tgt = build_target_batch(chunk, cfg.max_positions)
-        return mt_loss(params, train_cfg, src, tgt, split("dropout"), training=True).loss
+        return mt_loss(params, cfg, src, tgt, (tcfg.dropout, split("dropout"))).loss
 
     def eval_fn():
-        return {"val_ppl": evaluate_mt(params, cfg, valid_data, task,
-                                       tcfg.batch_size, cfg.max_positions)}
+        return {"val_ppl": evaluate_mt(params, cfg, valid_data, task, tcfg.batch_size)}
 
     return _fit(params, cfg, tcfg, len(train_data), step_fn, eval_fn,
                 "val_ppl", operator.lt, math.inf, f"mt-{task}",

@@ -1,11 +1,11 @@
 """Scaffolding the tests share and the package itself never runs:
 summing, matmul and reshape ops, a finite-difference gradient check for
 the autograd tape and the float64 parameters it runs on, gradient
-clearing, sentence encoding and decoding through a BPE codec, the
-one-seed corpus and nearest-centre classifier that several test corpora
-and oracles are built from, and a batch's prediction targets as
-(example, position, id) triples and the full-row pretraining loss that
-the pruned one is checked against."""
+clearing, whether a stream drew, sentence encoding and decoding through
+a BPE codec, the one-seed corpus and nearest-centre classifier that
+several test corpora and oracles are built from, and a batch's
+prediction targets as (example, position, id) triples and the full-row
+pretraining loss that the pruned one is checked against."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from vtlm.bpe import EOW, BpeCodec
 from vtlm import tensor as T
 from vtlm.data import TripletExample
 from vtlm.model import LossOutput, encode_batch, linear, tied_logits
+from vtlm.rng import Pcg32
 from vtlm.synthetic import GenConfig, encode_examples, generate_raw, label_centers, raw_sentences
 from vtlm.tensor import Tensor, _make, no_grad
 
@@ -129,6 +130,11 @@ def nearest_center_labels(feats: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=1)
 
 
+def draws_left(rng: Pcg32, seed: int) -> bool:
+    """Whether `rng` is still where `Pcg32(seed)` starts: it drew nothing."""
+    return np.array_equal(rng.u32(8), Pcg32(seed).u32(8))
+
+
 def target_triples(batch) -> np.ndarray:
     """(N, 3) int64 rows (example, encoder position, id) of a
     MaskedBatch's prediction targets, by example, then position."""
@@ -136,10 +142,10 @@ def target_triples(batch) -> np.ndarray:
     return np.column_stack([b, batch.target_pos[b, j], batch.target_ids[b, j]])
 
 
-def full_row_vtlm_loss(params, cfg, batch, rng, training) -> LossOutput:
+def full_row_vtlm_loss(params, cfg, batch, drop) -> LossOutput:
     """`model.vtlm_loss` as it was before its last layer was pruned: the
     whole stack at every position, then the target rows gathered."""
-    states, _ = encode_batch(params, cfg, batch, rng, training)
+    states, _ = encode_batch(params, cfg, batch, drop)
     ex, pos, ids = target_triples(batch).T
     rows = ex * states.shape[1] + pos
     is_text = pos < batch.text_len

@@ -233,9 +233,10 @@ class TestBatchAssembly:
 
     def test_substitute_uses_referenced_region(self):
         """Every substituted slot carries its donor region's feature and
-        box; the donor is read from the un-substituted regions."""
+        box; the donor is read from the un-substituted regions. Every slot
+        is selected, so that the batch has substitutions."""
         examples = self._examples(16)
-        policy = MaskPolicy()
+        policy = MaskPolicy(1.0)
         root = Pcg32(3)
         batch = build_masked_batch(examples, VTLM, policy, 500,
                                    root.split("t"), root.split("v"))

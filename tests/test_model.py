@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     assert_grads_close,
     clear_grads,
+    draws_left,
     float64_params,
     full_row_vtlm_loss,
     generate_synthetic,
@@ -50,10 +51,9 @@ def examples():
     return generate_synthetic(CFG, seed=3)
 
 
-def desk_cfg(vocab_size, dropout=0.0):
+def desk_cfg(vocab_size):
     return EncoderConfig.desk(vocab_size, CFG.num_labels, CFG.feat_dim,
-                              d_model=32, ffn_dim=64, n_layers=2, n_heads=2,
-                              dropout=dropout)
+                              d_model=32, ffn_dim=64, n_layers=2, n_heads=2)
 
 
 def make_batch(examples, mode=VTLM, seed=0, policy=None):
@@ -109,14 +109,13 @@ class TestEncode:
         """`collect` receives the weights before attention dropout, also
         when training."""
         batch, vocab = make_batch(examples[:6])
-        cfg = desk_cfg(vocab, dropout=0.3)
+        cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
         x = embed(params, cfg, batch)
         mask = key_padding_mask(batch.pad_mask, batch.num_regions)
         collected = []
-        for training in (False, True):
-            encode(params, cfg, x, mask, Pcg32(0).split("dropout"), training=training,
-                   collect_attn=collected)
+        for drop in (None, (0.3, Pcg32(0).split("dropout"))):
+            encode(params, cfg, x, mask, drop, collect_attn=collected)
         assert len(collected) == 2 * cfg.n_layers
         for probs in collected:
             assert np.all(np.abs(probs.sum(axis=-1) - 1.0) < 1e-5)
@@ -138,7 +137,7 @@ class TestEncode:
         def run(b):
             x = embed(params, cfg, b)
             mask = key_padding_mask(b.pad_mask, b.num_regions)
-            return encode(params, cfg, x, mask, Pcg32(0), training=False).data
+            return encode(params, cfg, x, mask, None).data
 
         states = run(batch)
         swapped, _ = make_batch(examples[:3])
@@ -160,12 +159,12 @@ class TestEncode:
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
         x = embed(params, cfg, batch)
         mask = key_padding_mask(batch.pad_mask, batch.num_regions)
-        full = encode(params, cfg, x, mask, None, training=False).data
+        full = encode(params, cfg, x, mask, None).data
         total_len = full.shape[1]
         ids = np.array([[0, 5, total_len - 1], [total_len + 2] * 3,
                         [2 * total_len + 1, 2 * total_len + 9, 2 * total_len]])
         collected = []
-        rows = encode(params, cfg, x, mask, None, training=False, collect_attn=collected,
+        rows = encode(params, cfg, x, mask, None, collect_attn=collected,
                       ids=ids).data
         assert rows.shape == (3, 3, cfg.d_model)
         assert np.allclose(rows, full.reshape(-1, cfg.d_model)[ids], atol=1e-6)
@@ -174,11 +173,10 @@ class TestEncode:
 
     def test_degenerate_single_token(self):
         cfg = EncoderConfig.desk(vocab_size=10, label_vocab_size=4, feat_dim=4,
-                                 d_model=16, ffn_dim=32, n_layers=1, n_heads=2,
-                                 dropout=0.0)
+                                 d_model=16, ffn_dim=32, n_layers=1, n_heads=2)
         params = init_encoder_params(cfg, Pcg32(0).split("init"))
         x = T.Tensor(np.zeros((1, 1, 16), dtype=np.float32))
-        out = encode(params, cfg, x, None, Pcg32(0), training=False)
+        out = encode(params, cfg, x, None, None)
         assert out.shape == (1, 1, 16)
 
 
@@ -187,7 +185,7 @@ class TestVtlmLoss:
         batch, vocab = make_batch(examples[:4], mode=TLM)
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
-        out = vtlm_loss(params, cfg, batch, Pcg32(0), training=False)
+        out = vtlm_loss(params, cfg, batch, None)
         assert out.mrc_loss is None
         assert out.loss.item() == pytest.approx(out.mlm_loss, abs=1e-7)
 
@@ -195,14 +193,14 @@ class TestVtlmLoss:
         batch, vocab = make_batch(examples)
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
-        out = vtlm_loss(params, cfg, batch, Pcg32(0), training=False)
+        out = vtlm_loss(params, cfg, batch, None)
         assert out.mrc_loss == pytest.approx(math.log(CFG.num_labels), abs=0.3)
 
     def test_joint_loss_is_sum_of_terms(self, examples):
         batch, vocab = make_batch(examples[:6])
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
-        out = vtlm_loss(params, cfg, batch, Pcg32(0), training=False)
+        out = vtlm_loss(params, cfg, batch, None)
         assert out.loss.item() == pytest.approx(out.mlm_loss + out.mrc_loss, rel=1e-6)
 
     def test_padding_invariance(self, examples):
@@ -211,7 +209,7 @@ class TestVtlmLoss:
         batch, vocab = make_batch(examples[:4])
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
-        base = vtlm_loss(params, cfg, batch, Pcg32(0), training=False).loss.item()
+        base = vtlm_loss(params, cfg, batch, None).loss.item()
 
         extra = 3
         pad_block = np.full((len(batch.token_ids), extra), bpe.PAD, dtype=np.int64)
@@ -224,7 +222,7 @@ class TestVtlmLoss:
                 [batch.pad_mask, np.ones((len(batch.token_ids), extra), bool)], axis=1),
             target_pos=np.where(batch.target_pos < batch.text_len, batch.target_pos,
                                 batch.target_pos + extra))
-        padded = vtlm_loss(params, cfg, b2, Pcg32(0), training=False).loss.item()
+        padded = vtlm_loss(params, cfg, b2, None).loss.item()
         assert padded == pytest.approx(base, abs=1e-5)
 
     def test_position_past_max_positions_raises_config_error(self, examples):
@@ -237,17 +235,29 @@ class TestVtlmLoss:
         params = init_encoder_params(cfg, Pcg32(0))
         # [BOS] + 80 tokens + [EOS] [SEP]: positions 0 .. 82
         with pytest.raises(ConfigError, match="position 82 >= max_positions 64"):
-            vtlm_loss(params, cfg, batch, None, training=False)
+            vtlm_loss(params, cfg, batch, None)
 
     def test_loss_bits_reproducible(self, examples):
         def run():
             batch, vocab = make_batch(examples[:8], seed=5)
-            cfg = desk_cfg(vocab, dropout=0.1)
+            cfg = desk_cfg(vocab)
             params = init_encoder_params(cfg, Pcg32(2).split("init"))
-            return vtlm_loss(params, cfg, batch, Pcg32(7).split("d"),
-                             training=True).loss.item()
+            return vtlm_loss(params, cfg, batch, (0.1, Pcg32(7).split("d"))).loss.item()
 
         assert run() == run()
+
+    def test_rate_zero_forward_equals_no_dropout(self, examples):
+        """A pretraining forward at (0.0, stream) has the bits of the
+        `None` forward and leaves the stream where it was."""
+        batch, vocab = make_batch(examples[:6])
+        cfg = desk_cfg(vocab)
+        params = init_encoder_params(cfg, Pcg32(1).split("init"))
+        rng = Pcg32(7)
+        got = vtlm_loss(params, cfg, batch, (0.0, rng))
+        want = vtlm_loss(params, cfg, batch, None)
+        assert draws_left(rng, 7)
+        assert got.loss.data.tobytes() == want.loss.data.tobytes()
+        assert (got.mlm_acc, got.mrc_acc) == (want.mlm_acc, want.mrc_acc)
 
     def test_overfits_one_batch(self, examples):
         """200 optimisation steps on a single small batch drive the joint
@@ -267,7 +277,7 @@ class TestVtlmLoss:
         loss = None
         for _ in range(200):
             clear_grads(params)
-            out = vtlm_loss(params, cfg, batch, Pcg32(0), training=False)
+            out = vtlm_loss(params, cfg, batch, None)
             out.loss.backward()
             adam_step(params, adam, lr=1e-3)
             loss = out.loss.item()
@@ -311,7 +321,7 @@ class TestTargetRows:
 
         def loss_and_grads(loss_fn):
             clear_grads(params)
-            out = loss_fn(params, cfg, batch, None, training=False)
+            out = loss_fn(params, cfg, batch, None)
             out.loss.backward()
             return out, {name: t.grad for name, t in params.items()}
 
@@ -328,8 +338,8 @@ class TestTargetRows:
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
         batch = retarget(batch, [(0, 1), (1, 3), (2, 2)], [(3, 0), (4, 5), (5, 7)], vocab)
-        got = vtlm_loss(params, cfg, batch, None, training=False)
-        ref = full_row_vtlm_loss(params, cfg, batch, None, training=False)
+        got = vtlm_loss(params, cfg, batch, None)
+        ref = full_row_vtlm_loss(params, cfg, batch, None)
         assert got.loss.item() == pytest.approx(ref.loss.item(), rel=1e-6)
         assert (got.mlm_acc, got.mrc_acc) == (ref.mlm_acc, ref.mrc_acc)
 
@@ -342,8 +352,8 @@ class TestTargetRows:
             raise AssertionError("encoder ran")
 
         monkeypatch.setattr(model, "encode_batch", no_encoding)
-        with pytest.raises(ValueError, match="batch has no prediction targets"):
-            vtlm_loss(params, cfg, retarget(batch, [], [], vocab), None, training=False)
+        with pytest.raises(DataError, match="batch has no prediction targets"):
+            vtlm_loss(params, cfg, retarget(batch, [], [], vocab), None)
 
 
 @pytest.mark.parametrize("build", [
@@ -386,7 +396,7 @@ class TestWeightTyingAndGradients:
         tensors = [params[n] for n in names]
 
         def build():
-            return vtlm_loss(params, cfg, batch, Pcg32(0), training=False).loss
+            return vtlm_loss(params, cfg, batch, None).loss
 
         err = gradcheck(build, tensors, n_samples=28, rng=Pcg32(8), h=1e-3)
         assert err < 1e-4
@@ -396,7 +406,7 @@ class TestWeightTyingAndGradients:
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
         clear_grads(params)
-        out = vtlm_loss(params, cfg, batch, Pcg32(0), training=False)
+        out = vtlm_loss(params, cfg, batch, None)
         out.loss.backward()
         # rows of token_emb not present in the input still get gradient
         # through the output projection (weight tying)
@@ -437,7 +447,7 @@ def test_self_attention_is_four_linears_and_one_attention_node():
     params = {}
     add_layer_params(params, "l", 8, 16, Pcg32(3))
     x = T.Tensor(Pcg32(4).normal((2, 5, 8), dtype=np.float32), requires_grad=True)
-    out = attention(params, "l.attn", x, x, None, 2, 0.0, None, training=False)
+    out = attention(params, "l.attn", x, x, None, 2, None)
     assert out.shape == (2, 5, 8)
     order = T.topo_order(out)
     assert len(order) == 14

@@ -51,10 +51,11 @@ def reference_u32(self, n=None):
     return reference_output(states)
 
 
-def reference_dropout(a, rate, rng, training):
+def reference_dropout(a, drop):
     """Keep-mask from uniform doubles, applied as a * keep * scale."""
-    if not training or rate == 0.0:
+    if drop is None or drop[0] == 0.0:
         return a
+    rate, rng = drop
     keep = (rng.uniform(a.data.shape) >= rate).astype(a.data.dtype)
     scale = 1.0 / (1.0 - rate)
     data = a.data * keep * scale
@@ -118,8 +119,8 @@ def test_threshold_boundary_equals_uniform_test(rate):
     centre = int(rate * 2**32)
     u = np.arange(centre - 4, centre + 5)
     x = T.Tensor(np.ones(u.size, dtype=np.float32))
-    got = T.dropout(x, rate, FixedDraws(u), training=True).data
-    expect = reference_dropout(x, rate, FixedDraws(u), training=True).data
+    got = T.dropout(x, (rate, FixedDraws(u))).data
+    expect = reference_dropout(x, (rate, FixedDraws(u))).data
     assert got.tobytes() == expect.tobytes()
     assert 0 < np.count_nonzero(got) < u.size  # the cut lies inside the window
 
@@ -137,9 +138,9 @@ def test_dropout_mask_forward_backward_equal_reference(rate, dtype):
         x = T.Tensor(x0.copy(), requires_grad=True)
         ones = T.Tensor(np.ones(shape, dtype=dtype))
         with np.errstate(invalid="ignore"):  # inf * 0
-            out = fn(x, rate, Pcg32(8).split("dropout"), training=True)
+            out = fn(x, (rate, Pcg32(8).split("dropout")))
             tsum(T.mul(out, T.Tensor(w))).backward()
-        mask = fn(ones, rate, Pcg32(8).split("dropout"), training=True).data
+        mask = fn(ones, (rate, Pcg32(8).split("dropout"))).data
         results.append((mask, out.data, x.grad))
     for got, expect in zip(*results):
         assert got.dtype == expect.dtype
@@ -317,7 +318,7 @@ def reference_scale(a, b):
     return T._make(data, (a,), bw)
 
 
-def reference_attention(q, k, v, add_mask, n_heads, rate, rng, training):
+def reference_attention(q, k, v, add_mask, n_heads, drop):
     """Unfused multi-head attention: reshape and transpose nodes split
     the heads, then matmul, transpose, scalar mul, add, softmax, dropout
     and matmul nodes, and transpose and reshape nodes merge them."""
@@ -332,7 +333,7 @@ def reference_attention(q, k, v, add_mask, n_heads, rate, rng, training):
     if add_mask is not None:
         scores = scores + add_mask
     probs = reference_softmax(scores, axis=-1)
-    ctx = matmul(T.dropout(probs, rate, rng, training), vh)
+    ctx = matmul(T.dropout(probs, drop), vh)
     return reshape(T.transpose(ctx, (0, 2, 1, 3)), q.shape), probs.data
 
 
@@ -352,7 +353,7 @@ def _attention_and_reference(beam, rate, dtype):
     for fn in (T.attention, reference_attention):
         leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0)]
         q, k, v = (T.mul(x, T.Tensor(np.ones_like(x.data))) for x in leaves)
-        ctx, probs = fn(q, k, v, add_mask, 2, rate, Pcg32(8).split("dropout"), True)
+        ctx, probs = fn(q, k, v, add_mask, 2, (rate, Pcg32(8).split("dropout")))
         tsum(T.mul(ctx, T.Tensor(w))).backward()
         results.append((ctx.data, probs, *(x.grad for x in leaves)))
     got, expect = results
@@ -419,18 +420,18 @@ def test_resolved_regions_equal_reference(corpus):
 def _step(phase, corpus):
     """Loss bytes and every gradient's bytes of one dropout-0.1 step."""
     cfg = EncoderConfig.desk(len(corpus.codec.vocab), GEN.num_labels, GEN.feat_dim,
-                             d_model=32, ffn_dim=64, n_layers=2, n_heads=2, dropout=0.1)
+                             d_model=32, ffn_dim=64, n_layers=2, n_heads=2)
     root = Pcg32(9)
     if phase == "pretrain":
         params = init_encoder_params(cfg, root.split("init"))
         batch = build_masked_batch(corpus.train, VTLM, MaskPolicy(), cfg.vocab_size,
                                    root.split("mask_text"), root.split("mask_visual"))
-        loss = vtlm_loss(params, cfg, batch, root.split("dropout"), training=True).loss
+        loss = vtlm_loss(params, cfg, batch, (0.1, root.split("dropout"))).loss
     else:
         params = init_mt_params(cfg, root.split("init"))
         src = build_source_batch(corpus.train, MMT, cfg.max_positions)
         tgt = build_target_batch(corpus.train, cfg.max_positions)
-        loss = mt_loss(params, cfg, src, tgt, root.split("dropout"), training=True).loss
+        loss = mt_loss(params, cfg, src, tgt, (0.1, root.split("dropout"))).loss
     loss.backward()
     return loss.data.tobytes(), {name: t.grad.tobytes() for name, t in params.items()}
 
@@ -482,8 +483,7 @@ def test_pruned_loss_equals_full_row_reference(mode, desk_corpus):
     3 or more rows. If a BLAS without that property fails this test on
     correct code, compare within a tight relative tolerance instead, as
     `test_model.py::TestTargetRows::test_one_target_per_example` does."""
-    cfg = EncoderConfig.desk(len(desk_corpus.codec.vocab), DESK.num_labels, DESK.feat_dim,
-                             dropout=0.0)
+    cfg = EncoderConfig.desk(len(desk_corpus.codec.vocab), DESK.num_labels, DESK.feat_dim)
     root = Pcg32(11)
     params = init_encoder_params(cfg, root.split("init"))
     batch = build_masked_batch(desk_corpus.train, mode, MaskPolicy(), cfg.vocab_size,
@@ -491,15 +491,15 @@ def test_pruned_loss_equals_full_row_reference(mode, desk_corpus):
     assert len(batch.token_ids) == 64 and cfg.d_model == 64
     assert batch.num_regions == (8 if mode == VTLM else 0)
 
-    got = vtlm_loss(params, cfg, batch, None, training=False)
-    ref = full_row_vtlm_loss(params, cfg, batch, None, training=False)
+    got = vtlm_loss(params, cfg, batch, None)
+    ref = full_row_vtlm_loss(params, cfg, batch, None)
     assert got.loss.data.tobytes() == ref.loss.data.tobytes()
     assert (got.mlm_loss, got.mrc_loss) == (ref.mlm_loss, ref.mrc_loss)
     assert (got.mlm_acc, got.mrc_acc) == (ref.mlm_acc, ref.mrc_acc)
 
     def step(loss_fn):
         clear_grads(params)
-        loss = loss_fn(params, cfg, batch, root.split("dropout"), training=True).loss
+        loss = loss_fn(params, cfg, batch, (0.0, root.split("dropout"))).loss
         loss.backward()
         return loss.data.tobytes(), {name: t.grad for name, t in params.items()}
 

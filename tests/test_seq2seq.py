@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import clear_grads, float64_params, gradcheck
+from helpers import clear_grads, draws_left, float64_params, gradcheck
 from vtlm import seq2seq
 from vtlm import tensor as T
 from vtlm.bpe import BOS, EOS, PAD
@@ -61,7 +61,7 @@ def fitted():
             adam = AdamState.init(params)
             for _ in range(60):
                 clear_grads(params)
-                mt_loss(params, cfg, src, tgt, Pcg32(0), training=False).loss.backward()
+                mt_loss(params, cfg, src, tgt, None).loss.backward()
                 adam_step(params, adam, 1e-2)
             models[task, init_seed] = params
         return models[task, init_seed], cfg, corpus.test
@@ -79,9 +79,8 @@ def teacher_forced_logp(params, cfg, examples, task, hyps):
         pad[b, : len(h.tokens)] = False
     src = build_source_batch(examples, task, cfg.max_positions)
     with T.no_grad():
-        enc, key_mask = encode_source(params, cfg, src, Pcg32(0), training=False)
-        states = decode_states(params, cfg, enc, key_mask, inputs, Pcg32(0), False,
-                               tgt_pad_mask=pad)
+        enc, key_mask = encode_source(params, cfg, src, None)
+        states = decode_states(params, cfg, enc, key_mask, inputs, None, tgt_pad_mask=pad)
         logits = output_logits(params, states).data.astype(np.float64)
     lp = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
     return np.array([sum(lp[b, i, tok] for i, tok in enumerate(h.tokens))
@@ -100,7 +99,7 @@ def test_beam_one_is_greedy(task, init_seed, fitted):
     assert len({len(h.tokens) for h in hyps}) > 1
     src = build_source_batch(examples, task, cfg.max_positions)
     with T.no_grad():
-        enc, key_mask = encode_source(params, cfg, src, Pcg32(0), training=False)
+        enc, key_mask = encode_source(params, cfg, src, None)
     cache: dict = {}
     live = np.arange(len(examples))
     tokens = np.full(len(examples), BOS, dtype=np.int64)
@@ -265,11 +264,11 @@ def test_positions_past_max_positions_raise_config_error(corpus):
         src = build_source_batch([long_ex], MMT)
         tgt = build_target_batch([long_ex])
         with pytest.raises(ConfigError, match=f"position {top} >= max_positions 64"):
-            mt_loss(params, cfg, src, tgt, None, training=False)
+            mt_loss(params, cfg, src, tgt, None)
     src = build_source_batch([ex], MMT, cfg.max_positions)
-    enc, key_mask = encode_source(params, cfg, src, None, training=False)
+    enc, key_mask = encode_source(params, cfg, src, None)
     with pytest.raises(ConfigError, match="position 64 >= max_positions 64"):
-        decode_states(params, cfg, enc, key_mask, np.full((1, 1), BOS), None, False,
+        decode_states(params, cfg, enc, key_mask, np.full((1, 1), BOS), None,
                       cache={}, start=cfg.max_positions)
 
 
@@ -329,10 +328,10 @@ def test_decoder_is_causal(task, corpus):
     examples = corpus.train[:3]
     src = build_source_batch(examples, task, cfg.max_positions)
     tgt = build_target_batch(examples, cfg.max_positions)
-    enc, key_mask = encode_source(params, cfg, src, Pcg32(0), training=False)
+    enc, key_mask = encode_source(params, cfg, src, None)
 
     def run(ids):
-        return decode_states(params, cfg, enc, key_mask, ids, Pcg32(0), False,
+        return decode_states(params, cfg, enc, key_mask, ids, None,
                              tgt_pad_mask=tgt.pad_mask).data
 
     base = run(tgt.input_ids)
@@ -352,7 +351,7 @@ def test_mt_loss_padding_invariance(task, corpus):
     examples = corpus.train[:4]
     src = build_source_batch(examples, task, cfg.max_positions)
     tgt = build_target_batch(examples, cfg.max_positions)
-    base = mt_loss(params, cfg, src, tgt, Pcg32(0), training=False).loss.item()
+    base = mt_loss(params, cfg, src, tgt, None).loss.item()
 
     extra = 3
 
@@ -363,7 +362,7 @@ def test_mt_loss_padding_invariance(task, corpus):
                    lang_ids=pad(src.lang_ids, 0), pad_mask=pad(src.pad_mask, True))
     tgt2 = replace(tgt, input_ids=pad(tgt.input_ids, PAD), output_ids=pad(tgt.output_ids, PAD),
                    pad_mask=pad(tgt.pad_mask, True))
-    padded = mt_loss(params, cfg, src2, tgt2, Pcg32(0), training=False).loss.item()
+    padded = mt_loss(params, cfg, src2, tgt2, None).loss.item()
     assert padded == pytest.approx(base, abs=1e-5)
 
 
@@ -382,7 +381,7 @@ def test_mt_loss_gradcheck_64bit(corpus):
              "dec.layers.0.ffn.w1", "dec.layers.0.ffn.w2", "dec.mlm_bias"]
 
     def build():
-        return mt_loss(params, cfg, src, tgt, Pcg32(0), training=False).loss
+        return mt_loss(params, cfg, src, tgt, None).loss
 
     err = gradcheck(build, [params[n] for n in names], n_samples=39,
                     rng=Pcg32(8), h=1e-3)
@@ -391,12 +390,16 @@ def test_mt_loss_gradcheck_64bit(corpus):
 
 @pytest.mark.parametrize("max_len", [0, -2])
 def test_max_len_below_one_raises_config_error(max_len, corpus):
+    """Also for a target batch, which at max_len 0 used to cut the last
+    target token off silently."""
     cfg = tiny_cfg(corpus)
     params = init_mt_params(cfg, Pcg32(0).split("init"))
     with pytest.raises(ConfigError, match="max_len must be >= 1"):
         translate(params, cfg, corpus.test[:2], MMT, beam=2, max_len=max_len)
+    with pytest.raises(ConfigError, match=f"max_len must be >= 1, got {max_len}"):
+        build_target_batch(corpus.test[:2], max_len)
     src = build_source_batch(corpus.test[:2], MMT, cfg.max_positions)
-    enc, key_mask = encode_source(params, cfg, src, None, training=False)
+    enc, key_mask = encode_source(params, cfg, src, None)
     with pytest.raises(ConfigError, match="max_len must be >= 1"):
         seq2seq.beam_search(params, cfg, enc, key_mask, 2, max_len)
 
@@ -412,3 +415,43 @@ def test_source_id_outside_vocabulary_raises_data_error(bad, corpus):
     bad_ex = replace(ex, src_tokens=[bad] + list(ex.src_tokens))
     with pytest.raises(DataError, match=f"token id {bad} outside the vocabulary"):
         translate(params, cfg, [ex, bad_ex], MMT, beam=2, max_len=4)
+
+
+@pytest.mark.parametrize("drop", ["stream", "pair"])
+def test_training_false_discards_drop(drop, corpus):
+    """The benchmark's teacher-forced calls, `training=False` with a
+    `Pcg32(0)` stream (or a (rate, stream) pair), give the bits of the
+    calls with `drop=None` and draw nothing."""
+    cfg = tiny_cfg(corpus)
+    params = init_mt_params(cfg, Pcg32(1).split("init"))
+    src = build_source_batch(corpus.train[:4], MMT, cfg.max_positions)
+    tgt = build_target_batch(corpus.train[:4], cfg.max_positions)
+    rng = Pcg32(0)
+    given = rng if drop == "stream" else (0.3, rng)
+    with T.no_grad():
+        enc, key_mask = encode_source(params, cfg, src, given, training=False)
+        states = decode_states(params, cfg, enc, key_mask, tgt.input_ids, given,
+                               training=False, tgt_pad_mask=tgt.pad_mask)
+        enc0, key_mask0 = encode_source(params, cfg, src, None)
+        states0 = decode_states(params, cfg, enc0, key_mask0, tgt.input_ids, None,
+                                tgt_pad_mask=tgt.pad_mask)
+    assert draws_left(rng, 0)
+    assert enc.data.tobytes() == enc0.data.tobytes()
+    assert np.array_equal(key_mask, key_mask0)
+    assert states.data.tobytes() == states0.data.tobytes()
+
+
+def test_rate_zero_forward_equals_no_dropout(corpus):
+    """An MT forward at (0.0, stream) has the bits of the `None` forward
+    and leaves the stream where it was; at rate 0.1 it draws."""
+    cfg = tiny_cfg(corpus)
+    params = init_mt_params(cfg, Pcg32(1).split("init"))
+    src = build_source_batch(corpus.train[:4], MMT, cfg.max_positions)
+    tgt = build_target_batch(corpus.train[:4], cfg.max_positions)
+    rng = Pcg32(7)
+    got = mt_loss(params, cfg, src, tgt, (0.0, rng))
+    want = mt_loss(params, cfg, src, tgt, None)
+    assert draws_left(rng, 7)
+    assert got.loss.data.tobytes() == want.loss.data.tobytes()
+    mt_loss(params, cfg, src, tgt, (0.1, rng))
+    assert not draws_left(rng, 7)

@@ -20,8 +20,7 @@ def attention_weights(scores, dtype=None):
     queries and keys of one head, the scores given as the additive mask."""
     row = np.asarray(scores, dtype=dtype or np.float32)[None, :]
     zeros = t(np.zeros((1, row.size, 1)), dtype=row.dtype)
-    _, probs = T.attention(t(np.zeros((1, 1, 1)), dtype=row.dtype), zeros, zeros, row,
-                           1, 0.0, None, training=False)
+    _, probs = T.attention(t(np.zeros((1, 1, 1)), dtype=row.dtype), zeros, zeros, row, 1, None)
     return probs[0, 0, 0]
 
 
@@ -214,7 +213,7 @@ class TestGradientsAgainstFiniteDifferences:
         add_mask[1, ..., 3:] = -1e9
 
         def build():
-            ctx, _ = T.attention(q, k, v, add_mask, 2, rate, Pcg32(123), training=True)
+            ctx, _ = T.attention(q, k, v, add_mask, 2, (rate, Pcg32(123)))
             return tsum(T.mul(ctx, T.Tensor(w)))
 
         return _fd_check(build, [q, k, v], n=36)
@@ -265,24 +264,24 @@ class TestGradientsAgainstFiniteDifferences:
     def test_dropout_fixed_mask(self):
         x = self._randn((40, 10))
         def build():
-            return tsum(T.dropout(x, 0.3, Pcg32(123), training=True))
+            return tsum(T.dropout(x, (0.3, Pcg32(123))))
         assert _fd_check(build, [x]) < 1e-6
 
 
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = t(np.ones((5, 5)), rg=True)
-        out = T.dropout(x, 0.0, Pcg32(1), training=True)
+        out = T.dropout(x, (0.0, Pcg32(1)))
         assert out is x
 
     def test_eval_mode_is_identity(self):
         x = t(np.ones((5, 5)))
-        assert T.dropout(x, 0.9, Pcg32(1), training=False) is x
+        assert T.dropout(x, None) is x
 
     def test_drop_fraction_and_scaling(self):
         p = 0.3
         x = t(np.ones(100_000))
-        out = T.dropout(x, p, Pcg32(42).split("dropout"), training=True).data
+        out = T.dropout(x, (p, Pcg32(42).split("dropout"))).data
         dropped = np.mean(out == 0.0)
         assert abs(dropped - p) < 0.01
         kept = out[out != 0]
@@ -296,7 +295,7 @@ class TestDeterminism:
             x = t(rng.normal((8, 16)), rg=True)
             w = t(rng.normal((16, 16)))
             h = T.gelu(matmul(x, w))
-            h = T.dropout(h, 0.1, rng.split("drop"), training=True)
+            h = T.dropout(h, (0.1, rng.split("drop")))
             return tsum(h).item()
 
         assert run() == run()

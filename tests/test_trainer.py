@@ -9,7 +9,7 @@ from helpers import float64_params
 from vtlm import tensor as T, trainer
 from vtlm.errors import ConfigError, DataError
 from vtlm.checkpoint import load_checkpoint, save_checkpoint
-from vtlm.masking import TLM, VTLM, MaskPolicy, build_masked_batch
+from vtlm.masking import TLM, VTLM, MaskPolicy, build_masked_batch, build_stream
 from vtlm.model import EncoderConfig, init_encoder_params, vtlm_loss
 from vtlm.rng import Pcg32
 from vtlm.seq2seq import MMT, build_source_batch, build_target_batch, init_mt_params, mt_loss
@@ -247,14 +247,50 @@ def test_empty_split_raises_before_any_step(phase, empty, corpus, tmp_path, monk
 
 @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, math.nan])
 def test_dropout_rate_outside_unit_interval_raises(rate):
-    x = T.Tensor(np.ones(4, dtype=np.float32))
-    for training in (True, False):
-        with pytest.raises(ConfigError):
-            T.dropout(x, rate, Pcg32(1), training)
+    """The rate is checked where a run sets it, and where a forward pass
+    is handed it; the model config holds no rate."""
+    x = T.Tensor(np.ones((1, 2, 2), dtype=np.float32))
     with pytest.raises(ConfigError):
-        EncoderConfig.desk(10, 5, 8, dropout=rate)
+        T.dropout(x, (rate, Pcg32(1)))
+    with pytest.raises(ConfigError):
+        T.attention(x, x, x, None, 1, (rate, Pcg32(1)))
     with pytest.raises(ConfigError):
         trainer.TrainConfig.for_phase("pretrain", dropout=rate)
+    with pytest.raises(TypeError, match="dropout"):
+        EncoderConfig.desk(10, 5, 8, dropout=0.1)
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_checkpoints_record_the_rate_in_train_config_only(phase, corpus, tmp_path):
+    """`model_config` is the architecture; the run's dropout rate is in
+    `train_config`. A last.ckpt whose `model_config` still holds a
+    dropout rate, as those written before the rate left EncoderConfig
+    do, is another run."""
+    cfg = tiny_cfg(corpus)
+    train(phase, cfg, corpus.train, corpus.valid, 2, str(tmp_path))
+    path = tmp_path / "last.ckpt"
+    header, tensors = load_checkpoint(path)
+    assert header["model_config"] == dataclasses.asdict(cfg)
+    assert "dropout" not in header["model_config"]
+    assert header["train_config"]["dropout"] == 0.1
+    header["model_config"]["dropout"] = 0.1
+    save_checkpoint(path, header, tensors)
+    with pytest.raises(ConfigError, match="another run: model_config.dropout: checkpoint has"):
+        train(phase, cfg, corpus.train, corpus.valid, 4, str(tmp_path), resume_from=str(path))
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluation_batch_size_below_one_raises_config_error(phase, batch_size, corpus):
+    cfg = tiny_cfg(corpus)
+    params = PHASES[phase][0](cfg, Pcg32(5).split("init"))
+    with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {batch_size}"):
+        if phase == "pretrain":
+            streams = [build_stream(ex, VTLM) for ex in corpus.valid]
+            trainer.evaluate_pretrain(params, cfg, streams, corpus.valid, VTLM, MaskPolicy(),
+                                      1, batch_size)
+        else:
+            trainer.evaluate_mt(params, cfg, corpus.valid, MMT, batch_size)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -277,9 +313,9 @@ def test_nan_loss_stops_the_run(phase, corpus, tmp_path, monkeypatch):
     real_adam_step = trainer.adam_step
 
     def nan_at_step_3(real):
-        def loss_fn(*args, training):
-            out = real(*args, training=training)
-            if training:
+        def loss_fn(*args):
+            out = real(*args)
+            if args[-1] is not None:  # a training step's drop
                 steps.append(len(steps) + 1)
                 if len(steps) == 3:
                     out.loss = out.loss * float("nan")
@@ -523,11 +559,10 @@ def test_float64_parameters_give_float64_losses_and_gradients(phase, corpus):
     if phase == "pretrain":
         batch = build_masked_batch(examples, VTLM, MaskPolicy(), cfg.vocab_size,
                                    Pcg32(1), Pcg32(2))
-        loss = vtlm_loss(params, cfg, batch, Pcg32(3), training=True).loss
+        loss = vtlm_loss(params, cfg, batch, (0.1, Pcg32(3))).loss
     else:
         loss = mt_loss(params, cfg, build_source_batch(examples, MMT, cfg.max_positions),
-                       build_target_batch(examples, cfg.max_positions), Pcg32(3),
-                       training=True).loss
+                       build_target_batch(examples, cfg.max_positions), (0.1, Pcg32(3))).loss
     loss.backward()
     assert loss.dtype == np.float64
     grads = [p.grad for p in params.values() if p.grad is not None]
