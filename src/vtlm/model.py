@@ -15,11 +15,19 @@ bidirectional attention. The token head is weight-tied to the input
 embedding; the region head is a fresh linear classifier over detector
 labels.
 
+Hidden states are packed rows (see `tensor`): an (N, d) array of the
+real positions of the padded (B, T) stream in row-major order, each
+example's text positions then its region slots, and a `tensor.Grid`
+that places them. Embeddings, projections, layer norms, the
+feed-forward sublayer and residual dropout run on those rows alone;
+attention sees the grid, and every dropout draws over the grid's shape,
+so a step draws what the padded computation would.
+
 The heads read only the masked positions, so `vtlm_loss` runs the last
-layer at those rows alone: given (B, Tq) row ids, a layer computes its
-queries, residuals and feed-forward sublayer at those rows only, while
-its keys and values still come from every position. That layer's
-attention weights are (B, H, Tq, T).
+layer at those rows alone: its queries, residuals and feed-forward
+sublayer are the real target rows of the (B, Tq) target grid, while its
+keys and values still come from every position. That layer's attention
+weights are (B, H, Tq, T).
 
 The same layer, stack and parameter names serve the translation model:
 given a `memory`, a layer adds a cross-attention sublayer over it, which
@@ -39,6 +47,7 @@ from .rng import Pcg32
 from .tensor import Tensor
 
 NEG_INF = -1.0e9  # additive mask value; exp() underflows to exactly 0
+N_LANGS = 3  # rows of the language embedding: LANG_L1, LANG_L2, LANG_VIS
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,7 @@ def add_stack_params(params: ParamStore, cfg: EncoderConfig, rng: Pcg32,
     d = cfg.d_model
     params[f"{prefix}token_emb"] = _embedding(rng, cfg.vocab_size, d)
     params[f"{prefix}pos_emb"] = _embedding(rng, cfg.max_positions, d)
-    params[f"{prefix}lang_emb"] = _embedding(rng, 3, d)
+    params[f"{prefix}lang_emb"] = _embedding(rng, N_LANGS, d)
     if not decoder:
         params[f"{prefix}feat_proj.w"] = _weight(rng, cfg.feat_dim, d)
         params[f"{prefix}feat_proj.b"] = _zeros(d)
@@ -180,35 +189,40 @@ def tied_logits(params: ParamStore, rows: Tensor, prefix: str = "") -> Tensor:
 
 
 def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor,
-              add_mask: np.ndarray | None, n_heads: int, drop,
-              collect: list | None = None, cache: dict | None = None) -> Tensor:
-    """Multi-head attention: four `linear` projections around
-    `T.attention`. `add_mask` is broadcast onto the (rows, heads,
-    queries, keys) score logits; `collect`, if given, receives each
-    call's attention weights before dropout, of that shape.
+              add_mask: np.ndarray | None, n_heads: int, drop, q_grid: T.Grid,
+              kv_grid: T.Grid, collect: list | None = None,
+              cache: dict | None = None) -> Tensor:
+    """Multi-head attention: four `linear` projections of packed rows
+    around `T.attention`, which places them on `q_grid` and `kv_grid`.
+    `add_mask` is broadcast onto the (rows, heads, queries, keys) score
+    logits; `collect`, if given, receives each call's attention weights
+    before dropout, of that shape.
 
-    `x_kv` may have fewer rows than `x_q`: with B key rows and B*k query
-    rows, query rows b*k .. b*k+k-1 all attend to key row b (the beam of
-    one sentence reading its encoder states).
+    `x_kv` may have fewer grid rows than `x_q`: with B key rows and B*k
+    query rows, query rows b*k .. b*k+k-1 all attend to key row b (the
+    beam of one sentence reading its encoder states).
 
-    `cache` (a dict, inference only) keeps the (rows, positions, d) key
-    and value projections under `prefix` between decode steps.
-    Self-attention (`x_kv is x_q`) appends the new positions to them on
-    axis 1; any other attention projects `x_kv` on its first call and
-    re-uses the projection afterwards.
+    `cache` (a dict, inference only) keeps the grid-shaped (rows,
+    positions, d) key and value projections under `prefix` between
+    decode steps. Self-attention (`x_kv is x_q`) appends the new
+    positions to them on axis 1; any other attention projects `x_kv` on
+    its first call and re-uses the projection afterwards.
     """
     if cache is not None and prefix in cache and x_kv is not x_q:
         k, v = cache[prefix]
     else:
         k = linear(x_kv, params, f"{prefix}.wk", f"{prefix}.bk")
         v = linear(x_kv, params, f"{prefix}.wv", f"{prefix}.bv")
-        if cache is not None and prefix in cache:
-            k = T.concat([cache[prefix][0], k], axis=1)
-            v = T.concat([cache[prefix][1], v], axis=1)
+        if cache is not None:
+            k, v = Tensor(kv_grid.scatter(k.data)), Tensor(kv_grid.scatter(v.data))
+            if prefix in cache:
+                k = T.concat([cache[prefix][0], k], axis=1)
+                v = T.concat([cache[prefix][1], v], axis=1)
     if cache is not None:
         cache[prefix] = (k, v)
+        kv_grid = None  # the cached arrays are grid-shaped
     q = linear(x_q, params, f"{prefix}.wq", f"{prefix}.bq")
-    ctx, probs = T.attention(q, k, v, add_mask, n_heads, drop)
+    ctx, probs = T.attention(q, k, v, add_mask, n_heads, drop, q_grid, kv_grid)
     if collect is not None:
         collect.append(probs)
     return linear(ctx, params, f"{prefix}.wo", f"{prefix}.bo")
@@ -224,31 +238,35 @@ def select_cache_rows(cache: dict, rows: np.ndarray, memory_rows: np.ndarray) ->
         cache[name] = (Tensor(k.data[idx]), Tensor(v.data[idx]))
 
 
-def encoder_layer(params: ParamStore, prefix: str, x: Tensor,
+def encoder_layer(params: ParamStore, prefix: str, x: Tensor, grid: T.Grid,
                   add_mask: np.ndarray | None, cfg: EncoderConfig, drop,
                   collect: list | None = None, memory: Tensor | None = None,
-                  memory_mask: np.ndarray | None = None,
-                  cache: dict | None = None, ids: np.ndarray | None = None) -> Tensor:
-    """Post-norm layer: self-attention, then, given a `memory` (a decoder
-    layer), cross-attention over it, then the feed-forward sublayer.
-    `cache` is passed to both attentions (see `attention`).
+                  memory_grid: T.Grid | None = None, memory_mask: np.ndarray | None = None,
+                  cache: dict | None = None, queries: tuple | None = None) -> Tensor:
+    """Post-norm layer on the packed rows `x` of `grid`: self-attention,
+    then, given a `memory` (a decoder layer), cross-attention over its
+    packed rows on `memory_grid`, then the feed-forward sublayer.
+    `cache` is passed to both attentions (see `attention`). Residual
+    dropout draws over the shape of the queries' grid (`T.dropout`).
 
-    `ids`, (B, Tq) flat row ids b*T + t into the (B, T, d) `x`, computes
-    only those rows: they are the self-attention queries (keys and values
-    still come from all of `x`), the residuals and the feed-forward
-    sublayer run on (B, Tq, d), which is what the layer returns, and
-    `collect` receives (B, H, Tq, T) weights."""
+    `queries`, a pair (rows, q_grid), computes only the rows `rows` of
+    `x`, as the packed rows of the grid `q_grid`: they are the
+    self-attention queries (keys and values still come from all of
+    `x`), the residuals and the feed-forward sublayer run on them, and
+    they are what the layer returns; `collect` receives (B, H, Tq, T)
+    weights for a (B, Tq) `q_grid`."""
+    x_q, q_grid = (x, grid) if queries is None else (T.embedding(x, queries[0]), queries[1])
 
     def residual(x, y, norm):
-        return T.layer_norm(x + T.dropout(y, drop),
+        return T.layer_norm(x + T.dropout(y, drop, q_grid),
                             params[f"{prefix}.{norm}.g"], params[f"{prefix}.{norm}.b"])
 
-    x_q = x if ids is None else T.embedding(x, ids)
     x = residual(x_q, attention(params, f"{prefix}.attn", x_q, x, add_mask, cfg.n_heads,
-                                drop, collect, cache), "norm1")
+                                drop, q_grid, grid, collect, cache), "norm1")
     if memory is not None:
         x = residual(x, attention(params, f"{prefix}.cross_attn", x, memory, memory_mask,
-                                  cfg.n_heads, drop, cache=cache), "norm_cross")
+                                  cfg.n_heads, drop, q_grid, memory_grid, cache=cache),
+                     "norm_cross")
     h = T.gelu(linear(x, params, f"{prefix}.ffn.w1", f"{prefix}.ffn.b1"))
     return residual(x, linear(h, params, f"{prefix}.ffn.w2", f"{prefix}.ffn.b2"), "norm2")
 
@@ -346,79 +364,105 @@ def key_padding_mask(pad_mask: np.ndarray, num_regions: int) -> np.ndarray:
 
 
 def embed_inputs(params: ParamStore, cfg: EncoderConfig, token_ids: np.ndarray,
-                 pos_ids: np.ndarray, lang_ids: np.ndarray,
+                 pos_ids: np.ndarray, lang_ids: np.ndarray, pad_mask: np.ndarray,
                  feats: np.ndarray | None = None, bboxes: np.ndarray | None = None,
-                 vis_mask: np.ndarray | None = None, prefix: str = "") -> Tensor:
-    """Input embeddings before dropout.
+                 vis_mask: np.ndarray | None = None,
+                 prefix: str = "") -> tuple[Tensor, T.Grid]:
+    """Input embeddings before dropout, as (packed rows, grid).
 
-    Text positions are token + position + language embeddings; each
-    region slot, appended after the text, is projected feature +
-    projected box + the visual language embedding. Slots flagged in
-    `vis_mask` carry the [MASK] token embedding in place of their
-    projection. Parameter names are `prefix` + the encoder's names.
-    Region features and boxes are cast to the projection weight's dtype.
-    Raises ConfigError when a position id is past `cfg.max_positions`,
-    DataError when a token id is outside the vocabulary.
+    The grid is (B, Tt + o): the (B, Tt) text positions, True in
+    `pad_mask` at padding, then o region slots per row, never padding.
+    Its real text positions are token + position + language embeddings;
+    each region slot is projected feature + projected box + the visual
+    language embedding. Slots flagged in `vis_mask` carry the [MASK]
+    token embedding in place of their projection. Parameter names are
+    `prefix` + the encoder's names. Region features and boxes are cast
+    to the projection weight's dtype. Raises ConfigError when a position
+    id is past `cfg.max_positions`, DataError when a position id is
+    negative, or a token or language id is outside its table.
     """
     top = int(pos_ids.max(initial=0))
     if top >= cfg.max_positions:
         raise ConfigError(f"position {top} >= max_positions {cfg.max_positions}")
+    check_ids(pos_ids, cfg.max_positions, "position id", "the positions")
     check_ids(token_ids, cfg.vocab_size)
-    tok = T.embedding(params[f"{prefix}token_emb"], token_ids)
-    pos = T.embedding(params[f"{prefix}pos_emb"], pos_ids)
-    lang = T.embedding(params[f"{prefix}lang_emb"], lang_ids)
-    x = tok + pos + lang
+    check_ids(lang_ids, N_LANGS, "language id", "the languages")
+    text = T.Grid.of(pad_mask)
+
+    def lookup(table, ids):
+        return T.embedding(params[f"{prefix}{table}"], text.gather(ids))
+
+    x = lookup("token_emb", token_ids) + lookup("pos_emb", pos_ids) + lookup("lang_emb", lang_ids)
     if feats is None:
-        return x
+        return x, text
     if feats.shape[-1] != cfg.feat_dim:
         raise ConfigError(
             f"region feature dim {feats.shape[-1]} != model feat_dim {cfg.feat_dim}"
         )
     def project(a, name):
         w = params[f"{prefix}{name}.w"]
-        return T.linear(Tensor(a.astype(w.dtype)), w, params[f"{prefix}{name}.b"])
+        return T.linear(Tensor(a.reshape(-1, a.shape[-1]).astype(w.dtype)), w,
+                        params[f"{prefix}{name}.b"])
 
     vis = project(feats, "feat_proj") + project(bboxes, "bbox_proj")
     if vis_mask is not None:
-        keep = Tensor((~vis_mask).astype(vis.dtype)[:, :, None])
-        mask_vec = T.embedding(params[f"{prefix}token_emb"], np.full((1, 1), MASK))
+        keep = Tensor((~vis_mask).astype(vis.dtype).reshape(-1, 1))
+        mask_vec = T.embedding(params[f"{prefix}token_emb"], np.full(1, MASK))
         vis = vis * keep + mask_vec * (1.0 - keep.data)
-    vis = vis + T.embedding(params[f"{prefix}lang_emb"],
-                            np.full(feats.shape[:2], LANG_VIS))
-    return T.concat([x, vis], axis=1)
+    vis = vis + T.embedding(params[f"{prefix}lang_emb"], np.full(len(vis.data), LANG_VIS))
+    bsz, o = feats.shape[:2]
+    grid = T.Grid.of(np.concatenate([pad_mask, np.zeros((bsz, o), dtype=bool)], axis=1))
+    cells = np.arange(bsz * grid.shape[1]).reshape(grid.shape)
+    text_len = pad_mask.shape[1]
+    text_rows = grid.index(text.gather(cells[:, :text_len]))
+    vis_rows = grid.index(cells[:, text_len:].reshape(-1))
+    return T.merge_rows([x, vis], [text_rows, vis_rows]), grid
 
 
-def encode(params: ParamStore, cfg: EncoderConfig, x: Tensor,
+def encode(params: ParamStore, cfg: EncoderConfig, x: Tensor, grid: T.Grid,
            add_mask: np.ndarray | None, drop,
            collect_attn: list | None = None, prefix: str = "",
-           memory: Tensor | None = None, memory_mask: np.ndarray | None = None,
-           cache: dict | None = None, ids: np.ndarray | None = None) -> Tensor:
-    """The layer stack; `prefix` is "" for the pretraining model, "enc."
-    for the encoder of a translation model and "dec." for its decoder,
-    which attends to the encoder states `memory` under `memory_mask`.
-    An incremental decoder passes one `cache` dict for all its steps: it
+           memory: Tensor | None = None, memory_grid: T.Grid | None = None,
+           memory_mask: np.ndarray | None = None,
+           cache: dict | None = None, queries: tuple | None = None) -> Tensor:
+    """The layer stack on the packed rows `x` of `grid`; `prefix` is ""
+    for the pretraining model, "enc." for the encoder of a translation
+    model and "dec." for its decoder, which attends to the packed
+    encoder states `memory` of `memory_grid` under `memory_mask`. An
+    incremental decoder passes one `cache` dict for all its steps: it
     holds every attention's keys and values by parameter prefix.
 
-    `ids` (see `encoder_layer`) go to the last layer only, which then
-    computes and returns just those (B, Tq) rows; its `collect_attn`
-    entry is (B, H, Tq, T)."""
+    `queries` (see `encoder_layer`) go to the last layer only, which then
+    computes and returns just those rows; its `collect_attn` entry is
+    (B, H, Tq, T)."""
     last = cfg.n_layers - 1
     for i in range(cfg.n_layers):
-        x = encoder_layer(params, f"{prefix}layers.{i}", x, add_mask, cfg, drop, collect_attn,
-                          memory, memory_mask, cache, ids if i == last else None)
+        x = encoder_layer(params, f"{prefix}layers.{i}", x, grid, add_mask, cfg, drop,
+                          collect_attn, memory, memory_grid, memory_mask, cache,
+                          queries if i == last else None)
     return x
 
 
 def encode_batch(params: ParamStore, cfg: EncoderConfig, batch: EncoderBatch, drop,
-                 prefix: str = "", ids: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """The encoder front end: embed → dropout → key mask → layer stack,
-    whose last layer computes only the rows `ids` if given (see `encode`).
-    Returns (states, additive key mask)."""
-    x = embed_inputs(params, cfg, batch.token_ids, batch.pos_ids, batch.lang_ids,
-                     batch.feats, batch.bboxes, batch.vis_mask, prefix)
-    x = T.dropout(x, drop)
+                 prefix: str = "",
+                 queries: tuple | None = None) -> tuple[Tensor, T.Grid, np.ndarray]:
+    """The encoder front end: embed → dropout → key mask → layer stack.
+    Returns (packed states, their grid, additive key mask).
+
+    `queries`, a pair (pos, q_grid) of (B, Tq) stream positions and the
+    grid of their real cells, makes the last layer compute only the
+    rows at those positions, as the packed rows of `q_grid` (see
+    `encoder_layer`)."""
+    x, grid = embed_inputs(params, cfg, batch.token_ids, batch.pos_ids, batch.lang_ids,
+                           batch.pad_mask, batch.feats, batch.bboxes, batch.vis_mask, prefix)
+    x = T.dropout(x, drop, grid)
     key_mask = key_padding_mask(batch.pad_mask, batch.num_regions)
-    return encode(params, cfg, x, key_mask, drop, prefix=prefix, ids=ids), key_mask
+    if queries is not None:
+        pos, q_grid = queries
+        cells = np.arange(len(pos))[:, None] * grid.shape[1] + pos
+        queries = (grid.index(q_grid.gather(cells)), q_grid)
+    states = encode(params, cfg, x, grid, key_mask, drop, prefix=prefix, queries=queries)
+    return states, grid, key_mask
 
 
 @dataclass
@@ -437,7 +481,9 @@ class LossOutput:
         total = self.n_text + self.n_vis
         if total == 0:
             return float("nan")
-        acc = self.mlm_acc * self.n_text
+        acc = 0.0  # a head without targets has a NaN (or None) accuracy
+        if self.n_text:
+            acc += self.mlm_acc * self.n_text
         if self.n_vis:
             acc += self.mrc_acc * self.n_vis
         return acc / total
@@ -447,37 +493,35 @@ def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
               drop) -> LossOutput:
     """Joint masked-token + masked-region objective (equal weights).
 
-    The last encoder layer runs only at the rows the two heads read: the
-    (B, Tq) row ids b*T + `target_pos`, so a fill entry reads the
-    example's first position. Each head gathers its targets from that
-    layer's (B, Tq, d) output, text ones where `target_pos` is a text
-    position, region ones where it is a slot. Raises DataError when the
-    batch has no targets or a region label is outside
-    [0, label_vocab_size)."""
+    The last encoder layer runs only at the rows the two heads read:
+    the real cells of the (B, Tq) target grid, at stream positions
+    `target_pos`. Each head gathers its targets from that layer's
+    packed output, text ones where `target_pos` is a text position,
+    region ones where it is a slot. Raises DataError when the batch has
+    no targets or a region label is outside [0, label_vocab_size)."""
     target = ~batch.target_pad
     is_text = batch.target_pos < batch.text_len
-    text_rows = np.flatnonzero(target & is_text)
-    vis_rows = np.flatnonzero(target & ~is_text)
-    text_ids = batch.target_ids.flat[text_rows]
-    vis_ids = batch.target_ids.flat[vis_rows]
+    text_cells = np.flatnonzero(target & is_text)
+    vis_cells = np.flatnonzero(target & ~is_text)
+    text_ids = batch.target_ids.flat[text_cells]
+    vis_ids = batch.target_ids.flat[vis_cells]
     check_ids(vis_ids, cfg.label_vocab_size, "region label", "the label vocabulary")
-    n_text, n_vis = len(text_rows), len(vis_rows)
+    n_text, n_vis = len(text_cells), len(vis_cells)
     if not (n_text or n_vis):
         raise DataError("batch has no prediction targets")
-    total_len = batch.text_len + batch.num_regions
-    ids = np.arange(len(batch.token_ids))[:, None] * total_len + batch.target_pos
-    states, _ = encode_batch(params, cfg, batch, drop, ids=ids)
+    q_grid = T.Grid.of(batch.target_pad)
+    states, _, _ = encode_batch(params, cfg, batch, drop, queries=(batch.target_pos, q_grid))
 
     terms = []
     mlm_loss_val, mlm_acc, mrc_loss_val, mrc_acc = 0.0, float("nan"), None, None
     if n_text:
-        logits = tied_logits(params, T.embedding(states, text_rows))
+        logits = tied_logits(params, T.embedding(states, q_grid.index(text_cells)))
         terms.append(T.cross_entropy(logits, text_ids))
         mlm_loss_val = terms[-1].item()
         mlm_acc = float(np.mean(np.argmax(logits.data, axis=1) == text_ids))
 
     if n_vis:
-        vlogits = linear(T.embedding(states, vis_rows), params, "mrc.w", "mrc.b")
+        vlogits = linear(T.embedding(states, q_grid.index(vis_cells)), params, "mrc.w", "mrc.b")
         terms.append(T.cross_entropy(vlogits, vis_ids))
         mrc_loss_val = terms[-1].item()
         mrc_acc = float(np.mean(np.argmax(vlogits.data, axis=1) == vis_ids))

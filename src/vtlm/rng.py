@@ -16,7 +16,7 @@ depend on how far the parent has advanced.
 Bulk generation closes the LCG recurrence in numpy uint64 arithmetic:
 state_i = a^i * s0 + (sum_{j<i} a^j) * c mod 2^64. The tables of a^i and
 sum_{j<i} a^j are built once, at import, for a fixed block of `BLOCK`
-entries (2 x 64 KB). A request for n values is filled block by block,
+entries (2 x 256 KB). A request for n values is filled block by block,
 each block starting from the state that follows the last one of the
 block before, so the draws and the state afterwards equal n scalar
 steps bit for bit, and no temporary grows with n.
@@ -29,7 +29,7 @@ import numpy as np
 _MULT = 6364136223846793005
 _MASK64 = (1 << 64) - 1
 
-BLOCK = 8192
+BLOCK = 32768
 _POWS = np.empty(BLOCK, dtype=np.uint64)   # a^i
 _POWS[0] = 1
 _POWS[1:] = np.uint64(_MULT)

@@ -21,6 +21,12 @@ sequence. Sources are padded and their regions stacked by
 `model.collate`, into the same `EncoderBatch` that pretraining uses. All
 MT parameters live in one dict under "enc." and "dec." prefixes.
 
+Both stacks compute only real positions (packed rows, see `model`):
+`encode_source` returns the packed source rows with the key mask, from
+which the decoder recovers their grid, and `decode_states` returns its
+states on the (B, t) target grid, zero at padding, so that a caller
+reads position t of row b at [b, t].
+
 There is one decoder, `beam_search`, and with beam=1 it is greedy. It
 is incremental and batched, as XLM's `generate_beam`: all sentences of
 a chunk are encoded once, every decoder layer projects its
@@ -165,10 +171,14 @@ def build_target_batch(examples: list[TripletExample], max_len: int = 256) -> Ta
 
 def encode_source(params: ParamStore, cfg: EncoderConfig, batch: EncoderBatch, drop, *,
                   training: bool = True) -> tuple[Tensor, np.ndarray]:
-    """Run the MT encoder; returns (states, additive key mask).
-    `training=False` discards `drop`: a keyword the benchmark harness
-    passes, which leaves with its change in ROADMAP item 6."""
-    return encode_batch(params, cfg, batch, drop if training else None, prefix="enc.")
+    """Run the MT encoder; returns (packed states, additive key mask).
+    The states are the real rows of the source grid, which the key mask
+    describes (see `decode_states`). `training=False` discards `drop`: a
+    keyword the benchmark harness passes, which leaves with its change
+    in ROADMAP item 6."""
+    states, _, key_mask = encode_batch(params, cfg, batch, drop if training else None,
+                                       prefix="enc.")
+    return states, key_mask
 
 
 def causal_mask(t: int, dtype, start: int = 0) -> np.ndarray:
@@ -183,28 +193,36 @@ def decode_states(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
                   tgt_pad_mask: np.ndarray | None = None,
                   cache: dict | None = None, start: int = 0, *,
                   training: bool = True) -> Tensor:
-    """Decoder states for target positions start .. start+t-1, given the
-    (possibly padded) (B, t) input ids at those positions.
+    """(B, t, d) decoder states for target positions start .. start+t-1,
+    given the (possibly padded) (B, t) input ids at those positions;
+    zero at the padding of `tgt_pad_mask`, which the decoder computes
+    nothing for.
 
     Without a cache, `start` is 0 and the ids are the whole prefix
     (teacher forcing). An incremental decoder passes the same `cache`
     dict at every step: it holds the keys and values of the positions
-    before `start` and receives those of the new ones. `enc_states` may
-    have fewer rows than the ids: B/rows consecutive id rows share one
-    source sentence (see `model.attention`). `training=False` discards
-    `drop`, as in `encode_source`.
+    before `start` and receives those of the new ones. `enc_states` are
+    `encode_source`'s packed rows of the source grid whose padding
+    `enc_key_mask` masks; they are read only while the cache holds no
+    cross-attention keys. The key mask may have fewer rows than the
+    ids: B/rows consecutive id rows share one source sentence (see
+    `model.attention`). `training=False` discards `drop`, as in
+    `encode_source`.
     """
     bsz, t = tgt_input_ids.shape
-    x = embed_inputs(params, cfg, tgt_input_ids,
-                     np.broadcast_to(np.arange(start, start + t), (bsz, t)),
-                     np.full((bsz, t), LANG_L2), prefix="dec.")
+    pad = np.zeros((bsz, t), dtype=bool) if tgt_pad_mask is None else tgt_pad_mask
+    x, grid = embed_inputs(params, cfg, tgt_input_ids,
+                           np.broadcast_to(np.arange(start, start + t), (bsz, t)),
+                           np.full((bsz, t), LANG_L2), pad, prefix="dec.")
     drop = drop if training else None
-    x = T.dropout(x, drop)
+    x = T.dropout(x, drop, grid)
     self_mask = causal_mask(t, x.dtype, start)
     if tgt_pad_mask is not None:
         self_mask = self_mask + key_padding_mask(tgt_pad_mask, 0)
-    return encode(params, cfg, x, self_mask, drop, prefix="dec.",
-                  memory=enc_states, memory_mask=enc_key_mask, cache=cache)
+    memory_grid = T.Grid.of(enc_key_mask[:, 0, 0, :] != 0.0)  # the key mask is 0 at real keys
+    states = encode(params, cfg, x, grid, self_mask, drop, prefix="dec.", memory=enc_states,
+                    memory_grid=memory_grid, memory_mask=enc_key_mask, cache=cache)
+    return T.to_grid(states, grid)
 
 
 def output_logits(params: ParamStore, states: Tensor) -> Tensor:
@@ -292,7 +310,7 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
         raise ConfigError("beam must be >= 1")
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    n = enc_states.shape[0]
+    n = len(enc_key_mask)
     sents = np.arange(n)                        # chunk index of each batch row
     logp = np.zeros((n, 1))                     # running log-prob per slot
     hist = np.zeros((n, 1, 0), dtype=np.int64)  # tokens per slot so far

@@ -2,18 +2,32 @@
 
 The ops the model uses and nothing more, on numpy arrays: broadcasting
 `add` (`+`) and `mul` (`*`), `linear`, `transpose`, `concat`,
-`embedding`, `attention`, `gelu`, `layer_norm`, `dropout` and
-`cross_entropy`. The graph is a tape of parent links built during the
-forward pass; `backward()` walks it once in reverse topological order.
-`dropout` and `attention` drop out by `drop`: a training step's
-(rate, stream) pair, or None for no dropout and no draw.
+`merge_rows`, `to_grid`, `embedding`, `attention`, `gelu`, `layer_norm`,
+`dropout` and `cross_entropy`. The graph is a tape of parent links built
+during the forward pass; `backward()` walks it once in reverse
+topological order. `dropout` and `attention` drop out by `drop`: a
+training step's (rate, stream) pair, or None for no dropout and no draw.
+
+Packed rows: the model's hidden states are (N, d) arrays holding only
+the real rows of a padded (B, T) grid of positions, in row-major order,
+and a `Grid` says which cells they are. Row-wise ops (`linear`,
+`layer_norm`, `gelu`, `add`) therefore never see padding. Only
+`attention` works on the grid: inside its one tape node it scatters its
+packed inputs into zero-padded (B, T, d) arrays, runs the padded
+arithmetic, and returns (and takes gradients for) the real query rows.
+`dropout` given a grid draws its mask over the grid's shape and keeps
+the real rows, so a step draws what it would draw on the padded grid,
+and every real element gets the keep decision it would get there. A
+grid without padding is dense: its packed array is a reshape of the
+grid-shaped one, so no scatter, gather or zero-fill happens.
 
 Gradient handover: an op that builds a gradient as a fresh array and
 keeps no reference to it passes it with `_accumulate(g, owned=True)`
-(`linear`, `gelu`, `attention`'s dq, dk and dv, `layer_norm`'s dx and
-`cross_entropy`). A non-leaf receiving its first gradient keeps such an
-array, if C-contiguous and of its dtype and shape, instead of copying
-it; every other first gradient, and every parameter's, is a copy.
+(`linear`, `gelu`, `merge_rows`, `to_grid`, `attention`'s dq, dk and
+dv, `layer_norm`'s dx and `cross_entropy`). A non-leaf receiving its
+first gradient keeps such an array, if C-contiguous and of its dtype
+and shape, instead of copying it; every other first gradient, and every
+parameter's, is a copy.
 
 `attention` is multi-head attention as one tape node: the heads are
 views, the scores are scaled by 1/√(d / n_heads), and a block of query
@@ -159,6 +173,46 @@ def topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+class Grid:
+    """The real rows of a (B, T) grid of positions.
+
+    A packed (N, ...) array holds one row per real cell, in row-major
+    order; `cells` are their flat indices b*T + t, or None when every
+    cell is real. Such a dense grid's packed array is a reshape of the
+    grid-shaped one, and `scatter` and `gather` are reshape views.
+    """
+
+    __slots__ = ("shape", "cells")
+
+    def __init__(self, shape, cells: np.ndarray | None = None):
+        self.shape = tuple(shape)
+        self.cells = cells
+
+    @classmethod
+    def of(cls, pad: np.ndarray) -> "Grid":
+        """The grid of a (B, T) pad mask: its real cells are those where
+        `pad` is False."""
+        return cls(pad.shape, np.flatnonzero(~pad) if pad.any() else None)
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """(N, ...) packed rows as a (B, T, ...) array, zero at padding."""
+        shape = self.shape + x.shape[1:]
+        if self.cells is None:
+            return x.reshape(shape)
+        out = np.zeros((self.shape[0] * self.shape[1],) + x.shape[1:], x.dtype)
+        out[self.cells] = x
+        return out.reshape(shape)
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """The (N, ...) real rows of a (B, T, ...) array."""
+        flat = x.reshape((-1,) + x.shape[2:])
+        return flat if self.cells is None else flat[self.cells]
+
+    def index(self, cells: np.ndarray) -> np.ndarray:
+        """The packed row numbers of real cells `cells` (flat b*T + t)."""
+        return cells if self.cells is None else np.searchsorted(self.cells, cells)
+
+
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
@@ -258,6 +312,35 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
                 t._accumulate(g[tuple(idx)])
 
     return _make(data, tuple(tensors), bw)
+
+
+def merge_rows(parts: list[Tensor], rows: list[np.ndarray]) -> Tensor:
+    """One (n, ...) array of the rows of `parts`: the rows of parts[i] go
+    to rows rows[i], which together name every output row once. The
+    gradient of parts[i] is those rows of the output's, handed over."""
+    n = sum(len(r) for r in rows)
+    data = np.empty((n,) + parts[0].data.shape[1:], parts[0].data.dtype)
+    for p, r in zip(parts, rows):
+        data[r] = p.data
+
+    def bw(g):
+        for p, r in zip(parts, rows):
+            if p.requires_grad:
+                p._accumulate(g[r], owned=True)
+
+    return _make(data, tuple(parts), bw)
+
+
+def to_grid(x: Tensor, grid: Grid) -> Tensor:
+    """(N, ...) packed rows of `grid` as a (B, T, ...) tensor, zero at
+    padding (`Grid.scatter`); a reshape view of a dense grid."""
+    data = grid.scatter(x.data)
+
+    def bw(g):
+        if x.requires_grad:
+            x._accumulate(grid.gather(g), owned=True)
+
+    return _make(data, (x,), bw)
 
 
 # -- lookup / selection ---------------------------------------------------
@@ -389,9 +472,14 @@ def check_dropout_rate(rate: float) -> None:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate!r}")
 
 
-def dropout(a: Tensor, drop) -> Tensor:
+def dropout(a: Tensor, drop, grid: Grid | None = None) -> Tensor:
     """Inverted dropout by `drop`, None or a (rate, stream) pair; the
     identity, drawing nothing, for None or rate 0.
+
+    Given a `grid`, `a` holds its packed (N, ...) rows, and the mask is
+    drawn over the grid-shaped (B, T, ...) array and its real rows kept:
+    the draws, and each real element's keep decision, are those of the
+    padded array.
 
     The rate must lie in [0, 1); anything else, NaN included, raises
     ConfigError. An element is kept when its raw draw u = stream.u32(...)
@@ -403,9 +491,12 @@ def dropout(a: Tensor, drop) -> Tensor:
     dtype; the forward and backward passes share one mask holding 0 or
     that scale.
     """
-    mask = _dropout_mask(a.data, drop)
+    shape = a.data.shape if grid is None else grid.shape + a.data.shape[1:]
+    mask = _dropout_mask(shape, a.data.dtype, drop)
     if mask is None:
         return a
+    if grid is not None:
+        mask = grid.gather(mask)
     data = a.data * mask
 
     def bw(g):
@@ -415,33 +506,50 @@ def dropout(a: Tensor, drop) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def _dropout_mask(x: np.ndarray, drop) -> np.ndarray | None:
-    """None when `drop` is None or its rate 0; else 1 / (1 - rate) where
-    x's element is kept, 0 where it is dropped: the keep test times the
-    scale, which costs a third of np.where."""
+def _dropout_mask(shape: tuple, dtype, drop) -> np.ndarray | None:
+    """None when `drop` is None or its rate 0; else an array of `shape`
+    holding 1 / (1 - rate) where an element is kept and 0 where it is
+    dropped: the keep test times the scale, which costs a third of
+    np.where."""
     if drop is None or drop[0] == 0.0:
         return None
     rate, rng = drop
     check_dropout_rate(rate)
-    keep = rng.u32(x.size).reshape(x.shape) >= math.ceil(rate * 2.0**32 - 0.5)
-    return np.multiply(keep, x.dtype.type(1.0 / (1.0 - rate)), dtype=x.dtype)
+    keep = rng.u32(math.prod(shape)).reshape(shape) >= math.ceil(rate * 2.0**32 - 0.5)
+    return np.multiply(keep, dtype.type(1.0 / (1.0 - rate)), dtype=dtype)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray | None,
-              n_heads: int, drop) -> tuple[Tensor, np.ndarray]:
+              n_heads: int, drop, q_grid: Grid | None = None,
+              kv_grid: Grid | None = None) -> tuple[Tensor, np.ndarray]:
     """Multi-head attention of (rows, positions, d) projections as one
     tape node. Returns (ctx, probs): ctx = dropout(probs) @ v with the
     heads merged to q's shape, and probs, the (key rows, n_heads,
     queries, keys) weights before dropout, as a plain array. q may have
     m times k's rows: query rows r*m .. r*m+m-1 then attend to key row r.
 
+    Given `q_grid`, q holds that grid's packed (N, d) rows, and so does
+    ctx; given `kv_grid`, k and v hold its packed rows. They are
+    scattered into zero-padded grid-shaped arrays for the arithmetic
+    below, and each gradient is gathered back to its input's rows. A
+    zero key row is masked by `add_mask` like any padded key, and a zero
+    query row yields a row of ctx that is dropped, so the real rows of
+    ctx and the gradients have the bits of the grid-shaped computation.
+
     probs = softmax(q kᵀ / √(d / n_heads) + add_mask) over the keys of
-    each head, with dropout as in `dropout`. The arithmetic is that of
-    matmul, scalar mul, add, softmax, dropout and matmul nodes in their
-    order, so values and gradients have the bits of that composition.
-    Raises NumericError when a score is not finite.
+    each head, with dropout as in `dropout`, drawn over probs' shape. The
+    arithmetic is that of matmul, scalar mul, add, softmax, dropout and
+    matmul nodes in their order, so values and gradients have the bits
+    of that composition. Raises NumericError when a score is not finite.
     """
-    rows, _, d = k.data.shape
+    def on_grid(x, grid):
+        return x if grid is None else grid.scatter(x)
+
+    def off_grid(x, grid):
+        return x if grid is None else grid.gather(x)
+
+    qd, kd, vd = on_grid(q.data, q_grid), on_grid(k.data, kv_grid), on_grid(v.data, kv_grid)
+    rows, _, d = kd.shape
     hd = d // n_heads
     scale = 1.0 / math.sqrt(hd)
 
@@ -451,7 +559,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray | None,
     def merge(x, shape):  # the inverse of split
         return x.transpose(0, 2, 1, 3).reshape(shape)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = split(qd), split(kd), split(vd)
     s = np.matmul(qh, np.swapaxes(kh, -1, -2))
     s *= scale
     if add_mask is not None:
@@ -462,15 +570,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray | None,
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     probs = s
-    mask = _dropout_mask(probs, drop)
+    mask = _dropout_mask(probs.shape, probs.dtype, drop)
     kept = probs if mask is None else probs * mask
-    ctx = merge(np.matmul(kept, vh), q.data.shape)
+    ctx = off_grid(merge(np.matmul(kept, vh), qd.shape), q_grid)
 
     def bw(g):
-        gh = split(g)
+        gh = split(on_grid(g, q_grid))
         if v.requires_grad:
-            v._accumulate(merge(np.matmul(np.swapaxes(kept, -1, -2), gh), v.data.shape),
-                          owned=True)
+            v._accumulate(off_grid(merge(np.matmul(np.swapaxes(kept, -1, -2), gh), vd.shape),
+                                   kv_grid), owned=True)
         if not (q.requires_grad or k.requires_grad):
             return
         gs = np.matmul(gh, np.swapaxes(vh, -1, -2))
@@ -480,10 +588,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray | None,
         gs -= probs * gs.sum(axis=-1, keepdims=True)
         gs *= scale
         if q.requires_grad:
-            q._accumulate(merge(np.matmul(gs, kh), q.data.shape), owned=True)
+            q._accumulate(off_grid(merge(np.matmul(gs, kh), qd.shape), q_grid), owned=True)
         if k.requires_grad:
-            k._accumulate(merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2),
-                                k.data.shape), owned=True)
+            k._accumulate(off_grid(merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs),
+                                                     -1, -2), kd.shape), kv_grid), owned=True)
 
     return _make(ctx, (q, k, v), bw), probs
 

@@ -4,10 +4,13 @@ the autograd tape and the float64 parameters it runs on, gradient
 clearing, whether a stream drew, sentence encoding and decoding through
 a BPE codec, the one-seed corpus and nearest-centre classifier that
 several test corpora and oracles are built from, and a batch's
-prediction targets as (example, position, id) triples and the full-row
-pretraining loss that the pruned one is checked against."""
+prediction targets as (example, position, id) triples, the full-row
+pretraining loss that the pruned one is checked against, and the
+every-cell layout that packed rows are checked against."""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -144,10 +147,10 @@ def target_triples(batch) -> np.ndarray:
 
 def full_row_vtlm_loss(params, cfg, batch, drop) -> LossOutput:
     """`model.vtlm_loss` as it was before its last layer was pruned: the
-    whole stack at every position, then the target rows gathered."""
-    states, _ = encode_batch(params, cfg, batch, drop)
+    whole stack at every row, then the target rows gathered."""
+    states, grid, _ = encode_batch(params, cfg, batch, drop)
     ex, pos, ids = target_triples(batch).T
-    rows = ex * states.shape[1] + pos
+    rows = grid.index(ex * grid.shape[1] + pos)
     is_text = pos < batch.text_len
     n_text, n_vis = int(is_text.sum()), int((~is_text).sum())
     terms = []
@@ -180,3 +183,16 @@ def assert_grads_close(got: dict, ref: dict, rel: float = 1e-6) -> None:
         scale_name = name[:-2] + "bq" if name.endswith(".bk") else name
         scale = np.max(np.abs(ref[scale_name]))
         assert np.max(np.abs(got[name] - g)) <= rel * scale, name
+
+
+@contextmanager
+def every_cell_layout():
+    """Inside the block every cell of a grid is a real row: `Grid.of`
+    ignores padding, so the model computes each padded position, as a
+    padded (B, T) computation does. Packed rows are checked against it."""
+    of = T.Grid.__dict__["of"]
+    T.Grid.of = classmethod(lambda cls, pad: cls(pad.shape))
+    try:
+        yield
+    finally:
+        T.Grid.of = of

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,9 +65,16 @@ def make_batch(examples, mode=VTLM, seed=0, policy=None):
 
 
 def embed(params, cfg, batch):
-    """Input embeddings of a batch (no dropout)."""
+    """Input embeddings of a batch (no dropout): packed rows and grid."""
     return embed_inputs(params, cfg, batch.token_ids, batch.pos_ids, batch.lang_ids,
-                        batch.feats, batch.bboxes, batch.vis_mask)
+                        batch.pad_mask, batch.feats, batch.bboxes, batch.vis_mask)
+
+
+def encode_grid(params, cfg, batch, drop=None, **kw):
+    """The stack's states of a batch, grid-shaped, zero at padding."""
+    x, grid = embed(params, cfg, batch)
+    mask = key_padding_mask(batch.pad_mask, batch.num_regions)
+    return grid.scatter(encode(params, cfg, x, grid, mask, drop, **kw).data)
 
 
 def uncorrupt_regions(batch, examples):
@@ -84,8 +92,8 @@ class TestEmbed:
         # force one slot to carry the [MASK] embedding
         batch.vis_mask[:] = False
         batch.vis_mask[0, 2] = True
-        x = embed(params, cfg, batch)
-        got = x.data[0, batch.text_len + 2]
+        x, grid = embed(params, cfg, batch)
+        got = grid.scatter(x.data)[0, batch.text_len + 2]
         expect = params["token_emb"].data[bpe.MASK] + params["lang_emb"].data[bpe.LANG_VIS]
         assert np.allclose(got, expect, atol=1e-6)
 
@@ -98,10 +106,27 @@ class TestEmbed:
         batch.vis_mask[:] = False
         batch.feats[:] = 0.0
         batch.bboxes[:] = 0.0
-        x = embed(params, cfg, batch)
-        got = x.data[0, batch.text_len]
+        x, grid = embed(params, cfg, batch)
+        got = grid.scatter(x.data)[0, batch.text_len]
         expect = 0.5 - 0.25 + params["lang_emb"].data[bpe.LANG_VIS]
         assert np.allclose(got, expect, atol=1e-6)
+
+
+    @pytest.mark.parametrize("field, bad, message", [
+        ("pos_ids", -1, "position id -1 outside the positions [0, 64)"),
+        ("lang_ids", -1, "language id -1 outside the languages [0, 3)"),
+        ("lang_ids", 3, "language id 3 outside the languages [0, 3)"),
+    ])
+    def test_bad_position_or_language_id_raises_data_error(self, examples, field, bad,
+                                                           message):
+        """A negative position or language id used to read the last row
+        of its table, and language id 3 raised numpy's IndexError."""
+        batch, vocab = make_batch(examples[:2])
+        cfg = desk_cfg(vocab)
+        params = init_encoder_params(cfg, Pcg32(1).split("init"))
+        getattr(batch, field)[1, 2] = bad
+        with pytest.raises(DataError, match=re.escape(message)):
+            embed(params, cfg, batch)
 
 
 class TestEncode:
@@ -111,11 +136,9 @@ class TestEncode:
         batch, vocab = make_batch(examples[:6])
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
-        x = embed(params, cfg, batch)
-        mask = key_padding_mask(batch.pad_mask, batch.num_regions)
         collected = []
         for drop in (None, (0.3, Pcg32(0).split("dropout"))):
-            encode(params, cfg, x, mask, drop, collect_attn=collected)
+            encode_grid(params, cfg, batch, drop, collect_attn=collected)
         assert len(collected) == 2 * cfg.n_layers
         for probs in collected:
             assert np.all(np.abs(probs.sum(axis=-1) - 1.0) < 1e-5)
@@ -134,40 +157,37 @@ class TestEncode:
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
 
-        def run(b):
-            x = embed(params, cfg, b)
-            mask = key_padding_mask(b.pad_mask, b.num_regions)
-            return encode(params, cfg, x, mask, None).data
-
-        states = run(batch)
+        states = encode_grid(params, cfg, batch)
         swapped, _ = make_batch(examples[:3])
         uncorrupt_regions(swapped, examples[:3])
         for arr in ("feats", "bboxes"):
             a = getattr(swapped, arr)
             a[0, [2, 5]] = a[0, [5, 2]]
-        states_sw = run(swapped)
+        states_sw = encode_grid(params, cfg, swapped)
         t = batch.text_len
         assert np.allclose(states[0, :t], states_sw[0, :t], atol=1e-5)
         assert np.allclose(states[0, t + 2], states_sw[0, t + 5], atol=1e-5)
         assert np.allclose(states[0, t + 5], states_sw[0, t + 2], atol=1e-5)
 
     def test_last_layer_computes_only_the_given_rows(self, examples):
-        """With (B, Tq) row ids the stack returns those rows of its full
-        output, and the last layer's weights are (B, H, Tq, T)."""
+        """Given query rows on a (B, Tq) grid, the stack returns those
+        rows of its full output, and the last layer's weights are
+        (B, H, Tq, T)."""
         batch, vocab = make_batch(examples[:3])
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
-        x = embed(params, cfg, batch)
+        x, grid = embed(params, cfg, batch)
         mask = key_padding_mask(batch.pad_mask, batch.num_regions)
-        full = encode(params, cfg, x, mask, None).data
-        total_len = full.shape[1]
-        ids = np.array([[0, 5, total_len - 1], [total_len + 2] * 3,
-                        [2 * total_len + 1, 2 * total_len + 9, 2 * total_len]])
+        full = encode(params, cfg, x, grid, mask, None).data
+        total_len = grid.shape[1]
+        cells = np.array([0, 5, total_len - 1, total_len + 2,
+                          2 * total_len + 1, 2 * total_len + 9, 2 * total_len])
+        q_pad = np.array([[False, False, False], [False, True, True], [False, False, False]])
         collected = []
-        rows = encode(params, cfg, x, mask, None, collect_attn=collected,
-                      ids=ids).data
-        assert rows.shape == (3, 3, cfg.d_model)
-        assert np.allclose(rows, full.reshape(-1, cfg.d_model)[ids], atol=1e-6)
+        rows = encode(params, cfg, x, grid, mask, None, collect_attn=collected,
+                      queries=(grid.index(cells), T.Grid.of(q_pad))).data
+        assert rows.shape == (7, cfg.d_model)
+        assert np.allclose(rows, full[grid.index(cells)], atol=1e-6)
         assert [p.shape for p in collected] == [(3, cfg.n_heads, total_len, total_len),
                                                 (3, cfg.n_heads, 3, total_len)]
 
@@ -175,9 +195,9 @@ class TestEncode:
         cfg = EncoderConfig.desk(vocab_size=10, label_vocab_size=4, feat_dim=4,
                                  d_model=16, ffn_dim=32, n_layers=1, n_heads=2)
         params = init_encoder_params(cfg, Pcg32(0).split("init"))
-        x = T.Tensor(np.zeros((1, 1, 16), dtype=np.float32))
-        out = encode(params, cfg, x, None, None)
-        assert out.shape == (1, 1, 16)
+        x = T.Tensor(np.zeros((1, 16), dtype=np.float32))
+        out = encode(params, cfg, x, T.Grid((1, 1)), None, None)
+        assert out.shape == (1, 16)
 
 
 class TestVtlmLoss:
@@ -343,6 +363,17 @@ class TestTargetRows:
         assert got.loss.item() == pytest.approx(ref.loss.item(), rel=1e-6)
         assert (got.mlm_acc, got.mrc_acc) == (ref.mlm_acc, ref.mrc_acc)
 
+    def test_region_targets_only(self, examples):
+        """Without text targets the text head has a NaN accuracy, and the
+        pooled accuracy is the region head's."""
+        batch, vocab = make_batch(examples[:4])
+        cfg = desk_cfg(vocab)
+        params = init_encoder_params(cfg, Pcg32(1).split("init"))
+        batch = retarget(batch, [], [(0, 1), (2, 3), (3, 0), (3, 5)], vocab)
+        out = vtlm_loss(params, cfg, batch, None)
+        assert (out.n_text, out.n_vis) == (0, 4) and math.isnan(out.mlm_acc)
+        assert out.masked_prediction_accuracy == out.mrc_acc
+
     def test_no_targets_raise_before_encoding(self, examples, monkeypatch):
         batch, vocab = make_batch(examples[:2])
         cfg = desk_cfg(vocab)
@@ -446,9 +477,10 @@ def test_self_attention_is_four_linears_and_one_attention_node():
     the heads are split and merged inside that node."""
     params = {}
     add_layer_params(params, "l", 8, 16, Pcg32(3))
-    x = T.Tensor(Pcg32(4).normal((2, 5, 8), dtype=np.float32), requires_grad=True)
-    out = attention(params, "l.attn", x, x, None, 2, None)
-    assert out.shape == (2, 5, 8)
+    x = T.Tensor(Pcg32(4).normal((10, 8), dtype=np.float32), requires_grad=True)
+    grid = T.Grid((2, 5))
+    out = attention(params, "l.attn", x, x, None, 2, None, grid, grid)
+    assert out.shape == (10, 8)
     order = T.topo_order(out)
     assert len(order) == 14
     assert sum(node._parents == () for node in order) == 9

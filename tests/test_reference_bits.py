@@ -1,22 +1,26 @@
 """The RNG, dropout, first-gradient, linear, embedding, attention and
 region-directive paths against earlier reference implementations kept
-here, and the pruned pretraining loss against the full-row one: a
-cheaper or simpler step must give the same bits."""
+here, the pruned pretraining loss against the full-row one, and packed
+rows against the every-cell layout: a cheaper or simpler step must give
+the same bits."""
 
 import math
 
 import numpy as np
 import pytest
 
-from helpers import assert_grads_close, clear_grads, full_row_vtlm_loss, matmul, reshape, tsum
+from helpers import (assert_grads_close, clear_grads, every_cell_layout, full_row_vtlm_loss,
+                     matmul, reshape, tsum)
 from vtlm import tensor as T
 from vtlm.errors import NumericError
 from vtlm.masking import (MASK_EMBED, SUBSTITUTE, TLM, VTLM, MaskPolicy, build_masked_batch,
                           mask_visual)
 from vtlm.model import EncoderConfig, init_encoder_params, key_padding_mask, vtlm_loss
 from vtlm.rng import BLOCK, Pcg32
-from vtlm.seq2seq import MMT, build_source_batch, build_target_batch, init_mt_params, mt_loss
+from vtlm.seq2seq import (MMT, build_source_batch, build_target_batch, init_mt_params, mt_loss,
+                          translate)
 from vtlm.synthetic import GenConfig, generate_corpus
+from vtlm.trainer import evaluate_mt
 
 _MULT = 6364136223846793005
 _MASK64 = (1 << 64) - 1
@@ -51,10 +55,40 @@ def reference_u32(self, n=None):
     return reference_output(states)
 
 
-def reference_dropout(a, drop):
-    """Keep-mask from uniform doubles, applied as a * keep * scale."""
+def reference_scatter(x, grid):
+    """Packed rows into a zero-filled grid-shaped array, as one node."""
+    cells = np.arange(math.prod(grid.shape)) if grid.cells is None else grid.cells
+    data = np.zeros((math.prod(grid.shape),) + x.shape[1:], x.data.dtype)
+    data[cells] = x.data
+
+    def bw(g):
+        if x.requires_grad:
+            x._accumulate(g.reshape(data.shape)[cells])
+
+    return T._make(data.reshape(grid.shape + x.shape[1:]), (x,), bw)
+
+
+def reference_gather(x, grid):
+    """The real rows of a grid-shaped array, as one node."""
+    flat = x.data.reshape((-1,) + x.shape[2:])
+    cells = np.arange(len(flat)) if grid.cells is None else grid.cells
+
+    def bw(g):
+        if x.requires_grad:
+            full = np.zeros_like(flat)
+            full[cells] = g
+            x._accumulate(full.reshape(x.shape))
+
+    return T._make(flat[cells], (x,), bw)
+
+
+def reference_dropout(a, drop, grid=None):
+    """Keep-mask from uniform doubles, applied as a * keep * scale; packed
+    rows go through scatter and gather nodes around it."""
     if drop is None or drop[0] == 0.0:
         return a
+    if grid is not None:
+        return reference_gather(reference_dropout(reference_scatter(a, grid), drop), grid)
     rate, rng = drop
     keep = (rng.uniform(a.data.shape) >= rate).astype(a.data.dtype)
     scale = 1.0 / (1.0 - rate)
@@ -228,7 +262,8 @@ def test_first_gradient_of_a_scalar_stays_an_array():
     assert float(t.grad) == 2.0
 
 
-@pytest.mark.parametrize("n", [0, 1, 255, BLOCK - 1, BLOCK, BLOCK + 1, 541_696])
+@pytest.mark.parametrize("n", [0, 1, 255, 8191, 8192, 8193,  # see test_rng's block sizes
+                               BLOCK - 1, BLOCK, BLOCK + 1, 541_696])
 def test_u32_draws_and_state_equal_reference(n):
     rng, ref = Pcg32(17).split("u32"), Pcg32(17).split("u32")
     got, expect = rng.u32(n), reference_u32(ref, n)
@@ -318,10 +353,17 @@ def reference_scale(a, b):
     return T._make(data, (a,), bw)
 
 
-def reference_attention(q, k, v, add_mask, n_heads, drop):
+def reference_attention(q, k, v, add_mask, n_heads, drop, q_grid=None, kv_grid=None):
     """Unfused multi-head attention: reshape and transpose nodes split
     the heads, then matmul, transpose, scalar mul, add, softmax, dropout
-    and matmul nodes, and transpose and reshape nodes merge them."""
+    and matmul nodes, and transpose and reshape nodes merge them. Packed
+    rows go through scatter nodes before and a gather node after."""
+    if q_grid is not None:
+        ctx, probs = reference_attention(reference_scatter(q, q_grid), k, v, add_mask,
+                                         n_heads, drop, None, kv_grid)
+        return reference_gather(ctx, q_grid), probs
+    if kv_grid is not None:
+        k, v = reference_scatter(k, kv_grid), reference_scatter(v, kv_grid)
     rows, _, d = k.shape
     hd = d // n_heads
 
@@ -337,23 +379,31 @@ def reference_attention(q, k, v, add_mask, n_heads, drop):
     return reshape(T.transpose(ctx, (0, 2, 1, 3)), q.shape), probs.data
 
 
-def _attention_and_reference(beam, rate, dtype):
+def _attention_and_reference(beam, rate, dtype, packed=False):
     """T.attention and reference_attention on 3 key rows and 3 * beam
     query rows: ctx, probs and the q, k and v gradients of each, through
-    projections that are tape nodes (their gradients handed over)."""
+    projections that are tape nodes (their gradients handed over).
+    `packed` passes q, k and v as the real rows of their grids, which
+    the padding of keys and (for beam 1) queries leaves out."""
     rng = Pcg32(12)
     shape = (3, 7, 8)  # (rows, positions, d), 2 heads of 4
     q0 = rng.normal((3 * beam,) + shape[1:], dtype=dtype) * 2
     k0, v0 = (rng.normal(shape, dtype=dtype) * 2 for _ in range(2))
-    w = rng.normal(q0.shape, dtype=dtype)
     pad = np.zeros((3, 7), dtype=bool)
     pad[1, 5:] = pad[2, 3:] = True
     add_mask = key_padding_mask(pad, 0)  # float32, exact in float64 scores too
+    grids = (None, None)
+    if packed:
+        grids = (T.Grid.of(pad if beam == 1 else np.zeros(q0.shape[:2], dtype=bool)),
+                 T.Grid.of(pad))
+        q0 = grids[0].gather(q0)
+        k0, v0 = grids[1].gather(k0), grids[1].gather(v0)
+    w = rng.normal(q0.shape, dtype=dtype)
     results = []
     for fn in (T.attention, reference_attention):
         leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0)]
         q, k, v = (T.mul(x, T.Tensor(np.ones_like(x.data))) for x in leaves)
-        ctx, probs = fn(q, k, v, add_mask, 2, (rate, Pcg32(8).split("dropout")))
+        ctx, probs = fn(q, k, v, add_mask, 2, (rate, Pcg32(8).split("dropout")), *grids)
         tsum(T.mul(ctx, T.Tensor(w))).backward()
         results.append((ctx.data, probs, *(x.grad for x in leaves)))
     got, expect = results
@@ -377,6 +427,15 @@ def test_attention_with_shared_key_rows_equals_reference(rate, dtype):
     """Three query rows per key row, as the beams of one sentence share
     its encoder states."""
     _attention_and_reference(3, rate, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+@pytest.mark.parametrize("beam", [1, 3])
+def test_packed_attention_equals_reference(beam, rate, dtype):
+    """q, k and v as packed rows: padded queries (beam 1) and keys are
+    left out of them, and scattered into the grid inside the node."""
+    _attention_and_reference(beam, rate, dtype, packed=True)
 
 
 def reference_resolve(feats, bboxes, directives, substitutes):
@@ -479,9 +538,13 @@ def test_pruned_loss_equals_full_row_reference(mode, desk_corpus):
     over fewer rows, are within 1e-6 of their largest magnitude
     (`assert_grads_close`). The byte checks rest on the BLAS library
     giving each row of a matmul the same bytes whatever the number of
-    rows in the call (B*Tq here, B*T in the reference); OpenBLAS does for
-    3 or more rows. If a BLAS without that property fails this test on
-    correct code, compare within a tight relative tolerance instead, as
+    rows in the call (the target rows here, every stream row in the
+    reference); OpenBLAS does for 3 or more rows. So do the byte checks
+    of packed rows against the every-cell layout below
+    (`test_packed_rows_evaluate_as_every_cell_layout`,
+    `test_packed_training_step_matches_every_cell_layout`). If a BLAS
+    without that property fails them on correct code, compare within a
+    tight relative tolerance instead, as
     `test_model.py::TestTargetRows::test_one_target_per_example` does."""
     cfg = EncoderConfig.desk(len(desk_corpus.codec.vocab), DESK.num_labels, DESK.feat_dim)
     root = Pcg32(11)
@@ -507,3 +570,101 @@ def test_pruned_loss_equals_full_row_reference(mode, desk_corpus):
     ref_loss, ref_grads = step(full_row_vtlm_loss)
     assert got_loss == ref_loss
     assert_grads_close(got_grads, ref_grads)
+
+
+# -- packed rows against the every-cell layout ----------------------------------
+
+
+def _desk_loss(kind, corpus):
+    """cfg, fresh parameters and the loss of one B = 64 desk batch of
+    `kind` (VTLM, TLM or MMT) as a function of `drop`."""
+    cfg = EncoderConfig.desk(len(corpus.codec.vocab), DESK.num_labels, DESK.feat_dim)
+    root = Pcg32(11)
+    if kind == MMT:
+        params = init_mt_params(cfg, root.split("init"))
+        src = build_source_batch(corpus.train, MMT, cfg.max_positions)
+        tgt = build_target_batch(corpus.train, cfg.max_positions)
+        return cfg, params, lambda drop: mt_loss(params, cfg, src, tgt, drop)
+    params = init_encoder_params(cfg, root.split("init"))
+    batch = build_masked_batch(corpus.train, kind, MaskPolicy(), cfg.vocab_size,
+                               root.split("mask_text"), root.split("mask_visual"))
+    assert len(batch.token_ids) == 64 and batch.pad_mask.any()
+    return cfg, params, lambda drop: vtlm_loss(params, cfg, batch, drop)
+
+
+@pytest.mark.parametrize("kind", [VTLM, TLM, MMT])
+def test_packed_rows_evaluate_as_every_cell_layout(kind, desk_corpus):
+    """Evaluation computes no padded row, and its losses, accuracies,
+    `evaluate_mt` perplexity and beam-search hypotheses (tokens and
+    logp) have the bytes of the padded computation."""
+    cfg, params, loss_fn = _desk_loss(kind, desk_corpus)
+    examples = desk_corpus.train
+
+    def evaluate():
+        out = loss_fn(None)
+        fields = (out.loss.data.tobytes(),) + tuple(
+            getattr(out, f) for f in ("nll", "n_tokens") if kind == MMT) + tuple(
+            getattr(out, f) for f in ("mlm_loss", "mrc_loss", "mlm_acc", "mrc_acc")
+            if kind != MMT)
+        if kind != MMT:
+            return fields
+        hyps = translate(params, cfg, examples, MMT, beam=4, max_len=8)
+        return fields + (evaluate_mt(params, cfg, examples, MMT, 64),
+                         [(h.tokens, np.float64(h.logp).tobytes()) for h in hyps])
+
+    got = evaluate()
+    with every_cell_layout():
+        ref = evaluate()
+    assert got == ref
+
+
+def _training_step(kind, corpus, monkeypatch):
+    """Loss bytes, gradients, u32 call sizes and the stream's next draw
+    of one dropout-0.1 training step."""
+    cfg, params, loss_fn = _desk_loss(kind, corpus)
+    stream = Pcg32(11).split("dropout")
+    calls = []
+    u32 = Pcg32.u32
+
+    def spy(self, n=None):
+        calls.append(n)
+        return u32(self, n)
+
+    monkeypatch.setattr(Pcg32, "u32", spy)
+    loss = loss_fn((0.1, stream)).loss
+    loss.backward()
+    monkeypatch.setattr(Pcg32, "u32", u32)
+    return (loss.data.tobytes(), {name: t.grad for name, t in params.items()}, calls,
+            stream.u32())
+
+
+@pytest.mark.parametrize("kind", [VTLM, TLM, MMT])
+def test_packed_training_step_matches_every_cell_layout(kind, desk_corpus, monkeypatch):
+    """A dropout-0.1 step draws what the padded computation draws, call
+    for call, and leaves the stream where it does; its loss has the same
+    bytes, and its gradients, whose sums now skip the padded rows, are
+    within 1e-6 of their largest magnitude."""
+    got = _training_step(kind, desk_corpus, monkeypatch)
+    with every_cell_layout():
+        ref = _training_step(kind, desk_corpus, monkeypatch)
+    assert got[0] == ref[0]
+    assert_grads_close(got[1], ref[1])
+    assert got[2] == ref[2]
+    assert got[3] == ref[3]
+
+
+# u32 call sizes of one training step, as drawn before hidden states were
+# packed: a change of draws acts like a change of seed, so it must be a
+# deliberate one that updates these
+STEP_DRAWS = {
+    VTLM: [294912, 1327104, 294912, 294912, 184320, 40960, 40960],
+    MMT: [159744, 389376, 159744, 159744, 389376, 159744, 159744, 122880, 230400, 122880,
+          299520, 122880, 122880, 230400, 122880, 299520, 122880, 122880],
+}
+
+
+@pytest.mark.parametrize("kind", [VTLM, MMT])
+def test_training_step_draws_are_pinned(kind, desk_corpus, monkeypatch):
+    """A `pretrain-vtlm`-shaped and an `mmt-desk`-shaped step: embedding
+    dropout, then per layer the attention masks and residual masks."""
+    assert _training_step(kind, desk_corpus, monkeypatch)[2] == STEP_DRAWS[kind]

@@ -41,7 +41,10 @@ def test_block_generation_matches_scalar():
     assert a.u32() == b.u32()
 
 
-@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+# 8191 .. 16387 were the boundaries of an 8192-draw block; they now fall
+# inside the first block, next to the boundaries of the current one
+@pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 16387,
+                               BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 def test_block_boundaries_match_reference(n):
     expect = reference_pcg32(99, 3, n + 1)
     rng = Pcg32(99, 3)

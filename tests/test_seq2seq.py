@@ -26,7 +26,6 @@ from vtlm.seq2seq import (
     translate,
 )
 from vtlm.synthetic import GenConfig, generate_corpus
-from vtlm.tensor import Tensor
 from vtlm.trainer import AdamState, adam_step
 
 GEN = GenConfig(num_examples=16, num_valid=2, num_test=6, feat_dim=8, num_merges=150)
@@ -112,7 +111,7 @@ def test_beam_one_is_greedy(task, init_seed, fitted):
             logp[i] += float(lp[row, tok])
         keep = np.flatnonzero([len(hyps[i].tokens) > t + 1 for i in live])
         select_cache_rows(cache, keep, keep)
-        live, enc, key_mask = live[keep], Tensor(enc.data[keep]), key_mask[keep]
+        live, key_mask = live[keep], key_mask[keep]  # enc is read at step 0 only
         tokens = np.array([hyps[i].tokens[t] for i in live], dtype=np.int64)
     for hyp, want in zip(hyps, logp):
         assert hyp.logp == want
