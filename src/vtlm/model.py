@@ -214,10 +214,11 @@ def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor,
         k = linear(x_kv, params, f"{prefix}.wk", f"{prefix}.bk")
         v = linear(x_kv, params, f"{prefix}.wv", f"{prefix}.bv")
         if cache is not None:
-            k, v = Tensor(kv_grid.scatter(k.data)), Tensor(kv_grid.scatter(v.data))
+            k, v = kv_grid.scatter(k.data), kv_grid.scatter(v.data)
             if prefix in cache:
-                k = T.concat([cache[prefix][0], k], axis=1)
-                v = T.concat([cache[prefix][1], v], axis=1)
+                k = np.concatenate([cache[prefix][0].data, k], axis=1)
+                v = np.concatenate([cache[prefix][1].data, v], axis=1)
+            k, v = Tensor(k), Tensor(v)
     if cache is not None:
         cache[prefix] = (k, v)
         kv_grid = None  # the cached arrays are grid-shaped

@@ -1,9 +1,9 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The ops the model uses and nothing more, on numpy arrays: broadcasting
-`add` (`+`) and `mul` (`*`), `linear`, `transpose`, `concat`,
-`merge_rows`, `to_grid`, `embedding`, `attention`, `gelu`, `layer_norm`,
-`dropout` and `cross_entropy`. The graph is a tape of parent links built
+`add` (`+`) and `mul` (`*`), `linear`, `transpose`, `merge_rows`,
+`to_grid`, `embedding`, `attention`, `gelu`, `layer_norm`, `dropout`
+and `cross_entropy`. The graph is a tape of parent links built
 during the forward pass; `backward()` walks it once in reverse
 topological order. `dropout` and `attention` drop out by `drop`: a
 training step's (rate, stream) pair, or None for no dropout and no draw.
@@ -297,21 +297,6 @@ def transpose(a: Tensor, axes) -> Tensor:
             a._accumulate(g.transpose(inv))
 
     return _make(data, (a,), bw)
-
-
-def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
-    return _make(data, tuple(tensors), bw)
 
 
 def merge_rows(parts: list[Tensor], rows: list[np.ndarray]) -> Tensor:

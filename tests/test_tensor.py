@@ -252,11 +252,21 @@ class TestGradientsAgainstFiniteDifferences:
             assert T.embedding(x, idx).data.tolist() == x.data.reshape(9, 4)[idx].tolist()
             assert _fd_check(lambda: tsum(T.embedding(x, idx) * 2.0), [x]) < 1e-6
 
-    def test_concat_reshape_transpose(self):
+    def test_merge_rows_to_grid_transpose(self):
+        """Rows of a and b interleaved, placed on a (3, 3) grid with four
+        padded cells, and transposed."""
         a, b = self._randn((3, 4)), self._randn((2, 4))
+        grid = T.Grid.of(np.array([[False, True, False], [False, False, True],
+                                   [False, True, True]]))
+        rows = [np.array([0, 2, 3]), np.array([4, 1])]
+        placed = T.to_grid(T.merge_rows([a, b], rows), grid).data
+        assert placed.shape == (3, 3, 4)
+        expect = np.zeros((9, 4))
+        expect[[0, 3, 4, 6, 2]] = np.concatenate([a.data, b.data])  # cells 0, 2, 3, 4, 6
+        assert placed.reshape(9, 4).tolist() == expect.tolist()
         def build():
-            c = T.concat([a, b], axis=0)
-            c = reshape(c, (4, 5))
+            c = T.to_grid(T.merge_rows([a, b], rows), grid)
+            c = reshape(c, (9, 4))
             c = T.transpose(c, (1, 0))
             return tsum(T.mul(c, c))
         assert _fd_check(build, [a, b]) < 1e-6
