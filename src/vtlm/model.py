@@ -7,8 +7,8 @@ embeddings; region slots as projected feature + projected box + a
 dedicated visual language embedding (no sequential position: regions
 are set-like, geometry travels in the box projection), or, where
 `vis_mask` is set, the [MASK] token embedding + the visual language
-embedding. `encode_batch` runs the one front end, embed → dropout → key
-mask → layer stack, for pretraining and for the translation encoder.
+embedding. `encode_batch` runs the one front end, embed → dropout → layer
+stack, for pretraining and for the translation encoder.
 Every forward pass takes `drop`: None, or a training step's (rate, stream).
 Both segments flow through the same post-norm encoder stack with full
 bidirectional attention. The token head is weight-tied to the input
@@ -18,10 +18,11 @@ labels.
 Hidden states are packed rows (see `tensor`): an (N, d) array of the
 real positions of the padded (B, T) stream in row-major order, each
 example's text positions then its region slots, and a `tensor.Grid`
-that places them. Embeddings, projections, layer norms, the
-feed-forward sublayer and residual dropout run on those rows alone;
-attention sees the grid, and every dropout draws over the grid's shape,
-so a step draws what the padded computation would.
+that places them, the one record of padding. Embeddings, projections,
+layer norms, the feed-forward sublayer and residual dropout run on
+those rows alone; attention sees the grid and masks the keys its `pad`
+marks, and every dropout draws over the grid's shape, so a step draws
+what the padded computation would.
 
 The heads read only the masked positions, so `vtlm_loss` runs the last
 layer at those rows alone: its queries, residuals and feed-forward
@@ -30,8 +31,8 @@ keys and values still come from every position. That layer's attention
 weights are (B, H, Tq, T).
 
 The same layer, stack and parameter names serve the translation model:
-given a `memory`, a layer adds a cross-attention sublayer over it, which
-is all that tells the decoder apart from the encoder.
+given a `memory`, a layer adds a cross-attention sublayer over it and
+attends causally, which is all that tells the decoder from the encoder.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .errors import ConfigError, DataError
 from .rng import Pcg32
 from .tensor import Tensor
 
-NEG_INF = -1.0e9  # additive mask value; exp() underflows to exactly 0
 N_LANGS = 3  # rows of the language embedding: LANG_L1, LANG_L2, LANG_VIS
 
 
@@ -188,15 +188,14 @@ def tied_logits(params: ParamStore, rows: Tensor, prefix: str = "") -> Tensor:
     return T.linear(rows, T.transpose(emb, (1, 0)), params[f"{prefix}mlm_bias"])
 
 
-def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor,
-              add_mask: np.ndarray | None, n_heads: int, drop, q_grid: T.Grid,
-              kv_grid: T.Grid, collect: list | None = None,
-              cache: dict | None = None) -> Tensor:
+def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor, n_heads: int,
+              drop, q_grid: T.Grid, kv_grid: T.Grid, collect: list | None = None,
+              cache: dict | None = None, causal: bool = False) -> Tensor:
     """Multi-head attention: four `linear` projections of packed rows
-    around `T.attention`, which places them on `q_grid` and `kv_grid`.
-    `add_mask` is broadcast onto the (rows, heads, queries, keys) score
-    logits; `collect`, if given, receives each call's attention weights
-    before dropout, of that shape.
+    around `T.attention`, which places them on `q_grid` and `kv_grid`
+    and masks padded keys, and for `causal` later ones; `collect`, if
+    given, receives each call's (rows, heads, queries, keys) weights
+    before dropout.
 
     `x_kv` may have fewer grid rows than `x_q`: with B key rows and B*k
     query rows, query rows b*k .. b*k+k-1 all attend to key row b (the
@@ -205,8 +204,9 @@ def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor,
     `cache` (a dict, inference only) keeps the grid-shaped (rows,
     positions, d) key and value projections under `prefix` between
     decode steps. Self-attention (`x_kv is x_q`) appends the new
-    positions to them on axis 1; any other attention projects `x_kv` on
-    its first call and re-uses the projection afterwards.
+    positions to them on axis 1, none of them padding; any other
+    attention projects `x_kv` on its first call and re-uses the
+    projection, handed over as every cell of `kv_grid`, `pad` kept.
     """
     if cache is not None and prefix in cache and x_kv is not x_q:
         k, v = cache[prefix]
@@ -221,9 +221,13 @@ def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor,
             k, v = Tensor(k), Tensor(v)
     if cache is not None:
         cache[prefix] = (k, v)
-        kv_grid = None  # the cached arrays are grid-shaped
+        if x_kv is x_q:
+            kv_grid = None  # grid-shaped, every key real
+        else:
+            kv_grid = T.Grid(kv_grid.pad)
+            k, v = (Tensor(a.data.reshape(-1, a.shape[-1])) for a in (k, v))
     q = linear(x_q, params, f"{prefix}.wq", f"{prefix}.bq")
-    ctx, probs = T.attention(q, k, v, add_mask, n_heads, drop, q_grid, kv_grid)
+    ctx, probs = T.attention(q, k, v, n_heads, drop, q_grid, kv_grid, causal)
     if collect is not None:
         collect.append(probs)
     return linear(ctx, params, f"{prefix}.wo", f"{prefix}.bo")
@@ -240,13 +244,13 @@ def select_cache_rows(cache: dict, rows: np.ndarray, memory_rows: np.ndarray) ->
 
 
 def encoder_layer(params: ParamStore, prefix: str, x: Tensor, grid: T.Grid,
-                  add_mask: np.ndarray | None, cfg: EncoderConfig, drop,
-                  collect: list | None = None, memory: Tensor | None = None,
-                  memory_grid: T.Grid | None = None, memory_mask: np.ndarray | None = None,
+                  cfg: EncoderConfig, drop, collect: list | None = None,
+                  memory: Tensor | None = None, memory_grid: T.Grid | None = None,
                   cache: dict | None = None, queries: tuple | None = None) -> Tensor:
     """Post-norm layer on the packed rows `x` of `grid`: self-attention,
     then, given a `memory` (a decoder layer), cross-attention over its
-    packed rows on `memory_grid`, then the feed-forward sublayer.
+    packed rows on `memory_grid`, then the feed-forward sublayer. A
+    decoder layer's self-attention is causal.
     `cache` is passed to both attentions (see `attention`). Residual
     dropout draws over the shape of the queries' grid (`T.dropout`).
 
@@ -262,12 +266,11 @@ def encoder_layer(params: ParamStore, prefix: str, x: Tensor, grid: T.Grid,
         return T.layer_norm(x + T.dropout(y, drop, q_grid),
                             params[f"{prefix}.{norm}.g"], params[f"{prefix}.{norm}.b"])
 
-    x = residual(x_q, attention(params, f"{prefix}.attn", x_q, x, add_mask, cfg.n_heads,
-                                drop, q_grid, grid, collect, cache), "norm1")
+    x = residual(x_q, attention(params, f"{prefix}.attn", x_q, x, cfg.n_heads, drop, q_grid,
+                                grid, collect, cache, causal=memory is not None), "norm1")
     if memory is not None:
-        x = residual(x, attention(params, f"{prefix}.cross_attn", x, memory, memory_mask,
-                                  cfg.n_heads, drop, q_grid, memory_grid, cache=cache),
-                     "norm_cross")
+        x = residual(x, attention(params, f"{prefix}.cross_attn", x, memory, cfg.n_heads,
+                                  drop, q_grid, memory_grid, cache=cache), "norm_cross")
     h = T.gelu(linear(x, params, f"{prefix}.ffn.w1", f"{prefix}.ffn.b1"))
     return residual(x, linear(h, params, f"{prefix}.ffn.w2", f"{prefix}.ffn.b2"), "norm2")
 
@@ -277,7 +280,7 @@ def encoder_layer(params: ParamStore, prefix: str, x: Tensor, grid: T.Grid,
 
 @dataclass
 class EncoderBatch:
-    """Padded text rows, then `num_regions` region slots per row."""
+    """Padded text rows, then o region slots per row (none without `feats`)."""
 
     token_ids: np.ndarray               # (B, Tt) int64, [PAD] after each row
     pos_ids: np.ndarray
@@ -290,10 +293,6 @@ class EncoderBatch:
     @property
     def text_len(self) -> int:
         return self.token_ids.shape[1]
-
-    @property
-    def num_regions(self) -> int:
-        return 0 if self.feats is None else self.feats.shape[1]
 
 
 @dataclass(kw_only=True)
@@ -353,17 +352,6 @@ def check_ids(ids: np.ndarray, size: int, what: str = "token id",
         raise DataError(f"{what} {bad} outside {table} [0, {size})")
 
 
-def key_padding_mask(pad_mask: np.ndarray, num_regions: int) -> np.ndarray:
-    """(B, 1, 1, T) float32 additive mask; region slots are never
-    padding. Added to float64 scores it upcasts to them exactly."""
-    bsz = pad_mask.shape[0]
-    if num_regions:
-        vis = np.zeros((bsz, num_regions), dtype=bool)
-        pad_mask = np.concatenate([pad_mask, vis], axis=1)
-    mask = np.where(pad_mask, NEG_INF, 0.0).astype(np.float32)
-    return mask[:, None, None, :]
-
-
 def embed_inputs(params: ParamStore, cfg: EncoderConfig, token_ids: np.ndarray,
                  pos_ids: np.ndarray, lang_ids: np.ndarray, pad_mask: np.ndarray,
                  feats: np.ndarray | None = None, bboxes: np.ndarray | None = None,
@@ -420,16 +408,14 @@ def embed_inputs(params: ParamStore, cfg: EncoderConfig, token_ids: np.ndarray,
     return T.merge_rows([x, vis], [text_rows, vis_rows]), grid
 
 
-def encode(params: ParamStore, cfg: EncoderConfig, x: Tensor, grid: T.Grid,
-           add_mask: np.ndarray | None, drop,
+def encode(params: ParamStore, cfg: EncoderConfig, x: Tensor, grid: T.Grid, drop,
            collect_attn: list | None = None, prefix: str = "",
            memory: Tensor | None = None, memory_grid: T.Grid | None = None,
-           memory_mask: np.ndarray | None = None,
            cache: dict | None = None, queries: tuple | None = None) -> Tensor:
     """The layer stack on the packed rows `x` of `grid`; `prefix` is ""
     for the pretraining model, "enc." for the encoder of a translation
-    model and "dec." for its decoder, which attends to the packed
-    encoder states `memory` of `memory_grid` under `memory_mask`. An
+    model and "dec." for its decoder, which attends causally to itself
+    and to the packed encoder states `memory` of `memory_grid`. An
     incremental decoder passes one `cache` dict for all its steps: it
     holds every attention's keys and values by parameter prefix.
 
@@ -438,17 +424,16 @@ def encode(params: ParamStore, cfg: EncoderConfig, x: Tensor, grid: T.Grid,
     (B, H, Tq, T)."""
     last = cfg.n_layers - 1
     for i in range(cfg.n_layers):
-        x = encoder_layer(params, f"{prefix}layers.{i}", x, grid, add_mask, cfg, drop,
-                          collect_attn, memory, memory_grid, memory_mask, cache,
-                          queries if i == last else None)
+        x = encoder_layer(params, f"{prefix}layers.{i}", x, grid, cfg, drop, collect_attn,
+                          memory, memory_grid, cache, queries if i == last else None)
     return x
 
 
 def encode_batch(params: ParamStore, cfg: EncoderConfig, batch: EncoderBatch, drop,
                  prefix: str = "",
-                 queries: tuple | None = None) -> tuple[Tensor, T.Grid, np.ndarray]:
-    """The encoder front end: embed → dropout → key mask → layer stack.
-    Returns (packed states, their grid, additive key mask).
+                 queries: tuple | None = None) -> tuple[Tensor, T.Grid]:
+    """The encoder front end: embed → dropout → layer stack. Returns
+    (packed states, their grid), whose `pad` marks the padded keys.
 
     `queries`, a pair (pos, q_grid) of (B, Tq) stream positions and the
     grid of their real cells, makes the last layer compute only the
@@ -457,13 +442,11 @@ def encode_batch(params: ParamStore, cfg: EncoderConfig, batch: EncoderBatch, dr
     x, grid = embed_inputs(params, cfg, batch.token_ids, batch.pos_ids, batch.lang_ids,
                            batch.pad_mask, batch.feats, batch.bboxes, batch.vis_mask, prefix)
     x = T.dropout(x, drop, grid)
-    key_mask = key_padding_mask(batch.pad_mask, batch.num_regions)
     if queries is not None:
         pos, q_grid = queries
         cells = np.arange(len(pos))[:, None] * grid.shape[1] + pos
         queries = (grid.index(q_grid.gather(cells)), q_grid)
-    states = encode(params, cfg, x, grid, key_mask, drop, prefix=prefix, queries=queries)
-    return states, grid, key_mask
+    return encode(params, cfg, x, grid, drop, prefix=prefix, queries=queries), grid
 
 
 @dataclass
@@ -511,7 +494,7 @@ def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
     if not (n_text or n_vis):
         raise DataError("batch has no prediction targets")
     q_grid = T.Grid.of(batch.target_pad)
-    states, _, _ = encode_batch(params, cfg, batch, drop, queries=(batch.target_pos, q_grid))
+    states, _ = encode_batch(params, cfg, batch, drop, queries=(batch.target_pos, q_grid))
 
     terms = []
     mlm_loss_val, mlm_acc, mrc_loss_val, mrc_acc = 0.0, float("nan"), None, None

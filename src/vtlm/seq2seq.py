@@ -4,9 +4,9 @@ Both sides are the pretraining stack itself, run on parameters named
 with the "enc." or "dec." prefix plus the pretraining names: the
 encoder by `model.encode_batch`, the pretraining front end, the
 decoder by `model.embed_inputs` and `model.encode`. The decoder embeds
-text only, attends causally, and passes the encoder states as
-`memory`, which adds a cross-attention sublayer (`cross_attn`,
-`norm_cross`) to every layer.
+text only and passes the encoder states as `memory`, which adds a
+cross-attention sublayer (`cross_attn`, `norm_cross`) to every layer
+and makes its self-attention causal.
 Its output projection is the MLM head: tied to `dec.token_emb`, with
 bias `dec.mlm_bias`.
 
@@ -22,10 +22,10 @@ sequence. Sources are padded and their regions stacked by
 MT parameters live in one dict under "enc." and "dec." prefixes.
 
 Both stacks compute only real positions (packed rows, see `model`):
-`encode_source` returns the packed source rows with the key mask, from
-which the decoder recovers their grid, and `decode_states` returns its
-states on the (B, t) target grid, zero at padding, so that a caller
-reads position t of row b at [b, t].
+`encode_source` returns the packed source rows with their grid, by
+which the decoder masks its padded memory keys, and `decode_states`
+returns its states on the (B, t) target grid, zero at padding, so that
+a caller reads position t of row b at [b, t].
 
 There is one decoder, `beam_search`, and with beam=1 it is greedy. It
 is incremental and batched, as XLM's `generate_beam`: all sentences of
@@ -51,7 +51,6 @@ from .errors import ConfigError, DataError, TransferError
 from .model import (
     EncoderBatch,
     EncoderConfig,
-    NEG_INF,
     ParamStore,
     _zeros,
     add_stack_params,
@@ -59,7 +58,6 @@ from .model import (
     embed_inputs,
     encode,
     encode_batch,
-    key_padding_mask,
     pad_rows,
     select_cache_rows,
     tied_logits,
@@ -170,26 +168,15 @@ def build_target_batch(examples: list[TripletExample], max_len: int = 256) -> Ta
 
 
 def encode_source(params: ParamStore, cfg: EncoderConfig, batch: EncoderBatch, drop, *,
-                  training: bool = True) -> tuple[Tensor, np.ndarray]:
-    """Run the MT encoder; returns (packed states, additive key mask).
-    The states are the real rows of the source grid, which the key mask
-    describes (see `decode_states`). `training=False` discards `drop`: a
-    keyword the benchmark harness passes, which leaves with its change
-    in ROADMAP item 6."""
-    states, _, key_mask = encode_batch(params, cfg, batch, drop if training else None,
-                                       prefix="enc.")
-    return states, key_mask
-
-
-def causal_mask(t: int, dtype, start: int = 0) -> np.ndarray:
-    """(1, 1, t, start + t) additive mask of positions start .. start+t-1
-    over themselves and the `start` positions before them."""
-    mask = np.triu(np.full((t, start + t), NEG_INF, dtype=dtype), k=start + 1)
-    return mask[None, None, :, :]
+                  training: bool = True) -> tuple[Tensor, T.Grid]:
+    """Run the MT encoder: (packed states, source grid), as `decode_states`
+    takes them. `training=False` discards `drop`: a keyword the benchmark
+    harness passes, which leaves with its change in ROADMAP item 6."""
+    return encode_batch(params, cfg, batch, drop if training else None, prefix="enc.")
 
 
 def decode_states(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
-                  enc_key_mask: np.ndarray, tgt_input_ids: np.ndarray, drop,
+                  src_grid: T.Grid, tgt_input_ids: np.ndarray, drop,
                   tgt_pad_mask: np.ndarray | None = None,
                   cache: dict | None = None, start: int = 0, *,
                   training: bool = True) -> Tensor:
@@ -200,15 +187,17 @@ def decode_states(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
 
     Without a cache, `start` is 0 and the ids are the whole prefix
     (teacher forcing). An incremental decoder passes the same `cache`
-    dict at every step: it holds the keys and values of the positions
-    before `start` and receives those of the new ones. `enc_states` are
-    `encode_source`'s packed rows of the source grid whose padding
-    `enc_key_mask` masks; they are read only while the cache holds no
-    cross-attention keys. The key mask may have fewer rows than the
-    ids: B/rows consecutive id rows share one source sentence (see
-    `model.attention`). `training=False` discards `drop`, as in
-    `encode_source`.
+    dict at every step, and no `tgt_pad_mask` (ConfigError): it holds
+    the keys and values of the positions before `start` and receives
+    those of the new ones. `enc_states` are `encode_source`'s packed
+    rows of `src_grid`, whose `pad` masks the memory keys; they are read
+    only while the cache holds no cross-attention keys. The grid may
+    have fewer rows than the ids: B/rows consecutive id rows share one
+    source sentence (see `model.attention`). `training=False` discards
+    `drop`, as in `encode_source`.
     """
+    if cache is not None and tgt_pad_mask is not None:
+        raise ConfigError("an incremental decoder's positions are never padding")
     bsz, t = tgt_input_ids.shape
     pad = np.zeros((bsz, t), dtype=bool) if tgt_pad_mask is None else tgt_pad_mask
     x, grid = embed_inputs(params, cfg, tgt_input_ids,
@@ -216,12 +205,8 @@ def decode_states(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
                            np.full((bsz, t), LANG_L2), pad, prefix="dec.")
     drop = drop if training else None
     x = T.dropout(x, drop, grid)
-    self_mask = causal_mask(t, x.dtype, start)
-    if tgt_pad_mask is not None:
-        self_mask = self_mask + key_padding_mask(tgt_pad_mask, 0)
-    memory_grid = T.Grid.of(enc_key_mask[:, 0, 0, :] != 0.0)  # the key mask is 0 at real keys
-    states = encode(params, cfg, x, grid, self_mask, drop, prefix="dec.", memory=enc_states,
-                    memory_grid=memory_grid, memory_mask=enc_key_mask, cache=cache)
+    states = encode(params, cfg, x, grid, drop, prefix="dec.", memory=enc_states,
+                    memory_grid=src_grid, cache=cache)
     return T.to_grid(states, grid)
 
 
@@ -241,8 +226,8 @@ class MtLossOutput:
 def mt_loss(params: ParamStore, cfg: EncoderConfig, src: EncoderBatch,
             tgt: TargetBatch, drop) -> MtLossOutput:
     """Teacher-forced cross entropy over non-pad target positions."""
-    enc, key_mask = encode_source(params, cfg, src, drop)
-    states = decode_states(params, cfg, enc, key_mask, tgt.input_ids, drop,
+    enc, grid = encode_source(params, cfg, src, drop)
+    states = decode_states(params, cfg, enc, grid, tgt.input_ids, drop,
                            tgt_pad_mask=tgt.pad_mask)
     keep = np.flatnonzero(~tgt.pad_mask.reshape(-1))
     logits = tied_logits(params, T.embedding(states, keep), "dec.")
@@ -266,12 +251,12 @@ class Hypothesis:
 
 
 def step_logprobs(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
-                  enc_key_mask: np.ndarray, tokens: np.ndarray, start: int,
+                  src_grid: T.Grid, tokens: np.ndarray, start: int,
                   cache: dict) -> np.ndarray:
     """One incremental decoder step: feed `tokens` (R,) at position
     `start` and return the (R, V) float64 next-token log-probabilities."""
     with T.no_grad():
-        states = decode_states(params, cfg, enc_states, enc_key_mask, tokens[:, None],
+        states = decode_states(params, cfg, enc_states, src_grid, tokens[:, None],
                                None, cache=cache, start=start)
         logits = output_logits(params, states).data[:, 0, :]
     m = logits.max(axis=1, keepdims=True)
@@ -290,7 +275,7 @@ def _top(scores: np.ndarray, beam: int) -> np.ndarray:
 
 
 def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
-                enc_key_mask: np.ndarray, beam: int, max_len: int) -> list[Hypothesis]:
+                src_grid: T.Grid, beam: int, max_len: int) -> list[Hypothesis]:
     """Beam search for every encoded source sentence at once.
 
     Hypotheses live in (sentences, beam) arrays, with score -inf in an
@@ -300,7 +285,7 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
     finished and leaves its slot empty, so the beam of a sentence
     shrinks until the sentence leaves the batch. Only step 0 reads
     `enc_states`, to fill every decoder layer's cross-attention cache;
-    later steps keep the live rows of the caches and of `enc_key_mask`.
+    later steps keep the live rows of the caches and of `src_grid`.
     At max_len the live hypotheses are force-finished. The result per
     sentence is the finished or forced hypothesis with the highest
     logp / length (its token count, [EOS] included), ties by token
@@ -310,7 +295,7 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
         raise ConfigError("beam must be >= 1")
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    n = len(enc_key_mask)
+    n = src_grid.shape[0]
     sents = np.arange(n)                        # chunk index of each batch row
     logp = np.zeros((n, 1))                     # running log-prob per slot
     hist = np.zeros((n, 1, 0), dtype=np.int64)  # tokens per slot so far
@@ -324,7 +309,7 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
                 Hypothesis(tuple(hist[i, j].tolist()), float(logp[i, j]), finished))
 
     for t in range(max_len):
-        lp = step_logprobs(params, cfg, enc_states, enc_key_mask, tokens, t, cache)
+        lp = step_logprobs(params, cfg, enc_states, src_grid, tokens, t, cache)
         n_live, slots = logp.shape
         vocab = lp.shape[1]
         scores = (logp[:, :, None] + lp.reshape(n_live, slots, vocab)).reshape(n_live, -1)
@@ -342,7 +327,7 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
         keep = np.flatnonzero(np.isfinite(logp).any(axis=1))
         rows = (keep[:, None] * slots + parent[keep]).reshape(-1)
         select_cache_rows(cache, rows, keep)
-        enc_key_mask = enc_key_mask[keep]
+        src_grid = T.Grid.of(src_grid.pad[keep])
         sents, logp, hist, tokens = sents[keep], logp[keep], hist[keep], tok[keep].reshape(-1)
         if not len(keep):
             break
@@ -378,6 +363,6 @@ def translate(params: ParamStore, cfg: EncoderConfig,
     for lo in range(0, n, size):
         src = build_source_batch(examples[lo: lo + size], task, cfg.max_positions)
         with T.no_grad():
-            enc, key_mask = encode_source(params, cfg, src, None)
-        out += beam_search(params, cfg, enc, key_mask, beam, max_len)
+            enc, grid = encode_source(params, cfg, src, None)
+        out += beam_search(params, cfg, enc, grid, beam, max_len)
     return out

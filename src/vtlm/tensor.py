@@ -10,11 +10,12 @@ training step's (rate, stream) pair, or None for no dropout and no draw.
 
 Packed rows: the model's hidden states are (N, d) arrays holding only
 the real rows of a padded (B, T) grid of positions, in row-major order,
-and a `Grid` says which cells they are. Row-wise ops (`linear`,
-`layer_norm`, `gelu`, `add`) therefore never see padding. Only
-`attention` works on the grid: inside its one tape node it scatters its
-packed inputs into zero-padded (B, T, d) arrays, runs the padded
-arithmetic, and returns (and takes gradients for) the real query rows.
+and a `Grid`, the one record of padding, says which cells they are.
+Row-wise ops (`linear`, `layer_norm`, `gelu`, `add`) therefore never see
+padding. Only `attention` works on the grid: inside its one tape node it
+scatters its packed inputs into zero-padded (B, T, d) arrays, masks the
+padded keys, runs the padded arithmetic, and returns (and takes
+gradients for) the real query rows.
 `dropout` given a grid draws its mask over the grid's shape and keeps
 the real rows, so a step draws what it would draw on the padded grid,
 and every real element gets the keep decision it would get there. A
@@ -57,6 +58,7 @@ from .errors import ConfigError, NumericError
 _GRAD_ENABLED = True
 
 LN_EPS = 1e-5
+NEG_INF = -1.0e9  # a masked attention score; exp() underflows to exactly 0
 
 
 @contextmanager
@@ -176,23 +178,22 @@ def topo_order(root: Tensor) -> list[Tensor]:
 class Grid:
     """The real rows of a (B, T) grid of positions.
 
-    A packed (N, ...) array holds one row per real cell, in row-major
-    order; `cells` are their flat indices b*T + t, or None when every
-    cell is real. Such a dense grid's packed array is a reshape of the
-    grid-shaped one, and `scatter` and `gather` are reshape views.
+    `pad` is True at padding. A packed (N, ...) array holds one row per
+    real cell, in row-major order; `cells` are their flat indices
+    b*T + t, or None when every cell is a row: a packed array is then a
+    reshape of the grid-shaped one, and `scatter` and `gather` are
+    reshape views. `Grid(pad)` is that every-cell layout of any grid.
     """
 
-    __slots__ = ("shape", "cells")
+    __slots__ = ("pad", "cells", "shape")
 
-    def __init__(self, shape, cells: np.ndarray | None = None):
-        self.shape = tuple(shape)
-        self.cells = cells
+    def __init__(self, pad: np.ndarray, cells: np.ndarray | None = None):
+        self.pad, self.cells, self.shape = pad, cells, pad.shape
 
     @classmethod
     def of(cls, pad: np.ndarray) -> "Grid":
-        """The grid of a (B, T) pad mask: its real cells are those where
-        `pad` is False."""
-        return cls(pad.shape, np.flatnonzero(~pad) if pad.any() else None)
+        """The grid of a (B, T) pad mask, real where `pad` is False."""
+        return cls(pad, np.flatnonzero(~pad) if pad.any() else None)
 
     def scatter(self, x: np.ndarray) -> np.ndarray:
         """(N, ...) packed rows as a (B, T, ...) array, zero at padding."""
@@ -504,9 +505,9 @@ def _dropout_mask(shape: tuple, dtype, drop) -> np.ndarray | None:
     return np.multiply(keep, dtype.type(1.0 / (1.0 - rate)), dtype=dtype)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray | None,
-              n_heads: int, drop, q_grid: Grid | None = None,
-              kv_grid: Grid | None = None) -> tuple[Tensor, np.ndarray]:
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, drop,
+              q_grid: Grid | None = None, kv_grid: Grid | None = None,
+              causal: bool = False) -> tuple[Tensor, np.ndarray]:
     """Multi-head attention of (rows, positions, d) projections as one
     tape node. Returns (ctx, probs): ctx = dropout(probs) @ v with the
     heads merged to q's shape, and probs, the (key rows, n_heads,
@@ -516,16 +517,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray | None,
     Given `q_grid`, q holds that grid's packed (N, d) rows, and so does
     ctx; given `kv_grid`, k and v hold its packed rows. They are
     scattered into zero-padded grid-shaped arrays for the arithmetic
-    below, and each gradient is gathered back to its input's rows. A
-    zero key row is masked by `add_mask` like any padded key, and a zero
-    query row yields a row of ctx that is dropped, so the real rows of
-    ctx and the gradients have the bits of the grid-shaped computation.
+    below, and each gradient is gathered back to its input's rows. Keys
+    that `kv_grid.pad` marks are masked, and so, if `causal` (k with q's
+    rows, cached keys first), are those after key i + n_keys − n_queries
+    for query i. A padded query row yields a row of ctx that is dropped,
+    so the real rows of ctx and the gradients have the bits of the
+    grid-shaped computation.
 
-    probs = softmax(q kᵀ / √(d / n_heads) + add_mask) over the keys of
-    each head, with dropout as in `dropout`, drawn over probs' shape. The
-    arithmetic is that of matmul, scalar mul, add, softmax, dropout and
-    matmul nodes in their order, so values and gradients have the bits
-    of that composition. Raises NumericError when a score is not finite.
+    probs = softmax(q kᵀ / √(d / n_heads) + mask) over the keys of each
+    head, the mask NEG_INF at masked keys and 0 elsewhere, with dropout
+    as in `dropout`, drawn over probs' shape. The arithmetic is that of
+    matmul, scalar mul, add, softmax, dropout and matmul nodes in their
+    order, so values and gradients have the bits of that composition.
+    Raises NumericError when a score is not finite.
     """
     def on_grid(x, grid):
         return x if grid is None else grid.scatter(x)
@@ -547,8 +551,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray | None,
     qh, kh, vh = split(qd), split(kd), split(vd)
     s = np.matmul(qh, np.swapaxes(kh, -1, -2))
     s *= scale
-    if add_mask is not None:
-        s += add_mask
+    if kv_grid is not None:
+        s += np.where(kv_grid.pad, NEG_INF, 0.0).astype(s.dtype)[:, None, None, :]
+    if causal:  # keys j > i + n_keys - n_queries
+        tq, tk = s.shape[-2:]
+        s += np.triu(np.full((tq, tk), NEG_INF, s.dtype), tk - tq + 1)
     if not np.all(np.isfinite(s)):
         raise NumericError("attention scores contain non-finite values")
     s -= s.max(axis=-1, keepdims=True)

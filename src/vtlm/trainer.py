@@ -224,7 +224,8 @@ def evaluate_pretrain(params: ParamStore, cfg: EncoderConfig, streams,
                       examples, objective: str, policy: MaskPolicy,
                       seed: int, batch_size: int) -> dict:
     """Deterministic masked-prediction metrics on a validation set;
-    ConfigError when `batch_size` is below 1."""
+    ConfigError when `batch_size` is below 1, DataError when there is no
+    masked target to score (no examples, or no maskable token)."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     rng_t = Pcg32(seed).split("val/mask_text")
@@ -243,8 +244,9 @@ def evaluate_pretrain(params: ParamStore, cfg: EncoderConfig, streams,
             tot_correct += out.masked_prediction_accuracy * n
             tot_targets += n
             loss_sum += out.loss.item() * n
-    acc = tot_correct / tot_targets if tot_targets else float("nan")
-    return {"val_acc": acc, "val_loss": loss_sum / max(1, tot_targets)}
+    if not tot_targets:
+        raise DataError("nothing to evaluate: no masked targets")
+    return {"val_acc": tot_correct / tot_targets, "val_loss": loss_sum / tot_targets}
 
 
 def _first_difference(saved: dict, run: dict, prefix: str = "") -> str | None:
@@ -287,10 +289,13 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
     Step k trains on batch k of the seeded epoch order: `step_fn(idx,
     split)` receives the example indices and `split(purpose)`, the
     step's random stream for a purpose, and returns the loss tensor, or
-    None to skip the batch. `eval_fn()` returns the validation metrics,
-    which `history` records per evaluation; the best parameters, copied
-    into a new dict, are those whose `metric` is `better` than every
-    earlier evaluation's (starting from `worst`). `out_dir` receives
+    None to skip the batch. Every `eval_interval` steps and at the last,
+    whether the step trained or skipped its batch or update, `eval_fn()`
+    returns the validation metrics, which `history` records with the
+    step and its `train_loss`: None when the step skipped its batch, as
+    no batch was trained. The best parameters, copied into a new dict,
+    are those whose `metric` is `better` than every earlier
+    evaluation's (starting from `worst`). `out_dir` receives
     last.ckpt and best.ckpt when the loop ends (header fields in the
     module docstring); resuming from a last.ckpt continues the run bit
     for bit (one that runs no step keeps its metrics), and takes the
@@ -347,18 +352,18 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
         for p in params.values():
             p.grad = None
         loss = step_fn(idx, lambda purpose, step=step: root.split(f"{purpose}/{step}"))
-        if loss is None:
-            continue
-        if not math.isfinite(loss.item()):
-            log.error("loss diverged at step %d; aborting", step)
-            diverged = True
-            break
-        loss.backward()
-        # a skipped update still evaluates: the schedule is by step
-        adam_step(params, adam, tcfg.lr)
+        if loss is not None:
+            if not math.isfinite(loss.item()):
+                log.error("loss diverged at step %d; aborting", step)
+                diverged = True
+                break
+            loss.backward()
+            adam_step(params, adam, tcfg.lr)
+        # a skipped batch or update still evaluates: the schedule is by step
         if step % tcfg.eval_interval == 0 or step == tcfg.max_steps:
             val = eval_fn()
-            history.append({"step": step, "train_loss": loss.item(), **val})
+            history.append({"step": step,
+                            "train_loss": None if loss is None else loss.item(), **val})
             last_metrics = val
             if better(val[metric], best_metric):
                 best_metric = val[metric]
@@ -417,7 +422,8 @@ def train_pretrain(train_data, valid_data, params: ParamStore,
 def evaluate_mt(params: ParamStore, cfg: EncoderConfig, examples, task: str,
                 batch_size: int) -> float:
     """Teacher-forced validation perplexity, text within
-    `cfg.max_positions`; ConfigError when `batch_size` is below 1."""
+    `cfg.max_positions`; ConfigError when `batch_size` is below 1,
+    DataError when there are no examples."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     nll_sum, n_tok = 0.0, 0
@@ -429,7 +435,9 @@ def evaluate_mt(params: ParamStore, cfg: EncoderConfig, examples, task: str,
             out = mt_loss(params, cfg, src, tgt, None)
             nll_sum += out.nll * out.n_tokens
             n_tok += out.n_tokens
-    return math.exp(nll_sum / max(1, n_tok))
+    if not n_tok:
+        raise DataError("nothing to evaluate: no examples")
+    return math.exp(nll_sum / n_tok)
 
 
 def train_mt(train_data, valid_data, params: ParamStore, cfg: EncoderConfig,

@@ -148,7 +148,7 @@ def target_triples(batch) -> np.ndarray:
 def full_row_vtlm_loss(params, cfg, batch, drop) -> LossOutput:
     """`model.vtlm_loss` as it was before its last layer was pruned: the
     whole stack at every row, then the target rows gathered."""
-    states, grid, _ = encode_batch(params, cfg, batch, drop)
+    states, grid = encode_batch(params, cfg, batch, drop)
     ex, pos, ids = target_triples(batch).T
     rows = grid.index(ex * grid.shape[1] + pos)
     is_text = pos < batch.text_len
@@ -187,11 +187,19 @@ def assert_grads_close(got: dict, ref: dict, rel: float = 1e-6) -> None:
 
 @contextmanager
 def every_cell_layout():
-    """Inside the block every cell of a grid is a real row: `Grid.of`
-    ignores padding, so the model computes each padded position, as a
-    padded (B, T) computation does. Packed rows are checked against it."""
+    """Inside the block every cell of a grid is a row: `Grid.of` gives
+    the real grid with `cells` None, its `pad` kept, so the model
+    computes each padded position, as a padded (B, T) computation does,
+    while attention still masks the padded keys. Packed rows are checked
+    against it."""
     of = T.Grid.__dict__["of"]
-    T.Grid.of = classmethod(lambda cls, pad: cls(pad.shape))
+
+    def every_cell(cls, pad):
+        grid = of.__func__(cls, pad)
+        grid.cells = None
+        return grid
+
+    T.Grid.of = classmethod(every_cell)
     try:
         yield
     finally:

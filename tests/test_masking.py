@@ -223,7 +223,7 @@ class TestBatchAssembly:
         feats, bboxes = self._regions(examples)
         vsel = {(int(b), int(pos) - batch.text_len) for b, pos, _ in vis}
         for b in range(len(batch.token_ids)):
-            for slot in range(batch.num_regions):
+            for slot in range(batch.feats.shape[1]):
                 if (b, slot) not in vsel:
                     assert not batch.vis_mask[b, slot]
                     assert np.array_equal(batch.feats[b, slot], feats[b, slot])
@@ -279,7 +279,7 @@ class TestBatchAssembly:
         root = Pcg32(1)
         batch = build_masked_batch(examples, TLM, MaskPolicy(), 500,
                                    root.split("t"), root.split("v"))
-        assert batch.num_regions == 0 and batch.feats is None
+        assert batch.feats is None and batch.bboxes is None
         assert np.all(batch.target_pos < batch.text_len)
 
     def test_padding_marks_short_examples(self):
@@ -301,7 +301,7 @@ class TestBatchAssembly:
         with pytest.raises(DataError, match=f"{len(a.labels)} and {len(b.labels)} regions"):
             build_masked_batch([a, b], VTLM, MaskPolicy(), 500, root.split("t"), root.split("v"))
         tlm = build_masked_batch([a, b], TLM, MaskPolicy(), 500, root.split("t"), root.split("v"))
-        assert tlm.num_regions == 0
+        assert tlm.feats is None
 
 
 class TestSelectionStatistics:

@@ -33,7 +33,6 @@ from vtlm.model import (
     embed_inputs,
     encode,
     init_encoder_params,
-    key_padding_mask,
     linear,
     pad_rows,
     vtlm_loss,
@@ -73,8 +72,7 @@ def embed(params, cfg, batch):
 def encode_grid(params, cfg, batch, drop=None, **kw):
     """The stack's states of a batch, grid-shaped, zero at padding."""
     x, grid = embed(params, cfg, batch)
-    mask = key_padding_mask(batch.pad_mask, batch.num_regions)
-    return grid.scatter(encode(params, cfg, x, grid, mask, drop, **kw).data)
+    return grid.scatter(encode(params, cfg, x, grid, drop, **kw).data)
 
 
 def uncorrupt_regions(batch, examples):
@@ -144,8 +142,7 @@ class TestEncode:
             assert np.all(np.abs(probs.sum(axis=-1) - 1.0) < 1e-5)
             # padded keys receive zero attention from every query
             pad_cols = np.concatenate(
-                [batch.pad_mask,
-                 np.zeros((len(batch.token_ids), batch.num_regions), bool)], axis=1)
+                [batch.pad_mask, np.zeros(batch.vis_mask.shape, bool)], axis=1)
             for b in range(len(batch.token_ids)):
                 assert np.all(probs[b, :, :, pad_cols[b]] == 0.0)
 
@@ -177,14 +174,13 @@ class TestEncode:
         cfg = desk_cfg(vocab)
         params = init_encoder_params(cfg, Pcg32(1).split("init"))
         x, grid = embed(params, cfg, batch)
-        mask = key_padding_mask(batch.pad_mask, batch.num_regions)
-        full = encode(params, cfg, x, grid, mask, None).data
+        full = encode(params, cfg, x, grid, None).data
         total_len = grid.shape[1]
         cells = np.array([0, 5, total_len - 1, total_len + 2,
                           2 * total_len + 1, 2 * total_len + 9, 2 * total_len])
         q_pad = np.array([[False, False, False], [False, True, True], [False, False, False]])
         collected = []
-        rows = encode(params, cfg, x, grid, mask, None, collect_attn=collected,
+        rows = encode(params, cfg, x, grid, None, collect_attn=collected,
                       queries=(grid.index(cells), T.Grid.of(q_pad))).data
         assert rows.shape == (7, cfg.d_model)
         assert np.allclose(rows, full[grid.index(cells)], atol=1e-6)
@@ -196,7 +192,7 @@ class TestEncode:
                                  d_model=16, ffn_dim=32, n_layers=1, n_heads=2)
         params = init_encoder_params(cfg, Pcg32(0).split("init"))
         x = T.Tensor(np.zeros((1, 16), dtype=np.float32))
-        out = encode(params, cfg, x, T.Grid((1, 1)), None, None)
+        out = encode(params, cfg, x, T.Grid(np.zeros((1, 1), bool)), None)
         assert out.shape == (1, 16)
 
 
@@ -478,8 +474,8 @@ def test_self_attention_is_four_linears_and_one_attention_node():
     params = {}
     add_layer_params(params, "l", 8, 16, Pcg32(3))
     x = T.Tensor(Pcg32(4).normal((10, 8), dtype=np.float32), requires_grad=True)
-    grid = T.Grid((2, 5))
-    out = attention(params, "l.attn", x, x, None, 2, None, grid, grid)
+    grid = T.Grid(np.zeros((2, 5), bool))
+    out = attention(params, "l.attn", x, x, 2, None, grid, grid)
     assert out.shape == (10, 8)
     order = T.topo_order(out)
     assert len(order) == 14

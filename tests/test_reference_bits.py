@@ -15,7 +15,7 @@ from vtlm import tensor as T
 from vtlm.errors import NumericError
 from vtlm.masking import (MASK_EMBED, SUBSTITUTE, TLM, VTLM, MaskPolicy, build_masked_batch,
                           mask_visual)
-from vtlm.model import EncoderConfig, init_encoder_params, key_padding_mask, vtlm_loss
+from vtlm.model import EncoderConfig, init_encoder_params, vtlm_loss
 from vtlm.rng import BLOCK, Pcg32
 from vtlm.seq2seq import (MMT, build_source_batch, build_target_batch, init_mt_params, mt_loss,
                           translate)
@@ -353,17 +353,25 @@ def reference_scale(a, b):
     return T._make(data, (a,), bw)
 
 
-def reference_attention(q, k, v, add_mask, n_heads, drop, q_grid=None, kv_grid=None):
+def reference_attention(q, k, v, n_heads, drop, q_grid=None, kv_grid=None, causal=False):
     """Unfused multi-head attention: reshape and transpose nodes split
     the heads, then matmul, transpose, scalar mul, add, softmax, dropout
     and matmul nodes, and transpose and reshape nodes merge them. Packed
-    rows go through scatter nodes before and a gather node after."""
+    rows go through scatter nodes before and a gather node after.
+
+    The add node adds the mask as the model once built it and handed it
+    over: a float32 (rows, 1, 1, keys) key-padding mask, NEG_INF where
+    `kv_grid.pad` is set, and for `causal` a triangle in the scores'
+    dtype, NEG_INF at each query's later keys, with the key mask added
+    to it."""
     if q_grid is not None:
-        ctx, probs = reference_attention(reference_scatter(q, q_grid), k, v, add_mask,
-                                         n_heads, drop, None, kv_grid)
+        ctx, probs = reference_attention(reference_scatter(q, q_grid), k, v, n_heads, drop,
+                                         None, kv_grid, causal)
         return reference_gather(ctx, q_grid), probs
+    add_mask = None
     if kv_grid is not None:
         k, v = reference_scatter(k, kv_grid), reference_scatter(v, kv_grid)
+        add_mask = np.where(kv_grid.pad, T.NEG_INF, 0.0).astype(np.float32)[:, None, None, :]
     rows, _, d = k.shape
     hd = d // n_heads
 
@@ -372,6 +380,10 @@ def reference_attention(q, k, v, add_mask, n_heads, drop, q_grid=None, kv_grid=N
 
     qh, kh, vh = split(q), split(k), split(v)
     scores = reference_scale(matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
+    if causal:
+        tq, tk = scores.shape[-2:]
+        tri = np.triu(np.full((tq, tk), T.NEG_INF, dtype=scores.dtype), k=tk - tq + 1)
+        add_mask = tri[None, None] if add_mask is None else tri[None, None] + add_mask
     if add_mask is not None:
         scores = scores + add_mask
     probs = reference_softmax(scores, axis=-1)
@@ -379,37 +391,42 @@ def reference_attention(q, k, v, add_mask, n_heads, drop, q_grid=None, kv_grid=N
     return reshape(T.transpose(ctx, (0, 2, 1, 3)), q.shape), probs.data
 
 
-def _attention_and_reference(beam, rate, dtype, packed=False):
+def _attention_and_reference(beam, rate, dtype, packed=False, causal=False):
     """T.attention and reference_attention on 3 key rows and 3 * beam
     query rows: ctx, probs and the q, k and v gradients of each, through
     projections that are tape nodes (their gradients handed over).
     `packed` passes q, k and v as the real rows of their grids, which
-    the padding of keys and (for beam 1) queries leaves out."""
+    the padding of keys and (for beam 1) queries leaves out; otherwise q
+    is grid-shaped and k and v are every cell of their grid, the
+    padding still marked in its `pad`."""
     rng = Pcg32(12)
     shape = (3, 7, 8)  # (rows, positions, d), 2 heads of 4
     q0 = rng.normal((3 * beam,) + shape[1:], dtype=dtype) * 2
     k0, v0 = (rng.normal(shape, dtype=dtype) * 2 for _ in range(2))
     pad = np.zeros((3, 7), dtype=bool)
     pad[1, 5:] = pad[2, 3:] = True
-    add_mask = key_padding_mask(pad, 0)  # float32, exact in float64 scores too
-    grids = (None, None)
+    grids = (None, T.Grid(pad))
+    k0, v0 = k0.reshape(-1, shape[2]), v0.reshape(-1, shape[2])
     if packed:
         grids = (T.Grid.of(pad if beam == 1 else np.zeros(q0.shape[:2], dtype=bool)),
                  T.Grid.of(pad))
         q0 = grids[0].gather(q0)
-        k0, v0 = grids[1].gather(k0), grids[1].gather(v0)
+        k0, v0 = k0[grids[1].cells], v0[grids[1].cells]
     w = rng.normal(q0.shape, dtype=dtype)
     results = []
     for fn in (T.attention, reference_attention):
         leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0)]
         q, k, v = (T.mul(x, T.Tensor(np.ones_like(x.data))) for x in leaves)
-        ctx, probs = fn(q, k, v, add_mask, 2, (rate, Pcg32(8).split("dropout")), *grids)
+        ctx, probs = fn(q, k, v, 2, (rate, Pcg32(8).split("dropout")), *grids, causal)
         tsum(T.mul(ctx, T.Tensor(w))).backward()
         results.append((ctx.data, probs, *(x.grad for x in leaves)))
     got, expect = results
     assert got[0].shape == q0.shape
     assert got[1].shape == (3, 2, 7 * beam, 7)
     assert np.all(got[1][1, :, :, 5:] == 0.0)  # padded keys get no weight
+    if causal:  # nor does a later key
+        assert np.all(np.triu(got[1], k=1) == 0.0)
+        assert np.all((got[1][0] > 0.0) == np.tri(7, dtype=bool))  # row 0 has no padding
     for a, b in zip(got, expect):
         assert a.dtype == b.dtype == dtype
         assert a.tobytes() == b.tobytes()
@@ -436,6 +453,15 @@ def test_packed_attention_equals_reference(beam, rate, dtype):
     """q, k and v as packed rows: padded queries (beam 1) and keys are
     left out of them, and scattered into the grid inside the node."""
     _attention_and_reference(beam, rate, dtype, packed=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+@pytest.mark.parametrize("packed", [False, True])
+def test_causal_attention_equals_reference(packed, rate, dtype):
+    """A decoder's self-attention: the causal triangle and the key
+    padding against their sum added to the scores."""
+    _attention_and_reference(1, rate, dtype, packed=packed, causal=True)
 
 
 def reference_resolve(feats, bboxes, directives, substitutes):
@@ -552,7 +578,7 @@ def test_pruned_loss_equals_full_row_reference(mode, desk_corpus):
     batch = build_masked_batch(desk_corpus.train, mode, MaskPolicy(), cfg.vocab_size,
                                root.split("mask_text"), root.split("mask_visual"))
     assert len(batch.token_ids) == 64 and cfg.d_model == 64
-    assert batch.num_regions == (8 if mode == VTLM else 0)
+    assert (0 if batch.feats is None else batch.feats.shape[1]) == (8 if mode == VTLM else 0)
 
     got = vtlm_loss(params, cfg, batch, None)
     ref = full_row_vtlm_loss(params, cfg, batch, None)

@@ -78,8 +78,8 @@ def teacher_forced_logp(params, cfg, examples, task, hyps):
         pad[b, : len(h.tokens)] = False
     src = build_source_batch(examples, task, cfg.max_positions)
     with T.no_grad():
-        enc, key_mask = encode_source(params, cfg, src, None)
-        states = decode_states(params, cfg, enc, key_mask, inputs, None, tgt_pad_mask=pad)
+        enc, grid = encode_source(params, cfg, src, None)
+        states = decode_states(params, cfg, enc, grid, inputs, None, tgt_pad_mask=pad)
         logits = output_logits(params, states).data.astype(np.float64)
     lp = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
     return np.array([sum(lp[b, i, tok] for i, tok in enumerate(h.tokens))
@@ -98,20 +98,20 @@ def test_beam_one_is_greedy(task, init_seed, fitted):
     assert len({len(h.tokens) for h in hyps}) > 1
     src = build_source_batch(examples, task, cfg.max_positions)
     with T.no_grad():
-        enc, key_mask = encode_source(params, cfg, src, None)
+        enc, grid = encode_source(params, cfg, src, None)
     cache: dict = {}
     live = np.arange(len(examples))
     tokens = np.full(len(examples), BOS, dtype=np.int64)
     logp = [0.0] * len(examples)
     for t in range(max(len(h.tokens) for h in hyps)):
-        lp = step_logprobs(params, cfg, enc, key_mask, tokens, t, cache)
+        lp = step_logprobs(params, cfg, enc, grid, tokens, t, cache)
         for row, i in enumerate(live):
             tok = hyps[i].tokens[t]
             assert tok == int(lp[row].argmax())
             logp[i] += float(lp[row, tok])
         keep = np.flatnonzero([len(hyps[i].tokens) > t + 1 for i in live])
         select_cache_rows(cache, keep, keep)
-        live, key_mask = live[keep], key_mask[keep]  # enc is read at step 0 only
+        live, grid = live[keep], T.Grid.of(grid.pad[keep])  # enc is read at step 0 only
         tokens = np.array([hyps[i].tokens[t] for i in live], dtype=np.int64)
     for hyp, want in zip(hyps, logp):
         assert hyp.logp == want
@@ -206,7 +206,7 @@ def test_mixed_region_counts_raise_data_error(corpus):
     b = replace(b, feats=b.feats[:-1], bboxes=b.bboxes[:-1], labels=b.labels[:-1])
     with pytest.raises(DataError, match=f"{len(a.labels)} and {len(b.labels)} regions"):
         build_source_batch([a, b], MMT)
-    assert build_source_batch([a, b], NMT).num_regions == 0
+    assert build_source_batch([a, b], NMT).feats is None
 
 
 @pytest.mark.parametrize("build", [
@@ -265,9 +265,9 @@ def test_positions_past_max_positions_raise_config_error(corpus):
         with pytest.raises(ConfigError, match=f"position {top} >= max_positions 64"):
             mt_loss(params, cfg, src, tgt, None)
     src = build_source_batch([ex], MMT, cfg.max_positions)
-    enc, key_mask = encode_source(params, cfg, src, None)
+    enc, grid = encode_source(params, cfg, src, None)
     with pytest.raises(ConfigError, match="position 64 >= max_positions 64"):
-        decode_states(params, cfg, enc, key_mask, np.full((1, 1), BOS), None,
+        decode_states(params, cfg, enc, grid, np.full((1, 1), BOS), None,
                       cache={}, start=cfg.max_positions)
 
 
@@ -327,10 +327,10 @@ def test_decoder_is_causal(task, corpus):
     examples = corpus.train[:3]
     src = build_source_batch(examples, task, cfg.max_positions)
     tgt = build_target_batch(examples, cfg.max_positions)
-    enc, key_mask = encode_source(params, cfg, src, None)
+    enc, grid = encode_source(params, cfg, src, None)
 
     def run(ids):
-        return decode_states(params, cfg, enc, key_mask, ids, None,
+        return decode_states(params, cfg, enc, grid, ids, None,
                              tgt_pad_mask=tgt.pad_mask).data
 
     base = run(tgt.input_ids)
@@ -398,9 +398,9 @@ def test_max_len_below_one_raises_config_error(max_len, corpus):
     with pytest.raises(ConfigError, match=f"max_len must be >= 1, got {max_len}"):
         build_target_batch(corpus.test[:2], max_len)
     src = build_source_batch(corpus.test[:2], MMT, cfg.max_positions)
-    enc, key_mask = encode_source(params, cfg, src, None)
+    enc, grid = encode_source(params, cfg, src, None)
     with pytest.raises(ConfigError, match="max_len must be >= 1"):
-        seq2seq.beam_search(params, cfg, enc, key_mask, 2, max_len)
+        seq2seq.beam_search(params, cfg, enc, grid, 2, max_len)
 
 
 @pytest.mark.parametrize("bad", [-1, None])
@@ -428,15 +428,15 @@ def test_training_false_discards_drop(drop, corpus):
     rng = Pcg32(0)
     given = rng if drop == "stream" else (0.3, rng)
     with T.no_grad():
-        enc, key_mask = encode_source(params, cfg, src, given, training=False)
-        states = decode_states(params, cfg, enc, key_mask, tgt.input_ids, given,
+        enc, grid = encode_source(params, cfg, src, given, training=False)
+        states = decode_states(params, cfg, enc, grid, tgt.input_ids, given,
                                training=False, tgt_pad_mask=tgt.pad_mask)
-        enc0, key_mask0 = encode_source(params, cfg, src, None)
-        states0 = decode_states(params, cfg, enc0, key_mask0, tgt.input_ids, None,
+        enc0, grid0 = encode_source(params, cfg, src, None)
+        states0 = decode_states(params, cfg, enc0, grid0, tgt.input_ids, None,
                                 tgt_pad_mask=tgt.pad_mask)
     assert draws_left(rng, 0)
     assert enc.data.tobytes() == enc0.data.tobytes()
-    assert np.array_equal(key_mask, key_mask0)
+    assert np.array_equal(grid.pad, grid0.pad) and np.array_equal(grid.cells, grid0.cells)
     assert states.data.tobytes() == states0.data.tobytes()
 
 
@@ -454,3 +454,15 @@ def test_rate_zero_forward_equals_no_dropout(corpus):
     assert got.loss.data.tobytes() == want.loss.data.tobytes()
     mt_loss(params, cfg, src, tgt, (0.1, rng))
     assert not draws_left(rng, 7)
+
+
+def test_incremental_decoder_takes_no_target_padding(corpus):
+    """A cached decoder's own keys are never masked, so a pad mask with a
+    cache is refused rather than ignored."""
+    cfg = tiny_cfg(corpus)
+    params = init_mt_params(cfg, Pcg32(0).split("init"))
+    src = build_source_batch(corpus.train[:2], MMT, cfg.max_positions)
+    enc, grid = encode_source(params, cfg, src, None)
+    with pytest.raises(ConfigError, match="never padding"):
+        decode_states(params, cfg, enc, grid, np.full((2, 1), BOS), None,
+                      tgt_pad_mask=np.zeros((2, 1), bool), cache={})

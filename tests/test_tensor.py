@@ -16,11 +16,11 @@ def t(data, rg=False, dtype=None):
 
 
 def attention_weights(scores, dtype=None):
-    """T.attention's probs for one query whose scores are `scores`: zero
-    queries and keys of one head, the scores given as the additive mask."""
-    row = np.asarray(scores, dtype=dtype or np.float32)[None, :]
-    zeros = t(np.zeros((1, row.size, 1)), dtype=row.dtype)
-    _, probs = T.attention(t(np.zeros((1, 1, 1)), dtype=row.dtype), zeros, zeros, row, 1, None)
+    """T.attention's probs for one query whose scores are `scores`: one
+    head of width 1, the query 1 and the keys the scores."""
+    keys = t(np.asarray(scores, dtype=dtype or np.float32)[None, :, None])
+    ones = t(np.ones((1, 1, 1)), dtype=keys.dtype)
+    _, probs = T.attention(ones, keys, keys, 1, None)
     return probs[0, 0, 0]
 
 
@@ -52,6 +52,44 @@ class TestSoftmax:
         out = attention_weights(row, dtype=np.float64)
         assert out.min() >= 0
         assert abs(out.sum() - 1.0) < 1e-6
+
+
+class TestAttentionMask:
+    """T.attention learns which keys are padding from `kv_grid.pad` alone."""
+
+    PAD = np.array([[False, False, False, True], [False, True, True, True]])
+
+    def _attend(self, packed):
+        rng = Pcg32(6)
+        q = rng.normal((2, 3, 4), dtype=np.float32)
+        kv = rng.normal((2, 4, 4), dtype=np.float32)
+        if packed:
+            grid = T.Grid.of(self.PAD)
+            kv = grid.gather(kv)
+        else:  # every cell a row, as the decoder caches them; padding holds large values
+            grid = T.Grid(self.PAD)
+            kv[self.PAD] = 1e4
+            kv = kv.reshape(-1, 4)
+        return T.attention(t(q), t(kv), t(kv), 2, None, kv_grid=grid)
+
+    def test_padded_keys_get_zero_weight(self):
+        for packed in (True, False):
+            _, probs = self._attend(packed)
+            by_key = probs.transpose(0, 3, 1, 2)  # (rows, keys, heads, queries)
+            assert np.all(by_key[self.PAD] == 0.0) and np.all(by_key[~self.PAD] > 0.0)
+
+    def test_padding_values_do_not_reach_the_output(self):
+        (packed, p_probs), (every_cell, e_probs) = self._attend(True), self._attend(False)
+        assert packed.data.tobytes() == every_cell.data.tobytes()
+        assert p_probs.tobytes() == e_probs.tobytes()
+
+    def test_causal_masks_exactly_the_later_keys(self):
+        """Two queries after three cached keys: query i sees keys 0 .. 3 + i."""
+        rng = Pcg32(7)
+        q, kv = rng.normal((2, 2, 4), dtype=np.float32), rng.normal((2, 5, 4), dtype=np.float32)
+        _, probs = T.attention(t(q), t(kv), t(kv), 2, None, causal=True)
+        assert probs.shape == (2, 2, 2, 5)
+        assert np.all((probs > 0.0) == np.tri(2, 5, 3, dtype=bool))
 
 
 class TestGelu:
@@ -207,13 +245,15 @@ class TestGradientsAgainstFiniteDifferences:
         assert _fd_check(lambda: tsum(T.mul(T.add(x, b), T.add(x, b))), [x, b]) < 1e-6
 
     def _attention_check(self, rate):
-        q, k, v = (self._randn((2, 5, 6), scale=2.0) for _ in range(3))
+        q = self._randn((2, 5, 6), scale=2.0)
+        k, v = (self._randn((10, 6), scale=2.0) for _ in range(2))  # packed rows of `grid`
         w = self.rng.normal((2, 5, 6), dtype=np.float64)
-        add_mask = np.zeros((2, 1, 1, 5))
-        add_mask[1, ..., 3:] = -1e9
+        pad = np.zeros((2, 5), dtype=bool)
+        pad[1, 3:] = True
+        grid = T.Grid(pad)  # every cell a row, the last two keys of row 1 padding
 
         def build():
-            ctx, _ = T.attention(q, k, v, add_mask, 2, (rate, Pcg32(123)))
+            ctx, _ = T.attention(q, k, v, 2, (rate, Pcg32(123)), kv_grid=grid)
             return tsum(T.mul(ctx, T.Tensor(w)))
 
         return _fd_check(build, [q, k, v], n=36)

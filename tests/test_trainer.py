@@ -141,25 +141,57 @@ def test_region_label_outside_label_vocabulary_raises_data_error(corpus, tmp_pat
 
 @pytest.mark.parametrize("phase", sorted(PHASES))
 def test_skipped_update_still_evaluates(phase, corpus, tmp_path, monkeypatch):
-    real_adam_step = trainer.adam_step
-    calls = []
+    """The schedule is by step: step 2 skips its update and step 4 its
+    batch (the step's loss function returns None), and both evaluate;
+    step 4's history entry records no train loss."""
+    real_adam_step, real_fit = trainer.adam_step, trainer._fit
+    calls, batches = [], []
 
-    def skip_step_4(params, state, lr, **kw):
+    def skip_update_2(params, state, lr, **kw):
         calls.append(lr)
-        if len(calls) == 4:
+        if len(calls) == 2:
             state.skipped += 1
             return False
         return real_adam_step(params, state, lr, **kw)
 
-    monkeypatch.setattr(trainer, "adam_step", skip_step_4)
+    def skip_batch_4(params, cfg, tcfg, n, step_fn, *args):
+        def step_or_skip(idx, split):
+            batches.append(idx)
+            return None if len(batches) == 4 else step_fn(idx, split)
+
+        return real_fit(params, cfg, tcfg, n, step_or_skip, *args)
+
+    monkeypatch.setattr(trainer, "adam_step", skip_update_2)
+    monkeypatch.setattr(trainer, "_fit", skip_batch_4)
     cfg = tiny_cfg(corpus)
     _, result = train(phase, cfg, corpus.train, corpus.valid, 4, str(tmp_path))
-    assert len(calls) == 4
+    assert len(batches) == 4 and len(calls) == 3
     assert [h["step"] for h in result.history] == [2, 4]
+    assert math.isfinite(result.history[0]["train_loss"])
+    assert result.history[1]["train_loss"] is None
     header, _ = load_checkpoint(os.path.join(tmp_path, "last.ckpt"))
-    assert header["adam_skipped"] == 1
+    assert header["step"] == 4 and header["adam_skipped"] == 1
     metric = PHASES[phase][2]
     assert header["metrics"][metric] == result.history[-1][metric]
+
+
+@pytest.mark.parametrize("phase, case", [("pretrain", "no_examples"),
+                                         ("pretrain", "no_maskable_token"),
+                                         ("mt", "no_examples")])
+def test_evaluating_nothing_raises_data_error(phase, case, corpus):
+    """No perfect score from nothing: an MT perplexity of 1.0 over no
+    examples, or a pretraining `val_loss` of 0.0 over no masked target.
+    (Every MT example has a target token, its [EOS].)"""
+    cfg = tiny_cfg(corpus)
+    params = PHASES[phase][0](cfg, Pcg32(5).split("init"))
+    examples = [] if case == "no_examples" else [
+        dataclasses.replace(ex, src_tokens=[], tgt_tokens=[]) for ex in corpus.valid[:3]]
+    with pytest.raises(DataError, match="nothing to evaluate"):
+        if phase == "pretrain":
+            streams = [build_stream(ex, VTLM) for ex in examples]
+            trainer.evaluate_pretrain(params, cfg, streams, examples, VTLM, MaskPolicy(), 1, 8)
+        else:
+            trainer.evaluate_mt(params, cfg, examples, MMT, 8)
 
 
 @pytest.mark.parametrize("phase", sorted(PHASES))
@@ -253,7 +285,7 @@ def test_dropout_rate_outside_unit_interval_raises(rate):
     with pytest.raises(ConfigError):
         T.dropout(x, (rate, Pcg32(1)))
     with pytest.raises(ConfigError):
-        T.attention(x, x, x, None, 1, (rate, Pcg32(1)))
+        T.attention(x, x, x, 1, (rate, Pcg32(1)))
     with pytest.raises(ConfigError):
         trainer.TrainConfig.for_phase("pretrain", dropout=rate)
     with pytest.raises(TypeError, match="dropout"):
