@@ -30,6 +30,7 @@ closing a segment carries that segment's language id):
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ KEEP_FRAC = 0.10
 
 def round_count(x: float) -> int:
     """round-half-up, platform independent."""
-    return int(np.floor(x + 0.5))
+    return math.floor(x + 0.5)
 
 
 @dataclass(frozen=True)
@@ -119,25 +120,42 @@ def select_count(ratio: float, n_eligible: int) -> int:
     return max(1, round_count(ratio * n_eligible))
 
 
-def mask_text(token_ids: np.ndarray, rng: Pcg32,
-              vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Corrupt one stream's text part; returns (masked ids, selected
-    positions in ascending order), no positions when none is eligible."""
-    eligible = eligible_positions(token_ids)
-    masked = token_ids.copy()
-    n_sel = select_count(SELECT_RATIO, len(eligible))
-    if n_sel == 0:
-        log.warning("no eligible tokens to mask; example skipped")
-        return masked, eligible
-    chosen = eligible[rng.choose(len(eligible), n_sel)]
-    for pos in chosen:
-        u = rng.uniform()
-        if u < MASK_FRAC:
-            masked[pos] = bpe.MASK
-        elif u < MASK_FRAC + RANDOM_FRAC:
-            masked[pos] = NUM_RESERVED + rng.randint(vocab_size - NUM_RESERVED)
-        # else: left intact
-    return masked, np.sort(chosen)
+def mask_text(rows: list[np.ndarray], rng: Pcg32,
+              vocab_size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Corrupt the text of a batch of streams; returns (masked ids,
+    selected positions in ascending order) per row, no positions for a
+    row with nothing eligible.
+
+    Three bulk draws serve the whole batch: one u32 key per eligible
+    position, of which each row selects its `select_count` lowest (ties
+    by position); one uniform per selected position, in row then
+    position order, that picks [MASK], a random token or the token
+    itself; and one `randint` per random replacement, in the same order.
+    """
+    if not rows:
+        return [], []
+    lengths = np.array([len(r) for r in rows])
+    masked = np.concatenate(rows)
+    row_of = np.repeat(np.arange(len(rows)), lengths)
+    eligible = eligible_positions(masked)
+    per_row = np.bincount(row_of[eligible], minlength=len(rows))
+    if np.any(per_row == 0):
+        log.warning("%d example(s) with no eligible tokens to mask; skipped",
+                    np.count_nonzero(per_row == 0))
+    n_sel = np.array([select_count(SELECT_RATIO, k) for k in per_row.tolist()], dtype=np.int64)
+    # each row's eligible positions by ascending key: the first n_sel win
+    by_key = np.lexsort((rng.u32(len(eligible)), row_of[eligible]))
+    rank = np.empty(len(eligible), dtype=np.int64)
+    rank[by_key] = np.arange(len(eligible)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    chosen = eligible[rank < np.repeat(n_sel, per_row)]
+    u = rng.uniform(len(chosen))
+    masked[chosen[u < MASK_FRAC]] = bpe.MASK
+    replace = chosen[(u >= MASK_FRAC) & (u < MASK_FRAC + RANDOM_FRAC)]
+    masked[replace] = NUM_RESERVED + rng.randint(vocab_size - NUM_RESERVED, len(replace))
+    # else: left intact
+    ends = np.cumsum(lengths)
+    positions = chosen - (ends - lengths)[row_of[chosen]]
+    return np.split(masked, ends[:-1]), np.split(positions, np.cumsum(n_sel)[:-1])
 
 
 def mask_visual(region_labels: np.ndarray, policy: MaskPolicy, rng: Pcg32):
@@ -145,6 +163,12 @@ def mask_visual(region_labels: np.ndarray, policy: MaskPolicy, rng: Pcg32):
 
     region_labels is (B, o). Returns (directives (B, o), substitutes
     (B, o, 2), selected (B, o) bool: the slots whose labels are targets).
+    As in `mask_text`, the selected slots, in row-major order, take one
+    bulk uniform draw between [MASK], a substitute region and the slot
+    itself, then one `randint` per substitute for its donor example and
+    one for its donor slot; a batch of one example has no donor, so its
+    would-be substitutes re-draw between [MASK] and keeping, one uniform
+    each, in their 8:1 proportion.
     """
     b_size, o = region_labels.shape
     directives = np.full((b_size, o), ORIGINAL, dtype=np.int8)
@@ -156,28 +180,24 @@ def mask_visual(region_labels: np.ndarray, policy: MaskPolicy, rng: Pcg32):
     n_sel = select_count(ratio, b_size * o)
     if n_sel == 0:
         return directives, substitutes, selected
-    flat = rng.choose(b_size * o, n_sel)
-    selected.flat[flat] = True
+    selected.flat[rng.choose(b_size * o, n_sel)] = True
     if alternative:
         return directives, substitutes, selected  # inputs stay intact
-    for f in flat:
-        b, slot = divmod(int(f), o)
-        u = rng.uniform()
-        if u < MASK_FRAC:
-            directives[b, slot] = MASK_EMBED
-        elif u < MASK_FRAC + RANDOM_FRAC:
-            if b_size < 2:
-                # degenerate batch: no other image to draw from; re-draw
-                # between mask and keep in their 8:1 proportion
-                if rng.uniform() < MASK_FRAC / (MASK_FRAC + KEEP_FRAC):
-                    directives[b, slot] = MASK_EMBED
-                continue
-            other = rng.randint(b_size - 1)
-            if other >= b:
-                other += 1
-            directives[b, slot] = SUBSTITUTE
-            substitutes[b, slot] = (other, rng.randint(o))
-        # else: left intact
+    flat = np.flatnonzero(selected)
+    u = rng.uniform(n_sel)
+    directives.flat[flat[u < MASK_FRAC]] = MASK_EMBED
+    swap = flat[(u >= MASK_FRAC) & (u < MASK_FRAC + RANDOM_FRAC)]
+    if b_size < 2:
+        # degenerate batch: no other image to draw from
+        redraw = rng.uniform(len(swap)) < MASK_FRAC / (MASK_FRAC + KEEP_FRAC)
+        directives.flat[swap[redraw]] = MASK_EMBED
+        return directives, substitutes, selected
+    b, slot = np.divmod(swap, o)
+    other = rng.randint(b_size - 1, len(swap))
+    other += other >= b
+    directives[b, slot] = SUBSTITUTE
+    substitutes[b, slot] = np.column_stack([other, rng.randint(o, len(swap))])
+    # else: left intact
     return directives, substitutes, selected
 
 
@@ -201,8 +221,8 @@ def build_masked_batch(examples: list[TripletExample], mode: str,
     if streams:
         check_ids(np.concatenate([s.token_ids for s in streams]), vocab_size)
     rows, kept, tpos, tids = [], [], [], []
-    for ex, s in zip(examples, streams):
-        masked, pos = mask_text(s.token_ids, rng_text, vocab_size)
+    masked_rows, positions = mask_text([s.token_ids for s in streams], rng_text, vocab_size)
+    for ex, s, masked, pos in zip(examples, streams, masked_rows, positions):
         if not len(pos):
             continue
         rows.append((masked, s.pos_ids, s.lang_ids))

@@ -20,6 +20,16 @@ entries (2 x 256 KB). A request for n values is filled block by block,
 each block starting from the state that follows the last one of the
 block before, so the draws and the state afterwards equal n scalar
 steps bit for bit, and no temporary grows with n.
+
+Dropout, a training step's bulk of draws (over a million 32-bit values
+per desk-sized step), reads `raw32` instead: the 32-bit halves of the
+64-bit words of numpy's PCG64 bit generator, seeded from four of the
+stream's own `u32` draws. numpy's PCG64 documentation guarantees that a
+fixed seed always produces the same random integer stream; its
+`Generator` distributions carry no such guarantee, so only `random_raw`
+is read. Every other draw (corpus generation, initialisation, shuffling,
+masking) stays on PCG32, so corpora and initial parameters do not depend
+on numpy's PCG64 at all.
 """
 
 from __future__ import annotations
@@ -75,6 +85,7 @@ class Pcg32:
         # Identity of the stream for split(); fixed at construction so
         # derived streams do not depend on draw order.
         self._ident = _splitmix64((self._state * 31 + self._inc) & _MASK64)
+        self._bits = None  # the PCG64 bit generator of raw32, once drawn from
 
     def _step(self) -> None:
         self._state = (self._state * _MULT + self._inc) & _MASK64
@@ -116,6 +127,19 @@ class Pcg32:
             out[lo:lo + m] = x  # keeps the low 32 bits
         return out
 
+    def raw32(self, n: int) -> np.ndarray:
+        """n raw 32-bit words from numpy's PCG64, for bulk draws.
+
+        The first call seeds `np.random.PCG64` from the next four `u32`
+        draws. A call takes ceil(n / 2) 64-bit words of `random_raw` and
+        returns their little-endian 32-bit halves, low half first, whatever
+        the platform's byte order; the spare half of an odd n is dropped.
+        """
+        if self._bits is None:
+            self._bits = np.random.PCG64(self.u32(4).tolist())
+        words = self._bits.random_raw((n + 1) // 2)
+        return words.astype("<u8", copy=False).view("<u4")[:n]
+
     @staticmethod
     def _output_scalar(state: int) -> int:
         xorshifted = (((state >> 18) ^ state) >> 27) & 0xFFFFFFFF
@@ -140,9 +164,12 @@ class Pcg32:
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
         return z.astype(dtype).reshape(size)
 
-    def randint(self, n: int) -> int:
-        """An integer in [0, n) (multiply-shift reduction)."""
-        return int((self.u32() * n) >> 32)
+    def randint(self, n: int, size: int | None = None):
+        """An integer in [0, n) (multiply-shift reduction); an int64 array
+        of `size` such integers, by the same rule, when size is given."""
+        if size is None:
+            return int((self.u32() * n) >> 32)
+        return ((self.u32(size).astype(np.uint64) * np.uint64(n)) >> _U32).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) by sorting random keys."""

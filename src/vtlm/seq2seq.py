@@ -23,9 +23,10 @@ MT parameters live in one dict under "enc." and "dec." prefixes.
 
 Both stacks compute only real positions (packed rows, see `model`):
 `encode_source` returns the packed source rows with their grid, by
-which the decoder masks its padded memory keys, and `decode_states`
-returns its states on the (B, t) target grid, zero at padding, so that
-a caller reads position t of row b at [b, t].
+which the decoder masks its padded memory keys. `decode_rows` returns
+the decoder's packed rows, which `mt_loss` scores directly;
+`decode_states` places them on the (B, t) target grid, zero at padding,
+so that a caller reads position t of row b at [b, t].
 
 There is one decoder, `beam_search`, and with beam=1 it is greedy. It
 is incremental and batched, as XLM's `generate_beam`: all sentences of
@@ -175,15 +176,14 @@ def encode_source(params: ParamStore, cfg: EncoderConfig, batch: EncoderBatch, d
     return encode_batch(params, cfg, batch, drop if training else None, prefix="enc.")
 
 
-def decode_states(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
-                  src_grid: T.Grid, tgt_input_ids: np.ndarray, drop,
-                  tgt_pad_mask: np.ndarray | None = None,
-                  cache: dict | None = None, start: int = 0, *,
-                  training: bool = True) -> Tensor:
-    """(B, t, d) decoder states for target positions start .. start+t-1,
-    given the (possibly padded) (B, t) input ids at those positions;
-    zero at the padding of `tgt_pad_mask`, which the decoder computes
-    nothing for.
+def decode_rows(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
+                src_grid: T.Grid, tgt_input_ids: np.ndarray, drop,
+                tgt_pad_mask: np.ndarray | None = None,
+                cache: dict | None = None, start: int = 0) -> tuple[Tensor, T.Grid]:
+    """The decoder on target positions start .. start+t-1, given the
+    (possibly padded) (B, t) input ids at those positions: (packed
+    states, their target grid), one row per position that
+    `tgt_pad_mask` leaves real, in row-major order.
 
     Without a cache, `start` is 0 and the ids are the whole prefix
     (teacher forcing). An incremental decoder passes the same `cache`
@@ -193,8 +193,7 @@ def decode_states(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
     rows of `src_grid`, whose `pad` masks the memory keys; they are read
     only while the cache holds no cross-attention keys. The grid may
     have fewer rows than the ids: B/rows consecutive id rows share one
-    source sentence (see `model.attention`). `training=False` discards
-    `drop`, as in `encode_source`.
+    source sentence (see `model.attention`).
     """
     if cache is not None and tgt_pad_mask is not None:
         raise ConfigError("an incremental decoder's positions are never padding")
@@ -203,10 +202,23 @@ def decode_states(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
     x, grid = embed_inputs(params, cfg, tgt_input_ids,
                            np.broadcast_to(np.arange(start, start + t), (bsz, t)),
                            np.full((bsz, t), LANG_L2), pad, prefix="dec.")
-    drop = drop if training else None
     x = T.dropout(x, drop, grid)
     states = encode(params, cfg, x, grid, drop, prefix="dec.", memory=enc_states,
                     memory_grid=src_grid, cache=cache)
+    return states, grid
+
+
+def decode_states(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
+                  src_grid: T.Grid, tgt_input_ids: np.ndarray, drop,
+                  tgt_pad_mask: np.ndarray | None = None,
+                  cache: dict | None = None, start: int = 0, *,
+                  training: bool = True) -> Tensor:
+    """`decode_rows`' states on the (B, t) target grid: (B, t, d), zero
+    at the padding of `tgt_pad_mask`, so that position t of row b is
+    [b, t]. `training=False` discards `drop`, as in `encode_source`.
+    """
+    states, grid = decode_rows(params, cfg, enc_states, src_grid, tgt_input_ids,
+                               drop if training else None, tgt_pad_mask, cache, start)
     return T.to_grid(states, grid)
 
 
@@ -227,13 +239,12 @@ def mt_loss(params: ParamStore, cfg: EncoderConfig, src: EncoderBatch,
             tgt: TargetBatch, drop) -> MtLossOutput:
     """Teacher-forced cross entropy over non-pad target positions."""
     enc, grid = encode_source(params, cfg, src, drop)
-    states = decode_states(params, cfg, enc, grid, tgt.input_ids, drop,
-                           tgt_pad_mask=tgt.pad_mask)
-    keep = np.flatnonzero(~tgt.pad_mask.reshape(-1))
-    logits = tied_logits(params, T.embedding(states, keep), "dec.")
-    targets = tgt.output_ids.reshape(-1)[keep]
-    loss = T.cross_entropy(logits, targets)
-    return MtLossOutput(loss, loss.item(), len(keep))
+    states, grid = decode_rows(params, cfg, enc, grid, tgt.input_ids, drop, tgt.pad_mask)
+    real = np.flatnonzero(~tgt.pad_mask.reshape(-1))
+    if len(real) < len(states.data):  # a grid whose padded cells are rows too
+        states = T.embedding(states, grid.index(real))
+    loss = T.cross_entropy(tied_logits(params, states, "dec."), tgt.output_ids.reshape(-1)[real])
+    return MtLossOutput(loss, loss.item(), len(real))
 
 
 # -- decoding ----------------------------------------------------------------
@@ -283,13 +294,15 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
     (`step_logprobs`) and keeps the `beam` best extensions per sentence,
     by score, then slot, then token id. One that ends in [EOS] is
     finished and leaves its slot empty, so the beam of a sentence
-    shrinks until the sentence leaves the batch. Only step 0 reads
-    `enc_states`, to fill every decoder layer's cross-attention cache;
-    later steps keep the live rows of the caches and of `src_grid`.
-    At max_len the live hypotheses are force-finished. The result per
-    sentence is the finished or forced hypothesis with the highest
-    logp / length (its token count, [EOS] included), ties by token
-    sequence.
+    shrinks until the sentence leaves the batch. A sentence also leaves
+    once no live hypothesis can beat its best finished one
+    (`_cannot_improve`), so stopping early never changes a result. Only
+    step 0 reads `enc_states`, to fill every decoder layer's
+    cross-attention cache; later steps keep the live rows of the caches
+    and of `src_grid`. At max_len the live hypotheses are
+    force-finished. The result per sentence is the finished or forced
+    hypothesis with the highest logp / length (its token count, [EOS]
+    included), ties by token sequence.
     """
     if beam < 1:
         raise ConfigError("beam must be >= 1")
@@ -301,6 +314,7 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
     hist = np.zeros((n, 1, 0), dtype=np.int64)  # tokens per slot so far
     tokens = np.full(n, BOS, dtype=np.int64)    # fed at the next step
     results: list[list[Hypothesis]] = [[] for _ in range(n)]
+    best = np.full(n, -np.inf)                  # best finished score per batch row
     cache: dict = {}
 
     def emit(slots, finished):
@@ -323,16 +337,28 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
         hist = np.concatenate([hist[np.arange(n_live)[:, None], parent], tok[:, :, None]], axis=2)
         ended = live & (tok == EOS)
         emit(ended, True)
+        best = np.maximum(best, np.where(ended, logp / (t + 1), -np.inf).max(axis=1))
         logp[ended] = -np.inf
-        keep = np.flatnonzero(np.isfinite(logp).any(axis=1))
+        live_rows = np.isfinite(logp).any(axis=1) & ~_cannot_improve(best, logp, max_len)
+        keep = np.flatnonzero(live_rows)
         rows = (keep[:, None] * slots + parent[keep]).reshape(-1)
         select_cache_rows(cache, rows, keep)
         src_grid = T.Grid.of(src_grid.pad[keep])
         sents, logp, hist, tokens = sents[keep], logp[keep], hist[keep], tok[keep].reshape(-1)
+        best = best[keep]
         if not len(keep):
             break
     emit(np.isfinite(logp), False)
     return [min(hyps, key=lambda h: (-h.score(), h.tokens)) for hyps in results]
+
+
+def _cannot_improve(best: np.ndarray, logp: np.ndarray, max_len: int) -> np.ndarray:
+    """Per batch row, whether its best finished score `best` is strictly
+    above every score a live hypothesis (logp L <= 0, -inf in an empty
+    slot) can still reach: a descendant ends with logp <= L and at most
+    max_len tokens, so it scores at most L / max_len. Strict, so that a
+    tie, broken by token sequence, is still decoded."""
+    return best > logp.max(axis=1) / max_len
 
 
 # sentences decoded together: bounds the decoder caches at CHUNK * beam rows

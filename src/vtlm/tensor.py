@@ -468,14 +468,15 @@ def dropout(a: Tensor, drop, grid: Grid | None = None) -> Tensor:
     padded array.
 
     The rate must lie in [0, 1); anything else, NaN included, raises
-    ConfigError. An element is kept when its raw draw u = stream.u32(...)
-    satisfies u >= ceil(rate * 2**32 - 0.5). This is the same test as
-    stream.uniform(...) >= rate, bit for bit: uniform is (u + 0.5) * 2**-32,
-    the scaling by 2**32 is exact in float64, and so is the subtraction
-    of 0.5 once rate * 2**32 >= 0.5 (below that both tests keep every
-    element). Kept elements are scaled by 1 / (1 - rate) in the tensor's
-    dtype; the forward and backward passes share one mask holding 0 or
-    that scale.
+    ConfigError. Each element takes one 32-bit word u of the stream's
+    numpy PCG64 words, `stream.raw32(...)` (two decisions per 64-bit
+    word, each the full 32 bits, so the rate is exact to 2**-32), and is
+    kept when u >= ceil(rate * 2**32 - 0.5). This is the test
+    (u + 0.5) * 2**-32 >= rate, bit for bit: the scaling by 2**32 is
+    exact in float64, and so is the subtraction of 0.5 once
+    rate * 2**32 >= 0.5 (below that both tests keep every element). Kept
+    elements are scaled by 1 / (1 - rate) in the tensor's dtype; the
+    forward and backward passes share one mask holding 0 or that scale.
     """
     shape = a.data.shape if grid is None else grid.shape + a.data.shape[1:]
     mask = _dropout_mask(shape, a.data.dtype, drop)
@@ -501,7 +502,7 @@ def _dropout_mask(shape: tuple, dtype, drop) -> np.ndarray | None:
         return None
     rate, rng = drop
     check_dropout_rate(rate)
-    keep = rng.u32(math.prod(shape)).reshape(shape) >= math.ceil(rate * 2.0**32 - 0.5)
+    keep = rng.raw32(math.prod(shape)).reshape(shape) >= math.ceil(rate * 2.0**32 - 0.5)
     return np.multiply(keep, dtype.type(1.0 / (1.0 - rate)), dtype=dtype)
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from . import BUILD_ID
 from .checkpoint import header_count, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError
-from .masking import MaskPolicy, build_masked_batch, build_stream
+from .masking import MaskPolicy, build_masked_batch, build_stream, eligible_positions
 from .model import EncoderConfig, ParamStore, vtlm_loss
 from .rng import Pcg32
 from .seq2seq import build_source_batch, build_target_batch, mt_loss
@@ -344,10 +344,12 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
     history: list[dict] = []
     diverged = False
 
+    order_epoch, order = -1, None  # drawn once per epoch
     step = start_step
     for step in range(start_step + 1, tcfg.max_steps + 1):
         epoch, off = divmod(step - 1, epoch_len)
-        order = _epoch_order(tcfg.seed, epoch, n)
+        if epoch != order_epoch:
+            order_epoch, order = epoch, _epoch_order(tcfg.seed, epoch, n)
         idx = order[off * tcfg.batch_size: (off + 1) * tcfg.batch_size]
         for p in params.values():
             p.grad = None
@@ -396,10 +398,13 @@ def train_pretrain(train_data, valid_data, params: ParamStore,
                    cfg: EncoderConfig, tcfg: TrainConfig, objective: str,
                    policy: MaskPolicy, out_dir=None, resume_from=None) -> TrainResult:
     """Masked pretraining; best checkpoint by validation accuracy over
-    all masked predictions. Raises DataError when a split is empty."""
+    all masked predictions. Raises DataError, before the first step, when
+    a split is empty or no validation stream has a maskable token."""
     _require_examples(train_data, valid_data)
     streams = [build_stream(ex, objective, cfg.max_positions) for ex in train_data]
     val_streams = [build_stream(ex, objective, cfg.max_positions) for ex in valid_data]
+    if not any(len(eligible_positions(s.token_ids)) for s in val_streams):
+        raise DataError("nothing to evaluate: no maskable token in valid_data")
 
     def step_fn(idx, split):
         batch = build_masked_batch(

@@ -15,10 +15,10 @@ from vtlm import tensor as T
 from vtlm.errors import NumericError
 from vtlm.masking import (MASK_EMBED, SUBSTITUTE, TLM, VTLM, MaskPolicy, build_masked_batch,
                           mask_visual)
-from vtlm.model import EncoderConfig, init_encoder_params, vtlm_loss
+from vtlm.model import EncoderConfig, init_encoder_params, tied_logits, vtlm_loss
 from vtlm.rng import BLOCK, Pcg32
-from vtlm.seq2seq import (MMT, build_source_batch, build_target_batch, init_mt_params, mt_loss,
-                          translate)
+from vtlm.seq2seq import (MMT, build_source_batch, build_target_batch, decode_states,
+                          encode_source, init_mt_params, mt_loss, translate)
 from vtlm.synthetic import GenConfig, generate_corpus
 from vtlm.trainer import evaluate_mt
 
@@ -83,14 +83,16 @@ def reference_gather(x, grid):
 
 
 def reference_dropout(a, drop, grid=None):
-    """Keep-mask from uniform doubles, applied as a * keep * scale; packed
-    rows go through scatter and gather nodes around it."""
+    """Keep-mask from uniform doubles (w + 0.5) 2^-32 of the stream's
+    32-bit words w, applied as a * keep * scale; packed rows go through
+    scatter and gather nodes around it."""
     if drop is None or drop[0] == 0.0:
         return a
     if grid is not None:
         return reference_gather(reference_dropout(reference_scatter(a, grid), drop), grid)
     rate, rng = drop
-    keep = (rng.uniform(a.data.shape) >= rate).astype(a.data.dtype)
+    u = (rng.raw32(a.data.size).astype(np.float64) + 0.5) * 2.0**-32
+    keep = (u.reshape(a.data.shape) >= rate).astype(a.data.dtype)
     scale = 1.0 / (1.0 - rate)
     data = a.data * keep * scale
 
@@ -132,14 +134,12 @@ def reference_embedding(weight, ids):
 
 
 class FixedDraws:
-    """An rng stand-in whose bulk draw returns preset u32 values."""
-
-    uniform = Pcg32.uniform
+    """An rng stand-in whose bulk 32-bit words are preset values."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=np.uint32)
 
-    def u32(self, n):
+    def raw32(self, n):
         assert n == self.u.size
         return self.u.copy()
 
@@ -149,7 +149,7 @@ RATES = [0.1, 0.3, 0.4, 0.5, 0.999]
 
 @pytest.mark.parametrize("rate", RATES)
 def test_threshold_boundary_equals_uniform_test(rate):
-    # every u32 within 4 of the cut, where uniform = (u + 0.5) 2^-32 meets rate
+    # every word within 4 of the cut, where (u + 0.5) 2^-32 meets rate
     centre = int(rate * 2**32)
     u = np.arange(centre - 4, centre + 5)
     x = T.Tensor(np.ones(u.size, dtype=np.float32))
@@ -163,7 +163,7 @@ def test_threshold_boundary_equals_uniform_test(rate):
 @pytest.mark.parametrize("rate", RATES)
 def test_dropout_mask_forward_backward_equal_reference(rate, dtype):
     rng = Pcg32(31)
-    shape = (3, 5, 1_000)  # 15,000 draws: crosses a u32 block boundary
+    shape = (3, 5, 1_000)
     x0 = rng.normal(shape, dtype=dtype)
     x0[0, 0, :4] = [-0.0, 0.0, np.inf, -np.inf]
     w = rng.normal(shape, dtype=dtype)
@@ -523,16 +523,7 @@ def _step(phase, corpus):
 
 @pytest.mark.parametrize("phase", ["pretrain", "mt"])
 def test_training_step_bits_equal_reference(phase, corpus, monkeypatch):
-    draws = []
-    u32 = Pcg32.u32
-
-    def spy(self, n=None):
-        draws.append(n)
-        return u32(self, n)
-
-    monkeypatch.setattr(Pcg32, "u32", spy)
     got = _step(phase, corpus)
-    assert max(d for d in draws if d is not None) > BLOCK  # a dropout crosses a block
 
     monkeypatch.setattr(Pcg32, "u32", reference_u32)
     monkeypatch.setattr(T, "dropout", reference_dropout)
@@ -645,23 +636,23 @@ def test_packed_rows_evaluate_as_every_cell_layout(kind, desk_corpus):
 
 
 def _training_step(kind, corpus, monkeypatch):
-    """Loss bytes, gradients, u32 call sizes and the stream's next draw
-    of one dropout-0.1 training step."""
+    """Loss bytes, gradients, raw32 call sizes and the stream's next
+    words of one dropout-0.1 training step."""
     cfg, params, loss_fn = _desk_loss(kind, corpus)
     stream = Pcg32(11).split("dropout")
     calls = []
-    u32 = Pcg32.u32
+    raw32 = Pcg32.raw32
 
-    def spy(self, n=None):
+    def spy(self, n):
         calls.append(n)
-        return u32(self, n)
+        return raw32(self, n)
 
-    monkeypatch.setattr(Pcg32, "u32", spy)
+    monkeypatch.setattr(Pcg32, "raw32", spy)
     loss = loss_fn((0.1, stream)).loss
     loss.backward()
-    monkeypatch.setattr(Pcg32, "u32", u32)
+    monkeypatch.setattr(Pcg32, "raw32", raw32)
     return (loss.data.tobytes(), {name: t.grad for name, t in params.items()}, calls,
-            stream.u32())
+            stream.raw32(2).tolist())
 
 
 @pytest.mark.parametrize("kind", [VTLM, TLM, MMT])
@@ -679,7 +670,43 @@ def test_packed_training_step_matches_every_cell_layout(kind, desk_corpus, monke
     assert got[3] == ref[3]
 
 
-# u32 call sizes of one training step, as drawn before hidden states were
+def reference_mt_loss(params, cfg, src, tgt, drop):
+    """`seq2seq.mt_loss` as it was before it read the decoder's packed
+    rows: states scattered to the (B, T, d) target grid by
+    `decode_states`, then their real rows gathered back."""
+    enc, grid = encode_source(params, cfg, src, drop)
+    states = decode_states(params, cfg, enc, grid, tgt.input_ids, drop,
+                           tgt_pad_mask=tgt.pad_mask)
+    keep = np.flatnonzero(~tgt.pad_mask.reshape(-1))
+    logits = tied_logits(params, T.embedding(states, keep), "dec.")
+    return T.cross_entropy(logits, tgt.output_ids.reshape(-1)[keep])
+
+
+def test_mt_loss_on_packed_rows_equals_grid_path(desk_corpus):
+    """An `mmt-desk`-shaped dropout-0.1 step: scoring the decoder's
+    packed rows gives the loss and every gradient of the grid path's
+    scatter and gather byte for byte, with two tape nodes fewer."""
+    cfg = EncoderConfig.desk(len(desk_corpus.codec.vocab), DESK.num_labels, DESK.feat_dim)
+    params = init_mt_params(cfg, Pcg32(11).split("init"))
+    src = build_source_batch(desk_corpus.train, MMT, cfg.max_positions)
+    tgt = build_target_batch(desk_corpus.train, cfg.max_positions)
+    assert tgt.pad_mask.any()
+    results = []
+    for fn in (lambda *a: mt_loss(*a).loss, reference_mt_loss):
+        clear_grads(params)
+        loss = fn(params, cfg, src, tgt, (0.1, Pcg32(11).split("dropout")))
+        nodes = len(T.topo_order(loss))
+        loss.backward()
+        results.append((loss.data.tobytes(), nodes,
+                        {name: t.grad.tobytes() for name, t in params.items()}))
+    got, expect = results
+    assert got[0] == expect[0]
+    assert got[1] == expect[1] - 2
+    assert got[2].keys() == expect[2].keys()
+    assert all(got[2][name] == expect[2][name] for name in expect[2])
+
+
+# raw32 call sizes of one training step, as drawn before hidden states were
 # packed: a change of draws acts like a change of seed, so it must be a
 # deliberate one that updates these
 STEP_DRAWS = {

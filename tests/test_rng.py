@@ -66,6 +66,36 @@ def test_split_is_stable_and_labelled():
     assert not np.array_equal(a1, b)
 
 
+def test_raw32_words_are_pinned_pcg64_halves():
+    """Dropout's words: numpy's PCG64 seeded from the stream's next four
+    u32 draws, each 64-bit word read as its little-endian 32-bit halves.
+    The literals pin numpy's PCG64 stream: if a numpy release changes
+    it, every dropout mask changes, and this fails first."""
+    rng = Pcg32(2021).split("dropout/1")
+    seed = Pcg32(2021).split("dropout/1").u32(4)
+    assert seed.tolist() == [3349143513, 1129644435, 1015087652, 1479513525]
+    first = rng.raw32(7)  # an odd count drops the spare half of its 4th word
+    rest = rng.raw32(2)
+    assert first.dtype == np.dtype("<u4")
+    assert first.tolist() == [1773646004, 215134711, 3183022469, 1485236128,
+                              2451132566, 2766122754, 416939549]
+    assert rest.tolist() == [1584490761, 2768067575]
+    words = np.random.PCG64(seed.tolist()).random_raw(5)
+    halves = words.astype("<u8").view("<u4")
+    assert first.tolist() == halves[:7].tolist()
+    assert rest.tolist() == halves[8:].tolist()
+    # the four seeding draws came from the stream itself
+    assert rng.u32() == Pcg32(2021).split("dropout/1").u32(5)[4]
+
+
+def test_randint_array_equals_scalar_draws():
+    a, b = Pcg32(17), Pcg32(17)
+    vals = a.randint(13, 1000)
+    assert vals.dtype == np.int64
+    assert vals.tolist() == [b.randint(13) for _ in range(1000)]
+    assert a.u32() == b.u32()
+
+
 def test_uniform_range_and_normal_moments():
     rng = Pcg32(5)
     u = rng.uniform(200_000)

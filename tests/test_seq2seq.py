@@ -137,6 +137,38 @@ def test_batched_beam_matches_rescore_and_single_sentences(task, init_seed, beam
         assert alone.logp == pytest.approx(hyp.logp, abs=1e-4 * len(hyp.tokens))
 
 
+def test_early_stop_keeps_every_hypothesis(fitted, monkeypatch):
+    """A sentence leaves the decoded batch once no live hypothesis can
+    beat its best finished one: the hypotheses (tokens, `finished`, logp
+    bytes) are those of a search that never stops early, in fewer
+    decoder steps."""
+    steps = []
+    real_step = seq2seq.step_logprobs
+
+    def counted(*args, **kwargs):
+        steps[-1] += 1
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(seq2seq, "step_logprobs", counted)
+
+    def decode(params, cfg, examples, task, beam):
+        steps.append(0)
+        hyps = translate(params, cfg, examples, task, beam=beam, max_len=16)
+        return [(h.tokens, h.finished, np.float64(h.logp).tobytes()) for h in hyps]
+
+    saved = []
+    for task, init_seed, beam in itertools.product((NMT, MMT), (0, 1, 2), (3, 8)):
+        params, cfg, examples = fitted(task, init_seed)
+        got = decode(params, cfg, examples, task, beam)
+        with monkeypatch.context() as m:
+            m.setattr(seq2seq, "_cannot_improve", lambda best, logp, max_len: best < -np.inf)
+            expect = decode(params, cfg, examples, task, beam)
+        assert got == expect
+        assert steps[-2] <= steps[-1]
+        saved.append(steps[-1] - steps[-2])
+    assert max(saved) > 0
+
+
 def test_beam_wider_than_vocab_is_exhaustive(corpus):
     """With 6 tokens, max_len 2 and beam 40 >= 6 * 6, beam search keeps
     every prefix, so it must return the best of all sequences. The first

@@ -277,6 +277,35 @@ def test_empty_split_raises_before_any_step(phase, empty, corpus, tmp_path, monk
     assert os.listdir(tmp_path) == []
 
 
+def test_epoch_order_is_drawn_once_per_epoch(corpus, monkeypatch):
+    """24 examples in batches of 8 make 3 steps an epoch, so 8 steps
+    draw the orders of epochs 0, 1 and 2, once each."""
+    cfg = tiny_cfg(corpus)
+    drawn = []
+    real = trainer._epoch_order
+
+    def spy(seed, epoch, n):
+        drawn.append(epoch)
+        return real(seed, epoch, n)
+
+    monkeypatch.setattr(trainer, "_epoch_order", spy)
+    train("mt", cfg, corpus.train, corpus.valid, 8, None, eval_interval=8)
+    assert drawn == [0, 1, 2]
+
+
+def test_unmaskable_validation_split_raises_before_any_step(corpus, tmp_path, monkeypatch):
+    """A validation split without a maskable token could never be
+    scored: pretraining stops before its first update, not at its first
+    evaluation."""
+    cfg = tiny_cfg(corpus)
+    valid = [dataclasses.replace(ex, src_tokens=[], tgt_tokens=[]) for ex in corpus.valid]
+    monkeypatch.setattr(trainer, "adam_step", None)  # a step would call it
+    monkeypatch.setattr(trainer, "vtlm_loss", None)
+    with pytest.raises(DataError, match="no maskable token in valid_data"):
+        train("pretrain", cfg, corpus.train, valid, 4, str(tmp_path), eval_interval=3)
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, math.nan])
 def test_dropout_rate_outside_unit_interval_raises(rate):
     """The rate is checked where a run sets it, and where a forward pass
