@@ -126,36 +126,31 @@ def mask_text(rows: list[np.ndarray], rng: Pcg32,
     selected positions in ascending order) per row, no positions for a
     row with nothing eligible.
 
-    Three bulk draws serve the whole batch: one u32 key per eligible
-    position, of which each row selects its `select_count` lowest (ties
-    by position); one uniform per selected position, in row then
-    position order, that picks [MASK], a random token or the token
-    itself; and one `randint` per random replacement, in the same order.
+    Row by row, `choose` selects the positions; then each, in the order
+    chosen, takes one uniform draw that picks [MASK], a random token or
+    the token itself, and a random token takes one `randint` more. That
+    is at most a row's eligible count plus two per selected position, so
+    the batch's draws are prefetched in one bulk call.
     """
-    if not rows:
-        return [], []
-    lengths = np.array([len(r) for r in rows])
-    masked = np.concatenate(rows)
-    row_of = np.repeat(np.arange(len(rows)), lengths)
-    eligible = eligible_positions(masked)
-    per_row = np.bincount(row_of[eligible], minlength=len(rows))
-    if np.any(per_row == 0):
-        log.warning("%d example(s) with no eligible tokens to mask; skipped",
-                    np.count_nonzero(per_row == 0))
-    n_sel = np.array([select_count(SELECT_RATIO, k) for k in per_row.tolist()], dtype=np.int64)
-    # each row's eligible positions by ascending key: the first n_sel win
-    by_key = np.lexsort((rng.u32(len(eligible)), row_of[eligible]))
-    rank = np.empty(len(eligible), dtype=np.int64)
-    rank[by_key] = np.arange(len(eligible)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-    chosen = eligible[rank < np.repeat(n_sel, per_row)]
-    u = rng.uniform(len(chosen))
-    masked[chosen[u < MASK_FRAC]] = bpe.MASK
-    replace = chosen[(u >= MASK_FRAC) & (u < MASK_FRAC + RANDOM_FRAC)]
-    masked[replace] = NUM_RESERVED + rng.randint(vocab_size - NUM_RESERVED, len(replace))
-    # else: left intact
-    ends = np.cumsum(lengths)
-    positions = chosen - (ends - lengths)[row_of[chosen]]
-    return np.split(masked, ends[:-1]), np.split(positions, np.cumsum(n_sel)[:-1])
+    eligible = [eligible_positions(r) for r in rows]
+    n_sel = [select_count(SELECT_RATIO, len(e)) for e in eligible]
+    if 0 in n_sel:
+        log.warning("%d example(s) with no eligible tokens to mask; skipped", n_sel.count(0))
+    masked, positions = [], []
+    with rng.prefetch(sum(len(e) + 2 * k for e, k in zip(eligible, n_sel))) as draws:
+        for tokens, elig, k in zip(rows, eligible, n_sel):
+            chosen = elig[draws.choose(len(elig), k)]
+            row = tokens.copy()
+            for pos in chosen.tolist():
+                u = draws.uniform()
+                if u < MASK_FRAC:
+                    row[pos] = bpe.MASK
+                elif u < MASK_FRAC + RANDOM_FRAC:
+                    row[pos] = NUM_RESERVED + draws.randint(vocab_size - NUM_RESERVED)
+                # else: left intact
+            masked.append(row)
+            positions.append(np.sort(chosen))
+    return masked, positions
 
 
 def mask_visual(region_labels: np.ndarray, policy: MaskPolicy, rng: Pcg32):
@@ -163,12 +158,8 @@ def mask_visual(region_labels: np.ndarray, policy: MaskPolicy, rng: Pcg32):
 
     region_labels is (B, o). Returns (directives (B, o), substitutes
     (B, o, 2), selected (B, o) bool: the slots whose labels are targets).
-    As in `mask_text`, the selected slots, in row-major order, take one
-    bulk uniform draw between [MASK], a substitute region and the slot
-    itself, then one `randint` per substitute for its donor example and
-    one for its donor slot; a batch of one example has no donor, so its
-    would-be substitutes re-draw between [MASK] and keeping, one uniform
-    each, in their 8:1 proportion.
+    The slots' draws after `choose`, at most three each, are prefetched
+    in one bulk call.
     """
     b_size, o = region_labels.shape
     directives = np.full((b_size, o), ORIGINAL, dtype=np.int8)
@@ -180,24 +171,29 @@ def mask_visual(region_labels: np.ndarray, policy: MaskPolicy, rng: Pcg32):
     n_sel = select_count(ratio, b_size * o)
     if n_sel == 0:
         return directives, substitutes, selected
-    selected.flat[rng.choose(b_size * o, n_sel)] = True
+    flat = rng.choose(b_size * o, n_sel)
+    selected.flat[flat] = True
     if alternative:
         return directives, substitutes, selected  # inputs stay intact
-    flat = np.flatnonzero(selected)
-    u = rng.uniform(n_sel)
-    directives.flat[flat[u < MASK_FRAC]] = MASK_EMBED
-    swap = flat[(u >= MASK_FRAC) & (u < MASK_FRAC + RANDOM_FRAC)]
-    if b_size < 2:
-        # degenerate batch: no other image to draw from
-        redraw = rng.uniform(len(swap)) < MASK_FRAC / (MASK_FRAC + KEEP_FRAC)
-        directives.flat[swap[redraw]] = MASK_EMBED
-        return directives, substitutes, selected
-    b, slot = np.divmod(swap, o)
-    other = rng.randint(b_size - 1, len(swap))
-    other += other >= b
-    directives[b, slot] = SUBSTITUTE
-    substitutes[b, slot] = np.column_stack([other, rng.randint(o, len(swap))])
-    # else: left intact
+    with rng.prefetch(3 * n_sel) as draws:
+        for f in flat.tolist():
+            b, slot = divmod(f, o)
+            u = draws.uniform()
+            if u < MASK_FRAC:
+                directives[b, slot] = MASK_EMBED
+            elif u < MASK_FRAC + RANDOM_FRAC:
+                if b_size < 2:
+                    # degenerate batch: no other image to draw from; re-draw
+                    # between mask and keep in their 8:1 proportion
+                    if draws.uniform() < MASK_FRAC / (MASK_FRAC + KEEP_FRAC):
+                        directives[b, slot] = MASK_EMBED
+                    continue
+                other = draws.randint(b_size - 1)
+                if other >= b:
+                    other += 1
+                directives[b, slot] = SUBSTITUTE
+                substitutes[b, slot] = (other, draws.randint(o))
+            # else: left intact
     return directives, substitutes, selected
 
 

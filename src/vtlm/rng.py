@@ -30,9 +30,17 @@ fixed seed always produces the same random integer stream; its
 is read. Every other draw (corpus generation, initialisation, shuffling,
 masking) stays on PCG32, so corpora and initial parameters do not depend
 on numpy's PCG64 at all.
+
+Masking makes many small draws whose number depends on earlier ones.
+`prefetch` serves them from one bulk `u32` call and then moves the
+stream on past the words taken, so they equal the scalar draws bit for
+bit.
 """
 
 from __future__ import annotations
+
+import contextlib
+import copy
 
 import numpy as np
 
@@ -140,6 +148,24 @@ class Pcg32:
         words = self._bits.random_raw((n + 1) // 2)
         return words.astype("<u8", copy=False).view("<u4")[:n]
 
+    @contextlib.contextmanager
+    def prefetch(self, n: int):
+        """Serve up to n of this stream's next draws from one bulk `u32`
+        call. Yields a stream whose draws (`u32`, and through it `uniform`,
+        `randint`, `choose`, ...) equal this stream's, bit for bit; on
+        leaving the block this stream stands where those draws would have
+        left it. Taking more than n draws raises IndexError."""
+        ahead = _Prefetched(copy.copy(self).u32(n))
+        yield ahead
+        self._advance(ahead.taken)
+
+    def _advance(self, n: int) -> None:
+        """Step the state n times, BLOCK - 1 steps per table lookup."""
+        while n > 0:
+            m = min(n, BLOCK - 1)
+            self._state = (int(_POWS[m]) * self._state + int(_SUMS[m]) * self._inc) & _MASK64
+            n -= m
+
     @staticmethod
     def _output_scalar(state: int) -> int:
         xorshifted = (((state >> 18) ^ state) >> 27) & 0xFFFFFFFF
@@ -164,12 +190,9 @@ class Pcg32:
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
         return z.astype(dtype).reshape(size)
 
-    def randint(self, n: int, size: int | None = None):
-        """An integer in [0, n) (multiply-shift reduction); an int64 array
-        of `size` such integers, by the same rule, when size is given."""
-        if size is None:
-            return int((self.u32() * n) >> 32)
-        return ((self.u32(size).astype(np.uint64) * np.uint64(n)) >> _U32).astype(np.int64)
+    def randint(self, n: int) -> int:
+        """An integer in [0, n) (multiply-shift reduction)."""
+        return int((self.u32() * n) >> 32)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) by sorting random keys."""
@@ -190,3 +213,17 @@ class Pcg32:
             perm = self.permutation(n)
             if not np.any(perm == np.arange(n)):
                 return perm
+
+
+class _Prefetched(Pcg32):
+    """Draws read in order from words drawn ahead; see `Pcg32.prefetch`."""
+
+    def __init__(self, words: np.ndarray):
+        self._words, self._ints, self.taken = words, words.tolist(), 0
+
+    def u32(self, n: int | None = None):
+        lo, hi = self.taken, self.taken + (1 if n is None else n)
+        if hi > len(self._ints):
+            raise IndexError(f"{len(self._ints)} draws prefetched, {hi} taken")
+        self.taken = hi
+        return self._ints[lo] if n is None else self._words[lo:hi]

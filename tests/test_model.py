@@ -278,11 +278,10 @@ class TestVtlmLoss:
     def test_overfits_one_batch(self, examples):
         """200 optimisation steps on a single small batch drive the joint
         loss under 0.1."""
-        batch, vocab = make_batch(examples[:4], seed=3)
+        batch, vocab = make_batch(examples[:4], seed=9)
         # A [MASK]-embedded slot replaces feature and box alike, so two such
         # slots of one example are identical inputs; if their labels differ
         # the MRC term cannot go below ln 2 and the bound is unreachable.
-        # Batch seed 3 is the first seed whose masks avoid that.
         masked_labels = {}
         for b, pos, label in target_triples(batch):
             if pos >= batch.text_len and batch.vis_mask[b, pos - batch.text_len]:

@@ -88,12 +88,26 @@ def test_raw32_words_are_pinned_pcg64_halves():
     assert rng.u32() == Pcg32(2021).split("dropout/1").u32(5)[4]
 
 
-def test_randint_array_equals_scalar_draws():
+def test_prefetch_draws_equal_the_streams_own():
+    """Draws served from a prefetch, scalar and array alike, are the
+    stream's own, and the stream then stands past the words taken only."""
     a, b = Pcg32(17), Pcg32(17)
-    vals = a.randint(13, 1000)
-    assert vals.dtype == np.int64
-    assert vals.tolist() == [b.randint(13) for _ in range(1000)]
-    assert a.u32() == b.u32()
+    with a.prefetch(40) as draws:
+        got = [draws.u32(), draws.randint(13), draws.uniform(), draws.u32(5).tolist(),
+               draws.choose(9, 4).tolist()]
+    assert got == [b.u32(), b.randint(13), b.uniform(), b.u32(5).tolist(),
+                   b.choose(9, 4).tolist()]
+    assert a.u32(3).tolist() == b.u32(3).tolist()
+    with a.prefetch(2) as draws:
+        draws.u32(2)
+        with pytest.raises(IndexError):
+            draws.u32()
+    # a jump longer than one table block
+    c, d = Pcg32(3), Pcg32(3)
+    with c.prefetch(BLOCK + 5) as draws:
+        draws.u32(BLOCK + 5)
+    d.u32(BLOCK + 5)
+    assert c.u32() == d.u32()
 
 
 def test_uniform_range_and_normal_moments():
