@@ -70,7 +70,9 @@ def learn_bpe(sentences: list[str], num_merges: int) -> list[tuple[str, str]]:
         best_count = max(pairs.values())
         best = min(p for p, c in pairs.items() if c == best_count)
         merges.append(best)
-        vocab = {_merge_word(syms, best): f for syms, f in vocab.items()}
+        # only a word holding the pair's first symbol can change
+        vocab = {(_merge_word(syms, best) if best[0] in syms else syms): f
+                 for syms, f in vocab.items()}
     return merges
 
 
@@ -108,9 +110,8 @@ class BpeCodec:
         merges = learn_bpe(sentences, num_merges)
         codec = cls(merges, Vocab(list(RESERVED_TOKENS)))
         symbols = set()
-        for s in sentences:
-            for w in s.split():
-                symbols.update(codec.segment_word(w))
+        for w in {w for s in sentences for w in s.split()}:
+            symbols.update(codec.segment_word(w))
         codec.vocab = Vocab(list(RESERVED_TOKENS) + sorted(symbols))
         return codec
 

@@ -35,6 +35,12 @@ Masking makes many small draws whose number depends on earlier ones.
 `prefetch` serves them from one bulk `u32` call and then moves the
 stream on past the words taken, so they equal the scalar draws bit for
 bit.
+
+Corpus generation reads one bulk `u32` call per chunk of examples and
+turns the words into values with the same word -> value transforms the
+scalar methods use (`multiply_shift`, `unit_uniform`, `argsort_keys`,
+`box_muller`), so moving the corpus onto PCG64 words (ROADMAP item 11)
+replaces that one call.
 """
 
 from __future__ import annotations
@@ -74,6 +80,32 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def multiply_shift(words, n: int):
+    """Integers in [0, n) from 32-bit words: (word * n) >> 32. `words` is
+    a Python int or a uint64 array, so that the product does not wrap."""
+    return (words * n) >> 32
+
+
+def unit_uniform(words):
+    """Doubles in (0, 1) from 32-bit words: (word + 0.5) * 2**-32."""
+    return (words + 0.5) * 2.0**-32
+
+
+def argsort_keys(keys: np.ndarray) -> np.ndarray:
+    """The order that sorts each row of keys, ties in index order."""
+    return np.argsort(keys, axis=-1, kind="stable")
+
+
+def box_muller(u: np.ndarray, n: int) -> np.ndarray:
+    """n float64 standard normals along the last axis of u, which holds
+    2 * ceil(n / 2) uniforms: a radius block, then an angle block. The
+    cosine draws come first, then the sine draws, cut to n."""
+    m = u.shape[-1] // 2
+    r = np.sqrt(-2.0 * np.log(u[..., :m]))
+    theta = 2.0 * np.pi * u[..., m:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -175,29 +207,22 @@ class Pcg32:
     def uniform(self, size=None):
         """Uniform doubles in (0, 1)."""
         if size is None:
-            return (self.u32() + 0.5) * 2.0**-32
-        u = (self.u32(int(np.prod(size))).astype(np.float64) + 0.5) * 2.0**-32
-        return u.reshape(size)
+            return unit_uniform(self.u32())
+        return unit_uniform(self.u32(int(np.prod(size)))).reshape(size)
 
     def normal(self, size, dtype=np.float32):
         """Standard normal draws via Box-Muller, in an array of `size`."""
         n = int(np.prod(size))
-        m = (n + 1) // 2
-        u1 = self.uniform(m)
-        u2 = self.uniform(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return z.astype(dtype).reshape(size)
+        u = unit_uniform(self.u32(2 * ((n + 1) // 2)))
+        return box_muller(u, n).astype(dtype).reshape(size)
 
     def randint(self, n: int) -> int:
         """An integer in [0, n) (multiply-shift reduction)."""
-        return int((self.u32() * n) >> 32)
+        return int(multiply_shift(self.u32(), n))
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) by sorting random keys."""
-        keys = self.u32(n)
-        return np.argsort(keys, kind="stable")
+        return argsort_keys(self.u32(n))
 
     def choose(self, n: int, k: int) -> np.ndarray:
         """k distinct indices out of range(n), in random order."""

@@ -24,6 +24,25 @@ shared by every example of a call. Nearest-centre classification of
 slot 0 therefore predicts the final content word of the first caption,
 which is what makes the masked last-word probes meaningful at this
 scale.
+
+Draws. Example i of a `generate_raw` call reads words [i * per,
+(i + 1) * per) of its shard's PCG32 stream, where with L labels, o
+regions and D feature dimensions per = 1 + L + o + 2 * ceil(o * D / 2):
+
+    1 word           object count k (multiply-shift onto the count range)
+    L words          label keys; the k lowest (stable order) are the
+                     mentioned labels, in mention order
+    o words          slot words: the first k give the mentions'
+                     attributes, the rest the distractors' labels
+    2 x ceil(o*D/2)  Box-Muller uniforms, the cosine block then the sine
+                     block; an odd o * D leaves the last sine unused
+
+The layout is fixed because every field takes the same number of words
+whatever k is: the keys rank all L labels, and each slot takes one word
+whether it holds an attribute or a distractor. That is the order in
+which a per-example loop of scalar draws takes the words, so a chunk of
+examples is drawn with one bulk `u32` call and transformed at once, and
+the first n examples of a call do not depend on how many follow.
 """
 
 from __future__ import annotations
@@ -35,7 +54,7 @@ import numpy as np
 from .bpe import BpeCodec
 from .data import EntitySpan, TripletExample
 from .errors import ConfigError
-from .rng import Pcg32, derive_seed
+from .rng import Pcg32, argsort_keys, box_muller, derive_seed, multiply_shift, unit_uniform
 
 OBJECT_WORDS = [
     "dog", "cat", "tree", "car", "house", "bird", "fish", "horse",
@@ -57,6 +76,8 @@ _CONSONANT_MAP = {
     c: _CONSONANTS[(i + 7) % len(_CONSONANTS)] for i, c in enumerate(_CONSONANTS)
 }
 _LETTER_MAP = {**_VOWEL_MAP, **_CONSONANT_MAP}
+
+CHUNK = 512  # examples per bulk draw of `generate_raw`
 
 
 def to_second_language(word: str) -> str:
@@ -137,10 +158,21 @@ def _caption_words(pairs: list[tuple[str, str]]) -> tuple[list[str], list[int]]:
 
 def generate_raw(cfg: GenConfig, seed: int, centers: np.ndarray,
                  count: int | None = None) -> list[RawExample]:
-    """Generate raw word-level examples; fully determined by (cfg, seed)."""
-    rng = Pcg32(seed).split("gen")
+    """Generate raw word-level examples; fully determined by (cfg, seed).
+
+    Examples are drawn `CHUNK` at a time from one `u32` call each, in the
+    word layout of the module docstring."""
     n = cfg.num_examples if count is None else count
+    if n < 0:
+        raise ConfigError(f"count must not be negative, got {n}")
+    if np.shape(centers) != (cfg.num_labels, cfg.feat_dim):
+        raise ConfigError(f"centers must have shape {(cfg.num_labels, cfg.feat_dim)}, "
+                          f"got {np.shape(centers)}")
+    rng = Pcg32(seed).split("gen")
+    n_labels, n_regions = cfg.num_labels, cfg.num_regions
     n_span = cfg.max_objects - cfg.min_objects + 1
+    n_noise = n_regions * cfg.feat_dim
+    per = 1 + n_labels + n_regions + 2 * ((n_noise + 1) // 2)
     # slot j's grid cell, row-major on a near-square grid
     cols = int(np.ceil(np.sqrt(cfg.num_regions)))
     rows = int(np.ceil(cfg.num_regions / cols))
@@ -148,33 +180,40 @@ def generate_raw(cfg: GenConfig, seed: int, centers: np.ndarray,
     bboxes = np.stack([(c + 0.1) / cols, (r + 0.1) / rows,
                        (c + 0.9) / cols, (r + 0.9) / rows], axis=1).astype(np.float32)
     bboxes.flags.writeable = False
+    second = {w: to_second_language(w) for w in ("a", "and", ",", ".", *ATTRIBUTE_WORDS,
+                                                 *OBJECT_WORDS)}
+    slot = np.arange(n_regions)
     examples: list[RawExample] = []
-    for _ in range(n):
-        k = cfg.min_objects + rng.randint(n_span)
-        label_ids = [int(v) for v in rng.choose(cfg.num_labels, k)]
-        attr_ids = [rng.randint(cfg.num_attributes) for _ in range(k)]
-        pairs = [(ATTRIBUTE_WORDS[a], OBJECT_WORDS[l]) for a, l in zip(attr_ids, label_ids)]
-
-        src_words, src_obj_pos = _caption_words(pairs)
-        tgt_template, tgt_obj_pos = _caption_words(list(reversed(pairs)))
-        tgt_words = [to_second_language(w) if w not in (",", ".") else w for w in tgt_template]
-
+    for lo in range(0, n, CHUNK):
+        words = rng.u32(min(CHUNK, n - lo) * per).reshape(-1, per)
+        ints = words[:, :1 + n_labels + n_regions].astype(np.uint64)
+        k = cfg.min_objects + multiply_shift(ints[:, :1], n_span).astype(np.int64)
+        order = argsort_keys(words[:, 1:1 + n_labels])
+        slot_words = ints[:, 1 + n_labels:]
+        attr_ids = multiply_shift(slot_words, cfg.num_attributes)
         # region slots: 0 = last mention, 1 = first mention, 2.. = middles,
-        # then distractors
-        distractors = [rng.randint(cfg.num_labels) for _ in range(k, cfg.num_regions)]
-        labels = np.array([label_ids[-1], *label_ids[:-1], *distractors], dtype=np.int64)
-        noise = rng.normal((cfg.num_regions, cfg.feat_dim), dtype=np.float32)
-        examples.append(
-            RawExample(
-                src_words=src_words,
-                tgt_words=tgt_words,
-                src_entity_words=src_obj_pos,
-                tgt_entity_words=tgt_obj_pos,
-                feats=centers[labels] + cfg.cluster_sigma * noise,
-                bboxes=bboxes,
-                labels=labels,
+        # then distractors; slot j < k holds mention (j - 1) mod k
+        labels = np.where(slot < k, np.take_along_axis(order, (slot - 1) % k, axis=1),
+                          multiply_shift(slot_words, n_labels).astype(np.int64))
+        noise = box_muller(unit_uniform(words[:, 1 + n_labels + n_regions:]),
+                           n_noise).astype(np.float32)
+        feats = centers[labels] + cfg.cluster_sigma * noise.reshape(-1, n_regions, cfg.feat_dim)
+        for i, (ki, label_ids, attrs) in enumerate(zip(
+                k[:, 0].tolist(), order[:, :cfg.max_objects].tolist(), attr_ids.tolist())):
+            pairs = [(ATTRIBUTE_WORDS[a], OBJECT_WORDS[l]) for a, l in zip(attrs[:ki], label_ids)]
+            src_words, src_obj_pos = _caption_words(pairs)
+            tgt_template, tgt_obj_pos = _caption_words(pairs[::-1])
+            examples.append(
+                RawExample(
+                    src_words=src_words,
+                    tgt_words=[second[w] for w in tgt_template],
+                    src_entity_words=src_obj_pos,
+                    tgt_entity_words=tgt_obj_pos,
+                    feats=feats[i],
+                    bboxes=bboxes,
+                    labels=labels[i],
+                )
             )
-        )
     return examples
 
 
@@ -188,6 +227,7 @@ def raw_sentences(examples: list[RawExample]) -> list[str]:
 
 def encode_examples(raw: list[RawExample], codec: BpeCodec) -> list[TripletExample]:
     """Tokenise raw examples; entity word positions become token spans."""
+    word_ids: dict[str, list[int]] = {}   # each distinct word's BPE ids
     encoded: list[TripletExample] = []
     for ex in raw:
         spans: list[EntitySpan] = []
@@ -201,7 +241,10 @@ def encode_examples(raw: list[RawExample], codec: BpeCodec) -> list[TripletExamp
             offsets = []
             for w in words:
                 offsets.append(len(ids))
-                ids.extend(codec.vocab.id_of(s) for s in codec.segment_word(w))
+                seg = word_ids.get(w)
+                if seg is None:
+                    seg = word_ids[w] = [codec.vocab.id_of(s) for s in codec.segment_word(w)]
+                ids.extend(seg)
             offsets.append(len(ids))
             tokens_by_stream[name] = ids
             for wpos in entity_words:

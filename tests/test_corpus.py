@@ -132,6 +132,19 @@ class TestGenerator:
         with pytest.raises(ConfigError, match=message):
             GenConfig(**kw)
 
+    def test_negative_count_rejected(self):
+        cfg = GenConfig(num_examples=5, feat_dim=4)
+        with pytest.raises(ConfigError, match="count must not be negative, got -3"):
+            generate_raw(cfg, 1, label_centers(cfg, 1), count=-3)
+
+    @pytest.mark.parametrize("shape", [(39, 4), (40, 5), (40,), (40, 4, 1)])
+    def test_centers_of_another_shape_rejected(self, shape):
+        """Too few labels, the wrong width or the wrong rank: a ConfigError
+        before any draw, not an IndexError or a broadcast error in numpy."""
+        cfg = GenConfig(num_examples=5, feat_dim=4)
+        with pytest.raises(ConfigError, match=r"centers must have shape \(40, 4\), got "):
+            generate_raw(cfg, 1, np.zeros(shape, np.float32))
+
     def test_smallest_valid_config_generates(self):
         cfg = GenConfig(num_examples=20, num_valid=0, num_test=0, num_labels=4,
                         num_attributes=1, feat_dim=1, cluster_sigma=0.0, num_merges=1)

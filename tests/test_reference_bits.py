@@ -1,10 +1,11 @@
-"""The RNG, dropout, first-gradient, linear, embedding, attention and
-region-directive paths against earlier reference implementations kept
-here, the pruned pretraining loss against the full-row one, and packed
-rows against the every-cell layout: a cheaper or simpler step must give
-the same bits."""
+"""The RNG, dropout, first-gradient, linear, embedding, attention,
+region-directive, corpus-generation and BPE-learning paths against
+earlier reference implementations kept here, the pruned pretraining loss
+against the full-row one, and packed rows against the every-cell layout:
+a cheaper or simpler step must give the same bits."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,14 +13,18 @@ import pytest
 from helpers import (assert_grads_close, clear_grads, every_cell_layout, full_row_vtlm_loss,
                      matmul, reshape, tsum)
 from vtlm import tensor as T
-from vtlm.errors import NumericError
+from vtlm.bpe import (RESERVED_TOKENS, BpeCodec, Vocab, _count_pairs, _merge_word,
+                      _word_symbols, learn_bpe)
+from vtlm.errors import ConfigError, NumericError
 from vtlm.masking import (MASK_EMBED, SUBSTITUTE, TLM, VTLM, MaskPolicy, build_masked_batch,
                           mask_visual)
 from vtlm.model import EncoderConfig, init_encoder_params, tied_logits, vtlm_loss
 from vtlm.rng import BLOCK, Pcg32
 from vtlm.seq2seq import (MMT, build_source_batch, build_target_batch, decode_states,
                           encode_source, init_mt_params, mt_loss, translate)
-from vtlm.synthetic import GenConfig, generate_corpus
+from vtlm.synthetic import (ATTRIBUTE_WORDS, CHUNK, OBJECT_WORDS, GenConfig, RawExample,
+                            _caption_words, generate_corpus, generate_raw, label_centers,
+                            raw_sentences, to_second_language)
 from vtlm.trainer import evaluate_mt
 
 _MULT = 6364136223846793005
@@ -721,3 +726,125 @@ def test_training_step_draws_are_pinned(kind, desk_corpus, monkeypatch):
     """A `pretrain-vtlm`-shaped and an `mmt-desk`-shaped step: embedding
     dropout, then per layer the attention masks and residual masks."""
     assert _training_step(kind, desk_corpus, monkeypatch)[2] == STEP_DRAWS[kind]
+
+
+def reference_generate_raw(cfg: GenConfig, seed: int, centers: np.ndarray,
+                           count: int | None = None) -> list[RawExample]:
+    """Generate raw word-level examples; fully determined by (cfg, seed)."""
+    rng = Pcg32(seed).split("gen")
+    n = cfg.num_examples if count is None else count
+    n_span = cfg.max_objects - cfg.min_objects + 1
+    # slot j's grid cell, row-major on a near-square grid
+    cols = int(np.ceil(np.sqrt(cfg.num_regions)))
+    rows = int(np.ceil(cfg.num_regions / cols))
+    r, c = np.divmod(np.arange(cfg.num_regions), cols)
+    bboxes = np.stack([(c + 0.1) / cols, (r + 0.1) / rows,
+                       (c + 0.9) / cols, (r + 0.9) / rows], axis=1).astype(np.float32)
+    bboxes.flags.writeable = False
+    examples: list[RawExample] = []
+    for _ in range(n):
+        k = cfg.min_objects + rng.randint(n_span)
+        label_ids = [int(v) for v in rng.choose(cfg.num_labels, k)]
+        attr_ids = [rng.randint(cfg.num_attributes) for _ in range(k)]
+        pairs = [(ATTRIBUTE_WORDS[a], OBJECT_WORDS[l]) for a, l in zip(attr_ids, label_ids)]
+
+        src_words, src_obj_pos = _caption_words(pairs)
+        tgt_template, tgt_obj_pos = _caption_words(list(reversed(pairs)))
+        tgt_words = [to_second_language(w) if w not in (",", ".") else w for w in tgt_template]
+
+        # region slots: 0 = last mention, 1 = first mention, 2.. = middles,
+        # then distractors
+        distractors = [rng.randint(cfg.num_labels) for _ in range(k, cfg.num_regions)]
+        labels = np.array([label_ids[-1], *label_ids[:-1], *distractors], dtype=np.int64)
+        noise = rng.normal((cfg.num_regions, cfg.feat_dim), dtype=np.float32)
+        examples.append(
+            RawExample(
+                src_words=src_words,
+                tgt_words=tgt_words,
+                src_entity_words=src_obj_pos,
+                tgt_entity_words=tgt_obj_pos,
+                feats=centers[labels] + cfg.cluster_sigma * noise,
+                bboxes=bboxes,
+                labels=labels,
+            )
+        )
+    return examples
+
+
+def _raw_bytes(ex):
+    """Everything an example holds, arrays as (dtype, shape, bytes)."""
+    return (ex.src_words, ex.tgt_words, ex.src_entity_words, ex.tgt_entity_words,
+            *((a.dtype, a.shape, a.tobytes()) for a in (ex.feats, ex.bboxes, ex.labels)))
+
+
+_GEN_CASES = {
+    # feat_dim 3 x 5 regions: an odd noise count leaves a spare Box-Muller half
+    "odd-noise": (GenConfig(num_regions=5, feat_dim=3), [0, 1, 37]),
+    "fixed-count": (GenConfig(min_objects=3, max_objects=3, feat_dim=4), [1, 60]),
+    "labels-equal-max-objects": (GenConfig(num_labels=4, max_objects=4, feat_dim=2), [60]),
+    "sigma-zero": (GenConfig(cluster_sigma=0.0, feat_dim=4), [60]),
+    "one-object": (GenConfig(min_objects=1, max_objects=1, num_regions=1, num_labels=1,
+                             num_attributes=1, feat_dim=1), [0, 1, 5]),
+    "chunk-edges": (GenConfig(feat_dim=2), [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
+    "desk": (GenConfig(feat_dim=64), [40]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GEN_CASES))
+def test_bulk_corpus_equals_per_example_reference(case):
+    """Each chunk's one bulk draw gives the per-example loop's words,
+    entity positions and region bytes."""
+    cfg, counts = _GEN_CASES[case]
+    centers = label_centers(cfg, 5)
+    for count in counts:
+        got = generate_raw(cfg, 17, centers, count=count)
+        expect = reference_generate_raw(cfg, 17, centers, count=count)
+        assert len(got) == len(expect) == count
+        for a, b in zip(got, expect):
+            assert _raw_bytes(a) == _raw_bytes(b)
+
+
+def test_shorter_corpus_is_a_prefix_of_a_longer_one():
+    cfg = GenConfig(feat_dim=3, num_regions=5)
+    centers = label_centers(cfg, 2)
+    longer = [_raw_bytes(ex) for ex in generate_raw(cfg, 4, centers, count=CHUNK + 9)]
+    for n in (0, 1, 7, CHUNK, CHUNK + 1):
+        assert [_raw_bytes(ex) for ex in generate_raw(cfg, 4, centers, count=n)] == longer[:n]
+
+
+def reference_learn_bpe(sentences: list[str], num_merges: int) -> list[tuple[str, str]]:
+    """Learn a merge table from whitespace-tokenised sentences."""
+    if num_merges <= 0:
+        raise ConfigError("num_merges must be positive")
+    if not sentences:
+        raise ConfigError("cannot learn BPE from an empty corpus")
+    word_freq = Counter()
+    for s in sentences:
+        word_freq.update(s.split())
+    vocab = {_word_symbols(w): f for w, f in word_freq.items()}
+    merges: list[tuple[str, str]] = []
+    for _ in range(num_merges):
+        pairs = _count_pairs(vocab)
+        if not pairs:
+            break
+        best_count = max(pairs.values())
+        best = min(p for p, c in pairs.items() if c == best_count)
+        merges.append(best)
+        vocab = {_merge_word(syms, best): f for syms, f in vocab.items()}
+    return merges
+
+
+@pytest.mark.parametrize("num_merges", [1, 40, 2000])
+def test_bpe_learning_equals_reference(num_merges):
+    """Merging only the words that hold the chosen pair's first symbol, and
+    collecting symbols from distinct words, give the same merge table and
+    vocabulary."""
+    cfg = GenConfig(feat_dim=2)
+    sentences = raw_sentences(generate_raw(cfg, 3, label_centers(cfg, 3), count=300))
+    sentences += ["aaaa aaa abab ba", "x", "aa aa aa"]
+    merges = reference_learn_bpe(sentences, num_merges)
+    assert learn_bpe(sentences, num_merges) == merges
+    codec = BpeCodec(merges, Vocab(list(RESERVED_TOKENS)))
+    symbols = {s for line in sentences for w in line.split() for s in codec.segment_word(w)}
+    assert BpeCodec.learn(sentences, num_merges).vocab.tokens == (
+        list(RESERVED_TOKENS) + sorted(symbols))
