@@ -62,17 +62,27 @@ def learn_bpe(sentences: list[str], num_merges: int) -> list[tuple[str, str]]:
     for s in sentences:
         word_freq.update(s.split())
     vocab = {_word_symbols(w): f for w, f in word_freq.items()}
+    pairs = _count_pairs(vocab)  # kept current: a merge recounts only the words it changed
     merges: list[tuple[str, str]] = []
     for _ in range(num_merges):
-        pairs = _count_pairs(vocab)
         if not pairs:
             break
         best_count = max(pairs.values())
         best = min(p for p, c in pairs.items() if c == best_count)
         merges.append(best)
+        merged = {}
         # only a word holding the pair's first symbol can change
-        vocab = {(_merge_word(syms, best) if best[0] in syms else syms): f
-                 for syms, f in vocab.items()}
+        for syms, f in vocab.items():
+            new = _merge_word(syms, best) if best[0] in syms else syms
+            if len(new) < len(syms):
+                for p in zip(syms, syms[1:]):
+                    pairs[p] -= f
+                    if not pairs[p]:
+                        del pairs[p]
+                for p in zip(new, new[1:]):
+                    pairs[p] += f
+            merged[new] = f
+        vocab = merged
     return merges
 
 

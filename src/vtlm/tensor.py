@@ -30,6 +30,29 @@ first gradient keeps such an array, if C-contiguous and of its dtype
 and shape, instead of copying it; every other first gradient, and every
 parameter's, is a copy.
 
+Parameter gradients are written on a worker thread. Only the optimizer
+reads a leaf's (a parameter's) .grad, so `backward()` hands every write
+to a leaf's .grad to one worker thread and walks on with the gradients
+of op outputs. The worker computes `linear`'s dW and bias sum,
+`layer_norm`'s gain and bias sums, `embedding`'s scatter-add and each
+`_accumulate` into a leaf; a linear whose weight is an op output, such
+as the tied head's transpose, keeps its dW inline. The invariants:
+- leaf writes run on the worker first in, first out, in tape order, so
+  each leaf receives the arrays of the one-thread walk in its order and
+  every gradient keeps its bits;
+- the main thread allocates a leaf's .grad when it hands over the
+  leaf's first write, so the buffers come from its malloc arena, and the
+  worker writes into them; besides, the worker reads only forward data,
+  gradients of nodes whose backward has run and arrays built for it,
+  which nothing changes again;
+- `backward()` returns only once the worker has drained, re-raising the
+  first exception a leaf write raised;
+- the worker is made on the first backward of a process and forgotten
+  in a forked child, whose first backward makes its own.
+Outside a backward (an op's `_backward` called directly) a leaf write
+runs inline. One backward runs at a time, and `_GRAD_ENABLED` is a
+process-wide flag.
+
 `attention` is multi-head attention as one tape node: the heads are
 views, the scores are scaled by 1/√(d / n_heads), and a block of query
 rows may share one key row (a sentence's beams). Its hand-written
@@ -49,6 +72,9 @@ trustworthy.
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -119,26 +145,59 @@ class Tensor:
         copied, the values are equal: a kept -0.0 stays -0.0, but the
         backward only adds and multiplies, so no nonzero value downstream
         changes, and a parameter's first gradient still turns it into +0.0.
+
+        Every addition but a kept one goes through `_write_grad`.
         """
-        if self.grad is not None:
-            self.grad += g
-        elif (owned and self._parents and g.ndim and g.flags.c_contiguous
-              and g.dtype == self.data.dtype and g.shape == self.data.shape):
+        if (owned and self._parents and self.grad is None and g.ndim and g.flags.c_contiguous
+                and g.dtype == self.data.dtype and g.shape == self.data.shape):
             self.grad = g
         else:
-            self.grad = np.add(g, 0.0, out=np.empty(self.data.shape, self.data.dtype))
+            self._write_grad(_add, g)
+
+    def _add_grad(self, fn, *args) -> None:
+        """Add fn(*args) to .grad, where fn takes `out=`: for a leaf via
+        `_write_grad`, a first result computed straight into .grad; for
+        an op output inline, handed over to `_accumulate`."""
+        if self._parents:
+            self._accumulate(fn(*args), owned=True)
+        else:
+            self._write_grad(_add_result, fn, *args)
+
+    def _write_grad(self, write, *args) -> None:
+        """write(.grad, first, *args): on the worker for a leaf during
+        `backward()`, else inline. On the first write .grad is allocated
+        here, on the calling thread, uninitialised, and `first` is True."""
+        first = self.grad is None
+        if first:
+            self.grad = np.empty(self.data.shape, self.data.dtype)
+        if self._parents or _running is None:
+            write(self.grad, first, *args)
+        else:
+            _running.submit(write, self.grad, first, *args)
 
     def backward(self) -> None:
         """Populate .grad on every reachable requires_grad leaf; an op's
-        gradient is dropped once passed on to its parents."""
+        gradient is dropped once passed on to its parents. Returns once
+        the worker has run every leaf write, and raises the first
+        exception one raised."""
         if self.data.ndim != 0 and self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
+        global _worker, _running
         order = topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                node.grad = None  # complete: every consumer of node ran before it
+        if _worker is None:
+            _worker = _Worker()
+        _running = worker = _worker
+        try:
+            for node in reversed(order):
+                if node._backward is not None and node.grad is not None:
+                    node._backward(node.grad)
+                    node.grad = None  # complete: every consumer of node ran before it
+        finally:
+            _running = None
+            error = worker.drain()
+        if error is not None:
+            raise error
 
     # -- operator sugar -------------------------------------------------
 
@@ -147,6 +206,70 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, _as_tensor(other, self.dtype))
+
+
+def _add(buf, first, g) -> None:
+    """buf += g; the first write is g + 0.0, the bits of zeros + g."""
+    if first:
+        np.add(g, 0.0, out=buf)
+    else:
+        buf += g
+
+
+def _add_result(buf, first, fn, *args) -> None:
+    """buf += fn(*args); the first result is computed into buf, and +0.0
+    then gives the bits of zeros + fn(*args)."""
+    if first:
+        fn(*args, out=buf)
+        buf += 0.0
+    else:
+        buf += fn(*args)
+
+
+class _Worker:
+    """A thread that runs leaf writes first in, first out."""
+
+    def __init__(self):
+        self._tasks = queue.SimpleQueue()
+        self._error = None
+        # a daemon: between backwards the thread is idle and holds nothing
+        # to finish, so it must not keep the interpreter from exiting
+        threading.Thread(target=self._run, name="vtlm-grad", daemon=True).start()
+
+    def _run(self):
+        while True:
+            write, args = self._tasks.get()
+            try:
+                write(*args)
+            except Exception as e:  # re-raised by the backward that drains
+                if self._error is None:
+                    self._error = e
+
+    def submit(self, write, *args) -> None:
+        self._tasks.put((write, args))
+
+    def drain(self) -> Exception | None:
+        """Wait for every write handed over; the first one's exception."""
+        done = threading.Lock()
+        done.acquire()
+        self._tasks.put((done.release, ()))
+        done.acquire()
+        error, self._error = self._error, None
+        return error
+
+
+_worker: _Worker | None = None  # made by the first backward of a process
+_running: _Worker | None = None  # the worker while a backward runs
+
+
+def _forget_worker() -> None:
+    """In a forked child: the parent's worker thread is not there, so a
+    write queued for it would never run and the first drain would hang."""
+    global _worker
+    _worker = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _as_tensor(x, dtype) -> Tensor:
@@ -270,7 +393,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     The arithmetic of reshape → matmul → add → reshape in that order, so
     values and gradients keep their bits: dx = g Wᵀ, dW = x2ᵀ g over the
     (rows, d) view x2 of x, and db the column sum of g. All three are
-    handed over.
+    handed over; a leaf's dW and db are computed on the worker.
     """
     f = w.data.shape[1]
     x2 = x.data.reshape(-1, x.data.shape[-1])
@@ -280,9 +403,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         g2 = g.reshape(-1, f)
         if b.requires_grad:
-            b._accumulate(g2.sum(axis=0), owned=True)
+            b._add_grad(np.sum, g2, 0)
         if w.requires_grad:
-            w._accumulate(np.matmul(x2.T, g2), owned=True)
+            w._add_grad(np.matmul, x2.T, g2)
         if x.requires_grad:
             x._accumulate(np.matmul(g2, w.data.T).reshape(x.data.shape), owned=True)
 
@@ -345,12 +468,17 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
             # one add.at over elements id * d + j of the C-ordered flat
             # gradient: per element, the additions of a row-wise add.at
             # in their order
-            if weight.grad is None:
-                weight.grad = np.zeros(weight.data.shape, weight.data.dtype)
             at = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
-            np.add.at(weight.grad.reshape(-1), at, g.reshape(-1))
+            weight._write_grad(_scatter_add, at, g)
 
     return _make(data, (weight,), bw)
+
+
+def _scatter_add(buf, first, at, g) -> None:
+    """Add g's elements to elements `at` of the flat buf, zeroed first."""
+    if first:
+        buf.fill(0.0)
+    np.add.at(buf.reshape(-1), at, g.reshape(-1))
 
 
 # -- nonlinearities --------------------------------------------------------
@@ -427,6 +555,8 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """gain * (x - mean) / sqrt(var + LN_EPS) + bias over the last axis of
+    x, with (d,) vectors gain and bias."""
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
@@ -434,12 +564,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     ivar = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * ivar
     data = gain.data * xhat + bias.data
+    rows = tuple(range(x.ndim - 1))  # the (d,) gain and bias span every row
 
     def bw(g):
         if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
+            gain._add_grad(np.sum, g * xhat, rows)
         if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
+            bias._add_grad(np.sum, g, rows)
         if a.requires_grad:
             dxhat = g * gain.data
             dx = ivar * (
