@@ -233,14 +233,17 @@ def attention(params: ParamStore, prefix: str, x_q: Tensor, x_kv: Tensor, n_head
     return linear(ctx, params, f"{prefix}.wo", f"{prefix}.bo")
 
 
-def select_cache_rows(cache: dict, rows: np.ndarray, memory_rows: np.ndarray) -> None:
+def select_cache_rows(cache: dict, rows: np.ndarray,
+                      memory_rows: np.ndarray | None = None) -> None:
     """Keep query rows `rows` (in that order) and memory rows
     `memory_rows` of an incremental decoder's cache: self-attention keys
     and values have one row per query row, cross-attention ones one row
-    per memory row."""
+    per memory row. `memory_rows` None keeps every memory row, leaving
+    the cross-attention entries as they are."""
     for name, (k, v) in cache.items():
         idx = memory_rows if name.endswith(".cross_attn") else rows
-        cache[name] = (Tensor(k.data[idx]), Tensor(v.data[idx]))
+        if idx is not None:
+            cache[name] = (Tensor(k.data[idx]), Tensor(v.data[idx]))
 
 
 def encoder_layer(params: ParamStore, prefix: str, x: Tensor, grid: T.Grid,

@@ -35,7 +35,10 @@ cross-attention keys and values from the encoder states once and
 caches its self-attention keys and values, so each step feeds one new
 position per hypothesis. Finished sentences leave the batch. Decoding
 passes `drop=None` and samples nothing, so it draws no random numbers:
-its output depends on the parameters and sources alone.
+its output depends on the parameters and sources alone. `translate`
+decodes its chunks on two threads, the even-numbered ones on the calling
+thread and the odd-numbered ones on `tensor`'s gradient worker
+(`tensor.split_map`), each under its own thread's `no_grad`.
 """
 
 from __future__ import annotations
@@ -298,9 +301,10 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
     once no live hypothesis can beat its best finished one
     (`_cannot_improve`), so stopping early never changes a result. Only
     step 0 reads `enc_states`, to fill every decoder layer's
-    cross-attention cache; later steps keep the live rows of the caches
-    and of `src_grid`. At max_len the live hypotheses are
-    force-finished. The result per sentence is the finished or forced
+    cross-attention cache. Every step keeps the live rows of the
+    self-attention caches; the cross-attention caches and `src_grid`
+    lose rows only on a step where a sentence leaves. At max_len the
+    live hypotheses are force-finished. The result per sentence is the finished or forced
     hypothesis with the highest logp / length (its token count, [EOS]
     included), ties by token sequence.
     """
@@ -342,8 +346,11 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
         live_rows = np.isfinite(logp).any(axis=1) & ~_cannot_improve(best, logp, max_len)
         keep = np.flatnonzero(live_rows)
         rows = (keep[:, None] * slots + parent[keep]).reshape(-1)
-        select_cache_rows(cache, rows, keep)
-        src_grid = T.Grid.of(src_grid.pad[keep])
+        if len(keep) < n_live:  # a sentence left: drop its memory rows too
+            select_cache_rows(cache, rows, keep)
+            src_grid = T.Grid.of(src_grid.pad[keep])
+        else:
+            select_cache_rows(cache, rows)
         sents, logp, hist, tokens = sents[keep], logp[keep], hist[keep], tok[keep].reshape(-1)
         best = best[keep]
         if not len(keep):
@@ -372,9 +379,14 @@ def translate(params: ParamStore, cfg: EncoderConfig,
 
     The sources are encoded and beam-searched together, in equal chunks
     of at most CHUNK sentences, by one incremental decoder, and each
-    sentence's hypothesis is the one of highest logp / length. With
-    beam=1 this is greedy decoding: each step takes the argmax, the
-    lowest token id among ties.
+    sentence's hypothesis is the one of highest logp / length. The
+    chunks run on two threads (`tensor.split_map`): even-numbered ones
+    on the calling thread, odd-numbered ones on the gradient worker. A
+    chunk's arithmetic is the same on either thread, so every token and
+    log-prob bit is that of decoding the chunks one after the other; the
+    exception of the first failing chunk is raised. With beam=1 this is
+    greedy decoding: each step takes the argmax, the lowest token id
+    among ties.
     """
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
@@ -383,12 +395,14 @@ def translate(params: ParamStore, cfg: EncoderConfig,
             f"max_len={max_len} needs {max_len} target positions, "
             f"model has max_positions={cfg.max_positions}"
         )
-    out: list[Hypothesis] = []
     n = len(examples)
     size = math.ceil(n / math.ceil(n / CHUNK)) if n else 1  # equal chunks
-    for lo in range(0, n, size):
-        src = build_source_batch(examples[lo: lo + size], task, cfg.max_positions)
+    chunks = [examples[lo: lo + size] for lo in range(0, n, size)]
+
+    def decode(chunk):
+        src = build_source_batch(chunk, task, cfg.max_positions)
         with T.no_grad():
             enc, grid = encode_source(params, cfg, src, None)
-        out += beam_search(params, cfg, enc, grid, beam, max_len)
-    return out
+            return beam_search(params, cfg, enc, grid, beam, max_len)
+
+    return [hyp for hyps in T.split_map(decode, chunks) for hyp in hyps]

@@ -47,11 +47,17 @@ as the tied head's transpose, keeps its dW inline. The invariants:
   which nothing changes again;
 - `backward()` returns only once the worker has drained, re-raising the
   first exception a leaf write raised;
-- the worker is made on the first backward of a process and forgotten
-  in a forked child, whose first backward makes its own.
+- the worker is made on the first backward (or `split_map`) of a
+  process and forgotten in a forked child, whose first one makes its own.
 Outside a backward (an op's `_backward` called directly) a leaf write
-runs inline. One backward runs at a time, and `_GRAD_ENABLED` is a
-process-wide flag.
+runs inline.
+
+The worker also runs decode chunks: `split_map` hands it the
+odd-numbered items of a list while the calling thread runs the
+even-numbered ones (`seq2seq.translate`). Whether ops record the tape is
+a per-thread flag (`no_grad`), so two threads that enter and leave
+`no_grad` never switch recording off or on for each other. One backward
+or `split_map` runs at a time.
 
 `attention` is multi-head attention as one tape node: the heads are
 views, the scores are scaled by 1/√(d / n_heads), and a block of query
@@ -71,6 +77,7 @@ trustworthy.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import queue
@@ -81,7 +88,14 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Whether ops record the tape, per thread."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 LN_EPS = 1e-5
 NEG_INF = -1.0e9  # a masked attention score; exp() underflows to exactly 0
@@ -89,14 +103,14 @@ NEG_INF = -1.0e9  # a masked attention score; exp() underflows to exactly 0
 
 @contextmanager
 def no_grad():
-    """Disable tape construction inside the block (evaluation paths)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable tape construction inside the block (evaluation paths), on
+    the calling thread only: another thread records as it did."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _grad_mode.enabled = prev
 
 
 class Tensor:
@@ -182,12 +196,10 @@ class Tensor:
         exception one raised."""
         if self.data.ndim != 0 and self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
-        global _worker, _running
+        global _running
         order = topo_order(self)
         self.grad = np.ones_like(self.data)
-        if _worker is None:
-            _worker = _Worker()
-        _running = worker = _worker
+        _running = worker = _the_worker()
         try:
             for node in reversed(order):
                 if node._backward is not None and node.grad is not None:
@@ -258,8 +270,61 @@ class _Worker:
         return error
 
 
-_worker: _Worker | None = None  # made by the first backward of a process
+_worker: _Worker | None = None  # made by the first backward or split_map of a process
 _running: _Worker | None = None  # the worker while a backward runs
+
+
+def _the_worker() -> _Worker:
+    global _worker
+    if _worker is None:
+        _worker = _Worker()
+    return _worker
+
+
+def split_map(fn, items: list) -> list:
+    """[fn(item) for item in items], on two threads: the calling thread
+    runs the even-numbered items and the worker the odd-numbered ones,
+    each thread in order. Returns once the worker has drained, raising
+    or not; when items fail, raises the exception of the lowest-numbered
+    one, as the loop would.
+
+    First the free memory of malloc's heaps goes back to the system
+    (glibc's malloc_trim, where libc has it): the worker's malloc arena
+    grows by one item's working set, which would otherwise come on top
+    of memory the process holds but does not use, such as what training
+    freed. `fn` must not run a backward: the worker would wait on
+    itself."""
+    if len(items) < 2:
+        return [fn(item) for item in items]
+    out = [None] * len(items)
+    failed: list[tuple[int, Exception]] = []  # (item number, exception)
+
+    def run(i):
+        try:
+            out[i] = fn(items[i])
+        except Exception as e:  # raised below, once both threads are done
+            failed.append((i, e))
+
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+    worker = _the_worker()
+    for i in range(1, len(items), 2):
+        worker.submit(run, i)
+    try:
+        for i in range(0, len(items), 2):
+            run(i)
+    finally:
+        worker.drain()
+    if failed:
+        raise min(failed)[1]
+    return out
+
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim  # glibc's
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # a libc without it
+    _malloc_trim = None
 
 
 def _forget_worker() -> None:
@@ -339,7 +404,7 @@ class Grid:
 
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -505,7 +570,7 @@ def gelu(a: Tensor) -> Tensor:
     dy/dx = Phi + x Phi' of this Phi, and the backward is one multiply.
     """
     x = a.data
-    record = _GRAD_ENABLED and a.requires_grad
+    record = _grad_mode.enabled and a.requires_grad
     y = np.empty(x.shape, x.dtype)
     dy = np.empty(x.shape, x.dtype) if record else None
     xf, yf, n = x.reshape(-1), y.reshape(-1), x.size

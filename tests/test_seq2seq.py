@@ -1,4 +1,7 @@
 import itertools
+import multiprocessing
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -231,6 +234,133 @@ def test_translate_keeps_the_traced_call_contract(fitted, monkeypatch):
     assert calls["encode_source"] == calls["beam_search"] == 2  # 3 + 3 sentences
     assert calls["decode_states"] > 0
     assert [h.tokens for h in chunked] == [h.tokens for h in whole]
+
+
+def _decode_chunk(params, cfg, task, beam):
+    """One chunk's decode as translate runs it, at max_len 16."""
+    def decode(chunk):
+        src = build_source_batch(chunk, task, cfg.max_positions)
+        with T.no_grad():
+            enc, grid = encode_source(params, cfg, src, None)
+            return seq2seq.beam_search(params, cfg, enc, grid, beam, 16)
+    return decode
+
+
+def _bits(hyps):
+    return [(h.tokens, h.finished, np.float64(h.logp).tobytes()) for h in hyps]
+
+
+@pytest.mark.parametrize("beam", [1, 8])
+@pytest.mark.parametrize("chunk, n, k", [(64, 6, 1), (3, 6, 2), (2, 6, 3), (1, 5, 5)])
+def test_two_thread_translate_equals_serial_chunk_loop(chunk, n, k, beam, fitted, monkeypatch):
+    """translate's k chunks of n sentences at CHUNK `chunk`, split
+    between the calling thread and the worker, give the tokens,
+    `finished` flags and logp bytes of decoding the same chunks one after
+    the other on one thread, under a switch interval short enough to
+    interleave the threads; the odd-numbered chunks ran on the worker."""
+    params, cfg, examples = fitted(MMT, 1)
+    examples = examples[:n]
+    decode = _decode_chunk(params, cfg, MMT, beam)
+    size = -(-n // k)
+    expect = [hyp for lo in range(0, n, size) for hyp in decode(examples[lo: lo + size])]
+    threads = []
+    real = seq2seq.beam_search
+
+    def spy(*args, **kwargs):
+        threads.append(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(seq2seq, "CHUNK", chunk)
+    monkeypatch.setattr(seq2seq, "beam_search", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = translate(params, cfg, examples, MMT, beam=beam, max_len=16)
+    finally:
+        sys.setswitchinterval(interval)
+    main = threading.current_thread().name
+    assert sorted(threads) == sorted(main if i % 2 == 0 else "vtlm-grad" for i in range(k))
+    assert _bits(got) == _bits(expect)
+
+
+def test_failed_chunk_error_surfaces_and_next_backward_is_clean(corpus, monkeypatch):
+    """A DataError raised in a chunk on the worker (chunk 1 of four)
+    surfaces from translate; when two chunks fail, on either thread, the
+    lower chunk's error is raised, as a serial loop would raise it; and
+    a backward after a failed translate has the gradients of a clean
+    one."""
+    cfg = tiny_cfg(corpus)
+    params = init_mt_params(cfg, Pcg32(0).split("init"))
+    monkeypatch.setattr(seq2seq, "CHUNK", 1)  # four chunks of one sentence
+
+    def with_bad(chunks):
+        """corpus.test[:4] with an id outside the vocabulary, distinct
+        per chunk, in each of `chunks`."""
+        out = list(corpus.test[:4])
+        for c in chunks:
+            out[c] = replace(out[c], src_tokens=[cfg.vocab_size + c] + list(out[c].src_tokens))
+        return out
+
+    src = build_source_batch(corpus.train[:4], MMT, cfg.max_positions)
+    tgt = build_target_batch(corpus.train[:4], cfg.max_positions)
+
+    def grads():
+        clear_grads(params)
+        mt_loss(params, cfg, src, tgt, None).loss.backward()
+        return {name: p.grad.tobytes() for name, p in params.items()}
+
+    clean = grads()
+    for bad, first in [((1,), 1), ((0, 1), 0), ((1, 2), 1), ((2, 3), 2)]:
+        with pytest.raises(DataError, match=f"token id {cfg.vocab_size + first} outside"):
+            translate(params, cfg, with_bad(bad), MMT, beam=2, max_len=4)
+    assert grads() == clean
+
+
+def _translate_in_child(params, cfg, examples, expect):
+    got = translate(params, cfg, examples, MMT, beam=3, max_len=16)
+    sys.exit(0 if _bits(got) == expect else 1)
+
+
+# fork in a process with threads warns from Python 3.12 on; the worker is
+# forgotten in the child, so this fork is the case under test
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_translates(fitted):
+    """A child forked after a two-thread translate, while the parent's
+    worker thread is alive, decodes its own chunks on two threads with
+    the parent's result."""
+    params, cfg, examples = fitted(MMT, 0)
+    expect = _bits(translate(params, cfg, examples, MMT, beam=3, max_len=16))
+    assert T._worker is not None
+    child = multiprocessing.get_context("fork").Process(
+        target=_translate_in_child, args=(params, cfg, examples, expect))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join(timeout=10)
+        pytest.fail("the forked child's translate hung")
+    assert child.exitcode == 0
+
+
+def test_cross_attention_cache_kept_when_no_sentence_leaves(corpus):
+    """select_cache_rows without memory rows gathers the self-attention
+    rows and leaves the cross-attention entries as they are."""
+    cfg = tiny_cfg(corpus)
+    params = init_mt_params(cfg, Pcg32(0).split("init"))
+    src = build_source_batch(corpus.test[:2], MMT, cfg.max_positions)
+    with T.no_grad():
+        enc, grid = encode_source(params, cfg, src, None)
+    cache: dict = {}
+    step_logprobs(params, cfg, enc, grid, np.full(2, BOS), 0, cache)
+    before = dict(cache)
+    select_cache_rows(cache, np.array([1, 1]))
+    for name, (k, v) in cache.items():
+        if name.endswith(".cross_attn"):
+            assert (k, v) == before[name]
+        else:
+            assert np.array_equal(k.data, before[name][0].data[[1, 1]])
+            assert np.array_equal(v.data, before[name][1].data[[1, 1]])
+    assert any(name.endswith(".cross_attn") for name in cache)
 
 
 def test_mixed_region_counts_raise_data_error(corpus):

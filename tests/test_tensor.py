@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -363,6 +364,40 @@ class TestDeterminism:
             y = T.mul(x, x)
         assert y._backward is None and not y.requires_grad
 
+    def test_no_grad_is_per_thread(self):
+        """Another thread's no_grad neither stops this thread's recording
+        (of an op and of gelu's derivative) while it is entered, nor
+        restarts it when it is left inside this thread's no_grad."""
+        x = t([1.0, 2.0], rg=True)
+
+        def records():
+            return T.mul(x, x).requires_grad, T.gelu(x)._backward is not None
+
+        entered, leave = threading.Event(), threading.Event()
+        seen = []
+
+        def other():
+            with T.no_grad():
+                entered.set()
+                leave.wait(timeout=30)
+                seen.append(records())
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        try:
+            assert entered.wait(timeout=30)
+            assert records() == (True, True)
+            with T.no_grad():
+                leave.set()
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+                assert records() == (False, False)
+        finally:
+            leave.set()
+            thread.join(timeout=30)
+        assert seen == [(False, False)]
+        assert records() == (True, True)
+
 
 class InlineWorker:
     """Runs each leaf write at once, on the thread that hands it over."""
@@ -492,6 +527,33 @@ class TestLeafWorker:
         w = t(np.ones((2, 2)), rg=True)
         w._accumulate(np.full((2, 2), 3.0))
         assert w.grad.tolist() == [[3.0, 3.0], [3.0, 3.0]]
+
+
+class TestSplitMap:
+    def test_results_in_order_odd_items_on_the_worker(self):
+        got = T.split_map(lambda i: (i, threading.current_thread().name), list(range(5)))
+        main = threading.current_thread().name
+        assert got == [(i, main if i % 2 == 0 else "vtlm-grad") for i in range(5)]
+
+    def test_drains_the_worker_before_raising(self):
+        """Item 0 fails on the calling thread once the worker's slow item 1
+        has started; split_map raises item 0's error only after item 1 has
+        returned."""
+        done, started = [], threading.Event()
+
+        def fn(i):
+            if i == 0:
+                assert started.wait(timeout=30)
+                raise KeyError(i)
+            if i == 1:
+                started.set()
+                time.sleep(0.2)
+            done.append(i)
+
+        with pytest.raises(KeyError) as raised:
+            T.split_map(fn, [0, 1, 2])
+        assert raised.value.args == (0,)
+        assert 1 in done
 
 
 def _backward_in_child():
