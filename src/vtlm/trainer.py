@@ -5,7 +5,15 @@ fine-tuning) share one loop, `_fit`: it owns resume, the epoch order,
 the per-step random streams, divergence checks, the Adam update, the
 evaluation schedule, best tracking and the two checkpoints; each phase
 supplies only its training step and its validation metric. Text is
-laid out within the model's `max_positions`.
+laid out within the model's `max_positions`. The loop holds one tape at
+a time: it reads a step's loss and drops the loss tensor, and with it
+the step's tape, once the update is done, before it evaluates and
+before the next step builds its own.
+
+Evaluation (`evaluate_pretrain`, `evaluate_mt`) scores its batches on
+two threads, the calling thread and `tensor`'s gradient worker
+(`tensor.split_map`), and sums their metrics in batch order on the
+calling thread, so every metric keeps the bits of a one-thread loop.
 
 Every random stream a training step consumes (shuffling, masking,
 dropout) is derived statelessly from (seed, purpose, step), so resuming
@@ -223,27 +231,39 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 def evaluate_pretrain(params: ParamStore, cfg: EncoderConfig, streams,
                       examples, objective: str, policy: MaskPolicy,
                       seed: int, batch_size: int) -> dict:
-    """Deterministic masked-prediction metrics on a validation set;
-    ConfigError when `batch_size` is below 1, DataError when there is no
-    masked target to score (no examples, or no maskable token)."""
+    """Deterministic masked-prediction metrics on a validation set, one
+    stream per example; ConfigError when `batch_size` is below 1,
+    DataError when the stream and example counts differ or there is no
+    masked target to score (no examples, or no maskable token).
+
+    Every batch's masks are drawn first, on the calling thread and in
+    batch order, so the masking streams are consumed as by one loop over
+    the batches. The batches are then scored on two threads
+    (`tensor.split_map`) and the sums taken in batch order, so every
+    metric has the bits of scoring them one after the other."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if len(streams) != len(examples):
+        raise DataError(f"{len(streams)} streams for {len(examples)} examples")
     rng_t = Pcg32(seed).split("val/mask_text")
     rng_v = Pcg32(seed).split("val/mask_visual")
+    batches = [build_masked_batch(examples[lo: lo + batch_size], objective, policy,
+                                  cfg.vocab_size, rng_t, rng_v,
+                                  streams=streams[lo: lo + batch_size])
+               for lo in range(0, len(examples), batch_size)]
+
+    def score(batch):
+        with T.no_grad():  # per thread
+            out = vtlm_loss(params, cfg, batch, None)
+        n = out.n_text + out.n_vis
+        return out.masked_prediction_accuracy * n, n, out.loss.item() * n
+
     tot_correct = loss_sum = 0.0
     tot_targets = 0
-    with T.no_grad():
-        for lo in range(0, len(examples), batch_size):
-            batch = build_masked_batch(examples[lo: lo + batch_size], objective, policy,
-                                       cfg.vocab_size, rng_t, rng_v,
-                                       streams=streams[lo: lo + batch_size])
-            if batch is None:
-                continue
-            out = vtlm_loss(params, cfg, batch, None)
-            n = out.n_text + out.n_vis
-            tot_correct += out.masked_prediction_accuracy * n
-            tot_targets += n
-            loss_sum += out.loss.item() * n
+    for correct, n, loss in T.split_map(score, [b for b in batches if b is not None]):
+        tot_correct += correct
+        tot_targets += n
+        loss_sum += loss
     if not tot_targets:
         raise DataError("nothing to evaluate: no masked targets")
     return {"val_acc": tot_correct / tot_targets, "val_loss": loss_sum / tot_targets}
@@ -293,9 +313,10 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
     whether the step trained or skipped its batch or update, `eval_fn()`
     returns the validation metrics, which `history` records with the
     step and its `train_loss`: None when the step skipped its batch, as
-    no batch was trained. The best parameters, copied into a new dict,
-    are those whose `metric` is `better` than every earlier
-    evaluation's (starting from `worst`). `out_dir` receives
+    no batch was trained. The loss tensor, and with it the step's tape,
+    is dropped once the update is done. The best parameters, copied
+    into a new dict, are those whose `metric` is `better` than every
+    earlier evaluation's (starting from `worst`). `out_dir` receives
     last.ckpt and best.ckpt when the loop ends (header fields in the
     module docstring); resuming from a last.ckpt continues the run bit
     for bit (one that runs no step keeps its metrics), and takes the
@@ -354,18 +375,19 @@ def _fit(params: ParamStore, cfg: EncoderConfig, tcfg: TrainConfig, n: int,
         for p in params.values():
             p.grad = None
         loss = step_fn(idx, lambda purpose, step=step: root.split(f"{purpose}/{step}"))
+        train_loss = None if loss is None else loss.item()
         if loss is not None:
-            if not math.isfinite(loss.item()):
+            if not math.isfinite(train_loss):
                 log.error("loss diverged at step %d; aborting", step)
                 diverged = True
                 break
             loss.backward()
             adam_step(params, adam, tcfg.lr)
+            loss = None  # frees the step's tape before evaluation and the next step
         # a skipped batch or update still evaluates: the schedule is by step
         if step % tcfg.eval_interval == 0 or step == tcfg.max_steps:
             val = eval_fn()
-            history.append({"step": step,
-                            "train_loss": None if loss is None else loss.item(), **val})
+            history.append({"step": step, "train_loss": train_loss, **val})
             last_metrics = val
             if better(val[metric], best_metric):
                 best_metric = val[metric]
@@ -428,18 +450,24 @@ def evaluate_mt(params: ParamStore, cfg: EncoderConfig, examples, task: str,
                 batch_size: int) -> float:
     """Teacher-forced validation perplexity, text within
     `cfg.max_positions`; ConfigError when `batch_size` is below 1,
-    DataError when there are no examples."""
+    DataError when there are no examples. The batches are scored on two
+    threads (`tensor.split_map`) and the sums taken in batch order, so
+    the perplexity has the bits of scoring them one after the other."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    nll_sum, n_tok = 0.0, 0
-    with T.no_grad():
-        for lo in range(0, len(examples), batch_size):
-            chunk = examples[lo: lo + batch_size]
+
+    def score(chunk):
+        with T.no_grad():  # per thread
             src = build_source_batch(chunk, task, cfg.max_positions)
             tgt = build_target_batch(chunk, cfg.max_positions)
             out = mt_loss(params, cfg, src, tgt, None)
-            nll_sum += out.nll * out.n_tokens
-            n_tok += out.n_tokens
+        return out.nll * out.n_tokens, out.n_tokens
+
+    nll_sum, n_tok = 0.0, 0
+    chunks = [examples[lo: lo + batch_size] for lo in range(0, len(examples), batch_size)]
+    for nll, n in T.split_map(score, chunks):
+        nll_sum += nll
+        n_tok += n
     if not n_tok:
         raise DataError("nothing to evaluate: no examples")
     return math.exp(nll_sum / n_tok)

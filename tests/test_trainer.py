@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import os
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from vtlm.checkpoint import load_checkpoint, save_checkpoint
 from vtlm.masking import TLM, VTLM, MaskPolicy, build_masked_batch, build_stream
 from vtlm.model import EncoderConfig, init_encoder_params, vtlm_loss
 from vtlm.rng import Pcg32
-from vtlm.seq2seq import MMT, build_source_batch, build_target_batch, init_mt_params, mt_loss
+from vtlm.seq2seq import MMT, NMT, build_source_batch, build_target_batch, init_mt_params, mt_loss
 from vtlm.synthetic import GenConfig, generate_corpus
 
 GEN = GenConfig(num_examples=24, num_valid=8, num_test=2, feat_dim=8, num_merges=150)
@@ -629,3 +632,203 @@ def test_float64_parameters_give_float64_losses_and_gradients(phase, corpus):
     grads = [p.grad for p in params.values() if p.grad is not None]
     assert len(grads) > len(params) // 2
     assert {g.dtype for g in grads} == {np.dtype(np.float64)}
+
+
+# -- evaluation on two threads ------------------------------------------------
+
+
+def serial_evaluate_pretrain(params, cfg, streams, examples, objective, policy, seed,
+                             batch_size):
+    """`trainer.evaluate_pretrain` as it was when evaluation ran on one
+    thread: one loop that masks and scores each batch in turn."""
+    rng_t = Pcg32(seed).split("val/mask_text")
+    rng_v = Pcg32(seed).split("val/mask_visual")
+    tot_correct = loss_sum = 0.0
+    tot_targets = 0
+    with T.no_grad():
+        for lo in range(0, len(examples), batch_size):
+            batch = build_masked_batch(examples[lo: lo + batch_size], objective, policy,
+                                       cfg.vocab_size, rng_t, rng_v,
+                                       streams=streams[lo: lo + batch_size])
+            if batch is None:
+                continue
+            out = vtlm_loss(params, cfg, batch, None)
+            n = out.n_text + out.n_vis
+            tot_correct += out.masked_prediction_accuracy * n
+            tot_targets += n
+            loss_sum += out.loss.item() * n
+    if not tot_targets:
+        raise DataError("nothing to evaluate: no masked targets")
+    return {"val_acc": tot_correct / tot_targets, "val_loss": loss_sum / tot_targets}
+
+
+def serial_evaluate_mt(params, cfg, examples, task, batch_size):
+    """`trainer.evaluate_mt` as it was when evaluation ran on one thread."""
+    nll_sum, n_tok = 0.0, 0
+    with T.no_grad():
+        for lo in range(0, len(examples), batch_size):
+            chunk = examples[lo: lo + batch_size]
+            src = build_source_batch(chunk, task, cfg.max_positions)
+            tgt = build_target_batch(chunk, cfg.max_positions)
+            out = mt_loss(params, cfg, src, tgt, None)
+            nll_sum += out.nll * out.n_tokens
+            n_tok += out.n_tokens
+    if not n_tok:
+        raise DataError("nothing to evaluate: no examples")
+    return math.exp(nll_sum / n_tok)
+
+
+EVAL_BATCH = 3
+
+
+def eval_examples(corpus, n_batches):
+    """n_batches evaluation batches of EVAL_BATCH examples, the last one
+    short by one."""
+    return corpus.train[: n_batches * EVAL_BATCH - 1]
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads hand over the interpreter as often as they can."""
+    prev = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(prev)
+
+
+def evaluate_both_ways(arm, corpus, n_batches):
+    """(two-thread result, serial reference) for one arm at a fresh
+    initialisation."""
+    cfg = tiny_cfg(corpus)
+    examples = eval_examples(corpus, n_batches)
+    if arm in (VTLM, TLM):
+        params = init_encoder_params(cfg, Pcg32(5).split("init"))
+        streams = [build_stream(ex, arm) for ex in examples]
+        args = (params, cfg, streams, examples, arm, MaskPolicy(), 3, EVAL_BATCH)
+        return trainer.evaluate_pretrain(*args), serial_evaluate_pretrain(*args)
+    params = init_mt_params(cfg, Pcg32(5).split("init"))
+    args = (params, cfg, examples, arm, EVAL_BATCH)
+    return trainer.evaluate_mt(*args), serial_evaluate_mt(*args)
+
+
+@pytest.mark.parametrize("arm", [VTLM, TLM, MMT, NMT])
+@pytest.mark.parametrize("n_batches", [1, 2, 3, 5])
+def test_two_thread_evaluation_equals_the_serial_loop(arm, n_batches, corpus):
+    got, want = evaluate_both_ways(arm, corpus, n_batches)
+    assert got == want
+
+
+@pytest.mark.parametrize("arm", [VTLM, TLM, MMT, NMT])
+def test_two_thread_evaluation_equals_the_serial_loop_switching_fast(arm, corpus,
+                                                                    fast_switching):
+    got, want = evaluate_both_ways(arm, corpus, 5)
+    assert got == want
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_odd_evaluation_batches_run_on_the_worker(phase, corpus, monkeypatch):
+    """Of 5 batches, 0, 2 and 4 are scored on the calling thread, 1 and
+    3 on the gradient worker."""
+    cfg = tiny_cfg(corpus)
+    examples = eval_examples(corpus, 5)
+    ran = []  # (batch number, thread name)
+    if phase == "pretrain":
+        real_build, real_loss, built = trainer.build_masked_batch, trainer.vtlm_loss, []
+
+        def build_spy(*args, **kwargs):
+            built.append(real_build(*args, **kwargs))
+            return built[-1]
+
+        def loss_spy(params, cfg, batch, drop):
+            number = next(i for i, b in enumerate(built) if b is batch)
+            ran.append((number, threading.current_thread().name))
+            return real_loss(params, cfg, batch, drop)
+
+        monkeypatch.setattr(trainer, "build_masked_batch", build_spy)
+        monkeypatch.setattr(trainer, "vtlm_loss", loss_spy)
+        params = init_encoder_params(cfg, Pcg32(5).split("init"))
+        trainer.evaluate_pretrain(params, cfg, [build_stream(ex, VTLM) for ex in examples],
+                                  examples, VTLM, MaskPolicy(), 3, EVAL_BATCH)
+    else:
+        real_build = trainer.build_source_batch
+
+        def build_spy(chunk, *args):
+            number = next(i for i, ex in enumerate(examples) if ex is chunk[0]) // EVAL_BATCH
+            ran.append((number, threading.current_thread().name))
+            return real_build(chunk, *args)
+
+        monkeypatch.setattr(trainer, "build_source_batch", build_spy)
+        params = init_mt_params(cfg, Pcg32(5).split("init"))
+        trainer.evaluate_mt(params, cfg, examples, MMT, EVAL_BATCH)
+    main = threading.current_thread().name
+    assert sorted(ran) == [(i, main if i % 2 == 0 else "vtlm-grad") for i in range(5)]
+
+
+def test_bad_region_label_in_a_worker_batch_raises_and_leaves_the_worker_clean(corpus):
+    """Batch 1 of 3, scored on the worker, holds region labels outside the
+    label vocabulary: `evaluate_pretrain` raises the DataError the serial
+    loop raises, and the next backward's gradients are byte-equal to
+    those of a backward before it."""
+    cfg = tiny_cfg(corpus)
+    params = init_encoder_params(cfg, Pcg32(5).split("init"))
+    examples = eval_examples(corpus, 3)
+    bad = np.full_like(examples[0].labels, cfg.label_vocab_size)
+    examples[EVAL_BATCH: 2 * EVAL_BATCH] = [dataclasses.replace(ex, labels=bad)
+                                           for ex in examples[EVAL_BATCH: 2 * EVAL_BATCH]]
+    streams = [build_stream(ex, VTLM) for ex in examples]
+
+    def gradients():
+        for p in params.values():
+            p.grad = None
+        batch = build_masked_batch(corpus.valid, VTLM, MaskPolicy(), cfg.vocab_size,
+                                   Pcg32(1), Pcg32(2))
+        vtlm_loss(params, cfg, batch, (0.1, Pcg32(3))).loss.backward()
+        return {n: p.grad.tobytes() for n, p in params.items() if p.grad is not None}
+
+    clean = gradients()
+    args = (params, cfg, streams, examples, VTLM, MaskPolicy(), 3, EVAL_BATCH)
+    message = rf"region label {cfg.label_vocab_size} outside the label vocabulary"
+    with pytest.raises(DataError, match=message):
+        serial_evaluate_pretrain(*args)
+    with pytest.raises(DataError, match=message):
+        trainer.evaluate_pretrain(*args)
+    assert gradients() == clean
+
+
+def test_stream_count_other_than_example_count_raises_data_error(corpus):
+    """5 streams for 8 examples would score 5 examples; the evaluation
+    raises instead, naming both counts."""
+    cfg = tiny_cfg(corpus)
+    params = init_encoder_params(cfg, Pcg32(5).split("init"))
+    streams = [build_stream(ex, VTLM) for ex in corpus.valid[:5]]
+    with pytest.raises(DataError, match="5 streams for 8 examples"):
+        trainer.evaluate_pretrain(params, cfg, streams, corpus.valid, VTLM, MaskPolicy(), 1, 8)
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_the_loop_holds_one_tape(phase, corpus, tmp_path, monkeypatch):
+    """Step k's loss tensor, and so its tape, is dead when step k+1's
+    `step_fn` starts and when the evaluation after step k runs. The
+    weak reference is to the loss's array, which the tensor holds, so a
+    dead array means a dead tensor."""
+    real_fit = trainer._fit
+    losses, alive = [], []  # weakrefs to the loss arrays; (when, any alive)
+
+    def checking_fit(params, cfg, tcfg, n, step_fn, eval_fn, *args):
+        def step(idx, split):
+            alive.append(("step", any(r() is not None for r in losses)))
+            loss = step_fn(idx, split)
+            losses.append(weakref.ref(loss.data))
+            return loss
+
+        def evaluate():
+            alive.append(("eval", any(r() is not None for r in losses)))
+            return eval_fn()
+
+        return real_fit(params, cfg, tcfg, n, step, evaluate, *args)
+
+    monkeypatch.setattr(trainer, "_fit", checking_fit)
+    train(phase, tiny_cfg(corpus), corpus.train, corpus.valid, 4, str(tmp_path),
+          eval_interval=1)
+    assert alive == [(when, False) for _ in range(4) for when in ("step", "eval")]
+    assert len(losses) == 4
