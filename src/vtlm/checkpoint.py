@@ -28,8 +28,9 @@ _TAG_FOR = {np.dtype("float32"): 0}
 
 
 def save_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
-    """Write a checkpoint atomically: a failed or interrupted save leaves
-    any previous file at `path` intact."""
+    """Write a checkpoint atomically and durably: a failed or interrupted
+    save leaves any previous file at `path` intact, and once the call
+    returns the new file survives a crash."""
     header = dict(header)
     header["tensor_count"] = len(tensors)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -56,6 +57,12 @@ def save_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+    # the rename is durable only once the directory entry is on disk
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def header_count(path, header: dict, key: str) -> int:

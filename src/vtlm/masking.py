@@ -128,28 +128,25 @@ def mask_text(rows: list[np.ndarray], rng: Pcg32,
 
     Row by row, `choose` selects the positions; then each, in the order
     chosen, takes one uniform draw that picks [MASK], a random token or
-    the token itself, and a random token takes one `randint` more. That
-    is at most a row's eligible count plus two per selected position, so
-    the batch's draws are prefetched in one bulk call.
+    the token itself, and a random token takes one `randint` more.
     """
     eligible = [eligible_positions(r) for r in rows]
     n_sel = [select_count(SELECT_RATIO, len(e)) for e in eligible]
     if 0 in n_sel:
         log.warning("%d example(s) with no eligible tokens to mask; skipped", n_sel.count(0))
     masked, positions = [], []
-    with rng.prefetch(sum(len(e) + 2 * k for e, k in zip(eligible, n_sel))) as draws:
-        for tokens, elig, k in zip(rows, eligible, n_sel):
-            chosen = elig[draws.choose(len(elig), k)]
-            row = tokens.copy()
-            for pos in chosen.tolist():
-                u = draws.uniform()
-                if u < MASK_FRAC:
-                    row[pos] = bpe.MASK
-                elif u < MASK_FRAC + RANDOM_FRAC:
-                    row[pos] = NUM_RESERVED + draws.randint(vocab_size - NUM_RESERVED)
-                # else: left intact
-            masked.append(row)
-            positions.append(np.sort(chosen))
+    for tokens, elig, k in zip(rows, eligible, n_sel):
+        chosen = elig[rng.choose(len(elig), k)]
+        row = tokens.copy()
+        for pos in chosen.tolist():
+            u = rng.uniform()
+            if u < MASK_FRAC:
+                row[pos] = bpe.MASK
+            elif u < MASK_FRAC + RANDOM_FRAC:
+                row[pos] = NUM_RESERVED + rng.randint(vocab_size - NUM_RESERVED)
+            # else: left intact
+        masked.append(row)
+        positions.append(np.sort(chosen))
     return masked, positions
 
 
@@ -158,8 +155,6 @@ def mask_visual(region_labels: np.ndarray, policy: MaskPolicy, rng: Pcg32):
 
     region_labels is (B, o). Returns (directives (B, o), substitutes
     (B, o, 2), selected (B, o) bool: the slots whose labels are targets).
-    The slots' draws after `choose`, at most three each, are prefetched
-    in one bulk call.
     """
     b_size, o = region_labels.shape
     directives = np.full((b_size, o), ORIGINAL, dtype=np.int8)
@@ -175,25 +170,24 @@ def mask_visual(region_labels: np.ndarray, policy: MaskPolicy, rng: Pcg32):
     selected.flat[flat] = True
     if alternative:
         return directives, substitutes, selected  # inputs stay intact
-    with rng.prefetch(3 * n_sel) as draws:
-        for f in flat.tolist():
-            b, slot = divmod(f, o)
-            u = draws.uniform()
-            if u < MASK_FRAC:
-                directives[b, slot] = MASK_EMBED
-            elif u < MASK_FRAC + RANDOM_FRAC:
-                if b_size < 2:
-                    # degenerate batch: no other image to draw from; re-draw
-                    # between mask and keep in their 8:1 proportion
-                    if draws.uniform() < MASK_FRAC / (MASK_FRAC + KEEP_FRAC):
-                        directives[b, slot] = MASK_EMBED
-                    continue
-                other = draws.randint(b_size - 1)
-                if other >= b:
-                    other += 1
-                directives[b, slot] = SUBSTITUTE
-                substitutes[b, slot] = (other, draws.randint(o))
-            # else: left intact
+    for f in flat.tolist():
+        b, slot = divmod(f, o)
+        u = rng.uniform()
+        if u < MASK_FRAC:
+            directives[b, slot] = MASK_EMBED
+        elif u < MASK_FRAC + RANDOM_FRAC:
+            if b_size < 2:
+                # degenerate batch: no other image to draw from; re-draw
+                # between mask and keep in their 8:1 proportion
+                if rng.uniform() < MASK_FRAC / (MASK_FRAC + KEEP_FRAC):
+                    directives[b, slot] = MASK_EMBED
+                continue
+            other = rng.randint(b_size - 1)
+            if other >= b:
+                other += 1
+            directives[b, slot] = SUBSTITUTE
+            substitutes[b, slot] = (other, rng.randint(o))
+        # else: left intact
     return directives, substitutes, selected
 
 

@@ -13,13 +13,18 @@ stream's identity with SplitMix64, and uses the label hash as the PCG
 stream selector, so streams are stable across platforms and do not
 depend on how far the parent has advanced.
 
-Bulk generation closes the LCG recurrence in numpy uint64 arithmetic:
-state_i = a^i * s0 + (sum_{j<i} a^j) * c mod 2^64. The tables of a^i and
-sum_{j<i} a^j are built once, at import, for a fixed block of `BLOCK`
-entries (2 x 256 KB). A request for n values is filled block by block,
-each block starting from the state that follows the last one of the
-block before, so the draws and the state afterwards equal n scalar
-steps bit for bit, and no temporary grows with n.
+Each stream holds one buffer of generated words, and every draw reads
+the stream's next words from it: `u32()` one, `u32(n)` n, and
+`uniform`, `randint`, `choose`, `permutation`, `normal` and `raw32`'s
+seed through them. So any mix of scalar and bulk draws reads the words
+that as many scalar PCG32 steps would give, in order. A buffer that runs
+short is refilled by `_generate`, which closes the LCG recurrence in
+numpy uint64 arithmetic: state_i = a^i * s0 + (sum_{j<i} a^j) * c mod
+2^64. The tables of a^i and sum_{j<i} a^j are built once, at import, for
+a fixed block of `BLOCK` entries (2 x 256 KB). A request for n words is
+filled block by block, each block starting from the state that follows
+the last one of the block before, so the words and the state afterwards
+equal n scalar steps bit for bit, and no temporary grows with n.
 
 Dropout, a training step's bulk of draws (over a million 32-bit values
 per desk-sized step), reads `raw32` instead: the 32-bit halves of the
@@ -31,11 +36,6 @@ is read. Every other draw (corpus generation, initialisation, shuffling,
 masking) stays on PCG32, so corpora and initial parameters do not depend
 on numpy's PCG64 at all.
 
-Masking makes many small draws whose number depends on earlier ones.
-`prefetch` serves them from one bulk `u32` call and then moves the
-stream on past the words taken, so they equal the scalar draws bit for
-bit.
-
 Corpus generation reads one bulk `u32` call per chunk of examples and
 turns the words into values with the same word -> value transforms the
 scalar methods use (`multiply_shift`, `unit_uniform`, `argsort_keys`,
@@ -44,9 +44,6 @@ replaces that one call.
 """
 
 from __future__ import annotations
-
-import contextlib
-import copy
 
 import numpy as np
 
@@ -60,6 +57,13 @@ _POWS[1:] = np.uint64(_MULT)
 np.cumprod(_POWS, out=_POWS)
 _SUMS = np.zeros(BLOCK, dtype=np.uint64)   # sum_{j<i} a^j
 np.cumsum(_POWS[:-1], out=_SUMS[1:])
+
+# Words generated per buffer refill. Masking a desk-sized VTLM batch of 64
+# examples from fresh text, visual and dropout streams took 1.20, 1.04,
+# 0.99 and 1.01 ms at 64, 256, 1024 and 4096 (one x86-64 thread): small
+# refills pay numpy's per-call cost often, large ones generate words that
+# a short-lived stream never reads.
+REFILL = 1024
 
 _U18, _U27, _U32, _U59 = (np.uint64(k) for k in (18, 27, 32, 59))
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -125,6 +129,8 @@ class Pcg32:
         # Identity of the stream for split(); fixed at construction so
         # derived streams do not depend on draw order.
         self._ident = _splitmix64((self._state * 31 + self._inc) & _MASK64)
+        self._words = np.empty(0, dtype=np.uint32)  # generated ahead of _state
+        self._pos = 0  # words of the buffer already drawn
         self._bits = None  # the PCG64 bit generator of raw32, once drawn from
 
     def _step(self) -> None:
@@ -136,18 +142,30 @@ class Pcg32:
         return Pcg32(_splitmix64(self._ident ^ h), seq=h)
 
     def u32(self, n: int | None = None):
-        """Next raw 32-bit output; an array of n outputs when n is given.
+        """The stream's next 32-bit word, as an int; an array of its next
+        n words when n is given.
 
-        The array is filled `BLOCK` values at a time from the fixed
-        tables, so a call costs O(n) time and O(BLOCK) scratch memory
-        beyond its output, and leaves the generator where n scalar calls
-        would.
+        The words are read from the stream's buffer. One that runs short
+        is refilled with the words it lacks, and at least `REFILL` of them.
         """
-        if n is None:
-            old = self._state
-            self._step()
-            return self._output_scalar(old)
-        out = np.empty(max(n, 0), dtype=np.uint32)
+        k = 1 if n is None else max(n, 0)
+        if self._pos + k > len(self._words):
+            rest = self._words[self._pos:]
+            fresh = self._generate(max(k - len(rest), REFILL))
+            self._words = np.concatenate([rest, fresh]) if len(rest) else fresh
+            self._pos = 0
+        lo = self._pos
+        self._pos += k
+        return int(self._words[lo]) if n is None else self._words[lo:self._pos]
+
+    def _generate(self, n: int) -> np.ndarray:
+        """The n words that follow the state, which is left after them.
+
+        The words are computed `BLOCK` at a time from the fixed tables, so
+        a call costs O(n) time and O(BLOCK) scratch memory beyond its
+        output.
+        """
+        out = np.empty(n, dtype=np.uint32)
         inc = np.uint64(self._inc)
         for lo in range(0, n, BLOCK):
             m = min(BLOCK, n - lo)
@@ -179,30 +197,6 @@ class Pcg32:
             self._bits = np.random.PCG64(self.u32(4).tolist())
         words = self._bits.random_raw((n + 1) // 2)
         return words.astype("<u8", copy=False).view("<u4")[:n]
-
-    @contextlib.contextmanager
-    def prefetch(self, n: int):
-        """Serve up to n of this stream's next draws from one bulk `u32`
-        call. Yields a stream whose draws (`u32`, and through it `uniform`,
-        `randint`, `choose`, ...) equal this stream's, bit for bit; on
-        leaving the block this stream stands where those draws would have
-        left it. Taking more than n draws raises IndexError."""
-        ahead = _Prefetched(copy.copy(self).u32(n))
-        yield ahead
-        self._advance(ahead.taken)
-
-    def _advance(self, n: int) -> None:
-        """Step the state n times, BLOCK - 1 steps per table lookup."""
-        while n > 0:
-            m = min(n, BLOCK - 1)
-            self._state = (int(_POWS[m]) * self._state + int(_SUMS[m]) * self._inc) & _MASK64
-            n -= m
-
-    @staticmethod
-    def _output_scalar(state: int) -> int:
-        xorshifted = (((state >> 18) ^ state) >> 27) & 0xFFFFFFFF
-        rot = state >> 59
-        return ((xorshifted >> rot) | (xorshifted << ((32 - rot) & 31))) & 0xFFFFFFFF
 
     def uniform(self, size=None):
         """Uniform doubles in (0, 1)."""
@@ -239,16 +233,3 @@ class Pcg32:
             if not np.any(perm == np.arange(n)):
                 return perm
 
-
-class _Prefetched(Pcg32):
-    """Draws read in order from words drawn ahead; see `Pcg32.prefetch`."""
-
-    def __init__(self, words: np.ndarray):
-        self._words, self._ints, self.taken = words, words.tolist(), 0
-
-    def u32(self, n: int | None = None):
-        lo, hi = self.taken, self.taken + (1 if n is None else n)
-        if hi > len(self._ints):
-            raise IndexError(f"{len(self._ints)} draws prefetched, {hi} taken")
-        self.taken = hi
-        return self._ints[lo] if n is None else self._words[lo:hi]

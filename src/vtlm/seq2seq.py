@@ -388,6 +388,8 @@ def translate(params: ParamStore, cfg: EncoderConfig,
     greedy decoding: each step takes the argmax, the lowest token id
     among ties.
     """
+    if beam < 1:
+        raise ConfigError(f"beam must be >= 1, got {beam}")
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     if max_len > cfg.max_positions:

@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 
@@ -35,6 +36,25 @@ def test_failed_save_keeps_previous_file(tmp_path):
         save_checkpoint(path, {"step": 2}, bad)
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+
+
+def test_save_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    """The file is synced before the rename that publishes it, and its
+    directory after, so the rename itself survives a crash."""
+    events, real_fsync, real_replace = [], os.fsync, os.replace
+
+    def fsync(fd):
+        events.append("dir" if os.path.samestat(os.fstat(fd), os.stat(tmp_path)) else "file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    save_checkpoint(tmp_path / "a.ckpt", {"step": 1}, TENSORS)
+    assert events == ["file", "replace", "dir"]
 
 
 def test_every_truncation_raises_data_error(tmp_path):

@@ -140,7 +140,7 @@ class TestMaskText:
                 assert masked[pos] >= NUM_RESERVED or masked[pos] == bpe.MASK
 
     def test_batch_draws_equal_per_row_reference(self):
-        """The prefetched draws against one row at a time drawing from the
+        """The batch's draws against one row at a time drawing from the
         stream itself: `choose`, then per chosen position one uniform and,
         for a random token, one randint. Rows include ones with nothing
         eligible; the stream ends where the reference's does."""

@@ -19,7 +19,7 @@ from vtlm.errors import ConfigError, NumericError
 from vtlm.masking import (MASK_EMBED, SUBSTITUTE, TLM, VTLM, MaskPolicy, build_masked_batch,
                           mask_visual)
 from vtlm.model import EncoderConfig, init_encoder_params, tied_logits, vtlm_loss
-from vtlm.rng import BLOCK, Pcg32
+from vtlm.rng import BLOCK, REFILL, Pcg32
 from vtlm.seq2seq import (MMT, build_source_batch, build_target_batch, decode_states,
                           encode_source, init_mt_params, mt_loss, translate)
 from vtlm.synthetic import (ATTRIBUTE_WORDS, CHUNK, OBJECT_WORDS, GenConfig, RawExample,
@@ -42,8 +42,8 @@ def reference_u32(self, n=None):
     """Bulk draws from per-call a^i and sum a^j tables of length n."""
     if n is None:
         old = self._state
-        self._step()
-        return self._output_scalar(old)
+        self._state = (old * _MULT + self._inc) & _MASK64
+        return int(reference_output(np.uint64(old)))
     if n <= 0:
         return np.empty(0, dtype=np.uint32)
     pows = np.empty(n, dtype=np.uint64)
@@ -270,12 +270,14 @@ def test_first_gradient_of_a_scalar_stays_an_array():
 @pytest.mark.parametrize("n", [0, 1, 255, 8191, 8192, 8193,  # see test_rng's block sizes
                                BLOCK - 1, BLOCK, BLOCK + 1, 541_696])
 def test_u32_draws_and_state_equal_reference(n):
+    """The words of a bulk call, then the stream's next ones: a scalar
+    draw and a bulk run past the end of the buffer that call left."""
     rng, ref = Pcg32(17).split("u32"), Pcg32(17).split("u32")
     got, expect = rng.u32(n), reference_u32(ref, n)
     assert got.dtype == expect.dtype == np.uint32
     assert got.tobytes() == expect.tobytes()
-    assert rng._state == ref._state
     assert rng.u32() == reference_u32(ref)
+    assert rng.u32(REFILL + 3).tobytes() == reference_u32(ref, REFILL + 3).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -1,7 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vtlm.rng import BLOCK, Pcg32
+from vtlm.rng import BLOCK, REFILL, Pcg32
 
 
 def reference_pcg32(seed, seq, n):
@@ -88,26 +92,50 @@ def test_raw32_words_are_pinned_pcg64_halves():
     assert rng.u32() == Pcg32(2021).split("dropout/1").u32(5)[4]
 
 
-def test_prefetch_draws_equal_the_streams_own():
-    """Draws served from a prefetch, scalar and array alike, are the
-    stream's own, and the stream then stands past the words taken only."""
-    a, b = Pcg32(17), Pcg32(17)
-    with a.prefetch(40) as draws:
-        got = [draws.u32(), draws.randint(13), draws.uniform(), draws.u32(5).tolist(),
-               draws.choose(9, 4).tolist()]
-    assert got == [b.u32(), b.randint(13), b.uniform(), b.u32(5).tolist(),
-                   b.choose(9, 4).tolist()]
-    assert a.u32(3).tolist() == b.u32(3).tolist()
-    with a.prefetch(2) as draws:
-        draws.u32(2)
-        with pytest.raises(IndexError):
-            draws.u32()
-    # a jump longer than one table block
-    c, d = Pcg32(3), Pcg32(3)
-    with c.prefetch(BLOCK + 5) as draws:
-        draws.u32(BLOCK + 5)
-    d.u32(BLOCK + 5)
-    assert c.u32() == d.u32()
+# n words: none, one, past a refill, and one call's generation across a
+# table block
+_COUNTS = st.one_of(st.integers(0, REFILL + 8), st.integers(BLOCK - 4, BLOCK + REFILL + 4))
+_DRAWS = st.lists(st.one_of(
+    st.tuples(st.just("u32"), st.none()),
+    st.tuples(st.just("u32"), _COUNTS),
+    st.tuples(st.just("uniform"), st.none()),
+    st.tuples(st.just("randint"), st.integers(1, 2**31)),
+    st.tuples(st.just("choose"), _COUNTS),
+), max_size=10)
+
+
+@functools.lru_cache(maxsize=1)
+def _reference_words(n):
+    return reference_pcg32(2021, 5, n)
+
+
+@given(_DRAWS)
+@settings(max_examples=40, deadline=None)
+def test_any_mix_of_draws_reads_the_reference_words_in_order(draws):
+    """Scalar and bulk draws, in any order, read one sequence: the words
+    of as many scalar PCG32 steps."""
+    words = _reference_words(10 * (BLOCK + REFILL + 5))
+    rng, at = Pcg32(2021, 5), 0
+    for kind, arg in draws:
+        if kind == "u32" and arg is None:
+            assert rng.u32() == words[at]
+            at += 1
+        elif kind == "u32":
+            got = rng.u32(arg)
+            assert got.dtype == np.uint32 and got.tolist() == words[at:at + arg]
+            at += arg
+        elif kind == "uniform":
+            assert rng.uniform() == (words[at] + 0.5) * 2.0**-32
+            at += 1
+        elif kind == "randint":
+            assert rng.randint(arg) == (words[at] * arg) >> 32
+            at += 1
+        else:
+            k = arg // 2
+            order = np.argsort(np.array(words[at:at + arg], dtype=np.uint32), kind="stable")
+            assert rng.choose(arg, k).tolist() == order[:k].tolist()
+            at += arg
+    assert rng.u32() == words[at]
 
 
 def test_uniform_range_and_normal_moments():

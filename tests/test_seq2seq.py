@@ -549,6 +549,16 @@ def test_mt_loss_gradcheck_64bit(corpus):
     assert err < 1e-4
 
 
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("beam", [0, -1])
+def test_beam_below_one_raises_config_error(beam, n, corpus):
+    """Also with no sentence to decode, where no chunk reaches beam_search."""
+    cfg = tiny_cfg(corpus)
+    params = init_mt_params(cfg, Pcg32(0).split("init"))
+    with pytest.raises(ConfigError, match=f"beam must be >= 1, got {beam}"):
+        translate(params, cfg, corpus.test[:n], MMT, beam=beam)
+
+
 @pytest.mark.parametrize("max_len", [0, -2])
 def test_max_len_below_one_raises_config_error(max_len, corpus):
     """Also for a target batch, which at max_len 0 used to cut the last
