@@ -37,6 +37,7 @@ attends causally, which is all that tells the decoder from the encoder.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,7 +331,8 @@ def collate(rows, examples=None) -> EncoderBatch:
     `examples`, if given, one `data.TripletExample` per row, whose (o, D)
     `feats` and (o, 4) `bboxes` are stacked into the batch's (B, o, D)
     and (B, o, 4) arrays. Raises DataError when there are no rows or the
-    examples have different region counts.
+    examples have different region counts, or `feats` or `bboxes` of
+    different shapes.
     """
     if not rows:
         raise DataError("an empty batch: no rows to collate")
@@ -338,13 +340,27 @@ def collate(rows, examples=None) -> EncoderBatch:
     token_ids, pad_mask = pad_rows(tok, PAD)
     batch = EncoderBatch(token_ids, pad_rows(pos, 0)[0], pad_rows(lang, 0)[0], pad_mask)
     if examples is not None:
-        o = len(examples[0].labels)
+        first = examples[0]
         for ex in examples:
-            if len(ex.labels) != o:
-                raise DataError(f"examples with {o} and {len(ex.labels)} regions in one batch")
+            if len(ex.labels) != len(first.labels):
+                raise DataError(f"examples with {len(first.labels)} and {len(ex.labels)} "
+                                "regions in one batch")
+            for name in ("feats", "bboxes"):
+                a, b = getattr(first, name).shape, getattr(ex, name).shape
+                if a != b:
+                    raise DataError(f"examples with {name} of shapes {a} and {b} in one batch")
         batch.feats = np.stack([ex.feats for ex in examples])
         batch.bboxes = np.stack([ex.bboxes for ex in examples])
     return batch
+
+
+def take_rows(batch, lo: int, hi: int):
+    """Rows [lo, hi) of a batch dataclass whose arrays all have the batch
+    on their first axis (`EncoderBatch`, `MaskedBatch`,
+    `seq2seq.TargetBatch`), as views; every width is kept, padding
+    included."""
+    return dataclasses.replace(batch, **{name: a[lo:hi] for name, a in vars(batch).items()
+                                         if a is not None})
 
 
 def check_ids(ids: np.ndarray, size: int, what: str = "token id",
@@ -476,24 +492,39 @@ class LossOutput:
         return acc / total
 
 
+def _target_cells(batch: MaskedBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The flat (B, Tq) cells of the text targets and the region targets."""
+    target = ~batch.target_pad
+    is_text = batch.target_pos < batch.text_len
+    return np.flatnonzero(target & is_text), np.flatnonzero(target & ~is_text)
+
+
+def target_counts(batch: MaskedBatch) -> tuple[int, int]:
+    """(text targets, region targets) of a masked batch."""
+    text_cells, vis_cells = _target_cells(batch)
+    return len(text_cells), len(vis_cells)
+
+
 def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
-              drop) -> LossOutput:
+              drop, counts: tuple[int, int] | None = None) -> LossOutput:
     """Joint masked-token + masked-region objective (equal weights).
 
     The last encoder layer runs only at the rows the two heads read:
     the real cells of the (B, Tq) target grid, at stream positions
     `target_pos`. Each head gathers its targets from that layer's
     packed output, text ones where `target_pos` is a text position,
-    region ones where it is a slot. Raises DataError when the batch has
-    no targets or a region label is outside [0, label_vocab_size)."""
-    target = ~batch.target_pad
-    is_text = batch.target_pos < batch.text_len
-    text_cells = np.flatnonzero(target & is_text)
-    vis_cells = np.flatnonzero(target & ~is_text)
+    region ones where it is a slot. Each head's summed loss is divided
+    by its own target count, or by that of `counts` (`target_counts` of
+    a larger batch that `batch` is rows of), so that the losses of a
+    batch's row windows add up to its loss. Raises DataError when the
+    batch has no targets or a region label is outside
+    [0, label_vocab_size)."""
+    text_cells, vis_cells = _target_cells(batch)
     text_ids = batch.target_ids.flat[text_cells]
     vis_ids = batch.target_ids.flat[vis_cells]
     check_ids(vis_ids, cfg.label_vocab_size, "region label", "the label vocabulary")
     n_text, n_vis = len(text_cells), len(vis_cells)
+    text_div, vis_div = (n_text, n_vis) if counts is None else counts
     if not (n_text or n_vis):
         raise DataError("batch has no prediction targets")
     q_grid = T.Grid.of(batch.target_pad)
@@ -503,13 +534,13 @@ def vtlm_loss(params: ParamStore, cfg: EncoderConfig, batch: MaskedBatch,
     mlm_loss_val, mlm_acc, mrc_loss_val, mrc_acc = 0.0, float("nan"), None, None
     if n_text:
         logits = tied_logits(params, T.embedding(states, q_grid.index(text_cells)))
-        terms.append(T.cross_entropy(logits, text_ids))
+        terms.append(T.cross_entropy(logits, text_ids, text_div))
         mlm_loss_val = terms[-1].item()
         mlm_acc = float(np.mean(np.argmax(logits.data, axis=1) == text_ids))
 
     if n_vis:
         vlogits = linear(T.embedding(states, q_grid.index(vis_cells)), params, "mrc.w", "mrc.b")
-        terms.append(T.cross_entropy(vlogits, vis_ids))
+        terms.append(T.cross_entropy(vlogits, vis_ids, vis_div))
         mrc_loss_val = terms[-1].item()
         mrc_acc = float(np.mean(np.argmax(vlogits.data, axis=1) == vis_ids))
 

@@ -36,6 +36,15 @@ is read. Every other draw (corpus generation, initialisation, shuffling,
 masking) stays on PCG32, so corpora and initial parameters do not depend
 on numpy's PCG64 at all.
 
+Dropout is addressed by rows. A training step runs its batch of B rows
+as row windows (`Pcg32.windows`), each with its own `RowWindow` on one
+PCG64 seed. A window's draw of R words per row reads exactly the words
+that the whole batch's draw of B * R words gives its rows, and skips
+the others with `PCG64.advance`, so the windows of a step draw the mask
+of the whole batch between them. `raw32` is the window [0, 1) of a
+one-row batch: each call reads the next words, as a whole-batch draw
+does.
+
 Corpus generation reads one bulk `u32` call per chunk of examples and
 turns the words into values with the same word -> value transforms the
 scalar methods use (`multiply_shift`, `unit_uniform`, `argsort_keys`,
@@ -194,9 +203,15 @@ class Pcg32:
         the platform's byte order; the spare half of an odd n is dropped.
         """
         if self._bits is None:
-            self._bits = np.random.PCG64(self.u32(4).tolist())
-        words = self._bits.random_raw((n + 1) // 2)
-        return words.astype("<u8", copy=False).view("<u4")[:n]
+            (self._bits,) = self.windows([(0, 1)], 1)
+        return self._bits.raw32(n)
+
+    def windows(self, bounds, rows: int) -> list["RowWindow"]:
+        """One `RowWindow` per (lo, hi) of `bounds` onto the `raw32` draws
+        of a `rows`-row batch, all on one PCG64 seeded from the next four
+        `u32` draws. Raises ValueError unless 0 <= lo < hi <= rows."""
+        seed = self.u32(4).tolist()
+        return [RowWindow(seed, lo, hi, rows) for lo, hi in bounds]
 
     def uniform(self, size=None):
         """Uniform doubles in (0, 1)."""
@@ -233,3 +248,40 @@ class Pcg32:
             if not np.any(perm == np.arange(n)):
                 return perm
 
+
+class RowWindow:
+    """Rows [lo, hi) of every `raw32` draw a `rows`-row batch makes.
+
+    A call `raw32(n)` is the window's part of one draw: its n words are
+    R = n / (hi - lo) per row. The whole batch's draw would take the
+    32-bit halves of the next ceil(rows * R / 2) PCG64 words, and the
+    window returns halves [lo * R, hi * R) of them. It advances the
+    generator past the words before and after them, so its next call
+    starts where the whole batch's next draw would. The window [0, rows)
+    reads what `random_raw` gives, advancing nothing. The generator is
+    made on the first call, on the thread that draws.
+    """
+
+    def __init__(self, seed: list[int], lo: int, hi: int, rows: int):
+        if not 0 <= lo < hi <= rows:
+            raise ValueError(f"rows [{lo}, {hi}) are not a window of {rows} rows")
+        self._seed, self.lo, self.hi, self.rows = seed, lo, hi, rows
+        self._bits = None
+
+    def raw32(self, n: int) -> np.ndarray:
+        """The window's n words of the batch's next draw (see the class);
+        ValueError unless n is a multiple of the window's row count."""
+        per_row, rest = divmod(n, self.hi - self.lo)
+        if rest:
+            raise ValueError(f"{n} words are not {self.hi - self.lo} equal rows")
+        if self._bits is None:
+            self._bits = np.random.PCG64(self._seed)
+        start, stop = self.lo * per_row, self.hi * per_row
+        first, last = start // 2, (stop + 1) // 2  # the 64-bit words holding them
+        if first:
+            self._bits.advance(first)
+        words = self._bits.random_raw(last - first)
+        end = (self.rows * per_row + 1) // 2
+        if end > last:
+            self._bits.advance(end - last)
+        return words.astype("<u8", copy=False).view("<u4")[start - 2 * first: stop - 2 * first]

@@ -37,7 +37,7 @@ position per hypothesis. Finished sentences leave the batch. Decoding
 passes `drop=None` and samples nothing, so it draws no random numbers:
 its output depends on the parameters and sources alone. `translate`
 decodes its chunks on two threads, the even-numbered ones on the calling
-thread and the odd-numbered ones on `tensor`'s gradient worker
+thread and the odd-numbered ones on `tensor`'s worker thread
 (`tensor.split_map`), each under its own thread's `no_grad`.
 """
 
@@ -129,13 +129,18 @@ def transfer_weights(pretrained: ParamStore, cfg: EncoderConfig,
 # -- batching ----------------------------------------------------------------
 
 
+def _check_task(task: str) -> None:
+    """Raise ConfigError unless `task` is NMT or MMT."""
+    if task not in (NMT, MMT):
+        raise ConfigError(f"unknown task {task!r}")
+
+
 def build_source_batch(examples: list[TripletExample], task: str,
                        max_len: int = 256) -> EncoderBatch:
     """[BOS] s [EOS] rows, plus every region for MMT, with s cut to fit
     `max_len`. Raises ConfigError when no source token fits, DataError
     when there are no examples or MMT ones have different region counts."""
-    if task not in (NMT, MMT):
-        raise ConfigError(f"unknown task {task!r}")
+    _check_task(task)
     if not examples:
         raise DataError("an empty batch: no examples")
     o = len(examples[0].labels) if task == MMT else 0
@@ -239,14 +244,18 @@ class MtLossOutput:
 
 
 def mt_loss(params: ParamStore, cfg: EncoderConfig, src: EncoderBatch,
-            tgt: TargetBatch, drop) -> MtLossOutput:
-    """Teacher-forced cross entropy over non-pad target positions."""
+            tgt: TargetBatch, drop, n_targets: int | None = None) -> MtLossOutput:
+    """Teacher-forced cross entropy over non-pad target positions: their
+    summed loss divided by their count, or by `n_targets`, the count of
+    a larger batch that these are rows of, so that the losses of a
+    batch's row windows add up to its loss."""
     enc, grid = encode_source(params, cfg, src, drop)
     states, grid = decode_rows(params, cfg, enc, grid, tgt.input_ids, drop, tgt.pad_mask)
     real = np.flatnonzero(~tgt.pad_mask.reshape(-1))
     if len(real) < len(states.data):  # a grid whose padded cells are rows too
         states = T.embedding(states, grid.index(real))
-    loss = T.cross_entropy(tied_logits(params, states, "dec."), tgt.output_ids.reshape(-1)[real])
+    loss = T.cross_entropy(tied_logits(params, states, "dec."), tgt.output_ids.reshape(-1)[real],
+                           n_targets)
     return MtLossOutput(loss, loss.item(), len(real))
 
 
@@ -381,13 +390,14 @@ def translate(params: ParamStore, cfg: EncoderConfig,
     of at most CHUNK sentences, by one incremental decoder, and each
     sentence's hypothesis is the one of highest logp / length. The
     chunks run on two threads (`tensor.split_map`): even-numbered ones
-    on the calling thread, odd-numbered ones on the gradient worker. A
+    on the calling thread, odd-numbered ones on the worker thread. A
     chunk's arithmetic is the same on either thread, so every token and
     log-prob bit is that of decoding the chunks one after the other; the
     exception of the first failing chunk is raised. With beam=1 this is
     greedy decoding: each step takes the argmax, the lowest token id
     among ties.
     """
+    _check_task(task)
     if beam < 1:
         raise ConfigError(f"beam must be >= 1, got {beam}")
     if max_len < 1:

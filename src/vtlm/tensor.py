@@ -30,48 +30,33 @@ first gradient keeps such an array, if C-contiguous and of its dtype
 and shape, instead of copying it; every other first gradient, and every
 parameter's, is a copy.
 
-Parameter gradients are written on a worker thread. Only the optimizer
-reads a leaf's (a parameter's) .grad, so `backward()` hands every write
-to a leaf's .grad to one worker thread and walks on with the gradients
-of op outputs. The worker computes `linear`'s dW and bias sum,
-`layer_norm`'s gain and bias sums, `embedding`'s scatter-add and each
-`_accumulate` into a leaf; a linear whose weight is an op output, such
-as the tied head's transpose, keeps its dW inline. The invariants:
-- leaf writes run on the worker first in, first out, in tape order, so
-  each leaf receives the arrays of the one-thread walk in its order and
-  every gradient keeps its bits;
-- the main thread allocates a leaf's .grad when it hands over the
-  leaf's first write, so the buffers come from its malloc arena, and the
-  worker writes into them; besides, the worker reads only forward data,
-  gradients of nodes whose backward has run and arrays built for it,
-  which nothing changes again;
-- `backward()` returns only once the worker has drained, re-raising the
-  first exception a leaf write raised;
-- the worker is made on the first backward (or `split_map`) of a
-  process and forgotten in a forked child, whose first one makes its own.
-Outside a backward (an op's `_backward` called directly) a leaf write
-runs inline.
-
-The worker also runs no-grad work: `split_map` hands it the
-odd-numbered items of a list while the calling thread runs the
-even-numbered ones. Its callers are `seq2seq.translate` (decode chunks)
-and `trainer.evaluate_pretrain` and `trainer.evaluate_mt` (validation
-batches). Whether ops record the tape is a per-thread flag (`no_grad`),
-so two threads that enter and leave `no_grad` never switch recording off
-or on for each other. One backward or `split_map` runs at a time.
+Two threads: `split_map` hands a worker thread the odd-numbered items
+of a list while the calling thread runs the even-numbered ones. Its
+callers are `trainer._fit` (a training step's two half-batches, each a
+forward and a backward on its own leaf tensors), `seq2seq.translate`
+(decode chunks), and `trainer.evaluate_pretrain` and
+`trainer.evaluate_mt` (validation batches). Whether ops record the tape
+is a per-thread flag (`no_grad`), so two threads that enter and leave
+`no_grad` never switch recording off or on for each other. Two
+backwards may run at once when their tapes share no tensor that either
+writes: a backward writes the .grad of its tape's nodes and leaves
+only. One `split_map` runs at a time. The worker is made on the first
+`split_map` of a process and forgotten in a forked child, whose first
+one makes its own.
 
 Allocator: at import, where libc has `mallopt` (glibc), the malloc trim
 threshold is set to 1 GiB and the mmap threshold to 32 MiB, glibc's
-ceiling for its own dynamic one. The training loop keeps one tape alive
-at a time: a step frees its tape, and the next step builds one of the
-same size. At glibc's defaults the freed top of the heap went back to
-the system each step and was faulted back in by the next, which cost
-11-14% of the training steps per second on a 2-vCPU VM. Both thresholds
-are set, because setting either one stops glibc from adjusting the
-other. Freed pages therefore stay mapped and are reused by the next
-step or evaluation batch, and `split_map` trims nothing. The worker's
-own malloc arena adds one batch's working set during evaluation, which
-is less than the second tape the loop no longer holds.
+ceiling for its own dynamic one. The training loop keeps one step's
+tapes alive at a time: a step frees them, and the next step builds ones
+of the same size. At glibc's defaults the freed top of the heap went
+back to the system each step and was faulted back in by the next, which
+cost 11-14% of the training steps per second on a 2-vCPU VM. Both
+thresholds are set, because setting either one stops glibc from
+adjusting the other. Freed pages therefore stay mapped and are reused
+by the next step or evaluation batch, and `split_map` trims nothing.
+The worker's own malloc arena holds one half-batch tape in training and
+one batch's working set in evaluation, and the calling thread's arena
+no longer holds a whole-batch tape.
 
 `attention` is multi-head attention as one tape node: the heads are
 views, the scores are scaled by 1/√(d / n_heads), and a block of query
@@ -185,45 +170,31 @@ class Tensor:
     def _add_grad(self, fn, *args) -> None:
         """Add fn(*args) to .grad, where fn takes `out=`: for a leaf via
         `_write_grad`, a first result computed straight into .grad; for
-        an op output inline, handed over to `_accumulate`."""
+        an op output, handed over to `_accumulate`."""
         if self._parents:
             self._accumulate(fn(*args), owned=True)
         else:
             self._write_grad(_add_result, fn, *args)
 
     def _write_grad(self, write, *args) -> None:
-        """write(.grad, first, *args): on the worker for a leaf during
-        `backward()`, else inline. On the first write .grad is allocated
-        here, on the calling thread, uninitialised, and `first` is True."""
+        """write(.grad, first, *args); on the first write .grad is
+        allocated here, uninitialised, and `first` is True."""
         first = self.grad is None
         if first:
             self.grad = np.empty(self.data.shape, self.data.dtype)
-        if self._parents or _running is None:
-            write(self.grad, first, *args)
-        else:
-            _running.submit(write, self.grad, first, *args)
+        write(self.grad, first, *args)
 
     def backward(self) -> None:
         """Populate .grad on every reachable requires_grad leaf; an op's
-        gradient is dropped once passed on to its parents. Returns once
-        the worker has run every leaf write, and raises the first
-        exception one raised."""
+        gradient is dropped once passed on to its parents."""
         if self.data.ndim != 0 and self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
-        global _running
         order = topo_order(self)
         self.grad = np.ones_like(self.data)
-        _running = worker = _the_worker()
-        try:
-            for node in reversed(order):
-                if node._backward is not None and node.grad is not None:
-                    node._backward(node.grad)
-                    node.grad = None  # complete: every consumer of node ran before it
-        finally:
-            _running = None
-            error = worker.drain()
-        if error is not None:
-            raise error
+        for node in reversed(order):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
+                node.grad = None  # complete: every consumer of node ran before it
 
     # -- operator sugar -------------------------------------------------
 
@@ -253,39 +224,31 @@ def _add_result(buf, first, fn, *args) -> None:
 
 
 class _Worker:
-    """A thread that runs leaf writes first in, first out."""
+    """A thread that runs the tasks handed to it first in, first out."""
 
     def __init__(self):
         self._tasks = queue.SimpleQueue()
-        self._error = None
-        # a daemon: between backwards the thread is idle and holds nothing
+        # a daemon: between split_maps the thread is idle and holds nothing
         # to finish, so it must not keep the interpreter from exiting
         threading.Thread(target=self._run, name="vtlm-grad", daemon=True).start()
 
     def _run(self):
         while True:
-            write, args = self._tasks.get()
-            try:
-                write(*args)
-            except Exception as e:  # re-raised by the backward that drains
-                if self._error is None:
-                    self._error = e
+            task, args = self._tasks.get()
+            task(*args)  # split_map's tasks catch their own exceptions
 
-    def submit(self, write, *args) -> None:
-        self._tasks.put((write, args))
+    def submit(self, task, *args) -> None:
+        self._tasks.put((task, args))
 
-    def drain(self) -> Exception | None:
-        """Wait for every write handed over; the first one's exception."""
+    def drain(self) -> None:
+        """Wait for every task handed over."""
         done = threading.Lock()
         done.acquire()
         self._tasks.put((done.release, ()))
         done.acquire()
-        error, self._error = self._error, None
-        return error
 
 
-_worker: _Worker | None = None  # made by the first backward or split_map of a process
-_running: _Worker | None = None  # the worker while a backward runs
+_worker: _Worker | None = None  # made by the first split_map of a process
 
 
 def _the_worker() -> _Worker:
@@ -300,8 +263,8 @@ def split_map(fn, items: list) -> list:
     runs the even-numbered items and the worker the odd-numbered ones,
     each thread in order. Returns once the worker has drained, raising
     or not; when items fail, raises the exception of the lowest-numbered
-    one, as the loop would. `fn` must not run a backward: the worker
-    would wait on itself."""
+    one, as the loop would. `fn` may run a backward, but not a
+    `split_map`: the worker would wait on itself."""
     if len(items) < 2:
         return [fn(item) for item in items]
     out = [None] * len(items)
@@ -338,7 +301,7 @@ else:
 
 def _forget_worker() -> None:
     """In a forked child: the parent's worker thread is not there, so a
-    write queued for it would never run and the first drain would hang."""
+    task queued for it would never run and the first drain would hang."""
     global _worker
     _worker = None
 
@@ -467,7 +430,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     The arithmetic of reshape → matmul → add → reshape in that order, so
     values and gradients keep their bits: dx = g Wᵀ, dW = x2ᵀ g over the
     (rows, d) view x2 of x, and db the column sum of g. All three are
-    handed over; a leaf's dW and db are computed on the worker.
+    handed over; a leaf's dW and db are computed straight into its .grad
+    on its first write.
     """
     f = w.data.shape[1]
     x2 = x.data.reshape(-1, x.data.shape[-1])
@@ -794,21 +758,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, drop,
     return _make(ctx, (q, k, v), bw), probs
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-probability of the target class per row."""
+def cross_entropy(logits: Tensor, targets: np.ndarray, n: int | None = None) -> Tensor:
+    """Negative log-probability of the target class, summed over the
+    rows and divided by `n`: by default the row count, which gives the
+    mean. A larger `n` gives these rows' share of the mean over a batch
+    of n rows, and each row's logit gradient is then that batch's."""
     targets = np.asarray(targets, dtype=np.int64)
-    n, v = logits.data.shape
-    if targets.ndim != 1 or targets.shape[0] != n:
-        raise ValueError("targets must be a vector matching the rows of logits")
-    if np.any(targets < 0) or np.any(targets >= v):
-        raise IndexError("target index out of range")
     x = logits.data
+    if targets.ndim != 1 or targets.shape[0] != len(x):
+        raise ValueError("targets must be a vector matching the rows of logits")
+    if np.any(targets < 0) or np.any(targets >= x.shape[1]):
+        raise IndexError("target index out of range")
     m = x.max(axis=1, keepdims=True)
     shifted = x - m
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - lse
-    rows = np.arange(n)
-    data = np.asarray(-logp[rows, targets].mean(), dtype=x.dtype)
+    rows = np.arange(len(x))
+    n = len(x) if n is None else n
+    data = np.asarray(-(logp[rows, targets].sum() / n), dtype=x.dtype)  # mean's bits at n rows
 
     def bw(g):
         if logits.requires_grad:

@@ -383,6 +383,18 @@ class TestTargetRows:
             vtlm_loss(params, cfg, retarget(batch, [], [], vocab), None)
 
 
+@pytest.mark.parametrize("field", ["feats", "bboxes"])
+def test_mixed_region_shapes_raise_data_error(field, examples):
+    """`collate` checks each example's `feats` and `bboxes` shapes, as it
+    checks region counts, and names both shapes."""
+    a, b = examples[:2]
+    b = dataclasses.replace(b, **{field: getattr(b, field)[:, :-1]})
+    rows = [(np.array([1, 2]), np.arange(2), np.zeros(2, np.int64))] * 2
+    shapes = f"{getattr(a, field).shape} and {getattr(b, field).shape}"
+    with pytest.raises(DataError, match=re.escape(f"{field} of shapes {shapes} in one batch")):
+        collate(rows, [a, b])
+
+
 @pytest.mark.parametrize("build", [
     lambda: collate([]),
     lambda: collate([], []),

@@ -5,6 +5,7 @@ against the full-row one, and packed rows against the every-cell layout:
 a cheaper or simpler step must give the same bits."""
 
 import math
+import threading
 from collections import Counter
 
 import numpy as np
@@ -12,14 +13,14 @@ import pytest
 
 from helpers import (assert_grads_close, clear_grads, every_cell_layout, full_row_vtlm_loss,
                      matmul, reshape, tsum)
-from vtlm import tensor as T
+from vtlm import tensor as T, trainer
 from vtlm.bpe import (RESERVED_TOKENS, BpeCodec, Vocab, _count_pairs, _merge_word,
                       _word_symbols, learn_bpe)
 from vtlm.errors import ConfigError, NumericError
 from vtlm.masking import (MASK_EMBED, SUBSTITUTE, TLM, VTLM, MaskPolicy, build_masked_batch,
                           mask_visual)
 from vtlm.model import EncoderConfig, init_encoder_params, tied_logits, vtlm_loss
-from vtlm.rng import BLOCK, REFILL, Pcg32
+from vtlm.rng import BLOCK, REFILL, Pcg32, RowWindow
 from vtlm.seq2seq import (MMT, build_source_batch, build_target_batch, decode_states,
                           encode_source, init_mt_params, mt_loss, translate)
 from vtlm.synthetic import (ATTRIBUTE_WORDS, CHUNK, OBJECT_WORDS, GenConfig, RawExample,
@@ -599,20 +600,28 @@ def test_pruned_loss_equals_full_row_reference(mode, desk_corpus):
 # -- packed rows against the every-cell layout ----------------------------------
 
 
-def _desk_loss(kind, corpus):
-    """cfg, fresh parameters and the loss of one B = 64 desk batch of
-    `kind` (VTLM, TLM or MMT) as a function of `drop`."""
+def _desk_batch(kind, corpus):
+    """cfg, fresh parameters and one B = 64 desk batch of `kind` (VTLM,
+    TLM or MMT): a masked batch, or MMT's (source, target) pair."""
     cfg = EncoderConfig.desk(len(corpus.codec.vocab), DESK.num_labels, DESK.feat_dim)
     root = Pcg32(11)
     if kind == MMT:
         params = init_mt_params(cfg, root.split("init"))
-        src = build_source_batch(corpus.train, MMT, cfg.max_positions)
-        tgt = build_target_batch(corpus.train, cfg.max_positions)
-        return cfg, params, lambda drop: mt_loss(params, cfg, src, tgt, drop)
+        return cfg, params, (build_source_batch(corpus.train, MMT, cfg.max_positions),
+                             build_target_batch(corpus.train, cfg.max_positions))
     params = init_encoder_params(cfg, root.split("init"))
     batch = build_masked_batch(corpus.train, kind, MaskPolicy(), cfg.vocab_size,
                                root.split("mask_text"), root.split("mask_visual"))
     assert len(batch.token_ids) == 64 and batch.pad_mask.any()
+    return cfg, params, batch
+
+
+def _desk_loss(kind, corpus):
+    """cfg, fresh parameters and the loss of one B = 64 desk batch of
+    `kind` (VTLM, TLM or MMT) as a function of `drop`."""
+    cfg, params, batch = _desk_batch(kind, corpus)
+    if kind == MMT:
+        return cfg, params, lambda drop: mt_loss(params, cfg, *batch, drop)
     return cfg, params, lambda drop: vtlm_loss(params, cfg, batch, drop)
 
 
@@ -728,6 +737,47 @@ def test_training_step_draws_are_pinned(kind, desk_corpus, monkeypatch):
     """A `pretrain-vtlm`-shaped and an `mmt-desk`-shaped step: embedding
     dropout, then per layer the attention masks and residual masks."""
     assert _training_step(kind, desk_corpus, monkeypatch)[2] == STEP_DRAWS[kind]
+
+
+@pytest.mark.parametrize("kind", [VTLM, MMT])
+def test_halved_step_matches_the_one_thread_step(kind, desk_corpus, monkeypatch):
+    """The step rule. A desk-shaped step at dropout 0.1, run as two
+    half-batches on two threads (`trainer._step_grads`), reads the words
+    the one-thread step of the whole batch reads, call for call: each
+    half its rows' words. Only sums over rows are re-associated, so the
+    loss is within 1e-6 relative of the one-thread step's and every
+    gradient within 5e-6 of its largest magnitude (`assert_grads_close`).
+    On desk corpora of seeds 3, 4 and 5 the loss moved by at most 8.5e-8
+    relative, and the worst gradient by 2.2e-6 (a layer-norm gain, whose
+    sum over every row of the batch cancels), above the 1e-6 that
+    pruning the last layer's rows keeps."""
+    cfg, params, batch = _desk_batch(kind, desk_corpus)
+    draws, threads = {}, {}  # (lo, hi) -> words of each call; thread name
+    raw32 = RowWindow.raw32
+
+    def spy(self, n):
+        words = raw32(self, n)
+        draws.setdefault((self.lo, self.hi), []).append(words.copy())
+        threads[self.lo, self.hi] = threading.current_thread().name
+        return words
+
+    monkeypatch.setattr(RowWindow, "raw32", spy)
+    _, whole_params, whole_loss = _desk_loss(kind, desk_corpus)  # equal, fresh parameters
+    loss = whole_loss((0.1, Pcg32(11).split("dropout"))).loss
+    loss.backward()
+    expect = draws.pop((0, 1))  # raw32: the window [0, 1) of a one-row batch
+    threads.clear()
+    step = (trainer._mt_step(cfg, *batch) if kind == MMT
+            else trainer._pretrain_step(cfg, batch))
+    got = trainer._step_grads(params, *step, 0.1, Pcg32(11).split("dropout"))
+    assert sorted(draws) == [(0, 32), (32, 64)]
+    assert threads == {(0, 32): threading.current_thread().name, (32, 64): "vtlm-grad"}
+    assert len(draws[0, 32]) == len(draws[32, 64]) == len(expect) == len(STEP_DRAWS[kind])
+    for first, second, words in zip(draws[0, 32], draws[32, 64], expect):
+        assert np.array_equal(np.concatenate([first, second]), words)
+    assert abs(got - loss.item()) <= 1e-6 * abs(loss.item())
+    assert_grads_close({name: p.grad for name, p in params.items()},
+                       {name: p.grad for name, p in whole_params.items()}, rel=5e-6)
 
 
 def reference_generate_raw(cfg: GenConfig, seed: int, centers: np.ndarray,

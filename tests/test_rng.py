@@ -92,6 +92,33 @@ def test_raw32_words_are_pinned_pcg64_halves():
     assert rng.u32() == Pcg32(2021).split("dropout/1").u32(5)[4]
 
 
+@pytest.mark.parametrize("rows", [64, 5])
+def test_row_windows_read_the_whole_batch_draw(rows):
+    """At every split point b, windows [0, b) and [b, rows) of a stream's
+    draws read rows [0, b) and [b, rows) of the whole batch's draws: a
+    draw of R words per row reads words [b0 * R, b1 * R) of the batch's
+    draw, for even and odd R, and after both calls each window's next
+    words are the batch's next ones. The whole window is `raw32`."""
+    per_row = (7, 64, 3)  # an odd batch draw drops the spare half of its last word
+    whole = Pcg32(2021).split("dropout/1")
+    expect = [whole.raw32(rows * r) for r in per_row]
+    for b in range(1, rows):
+        windows = Pcg32(2021).split("dropout/1").windows([(0, b), (b, rows)], rows)
+        for r, words in zip(per_row, expect):
+            got = [w.raw32((w.hi - w.lo) * r) for w in windows]
+            assert np.array_equal(np.concatenate(got), words)
+    (only,) = Pcg32(2021).split("dropout/1").windows([(0, rows)], rows)
+    assert all(np.array_equal(only.raw32(rows * r), words) for r, words in zip(per_row, expect))
+
+
+def test_a_row_window_draw_must_split_into_its_rows():
+    (window,) = Pcg32(1).windows([(2, 5)], 8)
+    with pytest.raises(ValueError, match="not 3 equal rows"):
+        window.raw32(10)
+    with pytest.raises(ValueError, match="not a window of 8 rows"):
+        Pcg32(1).windows([(5, 5)], 8)
+
+
 # n words: none, one, past a refill, and one call's generation across a
 # table block
 _COUNTS = st.one_of(st.integers(0, REFILL + 8), st.integers(BLOCK - 4, BLOCK + REFILL + 4))

@@ -1,5 +1,6 @@
 import itertools
 import multiprocessing
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -369,6 +370,33 @@ def test_mixed_region_counts_raise_data_error(corpus):
     with pytest.raises(DataError, match=f"{len(a.labels)} and {len(b.labels)} regions"):
         build_source_batch([a, b], MMT)
     assert build_source_batch([a, b], NMT).feats is None
+
+
+@pytest.mark.parametrize("field, cut", [("feats", (slice(None), slice(0, -1))),
+                                        ("bboxes", (slice(None), slice(0, 2)))])
+def test_mixed_region_shapes_raise_data_error(field, cut, corpus):
+    """Examples whose feature dims or box widths differ raise DataError
+    naming both shapes, from a source batch and through `translate`,
+    not a bare ValueError from np.stack."""
+    a, b = corpus.test[:2]
+    b = replace(b, **{field: getattr(b, field)[cut]})
+    message = re.escape(f"{field} of shapes {getattr(a, field).shape} and "
+                        f"{getattr(b, field).shape}")
+    with pytest.raises(DataError, match=message):
+        build_source_batch([a, b], MMT)
+    cfg = tiny_cfg(corpus)
+    params = init_mt_params(cfg, Pcg32(0).split("init"))
+    with pytest.raises(DataError, match=message):
+        translate(params, cfg, [a, b], MMT, beam=2, max_len=4)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_unknown_task_raises_config_error(n, corpus):
+    """Also with no sentence to decode, where no chunk builds a batch."""
+    cfg = tiny_cfg(corpus)
+    params = init_mt_params(cfg, Pcg32(0).split("init"))
+    with pytest.raises(ConfigError, match="unknown task 'bogus'"):
+        translate(params, cfg, corpus.test[:n], "bogus", beam=2)
 
 
 @pytest.mark.parametrize("build", [

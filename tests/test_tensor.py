@@ -12,11 +12,7 @@ from hypothesis import strategies as st
 from helpers import clear_grads, gradcheck, matmul, reshape, tsum
 from vtlm import tensor as T
 from vtlm.errors import NumericError
-from vtlm.masking import VTLM, MaskPolicy, build_masked_batch
-from vtlm.model import EncoderConfig, init_encoder_params, vtlm_loss
 from vtlm.rng import Pcg32
-from vtlm.seq2seq import MMT, build_source_batch, build_target_batch, init_mt_params, mt_loss
-from vtlm.synthetic import GenConfig, generate_corpus
 
 
 def t(data, rg=False, dtype=None):
@@ -399,134 +395,40 @@ class TestDeterminism:
         assert records() == (True, True)
 
 
-class InlineWorker:
-    """Runs each leaf write at once, on the thread that hands it over."""
-
-    def submit(self, write, *args):
-        write(*args)
-
-    def drain(self):
-        return None
-
-
-DESK = GenConfig(num_examples=64, num_valid=2, num_test=2, num_merges=150)
-
-
-@pytest.fixture(scope="module")
-def desk_steps():
-    """One dropout-0.1 step of each phase on a B = 64 desk batch: the
-    parameters and a function that builds the step's loss."""
-    corpus = generate_corpus(DESK, 3)
-    cfg = EncoderConfig.desk(len(corpus.codec.vocab), DESK.num_labels, DESK.feat_dim)
-    root = Pcg32(11)
-    enc = init_encoder_params(cfg, root.split("init"))
-    batch = build_masked_batch(corpus.train, VTLM, MaskPolicy(), cfg.vocab_size,
-                               root.split("mask_text"), root.split("mask_visual"))
-    mt = init_mt_params(cfg, root.split("init"))
-    src = build_source_batch(corpus.train, MMT, cfg.max_positions)
-    tgt = build_target_batch(corpus.train, cfg.max_positions)
-    return {
-        "vtlm": (enc, lambda: vtlm_loss(enc, cfg, batch, (0.1, Pcg32(5).split("d"))).loss),
-        "mmt": (mt, lambda: mt_loss(mt, cfg, src, tgt, (0.1, Pcg32(5).split("d"))).loss),
-    }
-
-
-def _step_grads(params, loss_fn):
-    clear_grads(params)
-    loss = loss_fn()
-    loss.backward()
-    return loss.data.tobytes(), {name: p.grad.tobytes() for name, p in params.items()}
-
-
 def _x_w_b(dtype=np.float32):
     """Leaves x (6, 5), w (5, 3) and b (3,) of a linear."""
     rng = Pcg32(4)
     return tuple(t(rng.normal(shape, dtype=dtype), rg=True) for shape in ((6, 5), (5, 3), (3,)))
 
 
-class TestLeafWorker:
-    """Parameter gradients are written on the worker thread, in tape order."""
+def test_leaf_read_by_linear_and_mul_accumulates_in_tape_order():
+    """w's three terms 1e8, -1e8 and 1 add to 1 in one float32 order and
+    to 0 in another; .grad holds the sum in the tape's order."""
+    x = t([[1e8]], dtype=np.float32)
+    w = t([[0.5]], rg=True, dtype=np.float32)
+    b = t([0.0], dtype=np.float32)
+    first, second = t([[-1e8]], dtype=np.float32), t([[1.0]], dtype=np.float32)
+    lin, m1, m2 = T.linear(x, w, b), T.mul(w, first), T.mul(w, second)
+    loss = T.add(T.add(tsum(lin), tsum(m1)), tsum(m2))
+    terms = {id(lin): x.data, id(m1): first.data, id(m2): second.data}
+    expect = np.zeros((1, 1), np.float32)
+    for node in reversed(T.topo_order(loss)):
+        if id(node) in terms:
+            expect += terms[id(node)]
+    # in another order the 1 is lost: 1e8 + 1 rounds to 1e8 in float32
+    assert expect[0, 0] != (np.float32(1e8) + np.float32(1.0)) - np.float32(1e8)
+    loss.backward()
+    assert w.grad.tobytes() == expect.tobytes()
 
-    @pytest.mark.parametrize("phase", ["vtlm", "mmt"])
-    def test_training_step_equals_inline_writes(self, phase, desk_steps, monkeypatch):
-        """Every parameter gradient of a training step has the bytes of the
-        same step with each leaf write run at once on the main thread,
-        under a switch interval short enough to interleave the threads;
-        and every leaf write of the step ran on the worker."""
-        writes = []  # (thread, buffer) of each gradient write
 
-        for name in ("_add", "_add_result", "_scatter_add"):
-            def spy(buf, *args, _write=getattr(T, name)):
-                writes.append((threading.current_thread(), buf))
-                return _write(buf, *args)
-            monkeypatch.setattr(T, name, spy)
-
-        params, loss_fn = desk_steps[phase]
-
-        def leaf_threads():
-            grads = {id(p.grad) for p in params.values()}
-            assert {id(buf) for _, buf in writes} >= grads
-            return {thread for thread, buf in writes if id(buf) in grads}
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = _step_grads(params, loss_fn)
-        finally:
-            sys.setswitchinterval(interval)
-        assert [thread.name for thread in leaf_threads()] == ["vtlm-grad"]
-        monkeypatch.setattr(T, "_worker", InlineWorker())
-        writes.clear()
-        expect = _step_grads(params, loss_fn)
-        assert leaf_threads() == {threading.current_thread()}
-        assert got[0] == expect[0]
-        assert got[1].keys() == expect[1].keys()
-        assert all(got[1][name] == expect[1][name] for name in expect[1])
-
-    def test_leaf_read_by_linear_and_mul_accumulates_in_tape_order(self):
-        """w's three terms 1e8, -1e8 and 1 add to 1 in one float32 order and
-        to 0 in another; .grad holds the sum in the tape's order."""
-        x = t([[1e8]], dtype=np.float32)
-        w = t([[0.5]], rg=True, dtype=np.float32)
-        b = t([0.0], dtype=np.float32)
-        first, second = t([[-1e8]], dtype=np.float32), t([[1.0]], dtype=np.float32)
-        lin, m1, m2 = T.linear(x, w, b), T.mul(w, first), T.mul(w, second)
-        loss = T.add(T.add(tsum(lin), tsum(m1)), tsum(m2))
-        terms = {id(lin): x.data, id(m1): first.data, id(m2): second.data}
-        expect = np.zeros((1, 1), np.float32)
-        for node in reversed(T.topo_order(loss)):
-            if id(node) in terms:
-                expect += terms[id(node)]
-        # in another order the 1 is lost: 1e8 + 1 rounds to 1e8 in float32
-        assert expect[0, 0] != (np.float32(1e8) + np.float32(1.0)) - np.float32(1e8)
-        loss.backward()
-        assert w.grad.tobytes() == expect.tobytes()
-
-    def test_worker_exception_surfaces_and_next_backward_is_clean(self):
-        """A leaf write that raises (a .grad of the wrong shape) raises from
-        backward() once the other writes have run, and the next backward,
-        with .grad cleared, gives the gradients of a clean one."""
-        x, w, b = _x_w_b()
-        def loss():
-            return tsum(T.linear(x, w, b))
-        loss().backward()
-        expect = [p.grad.copy() for p in (x, w, b)]
-        for p in (x, w, b):
-            p.grad = None
-        w.grad = np.zeros((3,), np.float32)
-        with pytest.raises(ValueError):
-            loss().backward()
-        assert b.grad.tobytes() == expect[2].tobytes()
-        assert x.grad.tobytes() == expect[0].tobytes()
-        for p in (x, w, b):
-            p.grad = None
-        loss().backward()
-        assert [p.grad.tobytes() for p in (x, w, b)] == [e.tobytes() for e in expect]
-
-    def test_leaf_write_outside_backward_is_done_on_return(self):
-        w = t(np.ones((2, 2)), rg=True)
-        w._accumulate(np.full((2, 2), 3.0))
-        assert w.grad.tolist() == [[3.0, 3.0], [3.0, 3.0]]
+def _mlp_grads(x, params):
+    """Gradients of a two-layer GELU MLP with a layer norm, on fresh leaf
+    tensors that share the arrays of `params` (w1, b1, w2, b2, g, b)."""
+    leaves = [t(p, rg=True) for p in params]
+    w1, b1, w2, b2, g, b = leaves
+    h = T.gelu(T.linear(t(x), w1, b1))
+    tsum(T.layer_norm(T.linear(h, w2, b2), g, b)).backward()
+    return [leaf.grad.tobytes() for leaf in leaves]
 
 
 class TestSplitMap:
@@ -555,27 +457,50 @@ class TestSplitMap:
         assert raised.value.args == (0,)
         assert 1 in done
 
+    @pytest.mark.parametrize("interval", [None, 1e-6])
+    def test_backwards_on_both_threads_equal_one_thread(self, interval):
+        """Items that each run a forward and a backward on their own leaves,
+        which share the parameter arrays, give the gradients of running
+        them one after the other, also when the threads hand over the
+        interpreter as often as they can."""
+        rng = Pcg32(6)
+        params = [rng.normal(shape) for shape in ((16, 64), (64,), (64, 16), (16,), (16,), (16,))]
+        xs = [rng.normal((48, 16)) for _ in range(4)]
+        expect = [_mlp_grads(x, params) for x in xs]
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(interval or prev)
+        try:
+            got = T.split_map(lambda x: _mlp_grads(x, params), xs)
+        finally:
+            sys.setswitchinterval(prev)
+        assert got == expect
 
-def _backward_in_child():
+
+def _backwards_in_child():
     x, w, b = _x_w_b(np.float64)
-    tsum(T.linear(x, w, b)).backward()
-    sys.exit(0 if np.array_equal(w.grad, x.data.T @ np.ones((6, 3))) else 1)
+
+    def w_grad(_):
+        leaves = [t(p.data, rg=True) for p in (x, w, b)]
+        tsum(T.linear(*leaves)).backward()
+        return leaves[1].grad
+
+    grads = T.split_map(w_grad, [0, 1])
+    sys.exit(0 if all(np.array_equal(g, x.data.T @ np.ones((6, 3))) for g in grads) else 1)
 
 
 # fork in a process with threads warns from Python 3.12 on; the worker is
 # forgotten in the child, so this fork is the case under test
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_forked_child_runs_a_backward():
-    """A child forked after a backward, while the parent's worker thread is
-    alive, completes a backward of its own."""
-    x, w, b = _x_w_b()
-    tsum(T.linear(x, w, b)).backward()
+    """A child forked after a `split_map`, while the parent's worker
+    thread is alive, runs backwards on two threads of its own."""
+    T.split_map(lambda i: i, [0, 1])
     assert T._worker is not None
-    child = multiprocessing.get_context("fork").Process(target=_backward_in_child)
+    child = multiprocessing.get_context("fork").Process(target=_backwards_in_child)
     child.start()
     child.join(timeout=60)
     if child.is_alive():
         child.kill()
         child.join(timeout=10)
-        pytest.fail("the forked child's backward hung")
+        pytest.fail("the forked child's split_map hung")
     assert child.exitcode == 0

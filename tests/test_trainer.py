@@ -14,7 +14,7 @@ from vtlm.errors import ConfigError, DataError
 from vtlm.checkpoint import load_checkpoint, save_checkpoint
 from vtlm.masking import TLM, VTLM, MaskPolicy, build_masked_batch, build_stream
 from vtlm.model import EncoderConfig, init_encoder_params, vtlm_loss
-from vtlm.rng import Pcg32
+from vtlm.rng import Pcg32, RowWindow
 from vtlm.seq2seq import MMT, NMT, build_source_batch, build_target_batch, init_mt_params, mt_loss
 from vtlm.synthetic import GenConfig, generate_corpus
 
@@ -361,6 +361,11 @@ def test_evaluation_batch_size_below_one_raises_config_error(phase, batch_size, 
     ("max_steps", 0), ("max_steps", -3),
     ("batch_size", 0), ("eval_interval", 0),
     ("lr", 0.0), ("lr", -1e-4), ("lr", math.nan), ("lr", math.inf),
+    # not ints: a float batch size used to die at the first batch with a
+    # bare TypeError, and a bool seed was taken as 1
+    ("max_steps", 2.5), ("batch_size", 2.5), ("eval_interval", 1.5), ("seed", 1.5),
+    ("max_steps", True), ("batch_size", True), ("eval_interval", True), ("seed", True),
+    ("seed", "1"),
 ])
 def test_train_config_out_of_range_raises(field, value):
     for phase in trainer.PHASES:
@@ -368,10 +373,17 @@ def test_train_config_out_of_range_raises(field, value):
             trainer.TrainConfig.for_phase(phase, **{field: value})
 
 
+def training_window(args):
+    """The `RowWindow` of a loss call's drop: None in evaluation, which
+    passes no drop."""
+    return next((a[1] for a in args if isinstance(a, tuple) and isinstance(a[-1], RowWindow)),
+                None)
+
+
 @pytest.mark.parametrize("phase", sorted(PHASES))
 def test_nan_loss_stops_the_run(phase, corpus, tmp_path, monkeypatch):
-    """A non-finite training loss at step 3 ends the loop before its
-    backward pass and update; evaluations after it never run."""
+    """A non-finite loss in the first half of step 3 ends the loop before
+    the update; evaluations after it never run."""
     steps = []
     adam_calls = []
     real_adam_step = trainer.adam_step
@@ -379,7 +391,8 @@ def test_nan_loss_stops_the_run(phase, corpus, tmp_path, monkeypatch):
     def nan_at_step_3(real):
         def loss_fn(*args):
             out = real(*args)
-            if args[-1] is not None:  # a training step's drop
+            window = training_window(args)
+            if window is not None and window.lo == 0:  # a step's first half
                 steps.append(len(steps) + 1)
                 if len(steps) == 3:
                     out.loss = out.loss * float("nan")
@@ -410,6 +423,41 @@ def test_nan_loss_stops_the_run(phase, corpus, tmp_path, monkeypatch):
     assert resumed.diverged
     assert resumed.final_step == 3 and steps == [1, 2, 3]
     assert len(adam_calls) == 2 and resumed.history == []
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_one_example_step_is_the_one_thread_step(phase, corpus, monkeypatch):
+    """A one-example batch runs whole, as the window [0, 1), on the calling
+    thread: its loss and every gradient have the bytes of the one-thread
+    step, which draws dropout through `Pcg32.raw32`."""
+    cfg = tiny_cfg(corpus)
+    init = PHASES[phase][0]
+    params, ref = (init(cfg, Pcg32(5).split("init")) for _ in range(2))
+    examples = corpus.train[:1]
+    if phase == "pretrain":
+        batch = build_masked_batch(examples, VTLM, MaskPolicy(), cfg.vocab_size,
+                                   Pcg32(1), Pcg32(2))
+        step = trainer._pretrain_step(cfg, batch)
+        loss = vtlm_loss(ref, cfg, batch, (0.1, Pcg32(3))).loss
+    else:
+        src = build_source_batch(examples, MMT, cfg.max_positions)
+        tgt = build_target_batch(examples, cfg.max_positions)
+        step = trainer._mt_step(cfg, src, tgt)
+        loss = mt_loss(ref, cfg, src, tgt, (0.1, Pcg32(3))).loss
+    loss.backward()
+    threads = set()
+    real_half_step = trainer._half_step
+
+    def half_step(*args):
+        threads.add(threading.current_thread())
+        return real_half_step(*args)
+
+    monkeypatch.setattr(trainer, "_half_step", half_step)
+    got = trainer._step_grads(params, *step, 0.1, Pcg32(3))
+    assert step[0] == 1 and threads == {threading.current_thread()}
+    assert np.float32(got).tobytes() == loss.data.tobytes()
+    assert {n: p.grad.tobytes() for n, p in params.items() if p.grad is not None} == {
+        n: p.grad.tobytes() for n, p in ref.items() if p.grad is not None}
 
 
 def adam_params(grads):
@@ -807,19 +855,24 @@ def test_stream_count_other_than_example_count_raises_data_error(corpus):
 
 @pytest.mark.parametrize("phase", sorted(PHASES))
 def test_the_loop_holds_one_tape(phase, corpus, tmp_path, monkeypatch):
-    """Step k's loss tensor, and so its tape, is dead when step k+1's
-    `step_fn` starts and when the evaluation after step k runs. The
-    weak reference is to the loss's array, which the tensor holds, so a
-    dead array means a dead tensor."""
+    """The loss tensors of both halves of step k, and so their tapes,
+    are dead when step k+1's `step_fn` starts and when the evaluation
+    after step k runs. The weak reference is to a loss's array, which
+    the tensor holds, so a dead array means a dead tensor."""
     real_fit = trainer._fit
     losses, alive = [], []  # weakrefs to the loss arrays; (when, any alive)
 
     def checking_fit(params, cfg, tcfg, n, step_fn, eval_fn, *args):
         def step(idx, split):
             alive.append(("step", any(r() is not None for r in losses)))
-            loss = step_fn(idx, split)
-            losses.append(weakref.ref(loss.data))
-            return loss
+            rows, loss_of = step_fn(idx, split)
+
+            def tracked_loss(*loss_args):
+                loss = loss_of(*loss_args)
+                losses.append(weakref.ref(loss.data))
+                return loss
+
+            return rows, tracked_loss
 
         def evaluate():
             alive.append(("eval", any(r() is not None for r in losses)))
@@ -831,4 +884,4 @@ def test_the_loop_holds_one_tape(phase, corpus, tmp_path, monkeypatch):
     train(phase, tiny_cfg(corpus), corpus.train, corpus.valid, 4, str(tmp_path),
           eval_interval=1)
     assert alive == [(when, False) for _ in range(4) for when in ("step", "eval")]
-    assert len(losses) == 4
+    assert len(losses) == 8
