@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check of
+its config fields and arguments.
 
 There is no command-line entry point yet; the CLI planned in ROADMAP
 item 4 is to map these to process exit codes: ConfigError -> 2,
@@ -18,10 +19,10 @@ class DataError(VtlmError):
     """Input the package cannot use: a token id or region label outside
     its vocabulary, examples with differing region counts in one batch,
     an empty split, an evaluation with nothing to score (no examples, or
-    no masked target), a checkpoint that is corrupt, truncated or does
-    not fit the model, a resume without its `best.ckpt`, or one whose
-    `last.ckpt` header holds a corrupt `step`, `best_step`, `metrics`
-    or `best_metric`."""
+    no masked target), a derangement of fewer than two items, a
+    checkpoint that is corrupt, truncated or does not fit the model, a
+    resume without its `best.ckpt`, or one whose `last.ckpt` header
+    holds a corrupt `step`, `best_step`, `metrics` or `best_metric`."""
 
 
 class DivergenceError(VtlmError):
@@ -35,3 +36,9 @@ class NumericError(VtlmError):
 
 class TransferError(ConfigError):
     """Pretrained weights incompatible with the target model."""
+
+
+def check_int(name: str, value) -> None:
+    """Raise ConfigError unless `value` is an int and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an int, got {value!r}")

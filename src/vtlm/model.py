@@ -44,7 +44,7 @@ import numpy as np
 
 from . import tensor as T
 from .bpe import LANG_VIS, MASK, PAD
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int
 from .rng import Pcg32
 from .tensor import Tensor
 
@@ -67,6 +67,7 @@ class EncoderConfig:
     def __post_init__(self):
         for name in ("vocab_size", "label_vocab_size", "feat_dim", "d_model", "ffn_dim",
                      "n_layers", "n_heads", "max_positions"):
+            check_int(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:

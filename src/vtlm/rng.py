@@ -56,6 +56,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DataError
+
 _MULT = 6364136223846793005
 _MASK64 = (1 << 64) - 1
 
@@ -242,7 +244,7 @@ class Pcg32:
     def derangement(self, n: int) -> np.ndarray:
         """Permutation of range(n) with no fixed point (n >= 2)."""
         if n < 2:
-            raise ValueError("derangement needs n >= 2")
+            raise DataError(f"derangement needs n >= 2, got {n}")
         while True:
             perm = self.permutation(n)
             if not np.any(perm == np.arange(n)):

@@ -37,7 +37,7 @@ position per hypothesis. Finished sentences leave the batch. Decoding
 passes `drop=None` and samples nothing, so it draws no random numbers:
 its output depends on the parameters and sources alone. `translate`
 decodes its chunks on two threads, the even-numbered ones on the calling
-thread and the odd-numbered ones on `tensor`'s worker thread
+thread and the odd-numbered ones on `tensor`'s pool thread
 (`tensor.split_map`), each under its own thread's `no_grad`.
 """
 
@@ -51,7 +51,7 @@ import numpy as np
 from . import tensor as T
 from .bpe import BOS, EOS, LANG_L1, LANG_L2, PAD
 from .data import TripletExample
-from .errors import ConfigError, DataError, TransferError
+from .errors import ConfigError, DataError, TransferError, check_int
 from .model import (
     EncoderBatch,
     EncoderConfig,
@@ -390,14 +390,17 @@ def translate(params: ParamStore, cfg: EncoderConfig,
     of at most CHUNK sentences, by one incremental decoder, and each
     sentence's hypothesis is the one of highest logp / length. The
     chunks run on two threads (`tensor.split_map`): even-numbered ones
-    on the calling thread, odd-numbered ones on the worker thread. A
+    on the calling thread, odd-numbered ones on the pool thread. A
     chunk's arithmetic is the same on either thread, so every token and
     log-prob bit is that of decoding the chunks one after the other; the
     exception of the first failing chunk is raised. With beam=1 this is
     greedy decoding: each step takes the argmax, the lowest token id
-    among ties.
+    among ties. `beam` and `max_len` that are not ints of at least 1, or
+    are bools, raise ConfigError before any chunk is decoded.
     """
     _check_task(task)
+    check_int("beam", beam)
+    check_int("max_len", max_len)
     if beam < 1:
         raise ConfigError(f"beam must be >= 1, got {beam}")
     if max_len < 1:

@@ -53,7 +53,7 @@ import numpy as np
 
 from .bpe import BpeCodec
 from .data import EntitySpan, TripletExample
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .rng import Pcg32, argsort_keys, box_muller, derive_seed, multiply_shift, unit_uniform
 
 OBJECT_WORDS = [
@@ -100,6 +100,9 @@ class GenConfig:
     num_merges: int = 2_000
 
     def __post_init__(self):
+        for name in ("num_examples", "num_valid", "num_test", "num_labels", "num_attributes",
+                     "num_regions", "feat_dim", "min_objects", "max_objects", "num_merges"):
+            check_int(name, getattr(self, name))
         for name in ("num_regions", "num_labels"):
             if getattr(self, name) < self.max_objects:
                 raise ConfigError(

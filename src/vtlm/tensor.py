@@ -30,19 +30,19 @@ first gradient keeps such an array, if C-contiguous and of its dtype
 and shape, instead of copying it; every other first gradient, and every
 parameter's, is a copy.
 
-Two threads: `split_map` hands a worker thread the odd-numbered items
-of a list while the calling thread runs the even-numbered ones. Its
-callers are `trainer._fit` (a training step's two half-batches, each a
-forward and a backward on its own leaf tensors), `seq2seq.translate`
-(decode chunks), and `trainer.evaluate_pretrain` and
-`trainer.evaluate_mt` (validation batches). Whether ops record the tape
-is a per-thread flag (`no_grad`), so two threads that enter and leave
-`no_grad` never switch recording off or on for each other. Two
-backwards may run at once when their tapes share no tensor that either
-writes: a backward writes the .grad of its tape's nodes and leaves
-only. One `split_map` runs at a time. The worker is made on the first
-`split_map` of a process and forgotten in a forked child, whose first
-one makes its own.
+Two threads: `split_map` hands the one thread of a thread pool the
+odd-numbered items of a list while the calling thread runs the
+even-numbered ones. Its callers are `trainer._fit` (a training step's
+two half-batches, each a forward and a backward on its own leaf
+tensors), `seq2seq.translate` (decode chunks), and
+`trainer.evaluate_pretrain` and `trainer.evaluate_mt` (validation
+batches). Whether ops record the tape is a per-thread flag (`no_grad`),
+so two threads that enter and leave `no_grad` never switch recording
+off or on for each other. Two backwards may run at once when their
+tapes share no tensor that either writes: a backward writes the .grad
+of its tape's nodes and leaves only. One `split_map` runs at a time.
+The pool is made on the first `split_map` of a process and dropped in
+a forked child, whose first one makes its own.
 
 Allocator: at import, where libc has `mallopt` (glibc), the malloc trim
 threshold is set to 1 GiB and the mmap threshold to 32 MiB, glibc's
@@ -54,9 +54,9 @@ cost 11-14% of the training steps per second on a 2-vCPU VM. Both
 thresholds are set, because setting either one stops glibc from
 adjusting the other. Freed pages therefore stay mapped and are reused
 by the next step or evaluation batch, and `split_map` trims nothing.
-The worker's own malloc arena holds one half-batch tape in training and
-one batch's working set in evaluation, and the calling thread's arena
-no longer holds a whole-batch tape.
+The pool thread's own malloc arena holds one half-batch tape in
+training and one batch's working set in evaluation, and the calling
+thread's arena no longer holds a whole-batch tape.
 
 `attention` is multi-head attention as one tape node: the heads are
 views, the scores are scaled by 1/√(d / n_heads), and a block of query
@@ -79,8 +79,8 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -158,31 +158,27 @@ class Tensor:
         copied, the values are equal: a kept -0.0 stays -0.0, but the
         backward only adds and multiplies, so no nonzero value downstream
         changes, and a parameter's first gradient still turns it into +0.0.
-
-        Every addition but a kept one goes through `_write_grad`.
         """
         if (owned and self._parents and self.grad is None and g.ndim and g.flags.c_contiguous
                 and g.dtype == self.data.dtype and g.shape == self.data.shape):
             self.grad = g
+        elif self.grad is None:
+            self.grad = np.add(g, 0.0, out=np.empty(self.data.shape, self.data.dtype))
         else:
-            self._write_grad(_add, g)
+            self.grad += g
 
     def _add_grad(self, fn, *args) -> None:
-        """Add fn(*args) to .grad, where fn takes `out=`: for a leaf via
-        `_write_grad`, a first result computed straight into .grad; for
-        an op output, handed over to `_accumulate`."""
+        """Add fn(*args) to .grad, where fn takes `out=`: a leaf's first
+        result is computed straight into a fresh .grad, and +0.0 then
+        gives the bits of zeros + fn(*args); an op output's is handed over
+        to `_accumulate`."""
         if self._parents:
             self._accumulate(fn(*args), owned=True)
+        elif self.grad is None:
+            self.grad = fn(*args, out=np.empty(self.data.shape, self.data.dtype))
+            self.grad += 0.0
         else:
-            self._write_grad(_add_result, fn, *args)
-
-    def _write_grad(self, write, *args) -> None:
-        """write(.grad, first, *args); on the first write .grad is
-        allocated here, uninitialised, and `first` is True."""
-        first = self.grad is None
-        if first:
-            self.grad = np.empty(self.data.shape, self.data.dtype)
-        write(self.grad, first, *args)
+            self.grad += fn(*args)
 
     def backward(self) -> None:
         """Populate .grad on every reachable requires_grad leaf; an op's
@@ -205,85 +201,38 @@ class Tensor:
         return mul(self, _as_tensor(other, self.dtype))
 
 
-def _add(buf, first, g) -> None:
-    """buf += g; the first write is g + 0.0, the bits of zeros + g."""
-    if first:
-        np.add(g, 0.0, out=buf)
-    else:
-        buf += g
-
-
-def _add_result(buf, first, fn, *args) -> None:
-    """buf += fn(*args); the first result is computed into buf, and +0.0
-    then gives the bits of zeros + fn(*args)."""
-    if first:
-        fn(*args, out=buf)
-        buf += 0.0
-    else:
-        buf += fn(*args)
-
-
-class _Worker:
-    """A thread that runs the tasks handed to it first in, first out."""
-
-    def __init__(self):
-        self._tasks = queue.SimpleQueue()
-        # a daemon: between split_maps the thread is idle and holds nothing
-        # to finish, so it must not keep the interpreter from exiting
-        threading.Thread(target=self._run, name="vtlm-grad", daemon=True).start()
-
-    def _run(self):
-        while True:
-            task, args = self._tasks.get()
-            task(*args)  # split_map's tasks catch their own exceptions
-
-    def submit(self, task, *args) -> None:
-        self._tasks.put((task, args))
-
-    def drain(self) -> None:
-        """Wait for every task handed over."""
-        done = threading.Lock()
-        done.acquire()
-        self._tasks.put((done.release, ()))
-        done.acquire()
-
-
-_worker: _Worker | None = None  # made by the first split_map of a process
-
-
-def _the_worker() -> _Worker:
-    global _worker
-    if _worker is None:
-        _worker = _Worker()
-    return _worker
+_pool: ThreadPoolExecutor | None = None  # made by the first split_map of a process
 
 
 def split_map(fn, items: list) -> list:
     """[fn(item) for item in items], on two threads: the calling thread
-    runs the even-numbered items and the worker the odd-numbered ones,
-    each thread in order. Returns once the worker has drained, raising
-    or not; when items fail, raises the exception of the lowest-numbered
-    one, as the loop would. `fn` may run a backward, but not a
-    `split_map`: the worker would wait on itself."""
+    runs the even-numbered items and the pool's one thread the
+    odd-numbered ones, each thread in order. Returns once every item
+    has run, raising or not; when items fail, raises the exception of
+    the lowest-numbered one, as the loop would (from the pool's thread,
+    any BaseException). `fn` may run a backward, but not a `split_map`:
+    the pool's thread would wait on itself."""
+    global _pool
     if len(items) < 2:
         return [fn(item) for item in items]
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="vtlm-grad")
+    odd = {i: _pool.submit(fn, items[i]) for i in range(1, len(items), 2)}
     out = [None] * len(items)
-    failed: list[tuple[int, Exception]] = []  # (item number, exception)
-
-    def run(i):
-        try:
-            out[i] = fn(items[i])
-        except Exception as e:  # raised below, once both threads are done
-            failed.append((i, e))
-
-    worker = _the_worker()
-    for i in range(1, len(items), 2):
-        worker.submit(run, i)
+    failed: list[tuple[int, BaseException]] = []  # (item number, exception)
     try:
         for i in range(0, len(items), 2):
-            run(i)
+            try:
+                out[i] = fn(items[i])
+            except Exception as e:  # raised below, once both threads are done
+                failed.append((i, e))
     finally:
-        worker.drain()
+        for i, future in odd.items():
+            e = future.exception()  # waits for the item
+            if e is None:
+                out[i] = future.result()
+            else:
+                failed.append((i, e))
     if failed:
         raise min(failed)[1]
     return out
@@ -299,14 +248,14 @@ else:
     _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays below 32 MiB reuse heap pages
 
 
-def _forget_worker() -> None:
-    """In a forked child: the parent's worker thread is not there, so a
-    task queued for it would never run and the first drain would hang."""
-    global _worker
-    _worker = None
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool thread is not there, so an
+    item submitted to it would never run and split_map would hang."""
+    global _pool
+    _pool = None
 
 
-os.register_at_fork(after_in_child=_forget_worker)
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _as_tensor(x, dtype) -> Tensor:
@@ -507,16 +456,11 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
             # gradient: per element, the additions of a row-wise add.at
             # in their order
             at = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
-            weight._write_grad(_scatter_add, at, g)
+            if weight.grad is None:
+                weight.grad = np.zeros(weight.data.shape, weight.data.dtype)
+            np.add.at(weight.grad.reshape(-1), at, g.reshape(-1))
 
     return _make(data, (weight,), bw)
-
-
-def _scatter_add(buf, first, at, g) -> None:
-    """Add g's elements to elements `at` of the flat buf, zeroed first."""
-    if first:
-        buf.fill(0.0)
-    np.add.at(buf.reshape(-1), at, g.reshape(-1))
 
 
 # -- nonlinearities --------------------------------------------------------

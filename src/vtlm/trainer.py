@@ -9,12 +9,13 @@ laid out within the model's `max_positions`.
 
 A step runs its batch as two half-batches on two threads
 (`tensor.split_map`): rows [0, ⌈B/2⌉) on the calling thread and
-[⌈B/2⌉, B) on the worker, each a row window of the one padded batch, so
-both keep the batch's widths. Each half runs its forward and backward
-on shadow leaf tensors that share the parameters' arrays, and the
-calling thread sums the two gradients and runs Adam: synchronous data
-parallelism within one step (Goyal et al. 2017, arXiv 1706.02677). A
-one-example batch is the one window [0, 1), on the calling thread.
+[⌈B/2⌉, B) on `tensor`'s pool thread, each a row window of the one
+padded batch, so both keep the batch's widths. Each half runs its
+forward and backward on shadow leaf tensors that share the parameters'
+arrays, and the calling thread sums the two gradients and runs Adam:
+synchronous data parallelism within one step (Goyal et al. 2017, arXiv
+1706.02677). A one-example batch is the one window [0, 1), on the
+calling thread.
 
 Every random draw is that of the whole batch. Masking draws the whole
 batch on the calling thread, before the halves, and dropout is
@@ -34,7 +35,7 @@ tensor, and with it its tape, once its backward is done, so neither
 half's tape is alive when the loop evaluates or the next step starts.
 
 Evaluation (`evaluate_pretrain`, `evaluate_mt`) scores its batches on
-two threads, the calling thread and `tensor`'s worker thread
+two threads, the calling thread and `tensor`'s pool thread
 (`tensor.split_map`), and sums their metrics in batch order on the
 calling thread, so every metric keeps the bits of a one-thread loop.
 
@@ -70,7 +71,7 @@ import numpy as np
 
 from . import BUILD_ID
 from .checkpoint import header_count, load_checkpoint, save_checkpoint
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int
 from .masking import MaskPolicy, build_masked_batch, build_stream, eligible_positions
 from .model import EncoderConfig, ParamStore, take_rows, target_counts, vtlm_loss
 from .rng import Pcg32
@@ -103,8 +104,7 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         for name in ("max_steps", "batch_size", "eval_interval", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an int, got {value!r}")
+            check_int(name, value)
             if name != "seed" and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
 
@@ -316,15 +316,17 @@ def evaluate_pretrain(params: ParamStore, cfg: EncoderConfig, streams,
                       examples, objective: str, policy: MaskPolicy,
                       seed: int, batch_size: int) -> dict:
     """Deterministic masked-prediction metrics on a validation set, one
-    stream per example; ConfigError when `batch_size` is below 1,
-    DataError when the stream and example counts differ or there is no
-    masked target to score (no examples, or no maskable token).
+    stream per example; ConfigError when `batch_size` is not an int or
+    is below 1, DataError when the stream and example counts differ or
+    there is no masked target to score (no examples, or no maskable
+    token).
 
     Every batch's masks are drawn first, on the calling thread and in
     batch order, so the masking streams are consumed as by one loop over
     the batches. The batches are then scored on two threads
     (`tensor.split_map`) and the sums taken in batch order, so every
     metric has the bits of scoring them one after the other."""
+    check_int("batch_size", batch_size)
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if len(streams) != len(examples):
@@ -538,10 +540,12 @@ def train_pretrain(train_data, valid_data, params: ParamStore,
 def evaluate_mt(params: ParamStore, cfg: EncoderConfig, examples, task: str,
                 batch_size: int) -> float:
     """Teacher-forced validation perplexity, text within
-    `cfg.max_positions`; ConfigError when `batch_size` is below 1,
-    DataError when there are no examples. The batches are scored on two
-    threads (`tensor.split_map`) and the sums taken in batch order, so
-    the perplexity has the bits of scoring them one after the other."""
+    `cfg.max_positions`; ConfigError when `batch_size` is not an int or
+    is below 1, DataError when there are no examples. The batches are
+    scored on two threads (`tensor.split_map`) and the sums taken in
+    batch order, so the perplexity has the bits of scoring them one
+    after the other."""
+    check_int("batch_size", batch_size)
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
 

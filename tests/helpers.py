@@ -6,10 +6,12 @@ a BPE codec, the one-seed corpus and nearest-centre classifier that
 several test corpora and oracles are built from, and a batch's
 prediction targets as (example, position, id) triples, the full-row
 pretraining loss that the pruned one is checked against, and the
-every-cell layout that packed rows are checked against."""
+every-cell layout that packed rows are checked against, and the name
+of the thread that runs `split_map`'s odd-numbered items."""
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -21,6 +23,11 @@ from vtlm.model import LossOutput, encode_batch, linear, tied_logits
 from vtlm.rng import Pcg32
 from vtlm.synthetic import GenConfig, encode_examples, generate_raw, label_centers, raw_sentences
 from vtlm.tensor import Tensor, _make, no_grad
+
+
+def pool_thread_name() -> str:
+    """The name of the thread `T.split_map` runs odd-numbered items on."""
+    return T.split_map(lambda _: threading.current_thread().name, [0, 1])[1]
 
 
 def tsum(a: Tensor) -> Tensor:

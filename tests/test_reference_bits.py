@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import (assert_grads_close, clear_grads, every_cell_layout, full_row_vtlm_loss,
-                     matmul, reshape, tsum)
+                     matmul, pool_thread_name, reshape, tsum)
 from vtlm import tensor as T, trainer
 from vtlm.bpe import (RESERVED_TOKENS, BpeCodec, Vocab, _count_pairs, _merge_word,
                       _word_symbols, learn_bpe)
@@ -771,7 +771,7 @@ def test_halved_step_matches_the_one_thread_step(kind, desk_corpus, monkeypatch)
             else trainer._pretrain_step(cfg, batch))
     got = trainer._step_grads(params, *step, 0.1, Pcg32(11).split("dropout"))
     assert sorted(draws) == [(0, 32), (32, 64)]
-    assert threads == {(0, 32): threading.current_thread().name, (32, 64): "vtlm-grad"}
+    assert threads == {(0, 32): threading.current_thread().name, (32, 64): pool_thread_name()}
     assert len(draws[0, 32]) == len(draws[32, 64]) == len(expect) == len(STEP_DRAWS[kind])
     for first, second, words in zip(draws[0, 32], draws[32, 64], expect):
         assert np.array_equal(np.concatenate([first, second]), words)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import clear_grads, draws_left, float64_params, gradcheck
+from helpers import clear_grads, draws_left, float64_params, gradcheck, pool_thread_name
 from vtlm import seq2seq
 from vtlm import tensor as T
 from vtlm.bpe import BOS, EOS, PAD
@@ -280,7 +280,7 @@ def test_two_thread_translate_equals_serial_chunk_loop(chunk, n, k, beam, fitted
     finally:
         sys.setswitchinterval(interval)
     main = threading.current_thread().name
-    assert sorted(threads) == sorted(main if i % 2 == 0 else "vtlm-grad" for i in range(k))
+    assert sorted(threads) == sorted(main if i % 2 == 0 else pool_thread_name() for i in range(k))
     assert _bits(got) == _bits(expect)
 
 
@@ -322,16 +322,16 @@ def _translate_in_child(params, cfg, examples, expect):
     sys.exit(0 if _bits(got) == expect else 1)
 
 
-# fork in a process with threads warns from Python 3.12 on; the worker is
-# forgotten in the child, so this fork is the case under test
+# fork in a process with threads warns from Python 3.12 on; the pool is
+# dropped in the child, so this fork is the case under test
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_forked_child_translates(fitted):
     """A child forked after a two-thread translate, while the parent's
-    worker thread is alive, decodes its own chunks on two threads with
+    pool thread is alive, decodes its own chunks on two threads with
     the parent's result."""
     params, cfg, examples = fitted(MMT, 0)
     expect = _bits(translate(params, cfg, examples, MMT, beam=3, max_len=16))
-    assert T._worker is not None
+    assert pool_thread_name() in [th.name for th in threading.enumerate()]
     child = multiprocessing.get_context("fork").Process(
         target=_translate_in_child, args=(params, cfg, examples, expect))
     child.start()

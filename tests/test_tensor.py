@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import clear_grads, gradcheck, matmul, reshape, tsum
+from helpers import clear_grads, gradcheck, matmul, pool_thread_name, reshape, tsum
 from vtlm import tensor as T
 from vtlm.errors import NumericError
 from vtlm.rng import Pcg32
@@ -435,7 +435,31 @@ class TestSplitMap:
     def test_results_in_order_odd_items_on_the_worker(self):
         got = T.split_map(lambda i: (i, threading.current_thread().name), list(range(5)))
         main = threading.current_thread().name
-        assert got == [(i, main if i % 2 == 0 else "vtlm-grad") for i in range(5)]
+        assert got == [(i, main if i % 2 == 0 else pool_thread_name()) for i in range(5)]
+        assert pool_thread_name() != main
+
+    def test_worker_system_exit_is_raised_and_the_next_call_runs(self):
+        """Item 1 raises SystemExit on the pool's thread: split_map raises
+        it, and a later split_map still runs every item, in order. Run
+        on a helper thread, so that a hang fails the test."""
+        def fn(i):
+            if i == 1:
+                raise SystemExit(i)
+            return i
+
+        got = {}
+
+        def run():
+            with pytest.raises(SystemExit) as raised:
+                T.split_map(fn, [0, 1, 2])
+            got["raised"] = raised.value.code
+            got["next"] = T.split_map(lambda i: i, list(range(5)))
+
+        helper = threading.Thread(target=run, daemon=True)
+        helper.start()
+        helper.join(timeout=30)
+        assert not helper.is_alive(), "split_map hung after a SystemExit on the pool's thread"
+        assert got == {"raised": 1, "next": list(range(5))}
 
     def test_drains_the_worker_before_raising(self):
         """Item 0 fails on the calling thread once the worker's slow item 1
@@ -488,14 +512,13 @@ def _backwards_in_child():
     sys.exit(0 if all(np.array_equal(g, x.data.T @ np.ones((6, 3))) for g in grads) else 1)
 
 
-# fork in a process with threads warns from Python 3.12 on; the worker is
-# forgotten in the child, so this fork is the case under test
+# fork in a process with threads warns from Python 3.12 on; the pool is
+# dropped in the child, so this fork is the case under test
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_forked_child_runs_a_backward():
-    """A child forked after a `split_map`, while the parent's worker
+    """A child forked after a `split_map`, while the parent's pool
     thread is alive, runs backwards on two threads of its own."""
-    T.split_map(lambda i: i, [0, 1])
-    assert T._worker is not None
+    assert pool_thread_name() in [th.name for th in threading.enumerate()]
     child = multiprocessing.get_context("fork").Process(target=_backwards_in_child)
     child.start()
     child.join(timeout=60)

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import float64_params
+from helpers import float64_params, pool_thread_name
 from vtlm import tensor as T, trainer
 from vtlm.errors import ConfigError, DataError
 from vtlm.checkpoint import load_checkpoint, save_checkpoint
@@ -809,7 +809,7 @@ def test_odd_evaluation_batches_run_on_the_worker(phase, corpus, monkeypatch):
         params = init_mt_params(cfg, Pcg32(5).split("init"))
         trainer.evaluate_mt(params, cfg, examples, MMT, EVAL_BATCH)
     main = threading.current_thread().name
-    assert sorted(ran) == [(i, main if i % 2 == 0 else "vtlm-grad") for i in range(5)]
+    assert sorted(ran) == [(i, main if i % 2 == 0 else pool_thread_name()) for i in range(5)]
 
 
 def test_bad_region_label_in_a_worker_batch_raises_and_leaves_the_worker_clean(corpus):
