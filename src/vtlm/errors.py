@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and the integer check of
-its config fields and arguments.
+"""Exception types shared across the package, and the integer and real
+checks of its config fields and arguments.
 
 There is no command-line entry point yet; the CLI planned in ROADMAP
 item 4 is to map these to process exit codes: ConfigError -> 2,
 DataError -> 3, DivergenceError -> 4.
 """
+
+import numbers
 
 
 class VtlmError(Exception):
@@ -42,3 +44,9 @@ def check_int(name: str, value) -> None:
     """Raise ConfigError unless `value` is an int and not a bool."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise ConfigError unless `value` is a real number and not a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")

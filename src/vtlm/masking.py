@@ -38,7 +38,7 @@ import numpy as np
 from . import bpe
 from .bpe import BOS, EOS, LANG_L1, LANG_L2, NUM_RESERVED, SEP
 from .data import TripletExample
-from .errors import ConfigError
+from .errors import ConfigError, check_real
 from .model import MaskedBatch, check_ids, collate, pad_rows
 from .rng import Pcg32
 
@@ -65,6 +65,7 @@ class MaskPolicy:
     visual_select_ratio: float = 0.15
 
     def __post_init__(self):
+        check_real("visual_select_ratio", self.visual_select_ratio)
         if not 0.0 <= self.visual_select_ratio <= 1.0:
             raise ConfigError(
                 f"visual_select_ratio must be in [0, 1], got {self.visual_select_ratio}")

@@ -53,7 +53,7 @@ import numpy as np
 
 from .bpe import BpeCodec
 from .data import EntitySpan, TripletExample
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_real
 from .rng import Pcg32, argsort_keys, box_muller, derive_seed, multiply_shift, unit_uniform
 
 OBJECT_WORDS = [
@@ -120,6 +120,7 @@ class GenConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if min(self.num_valid, self.num_test) < 0:
             raise ConfigError("num_valid and num_test must not be negative")
+        check_real("cluster_sigma", self.cluster_sigma)
         if not (np.isfinite(self.cluster_sigma) and self.cluster_sigma >= 0):
             raise ConfigError(f"cluster_sigma must be finite and >= 0, got {self.cluster_sigma}")
 
@@ -275,6 +276,7 @@ class SyntheticCorpus:
 
 def generate_corpus(cfg: GenConfig, seed: int) -> SyntheticCorpus:
     """Three-split corpus with per-shard derived seeds and one shared codec."""
+    check_int("seed", seed)
     centers = label_centers(cfg, seed)
     shards = {}
     raw_shards = {}

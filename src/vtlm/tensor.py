@@ -23,12 +23,12 @@ grid without padding is dense: its packed array is a reshape of the
 grid-shaped one, so no scatter, gather or zero-fill happens.
 
 Gradient handover: an op that builds a gradient as a fresh array and
-keeps no reference to it passes it with `_accumulate(g, owned=True)`
-(`linear`, `gelu`, `merge_rows`, `to_grid`, `attention`'s dq, dk and
-dv, `layer_norm`'s dx and `cross_entropy`). A non-leaf receiving its
-first gradient keeps such an array, if C-contiguous and of its dtype
-and shape, instead of copying it; every other first gradient, and every
-parameter's, is a copy.
+keeps no reference to it passes it with `_accumulate(g, owned=True)`;
+only `add` (one g for both operands) and `transpose` (a view) pass
+arrays they share. A tensor keeps such a first gradient, if
+C-contiguous and of its dtype and shape, instead of copying it; a
+parameter's kept gradient then gets `+= 0.0`, so it has the bits of
+zeros + g. Every other first gradient is a copy.
 
 Two threads: `split_map` hands the one thread of a thread pool the
 odd-numbered items of a list while the calling thread runs the
@@ -85,7 +85,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_real
 
 
 class _GradMode(threading.local):
@@ -145,40 +145,27 @@ class Tensor:
     # -- graph plumbing ------------------------------------------------
 
     def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add g to .grad. The first gradient of a leaf (a parameter) is
-        a C-ordered copy in the tensor's dtype, with the bits of zeros + g:
-        -0.0 + 0.0 is +0.0, and the cast is the one `+=` applies. C order
-        keeps later reductions over the gradient in the order they would
-        have for zeros + g.
+        """Add g to .grad. An op passes `owned=True` for an array it has
+        just built and keeps no reference to: a first gradient of that kind
+        that is a C-contiguous, non-0-d array of the tensor's dtype and
+        shape is kept. Any other first gradient is a C-ordered copy in the
+        tensor's dtype: the cast is the one `+=` applies, and C order keeps
+        later reductions over it in the order they would have for zeros + g.
 
-        Handover: an op passes `owned=True` for an array it has just built
-        and keeps no reference to. A non-leaf keeps such a first gradient
-        as it is when it is a C-contiguous, non-0-d array of the node's
-        dtype and shape; anything else is copied as for a leaf. Kept or
-        copied, the values are equal: a kept -0.0 stays -0.0, but the
-        backward only adds and multiplies, so no nonzero value downstream
-        changes, and a parameter's first gradient still turns it into +0.0.
+        A leaf's (a parameter's) first gradient has the bits of zeros + g:
+        a kept one gets `+= 0.0`, and -0.0 + 0.0 is +0.0. A node's kept
+        -0.0 stays -0.0, but the backward only adds and multiplies, so no
+        nonzero value downstream changes. Later gradients add in place.
         """
-        if (owned and self._parents and self.grad is None and g.ndim and g.flags.c_contiguous
+        if self.grad is not None:
+            self.grad += g
+        elif (owned and g.ndim and g.flags.c_contiguous
                 and g.dtype == self.data.dtype and g.shape == self.data.shape):
             self.grad = g
-        elif self.grad is None:
+            if not self._parents:
+                g += 0.0
+        else:
             self.grad = np.add(g, 0.0, out=np.empty(self.data.shape, self.data.dtype))
-        else:
-            self.grad += g
-
-    def _add_grad(self, fn, *args) -> None:
-        """Add fn(*args) to .grad, where fn takes `out=`: a leaf's first
-        result is computed straight into a fresh .grad, and +0.0 then
-        gives the bits of zeros + fn(*args); an op output's is handed over
-        to `_accumulate`."""
-        if self._parents:
-            self._accumulate(fn(*args), owned=True)
-        elif self.grad is None:
-            self.grad = fn(*args, out=np.empty(self.data.shape, self.data.dtype))
-            self.grad += 0.0
-        else:
-            self.grad += fn(*args)
 
     def backward(self) -> None:
         """Populate .grad on every reachable requires_grad leaf; an op's
@@ -365,9 +352,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _make(data, (a, b), bw)
 
@@ -378,9 +365,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     The arithmetic of reshape → matmul → add → reshape in that order, so
     values and gradients keep their bits: dx = g Wᵀ, dW = x2ᵀ g over the
-    (rows, d) view x2 of x, and db the column sum of g. All three are
-    handed over; a leaf's dW and db are computed straight into its .grad
-    on its first write.
+    (rows, d) view x2 of x, and db the column sum of g, all three handed
+    over.
     """
     f = w.data.shape[1]
     x2 = x.data.reshape(-1, x.data.shape[-1])
@@ -390,9 +376,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         g2 = g.reshape(-1, f)
         if b.requires_grad:
-            b._add_grad(np.sum, g2, 0)
+            b._accumulate(np.sum(g2, 0), owned=True)
         if w.requires_grad:
-            w._add_grad(np.matmul, x2.T, g2)
+            w._accumulate(np.matmul(x2.T, g2), owned=True)
         if x.requires_grad:
             x._accumulate(np.matmul(g2, w.data.T).reshape(x.data.shape), owned=True)
 
@@ -550,9 +536,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def bw(g):
         if gain.requires_grad:
-            gain._add_grad(np.sum, g * xhat, rows)
+            gain._accumulate(np.sum(g * xhat, rows), owned=True)
         if bias.requires_grad:
-            bias._add_grad(np.sum, g, rows)
+            bias._accumulate(np.sum(g, rows), owned=True)
         if a.requires_grad:
             dxhat = g * gain.data
             dx = ivar * (
@@ -566,7 +552,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def check_dropout_rate(rate: float) -> None:
-    """Raise ConfigError unless 0 <= rate < 1 (NaN included)."""
+    """Raise ConfigError unless rate is a real 0 <= rate < 1 (not NaN or a bool)."""
+    check_real("dropout rate", rate)
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate!r}")
 
@@ -601,7 +588,7 @@ def dropout(a: Tensor, drop, grid: Grid | None = None) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a._accumulate(g * mask)
+            a._accumulate(g * mask, owned=True)
 
     return _make(data, (a,), bw)
 

@@ -71,7 +71,7 @@ import numpy as np
 
 from . import BUILD_ID
 from .checkpoint import header_count, load_checkpoint, save_checkpoint
-from .errors import ConfigError, DataError, check_int
+from .errors import ConfigError, DataError, check_int, check_real
 from .masking import MaskPolicy, build_masked_batch, build_stream, eligible_positions
 from .model import EncoderConfig, ParamStore, take_rows, target_counts, vtlm_loss
 from .rng import Pcg32
@@ -100,6 +100,7 @@ class TrainConfig:
 
     def __post_init__(self):
         T.check_dropout_rate(self.dropout)
+        check_real("lr", self.lr)
         if not 0.0 < self.lr < math.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         for name in ("max_steps", "batch_size", "eval_interval", "seed"):

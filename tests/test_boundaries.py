@@ -4,17 +4,19 @@ ValueError from deep inside numpy or Python."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vtlm import tensor as T
 from vtlm.errors import ConfigError, DataError
 from vtlm.masking import VTLM, MaskPolicy, build_stream
 from vtlm.model import EncoderConfig, init_encoder_params
 from vtlm.rng import Pcg32
 from vtlm.seq2seq import MMT, init_mt_params, translate
 from vtlm.synthetic import GenConfig, generate_corpus
-from vtlm.trainer import evaluate_mt, evaluate_pretrain
+from vtlm.trainer import TrainConfig, evaluate_mt, evaluate_pretrain
 
 GEN = GenConfig(num_examples=8, num_valid=2, num_test=2, feat_dim=8, num_merges=50)
 ENCODER = dict(vocab_size=50, label_vocab_size=10, feat_dim=8, d_model=16, ffn_dim=32,
@@ -63,6 +65,19 @@ CASES = {
                                    ConfigError),
     "derangement n=0": (lambda _: Pcg32(1).derangement(0), DataError),
     "derangement n=1": (lambda _: Pcg32(1).derangement(1), DataError),
+    "generate_corpus seed='1'": (lambda _: generate_corpus(GEN, "1"), ConfigError),
+    "generate_corpus seed=1.5": (lambda _: generate_corpus(GEN, 1.5), ConfigError),
+    "generate_corpus seed=True": (lambda _: generate_corpus(GEN, True), ConfigError),
+    "dropout rate='0.1'": (lambda _: T.dropout(T.Tensor(np.ones(4)), ("0.1", Pcg32(1))),
+                           ConfigError),
+    "TrainConfig lr=True": (lambda _: TrainConfig(True, 0.1, 1), ConfigError),
+    "TrainConfig lr='0.1'": (lambda _: TrainConfig("0.1", 0.1, 1), ConfigError),
+    "TrainConfig dropout=False": (lambda _: TrainConfig(1e-3, False, 1), ConfigError),
+    "TrainConfig dropout='0.1'": (lambda _: TrainConfig(1e-3, "0.1", 1), ConfigError),
+    "GenConfig cluster_sigma=True": (lambda _: GenConfig(cluster_sigma=True), ConfigError),
+    "GenConfig cluster_sigma='0.1'": (lambda _: GenConfig(cluster_sigma="0.1"), ConfigError),
+    "MaskPolicy visual_select_ratio=True": (lambda _: MaskPolicy(True), ConfigError),
+    "MaskPolicy visual_select_ratio='0.1'": (lambda _: MaskPolicy("0.1"), ConfigError),
 }
 
 
@@ -92,3 +107,21 @@ def test_gen_config_integer_fields_take_only_ints(name, value):
 def test_encoder_config_integer_fields_take_only_ints(name, value):
     with pytest.raises(ConfigError, match=f"{name} must be an int"):
         EncoderConfig(**{**ENCODER, name: value})
+
+
+# one constructor per float field, taking the field's value
+REAL_FIELDS = {
+    "TrainConfig lr": lambda v: TrainConfig(lr=v, dropout=0.1, max_steps=1),
+    "TrainConfig dropout": lambda v: TrainConfig(lr=1e-3, dropout=v, max_steps=1),
+    "GenConfig cluster_sigma": lambda v: GenConfig(cluster_sigma=v),
+    "MaskPolicy visual_select_ratio": lambda v: MaskPolicy(visual_select_ratio=v),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(sorted(REAL_FIELDS)),
+       value=st.one_of(st.booleans(), st.text(max_size=3), st.none()))
+def test_float_fields_take_only_real_numbers(field, value):
+    with pytest.raises(ConfigError, match="must be a real number"):
+        REAL_FIELDS[field](value)
+    REAL_FIELDS[field](np.float32(0.5))  # a numpy float is a real number

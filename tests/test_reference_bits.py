@@ -230,18 +230,22 @@ def test_owned_first_gradient_is_kept_by_a_node():
     assert np.shares_memory(node.grad, g)  # later gradients add in place
 
 
-def test_leaf_copies_an_owned_first_gradient():
+def test_leaf_keeps_an_owned_first_gradient():
     data = np.ones((4, 6), dtype=np.float32)
-    g = np.full((4, 6), -0.0, dtype=np.float32)
+    g = Pcg32(3).normal((4, 6), dtype=np.float32)
+    g[0] = -0.0
+    expect = _first_grad(reference_accumulate, data, g)
     t = T.Tensor(data, requires_grad=True)
     t._accumulate(g, owned=True)
-    assert not np.shares_memory(t.grad, g)
-    assert t.grad.tobytes() == _first_grad(reference_accumulate, data, g).tobytes()
-    assert not np.any(np.signbit(t.grad))  # -0.0 became +0.0
+    assert np.shares_memory(t.grad, g)
+    assert not np.any(np.signbit(t.grad[0]))  # -0.0 became +0.0
+    assert t.grad.tobytes() == expect.tobytes()
 
 
-@pytest.mark.parametrize("case", ["transposed", "float64_into_float32", "zero_dim"])
-def test_node_copies_an_owned_gradient_it_cannot_keep(case):
+CANNOT_KEEP = ["transposed", "float64_into_float32", "zero_dim"]
+
+
+def _copies_an_owned_gradient_it_cannot_keep(case, holder):
     rng = Pcg32(4)
     if case == "transposed":
         data = np.ones((6, 4), dtype=np.float32)
@@ -252,12 +256,43 @@ def test_node_copies_an_owned_gradient_it_cannot_keep(case):
     else:
         data = np.ones((), dtype=np.float32)
         g = np.full((), -0.0, dtype=np.float32)
-    node = _node(data)
-    node._accumulate(g, owned=True)
+    t = holder(data)
+    t._accumulate(g, owned=True)
     expect = _first_grad(reference_accumulate, data, g)
-    assert not np.shares_memory(node.grad, g)
-    assert isinstance(node.grad, np.ndarray) and node.grad.flags.c_contiguous
-    assert node.grad.dtype == expect.dtype and node.grad.tobytes() == expect.tobytes()
+    assert not np.shares_memory(t.grad, g)
+    assert isinstance(t.grad, np.ndarray) and t.grad.flags.c_contiguous
+    assert t.grad.dtype == expect.dtype and t.grad.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("case", CANNOT_KEEP)
+def test_node_copies_an_owned_gradient_it_cannot_keep(case):
+    _copies_an_owned_gradient_it_cannot_keep(case, _node)
+
+
+@pytest.mark.parametrize("case", CANNOT_KEEP)
+def test_leaf_copies_an_owned_gradient_it_cannot_keep(case):
+    _copies_an_owned_gradient_it_cannot_keep(
+        case, lambda data: T.Tensor(data, requires_grad=True))
+
+
+@pytest.mark.parametrize("op", ["mul", "dropout"])
+def test_op_hands_its_gradient_over(op, monkeypatch):
+    """Each non-leaf operand's first .grad is the array the op built."""
+    handed = []
+    accumulate = T.Tensor._accumulate
+
+    def spy(self, g, owned=False):
+        handed.append((self, g))
+        accumulate(self, g, owned)
+
+    rng = Pcg32(5)
+    a, b = (_node(rng.normal((4, 6), dtype=np.float32)) for _ in range(2))
+    out = T.mul(a, b) if op == "mul" else T.dropout(a, (0.5, rng.split("dropout")))
+    monkeypatch.setattr(T.Tensor, "_accumulate", spy)
+    out._backward(rng.normal((4, 6), dtype=np.float32))
+    assert [t for t, _ in handed] == ([a, b] if op == "mul" else [a])
+    for t, g in handed:
+        assert t.grad is g
 
 
 def test_first_gradient_of_a_scalar_stays_an_array():
