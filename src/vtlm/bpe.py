@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int
 
 EOW = "</w>"
 
@@ -54,8 +54,7 @@ def _merge_word(syms: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]
 
 def learn_bpe(sentences: list[str], num_merges: int) -> list[tuple[str, str]]:
     """Learn a merge table from whitespace-tokenised sentences."""
-    if num_merges <= 0:
-        raise ConfigError("num_merges must be positive")
+    check_int("num_merges", num_merges, 1)
     if not sentences:
         raise ConfigError("cannot learn BPE from an empty corpus")
     word_freq = Counter()

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the integer and real
-checks of its config fields and arguments.
+"""Exception types shared across the package, and the one home of its
+"must be an int", "must be >= N" and "unknown X" checks: `check_int`
+(an int, not a bool, at least `low` when given), `check_choice` (one
+of a set of names) and `check_real` (a real number, not a bool).
 
 There is no command-line entry point yet; the CLI planned in ROADMAP
 item 4 is to map these to process exit codes: ConfigError -> 2,
@@ -40,13 +42,22 @@ class TransferError(ConfigError):
     """Pretrained weights incompatible with the target model."""
 
 
-def check_int(name: str, value) -> None:
-    """Raise ConfigError unless `value` is an int and not a bool."""
+def check_int(name: str, value, low: int | None = None) -> None:
+    """Raise ConfigError unless `value` is an int and not a bool, and,
+    given `low`, at least `low`."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
 def check_real(name: str, value) -> None:
     """Raise ConfigError unless `value` is a real number and not a bool."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
+def check_choice(name: str, value, choices) -> None:
+    """Raise ConfigError unless `value` is one of `choices`."""
+    if value not in choices:
+        raise ConfigError(f"unknown {name} {value!r}")

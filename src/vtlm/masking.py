@@ -38,7 +38,7 @@ import numpy as np
 from . import bpe
 from .bpe import BOS, EOS, LANG_L1, LANG_L2, NUM_RESERVED, SEP
 from .data import TripletExample
-from .errors import ConfigError, check_real
+from .errors import ConfigError, check_choice, check_int, check_real
 from .model import MaskedBatch, check_ids, collate, pad_rows
 from .rng import Pcg32
 
@@ -80,16 +80,12 @@ class Stream:
     lang_ids: np.ndarray
 
 
-def check_objective(mode: str) -> None:
-    """Raise ConfigError unless `mode` is TLM or VTLM."""
-    if mode not in (TLM, VTLM):
-        raise ConfigError(f"unknown objective {mode!r}")
-
-
 def build_stream(example: TripletExample, mode: str, max_len: int = 256) -> Stream:
     """Lay out one example; text segments are tail-truncated to fit,
-    regions never are. Raises ConfigError for an unknown objective."""
-    check_objective(mode)
+    regions never are. Raises ConfigError for an unknown objective or a
+    `max_len` that is not an int."""
+    check_choice("objective", mode, (TLM, VTLM))
+    check_int("max_len", max_len)
     o = len(example.labels) if mode == VTLM else 0
     src = list(example.src_tokens)
     tgt = list(example.tgt_tokens)
@@ -206,7 +202,7 @@ def build_masked_batch(examples: list[TripletExample], mode: str,
     when a token id is outside [0, vocab_size) or the kept examples have
     different region counts.
     """
-    check_objective(mode)
+    check_choice("objective", mode, (TLM, VTLM))
     if streams is None:
         streams = [build_stream(ex, mode) for ex in examples]
     if streams:

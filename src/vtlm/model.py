@@ -67,9 +67,7 @@ class EncoderConfig:
     def __post_init__(self):
         for name in ("vocab_size", "label_vocab_size", "feat_dim", "d_model", "ffn_dim",
                      "n_layers", "n_heads", "max_positions"):
-            check_int(name, getattr(self, name))
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_int(name, getattr(self, name), 1)
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by n_heads")
 

@@ -51,7 +51,7 @@ import numpy as np
 from . import tensor as T
 from .bpe import BOS, EOS, LANG_L1, LANG_L2, PAD
 from .data import TripletExample
-from .errors import ConfigError, DataError, TransferError, check_int
+from .errors import ConfigError, DataError, TransferError, check_choice, check_int
 from .model import (
     EncoderBatch,
     EncoderConfig,
@@ -129,18 +129,14 @@ def transfer_weights(pretrained: ParamStore, cfg: EncoderConfig,
 # -- batching ----------------------------------------------------------------
 
 
-def _check_task(task: str) -> None:
-    """Raise ConfigError unless `task` is NMT or MMT."""
-    if task not in (NMT, MMT):
-        raise ConfigError(f"unknown task {task!r}")
-
-
 def build_source_batch(examples: list[TripletExample], task: str,
                        max_len: int = 256) -> EncoderBatch:
     """[BOS] s [EOS] rows, plus every region for MMT, with s cut to fit
-    `max_len`. Raises ConfigError when no source token fits, DataError
-    when there are no examples or MMT ones have different region counts."""
-    _check_task(task)
+    `max_len`. Raises ConfigError when `max_len` is not an int or no
+    source token fits, DataError when there are no examples or MMT ones
+    have different region counts."""
+    check_choice("task", task, (NMT, MMT))
+    check_int("max_len", max_len)
     if not examples:
         raise DataError("an empty batch: no examples")
     o = len(examples[0].labels) if task == MMT else 0
@@ -163,10 +159,9 @@ class TargetBatch:
 
 def build_target_batch(examples: list[TripletExample], max_len: int = 256) -> TargetBatch:
     """Teacher-forcing rows of at most `max_len` tokens, padded by
-    `model.pad_rows`. Raises ConfigError when `max_len` is below 1,
-    DataError when there are no examples."""
-    if max_len < 1:
-        raise ConfigError(f"max_len must be >= 1, got {max_len}")
+    `model.pad_rows`. Raises ConfigError when `max_len` is not an int of
+    at least 1, DataError when there are no examples."""
+    check_int("max_len", max_len, 1)
     seqs = [list(ex.tgt_tokens)[: max_len - 1] for ex in examples]
     input_ids, pad_mask = pad_rows([[BOS] + s for s in seqs], PAD)
     output_ids, _ = pad_rows([s + [EOS] for s in seqs], PAD)
@@ -317,10 +312,8 @@ def beam_search(params: ParamStore, cfg: EncoderConfig, enc_states: Tensor,
     hypothesis with the highest logp / length (its token count, [EOS]
     included), ties by token sequence.
     """
-    if beam < 1:
-        raise ConfigError("beam must be >= 1")
-    if max_len < 1:
-        raise ConfigError(f"max_len must be >= 1, got {max_len}")
+    check_int("beam", beam, 1)
+    check_int("max_len", max_len, 1)
     n = src_grid.shape[0]
     sents = np.arange(n)                        # chunk index of each batch row
     logp = np.zeros((n, 1))                     # running log-prob per slot
@@ -398,13 +391,9 @@ def translate(params: ParamStore, cfg: EncoderConfig,
     among ties. `beam` and `max_len` that are not ints of at least 1, or
     are bools, raise ConfigError before any chunk is decoded.
     """
-    _check_task(task)
-    check_int("beam", beam)
-    check_int("max_len", max_len)
-    if beam < 1:
-        raise ConfigError(f"beam must be >= 1, got {beam}")
-    if max_len < 1:
-        raise ConfigError(f"max_len must be >= 1, got {max_len}")
+    check_choice("task", task, (NMT, MMT))
+    check_int("beam", beam, 1)
+    check_int("max_len", max_len, 1)
     if max_len > cfg.max_positions:
         raise ConfigError(
             f"max_len={max_len} needs {max_len} target positions, "

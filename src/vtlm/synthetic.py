@@ -100,9 +100,11 @@ class GenConfig:
     num_merges: int = 2_000
 
     def __post_init__(self):
-        for name in ("num_examples", "num_valid", "num_test", "num_labels", "num_attributes",
-                     "num_regions", "feat_dim", "min_objects", "max_objects", "num_merges"):
-            check_int(name, getattr(self, name))
+        for name, low in (("num_examples", 1), ("num_valid", 0), ("num_test", 0),
+                          ("num_labels", None), ("num_attributes", 1), ("num_regions", None),
+                          ("feat_dim", 1), ("min_objects", None), ("max_objects", None),
+                          ("num_merges", 1)):
+            check_int(name, getattr(self, name), low)
         for name in ("num_regions", "num_labels"):
             if getattr(self, name) < self.max_objects:
                 raise ConfigError(
@@ -115,11 +117,6 @@ class GenConfig:
             raise ConfigError(f"at most {len(OBJECT_WORDS)} object labels available")
         if self.num_attributes > len(ATTRIBUTE_WORDS):
             raise ConfigError(f"at most {len(ATTRIBUTE_WORDS)} attributes available")
-        for name in ("num_examples", "num_attributes", "feat_dim", "num_merges"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if min(self.num_valid, self.num_test) < 0:
-            raise ConfigError("num_valid and num_test must not be negative")
         check_real("cluster_sigma", self.cluster_sigma)
         if not (np.isfinite(self.cluster_sigma) and self.cluster_sigma >= 0):
             raise ConfigError(f"cluster_sigma must be finite and >= 0, got {self.cluster_sigma}")
@@ -163,12 +160,13 @@ def _caption_words(pairs: list[tuple[str, str]]) -> tuple[list[str], list[int]]:
 def generate_raw(cfg: GenConfig, seed: int, centers: np.ndarray,
                  count: int | None = None) -> list[RawExample]:
     """Generate raw word-level examples; fully determined by (cfg, seed).
+    ConfigError unless `seed` and `count` are ints, `count` at least 0.
 
     Examples are drawn `CHUNK` at a time from one `u32` call each, in the
     word layout of the module docstring."""
+    check_int("seed", seed)
     n = cfg.num_examples if count is None else count
-    if n < 0:
-        raise ConfigError(f"count must not be negative, got {n}")
+    check_int("count", n, 0)
     if np.shape(centers) != (cfg.num_labels, cfg.feat_dim):
         raise ConfigError(f"centers must have shape {(cfg.num_labels, cfg.feat_dim)}, "
                           f"got {np.shape(centers)}")

@@ -598,10 +598,12 @@ def _dropout_mask(shape: tuple, dtype, drop) -> np.ndarray | None:
     holding 1 / (1 - rate) where an element is kept and 0 where it is
     dropped: the keep test times the scale, which costs a third of
     np.where."""
-    if drop is None or drop[0] == 0.0:
+    if drop is None:
         return None
     rate, rng = drop
     check_dropout_rate(rate)
+    if rate == 0.0:
+        return None
     keep = rng.raw32(math.prod(shape)).reshape(shape) >= math.ceil(rate * 2.0**32 - 0.5)
     return np.multiply(keep, dtype.type(1.0 / (1.0 - rate)), dtype=dtype)
 

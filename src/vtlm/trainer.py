@@ -71,7 +71,7 @@ import numpy as np
 
 from . import BUILD_ID
 from .checkpoint import header_count, load_checkpoint, save_checkpoint
-from .errors import ConfigError, DataError, check_int, check_real
+from .errors import ConfigError, DataError, check_choice, check_int, check_real
 from .masking import MaskPolicy, build_masked_batch, build_stream, eligible_positions
 from .model import EncoderConfig, ParamStore, take_rows, target_counts, vtlm_loss
 from .rng import Pcg32
@@ -103,16 +103,13 @@ class TrainConfig:
         check_real("lr", self.lr)
         if not 0.0 < self.lr < math.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("max_steps", "batch_size", "eval_interval", "seed"):
-            value = getattr(self, name)
-            check_int(name, value)
-            if name != "seed" and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+        for name in ("max_steps", "batch_size", "eval_interval"):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed)
 
     @classmethod
     def for_phase(cls, phase: str, **overrides) -> "TrainConfig":
-        if phase not in PHASES:
-            raise ConfigError(f"unknown phase {phase!r}")
+        check_choice("phase", phase, PHASES)
         kw = dict(_PHASE_DEFAULTS[phase])
         kw.update(overrides)
         return cls(**kw)
@@ -317,19 +314,18 @@ def evaluate_pretrain(params: ParamStore, cfg: EncoderConfig, streams,
                       examples, objective: str, policy: MaskPolicy,
                       seed: int, batch_size: int) -> dict:
     """Deterministic masked-prediction metrics on a validation set, one
-    stream per example; ConfigError when `batch_size` is not an int or
-    is below 1, DataError when the stream and example counts differ or
-    there is no masked target to score (no examples, or no maskable
-    token).
+    stream per example; ConfigError when `seed` is not an int or
+    `batch_size` not an int of at least 1, DataError when the stream and
+    example counts differ or there is no masked target to score (no
+    examples, or no maskable token).
 
     Every batch's masks are drawn first, on the calling thread and in
     batch order, so the masking streams are consumed as by one loop over
     the batches. The batches are then scored on two threads
     (`tensor.split_map`) and the sums taken in batch order, so every
     metric has the bits of scoring them one after the other."""
-    check_int("batch_size", batch_size)
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    check_int("batch_size", batch_size, 1)
+    check_int("seed", seed)
     if len(streams) != len(examples):
         raise DataError(f"{len(streams)} streams for {len(examples)} examples")
     rng_t = Pcg32(seed).split("val/mask_text")
@@ -546,9 +542,7 @@ def evaluate_mt(params: ParamStore, cfg: EncoderConfig, examples, task: str,
     scored on two threads (`tensor.split_map`) and the sums taken in
     batch order, so the perplexity has the bits of scoring them one
     after the other."""
-    check_int("batch_size", batch_size)
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    check_int("batch_size", batch_size, 1)
 
     def score(chunk):
         with T.no_grad():  # per thread

@@ -114,19 +114,19 @@ class TestGenerator:
         (dict(min_objects=5), "need 1 <= min_objects <= max_objects"),
         (dict(num_labels=41), "at most 40 object labels"),
         (dict(num_attributes=13), "at most 12 attributes"),
-        (dict(num_examples=0), "num_examples must be positive"),
+        (dict(num_examples=0), "num_examples must be >= 1, got 0"),
         # each of these used to pass, then fail deep in generation, give
         # NaN or empty features, or silently narrow the corpus
         (dict(num_labels=0), "num_labels=0 smaller than max objects per caption"),
         (dict(num_labels=3), r"num_labels=3 smaller than max objects per caption \(4\)"),
-        (dict(num_attributes=0), "num_attributes must be positive, got 0"),
-        (dict(num_valid=-5), "num_valid and num_test must not be negative"),
-        (dict(num_test=-1), "num_valid and num_test must not be negative"),
-        (dict(feat_dim=0), "feat_dim must be positive, got 0"),
+        (dict(num_attributes=0), "num_attributes must be >= 1, got 0"),
+        (dict(num_valid=-5), "num_valid must be >= 0, got -5"),
+        (dict(num_test=-1), "num_test must be >= 0, got -1"),
+        (dict(feat_dim=0), "feat_dim must be >= 1, got 0"),
         (dict(cluster_sigma=float("nan")), "cluster_sigma must be finite and >= 0, got nan"),
         (dict(cluster_sigma=float("inf")), "cluster_sigma must be finite"),
         (dict(cluster_sigma=-0.1), "cluster_sigma must be finite and >= 0"),
-        (dict(num_merges=0), "num_merges must be positive, got 0"),
+        (dict(num_merges=0), "num_merges must be >= 1, got 0"),
     ])
     def test_bad_config_rejected_when_built(self, kw, message):
         with pytest.raises(ConfigError, match=message):
@@ -134,7 +134,7 @@ class TestGenerator:
 
     def test_negative_count_rejected(self):
         cfg = GenConfig(num_examples=5, feat_dim=4)
-        with pytest.raises(ConfigError, match="count must not be negative, got -3"):
+        with pytest.raises(ConfigError, match="count must be >= 0, got -3"):
             generate_raw(cfg, 1, label_centers(cfg, 1), count=-3)
 
     @pytest.mark.parametrize("shape", [(39, 4), (40, 5), (40,), (40, 4, 1)])

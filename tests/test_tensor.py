@@ -325,8 +325,11 @@ class TestGradientsAgainstFiniteDifferences:
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = t(np.ones((5, 5)), rg=True)
-        out = T.dropout(x, (0.0, Pcg32(1)))
-        assert out is x
+        for rate in (0.0, 0):  # float or int, a zero rate draws nothing
+            stream = Pcg32(1)
+            out = T.dropout(x, (rate, stream))
+            assert out is x
+            assert stream.u32() == Pcg32(1).u32()
 
     def test_eval_mode_is_identity(self):
         x = t(np.ones((5, 5)))

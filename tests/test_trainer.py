@@ -324,6 +324,11 @@ def test_dropout_rate_outside_unit_interval_raises(rate):
         EncoderConfig.desk(10, 5, 8, dropout=0.1)
 
 
+def test_unknown_phase_raises():
+    with pytest.raises(ConfigError, match="^unknown phase 'bogus'$"):
+        trainer.TrainConfig.for_phase("bogus")
+
+
 @pytest.mark.parametrize("phase", sorted(PHASES))
 def test_checkpoints_record_the_rate_in_train_config_only(phase, corpus, tmp_path):
     """`model_config` is the architecture; the run's dropout rate is in
